@@ -56,7 +56,11 @@ def _load_config(args):
     if getattr(args, "mode", None) is not None:
         cfg = replace(cfg, mode=_CLI_MODES[args.mode])
     if getattr(args, "delta", None) is not None:
-        cfg = replace(cfg, typicality=replace(cfg.typicality, delta=args.delta))
+        try:
+            typicality = replace(cfg.typicality, delta=args.delta)
+        except ValueError as exc:
+            raise ConfigError(f"--delta: {exc}") from exc
+        cfg = replace(cfg, typicality=typicality)
     return cfg
 
 

@@ -8,7 +8,18 @@ noise-only level:
     | (1/m) ||P_J^perp y||^2 - ((m - L)/m) sigma^2 | < delta,   m = K*n_s.
 
 The estimator scans all L-subsets; if none is typical it outputs the zero
-vector.  Known-support least squares (the genie) attains the CRLB
+vector.  The scan runs in the Gram domain (the search-decoding view of the
+estimator): with c = Upsilon^H y and G = Upsilon^H Upsilon formed once, the
+projected energy ||P_J y||^2 of every candidate is c_J^H G_J^-1 c_J, scored
+for a block of subsets at a time by one batched eigendecomposition of the
+G_J.  Its decisions are those of the SVD statistic
+:func:`typicality_statistic`: a subset is dismissed only when its Gram-domain
+statistic clears delta by more than a margin that bounds the rounding
+difference between the two computations, and every other subset (near the
+threshold, ill-conditioned, or typical) is rechecked with the SVD statistic
+in lexicographic order.  The reported statistic is always the SVD one.
+
+Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
 mean-squared-error upper bound adds two exponentially small penalty terms
 for missing the true support and for accepting a wrong one.
@@ -16,18 +27,27 @@ for missing the true support and for accepting a wrong one.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError, SearchBudgetExceededError
-from .numerics import as_matrix, as_vector, least_squares
+from .numerics import as_matrix, as_vector, least_squares, svd_rank
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
 
 # hard ceiling on enumerated subsets when no explicit cap is configured
 _DEFAULT_ENUM_CAP = 10_000_000
+# subsets scored per batched pass of the search; bounds its working memory
+# (a few hundred bytes per subset at small L) whatever C(n, L) is
+_SCAN_BLOCK = 4096
+# a G_J with w_min <= _ILL_CONDITIONED * w_max is always rechecked: the
+# margin's first-order rounding bound needs eps * cond(G_J) << 1, and the SVD
+# statistic decides the rank of such a subset
+_ILL_CONDITIONED = 1e-6
+# safety factor of the recheck margin over the first-order rounding bound
+_RECHECK_ULPS = 1024.0
 
 
 @dataclass(frozen=True)
@@ -46,8 +66,8 @@ class TypicalityConfig:
     max_subsets: int | None = None
 
     def __post_init__(self):
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
         if self.search_order not in (LEXICOGRAPHIC_FIRST, BEST_STATISTIC):
@@ -89,22 +109,14 @@ def default_delta(noise_var, kns, sparsity):
     return 4.0 * noise_var * math.sqrt(kns - sparsity) / kns
 
 
-def _span_basis(sub, l):
-    """Orthonormal basis of the column span, or raise if rank < l."""
-    u, s, _ = np.linalg.svd(sub, full_matrices=False)
-    tol = max(sub.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > tol))
-    if rank < l:
-        raise RankDeficientError(f"submatrix rank {rank} < {l}")
-    return u
-
-
 def typicality_statistic(y, sub, noise_var, l):
     """Absolute deviation of the projected residual energy from the noise level.
 
-    Returns |(1/m)||P^perp y||^2 - ((m - l)/m) sigma^2| with m = len(y).
-    Raises RankDeficientError when rank(sub) < l; the caller treats such
-    candidate sets as non-typical.
+    Returns |(1/m)||P^perp y||^2 - ((m - l)/m) sigma^2| with m = len(y),
+    projecting through an SVD basis of the column span.  Raises
+    RankDeficientError when rank(sub) < l; the caller treats such candidate
+    sets as non-typical.  This is the reference statistic whose decisions
+    the search in :func:`jt_estimate` reproduces.
     """
     y = as_vector(y, "y")
     sub = as_matrix(sub, "sub")
@@ -112,10 +124,54 @@ def typicality_statistic(y, sub, noise_var, l):
         raise DimensionMismatchError(
             f"sub has shape {sub.shape}, expected {(y.shape[0], l)}"
         )
-    basis = _span_basis(sub, l)
+    basis, s, _ = np.linalg.svd(sub, full_matrices=False)
+    rank = svd_rank(s, sub.shape)
+    if rank < l:
+        raise RankDeficientError(f"submatrix rank {rank} < {l}")
     m = y.shape[0]
     residual = max(float(np.vdot(y, y).real - np.sum(np.abs(basis.conj().T @ y) ** 2)), 0.0)
     return abs(residual / m - (m - l) / m * noise_var)
+
+
+def _subset_blocks(n_cols, l):
+    """All l-subsets of range(n_cols) in lexicographic order, in blocks.
+
+    Yields (position of the block's first subset, (b, l) index array) with
+    b <= _SCAN_BLOCK.
+    """
+    subsets = combinations(range(n_cols), l)
+    start = 0
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(subsets, _SCAN_BLOCK)), dtype=np.intp)
+        if flat.size == 0:
+            return
+        yield start, flat.reshape(-1, l)
+        start += flat.size // l
+
+
+def _gram_statistics(gram, corr, yy, subsets, noise_var, m):
+    """Typicality statistic of each row J of ``subsets`` from G and c.
+
+    The projected energy ||P_J y||^2 = c_J^H G_J^-1 c_J is
+    sum_i |v_i^H c_J|^2 / w_i over the eigenpairs (w_i, v_i) of G_J.  Returns
+    the statistics and, per subset, a margin that their distance from
+    :func:`typicality_statistic` stays below.  Both computations miss the
+    exact energy by at most a few m * eps * cond(G_J) * ||y||^2 to first
+    order (m-term sums form G, c and the SVD projection; an ill-posed span's
+    basis tilts by about eps * sqrt(cond(G_J))), so the statistics differ by
+    at most a few eps * cond(G_J) * (||y||^2 + sigma^2), and the margin is
+    _RECHECK_ULPS times that.  It is inf where G_J is ill-conditioned.
+    """
+    l = subsets.shape[1]
+    w, v = np.linalg.eigh(gram[subsets[:, :, None], subsets[:, None, :]])
+    ill = w[:, 0] <= _ILL_CONDITIONED * w[:, -1]
+    w = np.where(ill[:, None], 1.0, w)
+    proj = np.matmul(v.conj().swapaxes(1, 2), corr[subsets][:, :, None])[:, :, 0]
+    energy = np.sum(np.abs(proj) ** 2 / w, axis=1)
+    stat = np.abs(np.maximum(yy - energy, 0.0) / m - (m - l) / m * noise_var)
+    cond = w[:, -1] / w[:, 0]
+    margin = _RECHECK_ULPS * np.finfo(np.float64).eps * cond * (yy + abs(noise_var))
+    return stat, np.where(ill, np.inf, margin)
 
 
 def jt_estimate(y, upsilon_mat, cfg, noise_var):
@@ -123,9 +179,17 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
 
     Subsets are enumerated in lexicographic order.  ``lexicographic_first``
     returns the first typical set, ``best_statistic`` the typical set with
-    the smallest deviation.  Rank-deficient candidates are skipped.  The
-    estimate restricted to the winning support is its least-squares fit;
-    with no typical set the zero vector is returned with ``failed`` set.
+    the smallest deviation (the first one on ties).  Rank-deficient
+    candidates are skipped.  ``subsets_examined`` is the winner's
+    lexicographic position plus one under ``lexicographic_first`` and
+    C(n, L) otherwise.  The estimate restricted to the winning support is
+    its least-squares fit; with no typical set the zero vector is returned
+    with ``failed`` set.
+
+    Candidates are scored in the Gram domain (see the module docstring);
+    only those that this cannot dismiss pass through
+    :func:`typicality_statistic`, so every decision and the reported
+    statistic are the SVD statistic's.
     """
     y = as_vector(y, "y")
     upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
@@ -139,22 +203,34 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
         raise SearchBudgetExceededError(f"{total} subsets exceed cap {cap}")
     m = y.shape[0]
     delta = cfg.delta if cfg.delta is not None else default_delta(noise_var, m, l)
+    first = cfg.search_order == LEXICOGRAPHIC_FIRST
 
+    gram = upsilon_mat.conj().T @ upsilon_mat
+    corr = upsilon_mat.conj().T @ y
+    yy = float(np.vdot(y, y).real)
     best = None  # (statistic, support)
-    examined = 0
-    for subset in combinations(range(n_cols), l):
-        examined += 1
-        try:
-            stat = typicality_statistic(y, upsilon_mat[:, subset], noise_var, l)
-        except RankDeficientError:
-            continue
-        if stat >= delta:
-            continue
-        if cfg.search_order == LEXICOGRAPHIC_FIRST:
-            best = (stat, subset)
+    examined = total
+    for start, subsets in _subset_blocks(n_cols, l):
+        stat, margin = _gram_statistics(gram, corr, yy, subsets, noise_var, m)
+        # dismiss a subset only when its SVD statistic is >= delta by the
+        # first-order rounding bound (times _RECHECK_ULPS); NaN compares
+        # false and keeps the subset
+        dismissed = stat - margin >= delta
+        for i in np.flatnonzero(~dismissed):
+            subset = tuple(int(j) for j in subsets[i])
+            try:
+                s = typicality_statistic(y, upsilon_mat[:, subset], noise_var, l)
+            except RankDeficientError:
+                continue
+            if s >= delta:
+                continue
+            if first:
+                best, examined = (s, subset), start + int(i) + 1
+                break
+            if best is None or s < best[0]:
+                best = (s, subset)
+        if first and best is not None:
             break
-        if best is None or stat < best[0]:
-            best = (stat, subset)
 
     if best is None:
         return EstimateResult(
@@ -196,8 +272,7 @@ def crlb(upsilon_mat, support, noise_var):
     idx = list(support)
     sub = upsilon_mat[:, idx]
     s = np.linalg.svd(sub, full_matrices=False, compute_uv=False)
-    tol = max(sub.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    if int(np.count_nonzero(s > tol)) < len(idx):
+    if svd_rank(s, sub.shape) < len(idx):
         raise RankDeficientError("support submatrix is rank deficient")
     return noise_var * float(np.sum(1.0 / s**2))
 

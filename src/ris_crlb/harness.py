@@ -464,15 +464,15 @@ def parse_config_text(text):
         n_r_w=get_int("n_r_w", 5),
         spacing_ratio=get_float("spacing_ratio", 0.5),
     )
-    typicality = est.TypicalityConfig(
-        delta=get_float("delta", None) if "delta" in values else None,
-        sparsity=get_int("sparsity", 1),
-        search_order=values.get("search_order", est.LEXICOGRAPHIC_FIRST),
-        max_subsets=get_int("max_subsets", None) if "max_subsets" in values else None,
-    )
     mode = values.get("mode", "synthetic")
     estimator = values.get("estimator", "jt")
     try:
+        typicality = est.TypicalityConfig(
+            delta=get_float("delta", None) if "delta" in values else None,
+            sparsity=get_int("sparsity", 1),
+            search_order=values.get("search_order", est.LEXICOGRAPHIC_FIRST),
+            max_subsets=get_int("max_subsets", None) if "max_subsets" in values else None,
+        )
         return ExperimentConfig(
             geometry=geometry,
             hop_bs_ris=HopSpec(

@@ -66,18 +66,27 @@ def unvec(v, rows, cols):
     return v.reshape((rows, cols), order="F")
 
 
+def svd_rank(s, shape):
+    """Numeric rank of a matrix of ``shape`` from its descending singular values.
+
+    Counts the singular values above max(rows, cols) * eps * largest singular
+    value, the standard SVD-based cutoff.
+    """
+    tol = max(shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    return int(np.count_nonzero(s > tol))
+
+
 def numeric_rank(a, tol=None):
     """Number of singular values above ``tol``.
 
-    Default tol is max(rows, cols) * eps * largest singular value, the
-    standard SVD-based cutoff.
+    Default tol is the standard SVD-based cutoff of :func:`svd_rank`.
     """
     a = as_matrix(a)
     if tol is not None and tol < 0:
         raise ValueError("tol must be >= 0")
     s = np.linalg.svd(a, compute_uv=False)
     if tol is None:
-        tol = max(a.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+        return svd_rank(s, a.shape)
     return int(np.count_nonzero(s > tol))
 
 

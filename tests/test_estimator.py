@@ -24,6 +24,29 @@ def default_scale_model(k=20, seed=0, noise_var=None):
     return sn.measurement_model(pilots, 5, noise_var=noise_var)
 
 
+def literal_search(y, mat, cfg, noise_var):
+    """Reference search: the SVD statistic of every subset, in lexicographic order.
+
+    Returns (support, statistic, subsets_examined) as jt_estimate reports them.
+    """
+    l = cfg.sparsity
+    delta = cfg.delta if cfg.delta is not None else est.default_delta(noise_var, len(y), l)
+    best, examined = None, 0
+    for cand in combinations(range(mat.shape[1]), l):
+        examined += 1
+        try:
+            stat = est.typicality_statistic(y, mat[:, cand], noise_var, l)
+        except RankDeficientError:
+            continue
+        if stat >= delta:
+            continue
+        if cfg.search_order == est.LEXICOGRAPHIC_FIRST:
+            return cand, stat, examined
+        if best is None or stat < best[0]:
+            best = (stat, cand)
+    return (best[1], best[0], examined) if best else ((), math.inf, examined)
+
+
 class TestTypicalityStatistic:
     def test_in_span_noiseless(self):
         model = default_scale_model()
@@ -62,6 +85,13 @@ class TestTypicalityStatistic:
         sub = np.ones((10, 2), dtype=complex)
         with pytest.raises(RankDeficientError):
             est.typicality_statistic(np.ones(10, dtype=complex), sub, 0.1, 2)
+
+
+class TestTypicalityConfig:
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            est.TypicalityConfig(delta=delta, sparsity=1)
 
 
 class TestJtEstimate:
@@ -146,6 +176,79 @@ class TestJtEstimate:
         cfg = est.TypicalityConfig(delta=1e-9, sparsity=1)
         res = est.jt_estimate(y, mat, cfg, 0.0)
         assert res.support == (2,)
+
+
+class TestSearchEquivalence:
+    """The batched Gram-domain search decides exactly as the SVD statistic loop."""
+
+    @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_literal_svd_loop(self, l, order):
+        rng = np.random.default_rng(900 + 10 * l + (order == est.BEST_STATISTIC))
+        shapes = [(3, 4), (2, 5), (3, 3), (5, 2)]
+        for trial in range(40):
+            n_d, n_s = shapes[trial % len(shapes)]
+            pilots = sn.gen_pilots(sn.PilotConfig(n_d=n_d, k=8, seed=90_000 + trial))
+            mat = sn.measurement_matrix(pilots, n_s)
+            dim = mat.shape[1]
+            support = [int(i) for i in rng.choice(dim, size=l, replace=False)]
+            others = [i for i in range(dim) if i not in support]
+            # 0: as drawn; 1: a support column duplicated; 2: a zero column;
+            # 3: a column near a support column, itself in the support when
+            # L > 1 (an ill-conditioned but full-rank true support)
+            if trial % 4 == 1:
+                mat[:, others[0]] = mat[:, support[0]]
+            elif trial % 4 == 2:
+                mat[:, others[0]] = 0.0
+            elif trial % 4 == 3:
+                near = support[-1] if l > 1 else others[0]
+                gap = 1e-4 if trial % 8 == 3 else 1e-7
+                mat[:, near] = mat[:, support[0]] + gap * crandn(rng, mat.shape[0])
+            truth = np.zeros(dim, dtype=complex)
+            truth[support] = np.exp(2j * np.pi * rng.random(l))
+            noise_var = 0.05 if trial % 2 else 0.0
+            y = mat @ truth + math.sqrt(noise_var / 2) * crandn(rng, mat.shape[0])
+
+            # 0: delta exactly on a candidate's (positive) statistic; 1: the
+            # default or, noiseless, a tight explicit one; 2: log-uniform in
+            # [1e-10, 1]
+            delta = 1e-9
+            if trial % 3 == 0:
+                cand = tuple(sorted(int(i) for i in rng.choice(dim, size=l, replace=False)))
+                try:
+                    delta = est.typicality_statistic(y, mat[:, cand], noise_var, l) or delta
+                except RankDeficientError:
+                    pass
+            elif trial % 3 == 1 and noise_var:
+                delta = None
+            elif trial % 3 == 2:
+                delta = 10.0 ** rng.uniform(-10, 0)
+            cfg = est.TypicalityConfig(delta=delta, sparsity=l, search_order=order)
+
+            res = est.jt_estimate(y, mat, cfg, noise_var)
+            assert (res.support, res.statistic, res.subsets_examined) == literal_search(
+                y, mat, cfg, noise_var
+            ), trial
+
+    @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
+    def test_winner_beyond_first_block(self, order):
+        # 40 columns, L = 3: 9,880 subsets, so several blocks; every subset
+        # led by column 10 lies past position 5,820
+        pilots = sn.gen_pilots(sn.PilotConfig(n_d=8, k=10, seed=77))
+        mat = sn.measurement_matrix(pilots, 5)
+        support = (10, 21, 33)
+        assert math.comb(mat.shape[1], 3) > 2 * est._SCAN_BLOCK
+        truth = np.zeros(mat.shape[1], dtype=complex)
+        truth[list(support)] = [1.0, -0.5j, 0.75]
+        y = mat @ truth
+        cfg = est.TypicalityConfig(delta=1e-9, sparsity=3, search_order=order)
+
+        res = est.jt_estimate(y, mat, cfg, 0.0)
+        ref = literal_search(y, mat, cfg, 0.0)
+        assert ref[0] == support
+        assert (res.support, res.statistic, res.subsets_examined) == ref
+        if order == est.LEXICOGRAPHIC_FIRST:
+            assert res.subsets_examined > est._SCAN_BLOCK
 
 
 class TestGenieLs:

@@ -307,6 +307,19 @@ class TestCli:
         assert rc != 0
         assert "psychic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, cfg_delta",
+        [(["--delta", "nan"], None), (["--delta", "-1"], None), ([], "nan")],
+    )
+    def test_bad_delta_rejected_before_any_trial(self, tmp_path, capsys, flags, cfg_delta):
+        kv = {} if cfg_delta is None else {"delta": cfg_delta}
+        cfg = self._write_cfg(tmp_path, **kv)
+        out = tmp_path / "res.csv"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out), *flags])
+        assert rc == 2
+        assert "delta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_determinism(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
