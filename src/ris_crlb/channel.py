@@ -262,6 +262,31 @@ def synth_sparse_signal(dim, sparsity, rng, magnitude=1.0):
     return v, tuple(sorted(int(i) for i in idx))
 
 
+def _grid_size(geometry, side, n_paths=1):
+    """DFT grid size of the endpoint (BS or MS) array of a hop.
+
+    Raises ValueError unless ``n_paths`` distinct on-grid paths fit in it.
+    """
+    if side == BS_TO_RIS:
+        n_grid = geometry.n_s
+    elif side == RIS_TO_MS:
+        n_grid = geometry.n_d
+    else:
+        raise ValueError(f"unknown hop side {side!r}")
+    if n_paths > n_grid:
+        raise ValueError(f"cannot place {n_paths} distinct on-grid paths in {n_grid} bins")
+    return n_grid
+
+
+def check_on_grid(geometry, n_paths, side):
+    """Raise ValueError unless on-grid :func:`draw_hop` succeeds whatever bins
+    it draws: the paths fit in distinct bins and :func:`snap_angles` reaches
+    every bin at the geometry's spacing."""
+    n_grid = _grid_size(geometry, side, n_paths)
+    for b in range(n_grid):
+        snap_angles(b, n_grid, geometry.spacing_ratio)
+
+
 def draw_hop(geometry, n_paths, side, rng, on_grid, path_loss=None):
     """Random hop with the endpoint-side departure/arrival angles drawn per mode.
 
@@ -272,16 +297,8 @@ def draw_hop(geometry, n_paths, side, rng, on_grid, path_loss=None):
     sqrt(N*N/loss) leading scale.
     """
     g = geometry
-    if side == BS_TO_RIS:
-        n_grid = g.n_s
-        default_loss = float(g.n_s * g.n_r)
-    elif side == RIS_TO_MS:
-        n_grid = g.n_d
-        default_loss = float(g.n_r * g.n_d)
-    else:
-        raise ValueError(f"unknown hop side {side!r}")
-    if on_grid and n_paths > n_grid:
-        raise ValueError(f"cannot place {n_paths} distinct on-grid paths in {n_grid} bins")
+    n_grid = _grid_size(g, side, n_paths if on_grid else 1)
+    default_loss = float(n_grid * g.n_r)
 
     def rand_pair():
         return float(rng.uniform(0.0, np.pi)), float(rng.uniform(-np.pi, np.pi))

@@ -9,7 +9,6 @@ Subcommands:
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -36,7 +35,7 @@ def _thread_count(args):
     env = os.environ.get("RIS_CRLB_THREADS")
     if env:
         try:
-            return max(int(env), 1)
+            return int(env)
         except ValueError:
             raise ConfigError(f"RIS_CRLB_THREADS must be an integer, got {env!r}")
     return 1
@@ -100,30 +99,18 @@ def _cmd_crlb(args):
     if cfg.mode != "synthetic":
         raise ConfigError("the crlb table is defined for synthetic mode")
     l = cfg.typicality.sparsity
-    g = cfg.geometry
     energy = l * cfg.magnitude**2
     lines = ["k,snr_db,noise_var,delta,crlb,missed_term,wrong_support_term,upper_bound"]
     for k in cfg.k_values:
-        pilots = sn.gen_pilots(sn.PilotConfig(g.n_d, k, hn.trial_seed(cfg.master_seed, k, 0.0, 0)))
-        mat = sn.measurement_matrix(pilots, g.n_s)
-        kns = k * g.n_s
-        template = np.zeros(g.n_d * g.n_s, dtype=np.complex128)
-        template[:l] = math.sqrt(energy / l)
+        pilots = sn.gen_pilots(
+            sn.PilotConfig(cfg.geometry.n_d, k, hn.trial_seed(cfg.master_seed, k, 0.0, 0))
+        )
+        mat = sn.measurement_matrix(pilots, cfg.geometry.n_s)
         for snr_db in cfg.snr_db_values:
-            noise_var = (energy / g.n_s) * 10.0 ** (-snr_db / 10.0)
-            delta = cfg.typicality.delta
-            if delta is None:
-                delta = est.default_delta(noise_var, kns, l)
-            report = est.mse_upper_bound(
-                template, tuple(range(l)), mat, noise_var, delta, kns, l
-            )
-            lines.append(
-                f"{k},{format(snr_db, '.17g')},{format(noise_var, '.17g')},"
-                f"{format(delta, '.17g')},{format(report.crlb, '.17g')},"
-                f"{format(report.missed_term, '.17g')},"
-                f"{format(report.wrong_support_term, '.17g')},"
-                f"{format(report.upper_bound, '.17g')}"
-            )
+            noise_var, delta, missed, wrong = hn.bound_terms(cfg, k, snr_db, energy, l)
+            crlb = est.crlb(mat, range(l), noise_var)
+            row = (snr_db, noise_var, delta, crlb, missed, wrong, crlb + missed + wrong)
+            lines.append(f"{k}," + ",".join(format(v, ".17g") for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -188,7 +175,8 @@ def _selftest_checks():
         real = ch.realize_synthetic(geom, 1, np.random.default_rng(9))
         pilots = sn.gen_pilots(sn.PilotConfig(5, 20, 13))
         model = sn.measurement_model(pilots, 5)
-        model.noise_var = sn.snr_to_noise_var(20.0, model, real.sparse_vec)
+        energy = float(np.sum(np.abs(real.sparse_vec) ** 2))
+        model.noise_var = sn.snr_to_noise_var(20.0, energy, model.n_s)
         bound = est.crlb(model.upsilon_mat, real.support, model.noise_var)
         draws = 2000
         errs = 0.0

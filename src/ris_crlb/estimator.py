@@ -92,16 +92,6 @@ class EstimateResult:
     degenerate: bool = field(default=False)
 
 
-@dataclass
-class BoundReport:
-    """CRLB plus the two analytic penalty terms and their total."""
-
-    crlb: float
-    missed_term: float
-    wrong_support_term: float
-    upper_bound: float
-
-
 def default_delta(noise_var, kns, sparsity):
     """Threshold at four standard deviations of the centered energy statistic."""
     if kns <= sparsity:
@@ -333,23 +323,6 @@ def wrong_support_term(truth, support, noise_var, delta, kns, l, max_terms=None)
             ratio = (miss_energy - delta_p) / denom
             total += count * math.exp((l - kns) / 4.0 * ratio**2)
     return prefactor * total
-
-
-def mse_upper_bound(truth, support, upsilon_mat, noise_var, delta, kns, l):
-    """Analytic ceiling on the search estimator's mean squared error.
-
-    Per-realization CRLB plus the missed-detection and wrong-support terms.
-    """
-    base = crlb(upsilon_mat, support, noise_var)
-    energy = float(np.sum(np.abs(np.asarray(truth)) ** 2))
-    t1 = missed_detection_term(energy, noise_var, delta, kns, l)
-    t3 = wrong_support_term(truth, support, noise_var, delta, kns, l)
-    return BoundReport(
-        crlb=base,
-        missed_term=t1,
-        wrong_support_term=t3,
-        upper_bound=base + t1 + t3,
-    )
 
 
 def omp_estimate(y, upsilon_mat, l):

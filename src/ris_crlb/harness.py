@@ -68,10 +68,25 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if len(self.k_values) == 0:
             raise ConfigError("k_values must be nonempty")
+        if any(k < 1 for k in self.k_values):
+            raise ConfigError(f"k_values must all be >= 1, got {self.k_values}")
         if len(self.snr_db_values) == 0:
             raise ConfigError("snr_db_values must be nonempty")
+        if not all(math.isfinite(s) for s in self.snr_db_values):
+            raise ConfigError(f"snr_db_values must be finite, got {self.snr_db_values}")
         if self.magnitude <= 0:
             raise ConfigError("magnitude must be positive")
+        if self.mode == "physical_on_grid":
+            for name, hop, side in (
+                ("paths_bs_ris", self.hop_bs_ris, ch.BS_TO_RIS),
+                ("paths_ris_ms", self.hop_ris_ms, ch.RIS_TO_MS),
+            ):
+                try:
+                    ch.check_on_grid(self.geometry, hop.n_paths, side)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"mode physical_on_grid with {name} = {hop.n_paths}: {exc}"
+                    ) from exc
         for k in self.k_values:
             if k <= self.geometry.n_d:
                 warnings.warn(
@@ -205,7 +220,7 @@ def run_trial(cfg, k, snr_db, trial_index):
         warnings.simplefilter("ignore")  # config already warned about small k
         pilots = sn.gen_pilots(sn.PilotConfig(cfg.geometry.n_d, k, _mix64(seed ^ 2)))
     model = sn.measurement_model(pilots, cfg.geometry.n_s)
-    model.noise_var = sn.snr_to_noise_var(snr_db, model, truth)
+    model.noise_var = sn.snr_to_noise_var(snr_db, truth_energy, cfg.geometry.n_s)
     obs = sn.observe(model, truth, _substream(seed, 3), support)
 
     try:
@@ -234,6 +249,25 @@ def run_trial(cfg, k, snr_db, trial_index):
     )
 
 
+def bound_terms(cfg, k, snr_db, energy, l):
+    """Noise variance, threshold and the two analytic penalty terms of a grid point.
+
+    The truth is modelled as ``l`` equal-share entries of total ``energy``.
+    Returns ``(noise_var, delta, missed_term, wrong_support_term)``; the
+    sweep's ``upper_bound`` and the ``crlb`` table each add their own CRLB.
+    """
+    kns = k * cfg.geometry.n_s
+    noise_var = sn.snr_to_noise_var(snr_db, energy, cfg.geometry.n_s)
+    delta = cfg.typicality.delta
+    if delta is None:
+        delta = est.default_delta(noise_var, kns, l)
+    template = np.zeros(cfg.geometry.n_d * cfg.geometry.n_s, dtype=np.complex128)
+    template[:l] = math.sqrt(energy / l)
+    missed = est.missed_detection_term(energy, noise_var, delta, kns, l)
+    wrong = est.wrong_support_term(template, tuple(range(l)), noise_var, delta, kns, l)
+    return noise_var, delta, missed, wrong
+
+
 def _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_truth_energy, mean_sparsity):
     """Sweep-level bound: mean per-realization CRLB plus the analytic terms.
 
@@ -241,24 +275,16 @@ def _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_truth_energy, mean_spa
     configured magnitude); physical modes use the mean realized energy
     spread in equal shares, an approximation noted in the JSON metadata.
     """
-    kns = k * cfg.geometry.n_s
     if cfg.mode == "synthetic":
         l = cfg.typicality.sparsity
         energy = l * cfg.magnitude**2
     else:
         l = max(int(round(mean_sparsity)), 1)
         energy = mean_truth_energy
-    if kns <= l:
+    if k * cfg.geometry.n_s <= l:
         return math.nan
-    noise_var = (energy / cfg.geometry.n_s) * 10.0 ** (-snr_db / 10.0)
-    delta = cfg.typicality.delta
-    if delta is None:
-        delta = est.default_delta(noise_var, kns, l)
-    template = np.zeros(cfg.geometry.n_d * cfg.geometry.n_s, dtype=np.complex128)
-    template[:l] = math.sqrt(energy / l)
-    t1 = est.missed_detection_term(energy, noise_var, delta, kns, l)
-    t3 = est.wrong_support_term(template, tuple(range(l)), noise_var, delta, kns, l)
-    return mean_crlb + t1 + t3
+    _, _, missed, wrong = bound_terms(cfg, k, snr_db, energy, l)
+    return mean_crlb + missed + wrong
 
 
 def run_sweep(cfg, threads=1, keep_trials=False):
@@ -268,7 +294,7 @@ def run_sweep(cfg, threads=1, keep_trials=False):
     identical for any thread count.
     """
     if threads < 1:
-        raise ValueError("threads must be >= 1")
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     rows = []
     all_records = []
     for k in cfg.k_values:
@@ -383,16 +409,10 @@ def write_trials_csv(records, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def config_to_dict(cfg):
-    d = asdict(cfg)
-    d["typicality"] = asdict(cfg.typicality)
-    return d
-
-
 def write_sweep_json(result, cfg, path):
     """JSON mirror of the CSV with the full config embedded for provenance."""
     payload = {
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "master_seed": result.master_seed,
         "snr_definition": "sigma^2 = (||upsilon||^2 / n_s) * 10^(-snr_db/10)",
         "delta_rule": "4*sigma^2*sqrt(k*n_s - L)/(k*n_s) unless overridden",
@@ -424,7 +444,7 @@ _CONFIG_KEYS = (
 
 def parse_config_text(text):
     """Parse the flat key=value experiment format into an ExperimentConfig."""
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -435,7 +455,11 @@ def parse_config_text(text):
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
-        values[key] = val.strip()
+        if key in values:
+            raise ConfigError(
+                f"line {lineno}: duplicate field {key!r} (first set on line {first_line[key]})"
+            )
+        values[key], first_line[key] = val.strip(), lineno
 
     def get_int(key, default):
         try:
@@ -457,16 +481,14 @@ def parse_config_text(text):
         except ValueError as exc:
             raise ConfigError(f"field {key!r}: bad list: {values[key]!r}") from exc
 
-    geometry = ch.Geometry(
-        n_s=get_int("n_s", 5),
-        n_d=get_int("n_d", 5),
-        n_r_h=get_int("n_r_h", 2),
-        n_r_w=get_int("n_r_w", 5),
-        spacing_ratio=get_float("spacing_ratio", 0.5),
-    )
-    mode = values.get("mode", "synthetic")
-    estimator = values.get("estimator", "jt")
     try:
+        geometry = ch.Geometry(
+            n_s=get_int("n_s", 5),
+            n_d=get_int("n_d", 5),
+            n_r_h=get_int("n_r_h", 2),
+            n_r_w=get_int("n_r_w", 5),
+            spacing_ratio=get_float("spacing_ratio", 0.5),
+        )
         typicality = est.TypicalityConfig(
             delta=get_float("delta", None) if "delta" in values else None,
             sparsity=get_int("sparsity", 1),
@@ -483,12 +505,12 @@ def parse_config_text(text):
                 get_int("paths_ris_ms", 1),
                 get_float("path_loss_ris_ms", None) if "path_loss_ris_ms" in values else None,
             ),
-            mode=mode,
+            mode=values.get("mode", "synthetic"),
             k_values=get_list("k_values", (8, 12, 16, 20, 28, 40, 60, 80), int),
             snr_db_values=get_list("snr_db_values", (20.0, 30.0, 40.0), float),
             trials=get_int("trials", 1000),
             master_seed=get_int("master_seed", 20260801),
-            estimator=estimator,
+            estimator=values.get("estimator", "jt"),
             typicality=typicality,
             magnitude=get_float("magnitude", 1.0),
         )

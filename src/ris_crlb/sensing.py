@@ -129,17 +129,17 @@ def observe(model, truth, rng, support=()):
     )
 
 
-def snr_to_noise_var(snr_db, model, truth):
-    """Noise variance that hits an SNR target.
+def snr_to_noise_var(snr_db, energy, n_s):
+    """Noise variance that hits an SNR target for a truth of energy ||upsilon||^2.
 
     SNR is defined as average received signal energy per observation entry
     over the noise variance: with unit-variance pilot entries
     E||Upsilon upsilon||^2 = K ||upsilon||^2, so
 
         sigma^2 = (||upsilon||^2 / n_s) * 10^(-snr_db/10).
+
+    This is the only place the formula is evaluated.
     """
-    truth = as_vector(truth, "truth")
-    energy = float(np.sum(np.abs(truth) ** 2))
     if energy == 0.0:
         raise ValueError("truth must be nonzero to define an SNR")
-    return (energy / model.n_s) * 10.0 ** (-snr_db / 10.0)
+    return (energy / n_s) * 10.0 ** (-snr_db / 10.0)

@@ -95,7 +95,9 @@ def test_criterion_04_genie_efficiency():
     real = ch.realize_synthetic(geom, 1, rng)
     pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=4040))
     model = sn.measurement_model(pilots, 5)
-    model.noise_var = sn.snr_to_noise_var(20.0, model, real.sparse_vec)
+    model.noise_var = sn.snr_to_noise_var(
+        20.0, float(np.sum(np.abs(real.sparse_vec) ** 2)), model.n_s
+    )
     bound = est.crlb(model.upsilon_mat, real.support, model.noise_var)
     draws = 10_000
     total = 0.0
@@ -114,7 +116,7 @@ def test_criterion_05_typicality_centering():
     real = ch.realize_synthetic(geom, 1, rng)
     pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=5050))
     model = sn.measurement_model(pilots, 5)
-    sigma2 = sn.snr_to_noise_var(20.0, model, real.sparse_vec)
+    sigma2 = sn.snr_to_noise_var(20.0, float(np.sum(np.abs(real.sparse_vec) ** 2)), model.n_s)
     model.noise_var = sigma2
     proj = projector_complement(model.upsilon_mat[:, list(real.support)])
     m = model.k * model.n_s

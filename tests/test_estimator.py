@@ -2,11 +2,13 @@
 
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ris_crlb import estimator as est
+from ris_crlb import harness as hn
 from ris_crlb import sensing as sn
 from ris_crlb.errors import (
     DimensionMismatchError,
@@ -389,12 +391,22 @@ class TestWrongSupportTerm:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def bound_report(model, sigma2, delta=None):
+    """CRLB at support (5,) plus harness.bound_terms for one unit-energy entry
+    at kns = 100; snr_db = 10 log10(0.2 / sigma2) sets noise variance sigma2."""
+    cfg = hn.default_config(typicality=est.TypicalityConfig(delta=delta, sparsity=1))
+    noise_var, _, missed, wrong = hn.bound_terms(cfg, 20, 10 * math.log10(0.2 / sigma2), 1.0, 1)
+    crlb = est.crlb(model.upsilon_mat, (5,), noise_var)
+    return SimpleNamespace(
+        crlb=crlb, missed_term=missed, wrong_support_term=wrong,
+        upper_bound=crlb + missed + wrong,
+    )
+
+
 class TestMseUpperBound:
     def test_terms_nonnegative_and_dominate_crlb(self):
         model = default_scale_model(seed=21)
-        truth = np.zeros(25, dtype=complex)
-        truth[5] = 1.0
-        report = est.mse_upper_bound(truth, (5,), model.upsilon_mat, 0.01, 0.004, 100, 1)
+        report = bound_report(model, 0.01, delta=0.004)
         assert report.missed_term >= 0
         assert report.wrong_support_term >= 0
         assert report.upper_bound >= report.crlb
@@ -404,15 +416,9 @@ class TestMseUpperBound:
         # scale-invariant, so along sigma^2 -> 0 the bound decreases
         # monotonically onto that constant penalty floor while its
         # sigma-dependent part (the CRLB) vanishes linearly
+        # (the default delta is 4 sigma^2 sqrt(99) / 100 at kns = 100, L = 1)
         model = default_scale_model(seed=22)
-        truth = np.zeros(25, dtype=complex)
-        truth[5] = 1.0
-        reports = []
-        for sigma2 in (1e-2, 1e-3, 1e-4, 1e-5):
-            delta = 4 * sigma2 * math.sqrt(99) / 100
-            reports.append(
-                est.mse_upper_bound(truth, (5,), model.upsilon_mat, sigma2, delta, 100, 1)
-            )
+        reports = [bound_report(model, sigma2) for sigma2 in (1e-2, 1e-3, 1e-4, 1e-5)]
         bounds = [r.upper_bound for r in reports]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
         floor = reports[-1].missed_term + reports[-1].wrong_support_term

@@ -233,6 +233,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="trials"):
             hn.parse_config_text("trials = many")
 
+    def test_duplicate_field_named_with_both_lines(self):
+        with pytest.raises(ConfigError, match=r"line 3: duplicate field 'trials'.*line 1"):
+            hn.parse_config_text("trials = 2\nk_values = 8\ntrials = 3\n")
+
     def test_bad_mode_named(self):
         with pytest.raises(ConfigError, match="mode"):
             hn.parse_config_text("mode = sideways")
@@ -320,6 +324,36 @@ class TestCli:
         assert "delta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kv, field",
+        [
+            ({"k_values": "8, 0"}, "k_values"),
+            ({"snr_db_values": "nan"}, "snr_db_values"),
+            ({"mode": "physical_on_grid", "paths_bs_ris": 6}, "paths_bs_ris"),
+            ({"mode": "physical_on_grid", "spacing_ratio": 0.3}, "spacing_ratio"),
+            ({"n_s": 0}, "n_s"),
+        ],
+    )
+    def test_bad_grid_rejected_before_any_trial(self, tmp_path, capsys, kv, field):
+        cfg = self._write_cfg(tmp_path, **kv)
+        out = tmp_path / "res.csv"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [("0", None), (None, "0")])
+    def test_zero_threads_rejected(self, tmp_path, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("RIS_CRLB_THREADS", env)
+        out = tmp_path / "res.csv"
+        argv = ["sweep", "--config", self._write_cfg(tmp_path), "--out", str(out)]
+        rc = cli.main(argv + (["--threads", flag] if flag is not None else []))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: threads must be >= 1")
+        assert not out.exists()
+
     def test_seed_determinism(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -354,6 +388,37 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("k,snr_db,")
         assert len(lines) == 1 + 4
+
+    # at (3, 0.3) the equal-share template's energy is 0.2700000000000001,
+    # not l * magnitude**2 = 0.27; both consumers use the latter
+    @pytest.mark.parametrize("l, magnitude", [(2, 1.0), (3, 0.3)])
+    def test_crlb_table_terms_match_sweep_bound(self, tmp_path, capsys, l, magnitude):
+        # the sweep's upper_bound is its mean CRLB plus the same two penalty
+        # terms the table prints for that (k, snr_db) cell, bit for bit
+        cfg = self._write_cfg(
+            tmp_path, k_values="8 20", snr_db_values="20 40", sparsity=l,
+            magnitude=magnitude, trials=3,
+        )
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["crlb", "--config", cfg]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0] == (
+            "k,snr_db,noise_var,delta,crlb,missed_term,wrong_support_term,upper_bound"
+        )
+        sweep = out.read_text().splitlines()[1:]
+        assert len(sweep) == len(table) - 1 == 4
+        n_s, energy = 5, l * magnitude**2
+        for srow, trow in zip(sweep, table[1:]):
+            k, snr_db, _mse, crlb, upper, _fail, _n = srow.split(",")
+            tk, tsnr, noise_var, delta, _crlb, missed, wrong, _upper = trow.split(",")
+            assert (k, snr_db) == (tk, tsnr)
+            k, snr_db = int(k), float(snr_db)
+            kns = k * n_s
+            assert float(noise_var) == (energy / n_s) * 10.0 ** (-snr_db / 10.0)
+            assert float(delta) == 4.0 * float(noise_var) * math.sqrt(kns - l) / kns
+            assert float(upper) == float(crlb) + float(missed) + float(wrong)
 
     def test_selftest(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -135,15 +135,16 @@ class TestSnrToNoiseVar:
         )
         truth = np.zeros(25, dtype=complex)
         truth[:5] = 1.0  # ||truth||^2 = n_s
-        assert abs(sn.snr_to_noise_var(0.0, model, truth) - 1.0) < 1e-12
+        noise_var = sn.snr_to_noise_var(0.0, float(np.sum(np.abs(truth) ** 2)), model.n_s)
+        assert abs(noise_var - 1.0) < 1e-12
 
     def test_db_scaling(self):
         model = sn.measurement_model(
             sn.gen_pilots(sn.PilotConfig(n_d=5, k=12, seed=14)), 5
         )
         truth = np.ones(25, dtype=complex)
-        v0 = sn.snr_to_noise_var(0.0, model, truth)
-        v20 = sn.snr_to_noise_var(20.0, model, truth)
+        v0 = sn.snr_to_noise_var(0.0, float(np.sum(np.abs(truth) ** 2)), model.n_s)
+        v20 = sn.snr_to_noise_var(20.0, float(np.sum(np.abs(truth) ** 2)), model.n_s)
         assert abs(v0 / v20 - 100.0) < 1e-9
 
     def test_rejects_zero_truth(self):
@@ -151,7 +152,7 @@ class TestSnrToNoiseVar:
             sn.gen_pilots(sn.PilotConfig(n_d=5, k=12, seed=15)), 5
         )
         with pytest.raises(ValueError):
-            sn.snr_to_noise_var(10.0, model, np.zeros(25, dtype=complex))
+            sn.snr_to_noise_var(10.0, 0.0, model.n_s)
 
     def test_snr_definition_monte_carlo(self):
         # mean ||Upsilon upsilon||^2 / (K n_s sigma^2) should hit 10^(snr/10)
@@ -162,7 +163,7 @@ class TestSnrToNoiseVar:
         for draw in range(1000):
             pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=5000 + draw))
             model = sn.measurement_model(pilots, 5)
-            sigma2 = sn.snr_to_noise_var(snr_db, model, truth)
+            sigma2 = sn.snr_to_noise_var(snr_db, float(np.sum(np.abs(truth) ** 2)), model.n_s)
             signal = float(np.sum(np.abs(model.upsilon_mat @ truth) ** 2))
             ratios.append(signal / (model.k * model.n_s * sigma2))
         assert abs(np.mean(ratios) / 10 ** (snr_db / 10) - 1.0) < 0.05
