@@ -132,7 +132,8 @@ def upa_response(n_h, n_w, elev, azim, spacing_ratio=0.5):
     u_w = 2.0 * np.pi * spacing_ratio * np.sin(elev) * np.cos(azim)
     ramp_h = np.exp(1j * u_h * np.arange(n_h))
     ramp_w = np.exp(1j * u_w * np.arange(n_w))
-    return np.kron(ramp_h, ramp_w)
+    # the products np.kron(ramp_h, ramp_w) forms, without its overhead
+    return np.outer(ramp_h, ramp_w).ravel()
 
 
 def build_hop(geometry, hop, side):

@@ -18,6 +18,8 @@ statistic clears delta by more than a margin that bounds the rounding
 difference between the two computations, and every other subset (near the
 threshold, ill-conditioned, or typical) is rechecked with the SVD statistic
 in lexicographic order.  The reported statistic is always the SVD one.
+:func:`jt_search` runs this search for a stack of problems at once, and
+:func:`jt_estimate` is its one-problem case.
 
 Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
@@ -39,8 +41,8 @@ BEST_STATISTIC = "best_statistic"
 
 # hard ceiling on enumerated subsets when no explicit cap is configured
 _DEFAULT_ENUM_CAP = 10_000_000
-# subsets scored per batched pass of the search; bounds its working memory
-# (a few hundred bytes per subset at small L) whatever C(n, L) is
+# (problem, subset) pairs scored per batched pass of the search; bounds its
+# working memory (a few hundred bytes per pair at small L) whatever C(n, L) is
 _SCAN_BLOCK = 4096
 # a G_J with w_min <= _ILL_CONDITIONED * w_max is always rechecked: the
 # margin's first-order rounding bound needs eps * cond(G_J) << 1, and the SVD
@@ -93,7 +95,10 @@ class EstimateResult:
 
 
 def default_delta(noise_var, kns, sparsity):
-    """Threshold at four standard deviations of the centered energy statistic."""
+    """Threshold at four standard deviations of the centered energy statistic.
+
+    ``noise_var`` may be an array; the threshold is then elementwise.
+    """
     if kns <= sparsity:
         raise ValueError("kns must exceed sparsity")
     return 4.0 * noise_var * math.sqrt(kns - sparsity) / kns
@@ -114,54 +119,151 @@ def typicality_statistic(y, sub, noise_var, l):
         raise DimensionMismatchError(
             f"sub has shape {sub.shape}, expected {(y.shape[0], l)}"
         )
-    basis, s, _ = np.linalg.svd(sub, full_matrices=False)
-    rank = svd_rank(s, sub.shape)
+    stat, rank = _svd_statistics(y, sub, np.vdot(y, y).real, noise_var, l)
     if rank < l:
         raise RankDeficientError(f"submatrix rank {rank} < {l}")
-    m = y.shape[0]
-    residual = max(float(np.vdot(y, y).real - np.sum(np.abs(basis.conj().T @ y) ** 2)), 0.0)
-    return abs(residual / m - (m - l) / m * noise_var)
+    return float(stat)
 
 
-def _subset_blocks(n_cols, l):
+def _svd_statistics(y, subs, yy, noise_var, l):
+    """Statistic of :func:`typicality_statistic` and rank of each pair of a stack.
+
+    ``y`` is (..., m) and ``subs`` (..., m, l); ``yy`` = ||y||^2 and
+    ``noise_var`` broadcast against the stack.  A stacked SVD makes the same
+    LAPACK call per matrix as a single one, so each entry has the bits of the
+    unstacked computation.  The statistic is meaningless where the rank
+    falls short of l.
+    """
+    basis, s, _ = np.linalg.svd(subs, full_matrices=False)
+    m = subs.shape[-2]
+    proj = np.matmul(basis.conj().swapaxes(-1, -2), y[..., None])[..., 0]
+    residual = np.maximum(yy - np.sum(np.abs(proj) ** 2, axis=-1), 0.0)
+    return np.abs(residual / m - (m - l) / m * noise_var), svd_rank(s, subs.shape)
+
+
+def _subset_blocks(n_cols, l, size):
     """All l-subsets of range(n_cols) in lexicographic order, in blocks.
 
     Yields (position of the block's first subset, (b, l) index array) with
-    b <= _SCAN_BLOCK.
+    b <= size.
     """
     subsets = combinations(range(n_cols), l)
     start = 0
     while True:
-        flat = np.fromiter(chain.from_iterable(islice(subsets, _SCAN_BLOCK)), dtype=np.intp)
+        flat = np.fromiter(chain.from_iterable(islice(subsets, size)), dtype=np.intp)
         if flat.size == 0:
             return
         yield start, flat.reshape(-1, l)
         start += flat.size // l
 
 
-def _gram_statistics(gram, corr, yy, subsets, noise_var, m):
-    """Typicality statistic of each row J of ``subsets`` from G and c.
+def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
+    """Typicality statistic of each (problem, subset) pair from G and c.
 
-    The projected energy ||P_J y||^2 = c_J^H G_J^-1 c_J is
-    sum_i |v_i^H c_J|^2 / w_i over the eigenpairs (w_i, v_i) of G_J.  Returns
-    the statistics and, per subset, a margin that their distance from
-    :func:`typicality_statistic` stays below.  Both computations miss the
-    exact energy by at most a few m * eps * cond(G_J) * ||y||^2 to first
-    order (m-term sums form G, c and the SVD projection; an ill-posed span's
-    basis tilts by about eps * sqrt(cond(G_J))), so the statistics differ by
-    at most a few eps * cond(G_J) * (||y||^2 + sigma^2), and the margin is
-    _RECHECK_ULPS times that.  It is inf where G_J is ill-conditioned.
+    The Gram matrices are G = kron(outer, I_reps) with ``outer`` (R, p, p);
+    ``corr`` is (R, p*reps), ``yy`` and ``noise_var`` (R,) and ``subsets``
+    (b, l); the results are (R, b).  The projected energy
+    ||P_J y||^2 = c_J^H G_J^-1 c_J is sum_i |v_i^H c_J|^2 / w_i over the
+    eigenpairs (w_i, v_i) of G_J.  Returns the statistics and, per pair, a
+    margin that their distance from :func:`typicality_statistic` stays
+    below.  Both computations miss the exact energy by at most a few
+    m * eps * cond(G_J) * ||y||^2 to first order (m-term sums form G, c and
+    the SVD projection; an ill-posed span's basis tilts by about
+    eps * sqrt(cond(G_J))), so the statistics differ by at most a few
+    eps * cond(G_J) * (||y||^2 + sigma^2), and the margin is _RECHECK_ULPS
+    times that.  It is inf where G_J is ill-conditioned.
     """
     l = subsets.shape[1]
-    w, v = np.linalg.eigh(gram[subsets[:, :, None], subsets[:, None, :]])
-    ill = w[:, 0] <= _ILL_CONDITIONED * w[:, -1]
-    w = np.where(ill[:, None], 1.0, w)
-    proj = np.matmul(v.conj().swapaxes(1, 2), corr[subsets][:, :, None])[:, :, 0]
-    energy = np.sum(np.abs(proj) ** 2 / w, axis=1)
+    j, i = np.divmod(subsets, reps)
+    same = i[:, :, None] == i[:, None, :]
+    w, v = np.linalg.eigh(np.where(same, outer[:, j[:, :, None], j[:, None, :]], 0.0))
+    ill = w[..., 0] <= _ILL_CONDITIONED * w[..., -1]
+    w = np.where(ill[..., None], 1.0, w)
+    proj = np.matmul(v.conj().swapaxes(-1, -2), corr[:, subsets][..., None])[..., 0]
+    energy = np.sum(np.abs(proj) ** 2 / w, axis=-1)
+    yy, noise_var = yy[:, None], noise_var[:, None]
     stat = np.abs(np.maximum(yy - energy, 0.0) / m - (m - l) / m * noise_var)
-    cond = w[:, -1] / w[:, 0]
-    margin = _RECHECK_ULPS * np.finfo(np.float64).eps * cond * (yy + abs(noise_var))
+    cond = w[..., -1] / w[..., 0]
+    margin = _RECHECK_ULPS * np.finfo(np.float64).eps * cond * (yy + np.abs(noise_var))
     return stat, np.where(ill, np.inf, margin)
+
+
+def jt_search(y, outer, reps, corr, noise_var, cfg, columns):
+    """The subset search of :func:`jt_estimate` for a stack of T problems.
+
+    Problem t observes ``y[t]`` (length m) through a matrix Upsilon_t with
+    n columns, given by its Gram matrix Upsilon_t^H Upsilon_t =
+    kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; the pilot
+    model has outer = conj(X) X^T and reps = n_s), ``corr[t]`` =
+    Upsilon_t^H y[t] and ``noise_var[t]``.  ``columns(rows, subsets)``
+    returns the (len(rows), m, L) stack whose entry i holds the columns
+    ``subsets[i]`` of Upsilon_{rows[i]}.  Returns one (support, statistic,
+    subsets_examined) triple per problem, with support () and statistic inf
+    where no subset is typical.
+
+    Every (problem, subset) pair of a block of subsets is scored in the Gram
+    domain at once; pairs not dismissed by the margin are rechecked with the
+    SVD statistic in rounds, round r taking each open problem's r-th
+    remaining subset in lexicographic order, one stacked SVD per round.  So
+    each problem sees the decisions of checking its subsets one by one.
+    """
+    t_count, n_cols = corr.shape
+    l = cfg.sparsity
+    if l > n_cols:
+        raise ValueError(f"sparsity {l} exceeds {n_cols} columns")
+    total = math.comb(n_cols, l)
+    cap = cfg.max_subsets if cfg.max_subsets is not None else _DEFAULT_ENUM_CAP
+    if total > cap:
+        raise SearchBudgetExceededError(f"{total} subsets exceed cap {cap}")
+    m = y.shape[-1]
+    noise_var = np.asarray(noise_var, dtype=np.float64)
+    if cfg.delta is not None:
+        delta = np.full(t_count, cfg.delta)
+    else:
+        delta = default_delta(noise_var, m, l)
+    first = cfg.search_order == LEXICOGRAPHIC_FIRST
+    yy = np.array([np.vdot(v, v).real for v in y])
+
+    found = np.zeros(t_count, dtype=bool)
+    stat = np.full(t_count, math.inf)
+    support = [()] * t_count
+    examined = [total] * t_count
+    rows = np.arange(t_count)
+    for start, subsets in _subset_blocks(n_cols, l, max(_SCAN_BLOCK // t_count, 1)):
+        gstat, margin = _gram_statistics(
+            outer[rows], reps, corr[rows], yy[rows], noise_var[rows], subsets, m
+        )
+        # dismiss a pair only when its SVD statistic is >= delta by the
+        # first-order rounding bound (times _RECHECK_ULPS); NaN compares
+        # false and keeps the pair
+        ri, ci = np.nonzero(~(gstat - margin >= delta[rows, None]))
+        rounds = np.arange(ri.size) - np.searchsorted(ri, ri)
+        for r in range(int(rounds.max(initial=-1)) + 1):
+            pick = rounds == r
+            if first:
+                pick &= ~found[rows[ri]]
+            pick = np.flatnonzero(pick)
+            if pick.size == 0:
+                break
+            p_rows, p_pos = rows[ri[pick]], ci[pick]
+            s, rank = _svd_statistics(
+                y[p_rows], columns(p_rows, subsets[p_pos]), yy[p_rows],
+                noise_var[p_rows], l,
+            )
+            accept = (rank >= l) & ~(s >= delta[p_rows])
+            if not first:
+                accept &= ~found[p_rows] | (s < stat[p_rows])
+            for i in np.flatnonzero(accept):
+                row = p_rows[i]
+                found[row], stat[row] = True, s[i]
+                support[row] = tuple(int(j) for j in subsets[p_pos[i]])
+                if first:
+                    examined[row] = start + int(p_pos[i]) + 1
+        if first:
+            rows = np.flatnonzero(~found)
+            if rows.size == 0:
+                break
+    return [(support[t], float(stat[t]), examined[t]) for t in range(t_count)]
 
 
 def jt_estimate(y, upsilon_mat, cfg, noise_var):
@@ -176,69 +278,28 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
     its least-squares fit; with no typical set the zero vector is returned
     with ``failed`` set.
 
-    Candidates are scored in the Gram domain (see the module docstring);
-    only those that this cannot dismiss pass through
+    This is the one-problem case of :func:`jt_search`: candidates are scored
+    in the Gram domain (see the module docstring), and only those that this
+    cannot dismiss pass through the SVD statistic of
     :func:`typicality_statistic`, so every decision and the reported
     statistic are the SVD statistic's.
     """
     y = as_vector(y, "y")
     upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
-    n_cols = upsilon_mat.shape[1]
-    l = cfg.sparsity
-    if l > n_cols:
-        raise ValueError(f"sparsity {l} exceeds {n_cols} columns")
-    total = math.comb(n_cols, l)
-    cap = cfg.max_subsets if cfg.max_subsets is not None else _DEFAULT_ENUM_CAP
-    if total > cap:
-        raise SearchBudgetExceededError(f"{total} subsets exceed cap {cap}")
-    m = y.shape[0]
-    delta = cfg.delta if cfg.delta is not None else default_delta(noise_var, m, l)
-    first = cfg.search_order == LEXICOGRAPHIC_FIRST
-
-    gram = upsilon_mat.conj().T @ upsilon_mat
-    corr = upsilon_mat.conj().T @ y
-    yy = float(np.vdot(y, y).real)
-    best = None  # (statistic, support)
-    examined = total
-    for start, subsets in _subset_blocks(n_cols, l):
-        stat, margin = _gram_statistics(gram, corr, yy, subsets, noise_var, m)
-        # dismiss a subset only when its SVD statistic is >= delta by the
-        # first-order rounding bound (times _RECHECK_ULPS); NaN compares
-        # false and keeps the subset
-        dismissed = stat - margin >= delta
-        for i in np.flatnonzero(~dismissed):
-            subset = tuple(int(j) for j in subsets[i])
-            try:
-                s = typicality_statistic(y, upsilon_mat[:, subset], noise_var, l)
-            except RankDeficientError:
-                continue
-            if s >= delta:
-                continue
-            if first:
-                best, examined = (s, subset), start + int(i) + 1
-                break
-            if best is None or s < best[0]:
-                best = (s, subset)
-        if first and best is not None:
-            break
-
-    if best is None:
-        return EstimateResult(
-            support=(),
-            upsilon_hat=np.zeros(n_cols, dtype=np.complex128),
-            statistic=math.inf,
-            subsets_examined=examined,
-            failed=True,
-        )
-    stat, subset = best
-    estimate = np.zeros(n_cols, dtype=np.complex128)
-    estimate[list(subset)] = least_squares(upsilon_mat[:, subset], y)
+    herm = upsilon_mat.conj().T
+    ((subset, stat, examined),) = jt_search(
+        y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg,
+        lambda rows, subsets: np.moveaxis(upsilon_mat[:, subsets], 0, 1),
+    )
+    estimate = np.zeros(upsilon_mat.shape[1], dtype=np.complex128)
+    if subset:
+        estimate[list(subset)] = least_squares(upsilon_mat[:, subset], y)
     return EstimateResult(
         support=subset,
         upsilon_hat=estimate,
         statistic=stat,
         subsets_examined=examined,
-        failed=False,
+        failed=not subset,
     )
 
 
@@ -260,11 +321,22 @@ def crlb(upsilon_mat, support, noise_var):
     """
     upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
     idx = list(support)
-    sub = upsilon_mat[:, idx]
-    s = np.linalg.svd(sub, full_matrices=False, compute_uv=False)
-    if svd_rank(s, sub.shape) < len(idx):
+    value, rank = crlb_stack(upsilon_mat[:, idx], noise_var)
+    if rank < len(idx):
         raise RankDeficientError("support submatrix is rank deficient")
-    return noise_var * float(np.sum(1.0 / s**2))
+    return float(value)
+
+
+def crlb_stack(subs, noise_var):
+    """:func:`crlb` of each support submatrix of a (..., m, l) stack, with its rank.
+
+    ``noise_var`` broadcasts against the stack.  The value is meaningless
+    where the rank falls short of l.
+    """
+    s = np.linalg.svd(subs, full_matrices=False, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        value = noise_var * np.sum(1.0 / s**2, axis=-1)
+    return value, svd_rank(s, subs.shape)
 
 
 def missed_detection_term(truth_energy, noise_var, delta, kns, l):
@@ -380,4 +452,9 @@ def squared_error(estimate, truth):
         raise DimensionMismatchError(
             f"length mismatch: {estimate.shape[0]} vs {truth.shape[0]}"
         )
-    return float(np.sum(np.abs(estimate - truth) ** 2))
+    return float(squared_errors(estimate, truth))
+
+
+def squared_errors(estimates, truths):
+    """:func:`squared_error` along the last axis of two stacks of vectors."""
+    return np.sum(np.abs(estimates - truths) ** 2, axis=-1)

@@ -21,9 +21,15 @@ from . import channel as ch
 from . import estimator as est
 from . import sensing as sn
 from .errors import ConfigError, RisCrlbError
+from .numerics import least_squares
 
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
+
+# byte budget of one (trials, k*n_s) complex stack of a block, such as its
+# observations; it sets the trials per block from k*n_s, so a block's working
+# set does not grow with the trial count
+_BLOCK_BYTES = 64 * 1024
 
 CSV_HEADER = "k,snr_db,mse,crlb,upper_bound,fail_rate,trials"
 TRIALS_CSV_HEADER = "k,snr_db,trial_index,seed,squared_error,crlb,failed,subsets_examined"
@@ -76,6 +82,18 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db_values must be finite, got {self.snr_db_values}")
         if self.magnitude <= 0:
             raise ConfigError("magnitude must be positive")
+        l, n_s = self.typicality.sparsity, self.geometry.n_s
+        if self.mode == "synthetic" and l > self.geometry.n_d * n_s:
+            raise ConfigError(
+                f"sparsity = {l} exceeds the n_d * n_s = {self.geometry.n_d * n_s} "
+                "entries of the synthetic truth"
+            )
+        if self.mode == "synthetic" and self.estimator == "jt" and self.typicality.delta is None:
+            short = [k for k in self.k_values if k * n_s <= l]
+            if short:
+                raise ConfigError(
+                    f"k_values {short}: the default delta needs k * n_s > sparsity = {l}"
+                )
         if self.mode == "physical_on_grid":
             for name, hop, side in (
                 ("paths_bs_ris", self.hop_bs_ris, ch.BS_TO_RIS),
@@ -107,6 +125,8 @@ class TrialRecord:
     crlb_value: float
     failed: bool
     subsets_examined: int
+    truth_energy: float
+    sparsity: int
 
 
 @dataclass
@@ -179,11 +199,13 @@ def _substream(seed, index):
 
 
 def _draw_truth(cfg, seed):
-    """Mode-dependent ground truth realization for one trial."""
+    """Angular-domain truth vector and its support for one trial, per mode."""
     rng = _substream(seed, 1)
     if cfg.mode == "synthetic":
-        return ch.realize_synthetic(
-            cfg.geometry, cfg.typicality.sparsity, rng, cfg.magnitude
+        # the draws of ch.realize_synthetic, without the cascade it derives
+        g = cfg.geometry
+        return ch.synth_sparse_signal(
+            g.n_d * g.n_s, cfg.typicality.sparsity, rng, cfg.magnitude
         )
     on_grid = cfg.mode == "physical_on_grid"
     hop1 = ch.draw_hop(
@@ -194,59 +216,109 @@ def _draw_truth(cfg, seed):
         cfg.geometry, cfg.hop_ris_ms.n_paths, ch.RIS_TO_MS, rng, on_grid,
         path_loss=cfg.hop_ris_ms.path_loss,
     )
-    return ch.realize_physical(cfg.geometry, hop1, hop2, rng, on_grid=on_grid)
+    real = ch.realize_physical(cfg.geometry, hop1, hop2, rng, on_grid=on_grid)
+    return real.sparse_vec, real.support
 
 
 def run_trial(cfg, k, snr_db, trial_index):
     """Generate truth, pilots and noise, run the configured estimator, record.
 
     Estimator errors do not abort a sweep; they yield a failed record whose
-    squared error is the zero-output penalty ||upsilon||^2.
+    squared error is the zero-output penalty ||upsilon||^2.  This is the
+    one-trial block of the sweep's block core, so it returns the record the
+    sweep has for that trial.
     """
-    seed = trial_seed(cfg.master_seed, k, snr_db, trial_index)
-    realization = _draw_truth(cfg, seed)
-    truth = realization.sparse_vec
-    support = realization.support
-    sparsity = len(support)
-    truth_energy = float(np.sum(np.abs(truth) ** 2))
-    if sparsity == 0 or truth_energy == 0.0:
-        # degenerate draw (identically zero channel); flag instead of aborting
+    return _run_block(cfg, k, snr_db, [trial_index])[0]
+
+
+def _run_block(cfg, k, snr_db, indices):
+    """Records of trials ``indices`` of the grid cell (k, snr_db), as stacks.
+
+    Each trial keeps its own seed, truth, pilot and noise draws, its own
+    y = Upsilon upsilon + n on its own matrix, its own least-squares fit and
+    (OMP) its own greedy search.  The CRLB, the subset search and the
+    squared errors run on the block's stacks, whose per-matrix LAPACK and
+    BLAS calls are those of a single trial, so a record does not depend on
+    the block it was computed in.
+    """
+    g = cfg.geometry
+    n_s, n_cols = g.n_s, g.n_d * g.n_s
+    seeds = [trial_seed(cfg.master_seed, k, snr_db, t) for t in indices]
+    draws = [_draw_truth(cfg, seed) for seed in seeds]
+    truths = np.array([truth for truth, _support in draws])
+    supports = [support for _truth, support in draws]
+    energies = [float(e) for e in np.sum(np.abs(truths) ** 2, axis=-1)]
+
+    def record(t, squared_error, crlb_value, failed, examined):
         return TrialRecord(
-            k=int(k), snr_db=float(snr_db), trial_index=trial_index, seed=seed,
-            squared_error=0.0, crlb_value=math.nan, failed=True, subsets_examined=0,
+            k=int(k), snr_db=float(snr_db), trial_index=indices[t], seed=seeds[t],
+            squared_error=squared_error, crlb_value=crlb_value, failed=failed,
+            subsets_examined=examined, truth_energy=energies[t],
+            sparsity=len(supports[t]),
         )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # config already warned about small k
-        pilots = sn.gen_pilots(sn.PilotConfig(cfg.geometry.n_d, k, _mix64(seed ^ 2)))
-    model = sn.measurement_model(pilots, cfg.geometry.n_s)
-    model.noise_var = sn.snr_to_noise_var(snr_db, truth_energy, cfg.geometry.n_s)
-    obs = sn.observe(model, truth, _substream(seed, 3), support)
-
-    try:
-        crlb_value = est.crlb(model.upsilon_mat, support, model.noise_var)
-        if cfg.estimator == "jt":
-            tcfg = replace(cfg.typicality, sparsity=sparsity)
-            result = est.jt_estimate(obs.y, model.upsilon_mat, tcfg, model.noise_var)
-            estimate, failed, examined = result.upsilon_hat, result.failed, result.subsets_examined
-        elif cfg.estimator == "genie":
-            estimate = est.genie_ls(obs.y, model.upsilon_mat, support)
-            failed, examined = False, 0
-        else:
-            result = est.omp_estimate(obs.y, model.upsilon_mat, sparsity)
-            estimate, failed, examined = result.upsilon_hat, result.degenerate, result.subsets_examined
-        sq_err = est.squared_error(estimate, truth)
-    except RisCrlbError:
-        return TrialRecord(
-            k=int(k), snr_db=float(snr_db), trial_index=trial_index, seed=seed,
-            squared_error=truth_energy, crlb_value=math.nan,
-            failed=True, subsets_examined=0,
-        )
-    return TrialRecord(
-        k=int(k), snr_db=float(snr_db), trial_index=trial_index, seed=seed,
-        squared_error=sq_err, crlb_value=crlb_value,
-        failed=failed, subsets_examined=examined,
+    # a degenerate draw (identically zero channel) is flagged, not estimated
+    records = [
+        record(t, 0.0, math.nan, True, 0) if not support or energies[t] == 0.0 else None
+        for t, support in enumerate(supports)
+    ]
+    live = [t for t, rec in enumerate(records) if rec is None]
+    if not live:
+        return records
+    noise_var = np.array([sn.snr_to_noise_var(snr_db, energies[t], n_s) for t in live])
+    pilots, y = sn.observe_block(
+        [_mix64(seeds[t] ^ 2) for t in live], k, n_s, truths[live], noise_var,
+        [_substream(seeds[t], 3) for t in live],
     )
+
+    estimates = np.zeros((len(live), n_cols), dtype=np.complex128)
+    outcome = [None] * len(live)  # (crlb, failed, subsets_examined); None on error
+    sizes = np.array([len(supports[t]) for t in live])
+    for l in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == l)
+        support = np.array([supports[live[i]] for i in group])
+        crlbs, ranks = est.crlb_stack(sn.kron_columns(pilots[group], n_s, support), noise_var[group])
+        full = ranks >= l
+        ok, support, crlbs = group[full], support[full], crlbs[full]
+        if cfg.estimator == "omp":
+            for i, bound in zip(ok, crlbs):
+                mat = sn.kron_columns(pilots[i], n_s, np.arange(n_cols))
+                result = est.omp_estimate(y[i], mat, l)
+                estimates[i] = result.upsilon_hat
+                outcome[i] = (float(bound), result.degenerate, result.subsets_examined)
+            continue
+        if not ok.size:
+            continue
+        if cfg.estimator == "genie":
+            picks = [(tuple(sup), 0) for sup in support]  # (support to fit, examined)
+        else:
+            try:
+                outer, corr = sn.kron_normal(pilots[ok], n_s, y[ok])
+                found = est.jt_search(
+                    y[ok], outer, n_s, corr, noise_var[ok], replace(cfg.typicality, sparsity=l),
+                    lambda rows, subsets: sn.kron_columns(pilots[ok[rows]], n_s, subsets),
+                )
+            except RisCrlbError:
+                continue
+            picks = [(subset, n) for subset, _stat, n in found]
+        hit = [r for r, (sup, _n) in enumerate(picks) if sup]
+        cols = sn.kron_columns(pilots[ok[hit]], n_s, [picks[r][0] for r in hit]) if hit else []
+        fit_columns = dict(zip(hit, cols))
+        for r, (i, (sup, n)) in enumerate(zip(ok, picks)):
+            if sup:
+                try:
+                    estimates[i, list(sup)] = least_squares(fit_columns[r], y[i])
+                except RisCrlbError:
+                    continue
+            outcome[i] = (float(crlbs[r]), not sup, n)
+
+    errors = est.squared_errors(estimates, truths[live])
+    for i, t in enumerate(live):
+        if outcome[i] is None:
+            records[t] = record(t, energies[t], math.nan, True, 0)
+        else:
+            records[t] = record(t, float(errors[i]), *outcome[i])
+    return records
 
 
 def bound_terms(cfg, k, snr_db, energy, l):
@@ -255,10 +327,14 @@ def bound_terms(cfg, k, snr_db, energy, l):
     The truth is modelled as ``l`` equal-share entries of total ``energy``.
     Returns ``(noise_var, delta, missed_term, wrong_support_term)``; the
     sweep's ``upper_bound`` and the ``crlb`` table each add their own CRLB.
+    Both terms, and the default delta, need k * n_s > l; below that they are
+    nan.
     """
     kns = k * cfg.geometry.n_s
     noise_var = sn.snr_to_noise_var(snr_db, energy, cfg.geometry.n_s)
     delta = cfg.typicality.delta
+    if kns <= l:
+        return noise_var, math.nan if delta is None else delta, math.nan, math.nan
     if delta is None:
         delta = est.default_delta(noise_var, kns, l)
     template = np.zeros(cfg.geometry.n_d * cfg.geometry.n_s, dtype=np.complex128)
@@ -281,58 +357,57 @@ def _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_truth_energy, mean_spa
     else:
         l = max(int(round(mean_sparsity)), 1)
         energy = mean_truth_energy
-    if k * cfg.geometry.n_s <= l:
-        return math.nan
     _, _, missed, wrong = bound_terms(cfg, k, snr_db, energy, l)
     return mean_crlb + missed + wrong
+
+
+def _run_cell(cfg, k, snr_db, keep_trials):
+    """SweepRow of one grid cell, and its records when ``keep_trials``."""
+    t0 = time.perf_counter()
+    size = max(_BLOCK_BYTES // (16 * k * cfg.geometry.n_s), 1)
+    records = []
+    for start in range(0, cfg.trials, size):
+        records += _run_block(cfg, k, snr_db, range(start, min(start + size, cfg.trials)))
+    n = len(records)
+    mse = sum(r.squared_error for r in records) / n
+    crlb_vals = [r.crlb_value for r in records if not math.isnan(r.crlb_value)]
+    mean_crlb = sum(crlb_vals) / len(crlb_vals) if crlb_vals else math.nan
+    fail_rate = sum(1 for r in records if r.failed) / n
+    mean_energy = sum(r.truth_energy for r in records) / n
+    mean_sparsity = sum(r.sparsity for r in records) / n
+    upper = _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_energy, mean_sparsity)
+    row = SweepRow(
+        k=int(k), snr_db=float(snr_db), mse=mse, crlb=mean_crlb,
+        upper_bound=upper, fail_rate=fail_rate, trials=n,
+        wall_time=time.perf_counter() - t0,
+    )
+    return row, records if keep_trials else []
 
 
 def run_sweep(cfg, threads=1, keep_trials=False):
     """Cartesian product of k_values x snr_db_values x trials.
 
-    Aggregation is a fixed-order (trial index) reduction so results are
-    identical for any thread count.
+    Each grid cell runs its trials in blocks of the block core; with
+    ``threads`` > 1 whole cells run on a thread pool.  Cells come back in
+    grid order and aggregate in trial-index order, so results are identical
+    for any thread count.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    rows = []
-    all_records = []
-    for k in cfg.k_values:
-        for snr_db in cfg.snr_db_values:
-            t0 = time.perf_counter()
-            if threads == 1:
-                records = [run_trial(cfg, k, snr_db, t) for t in range(cfg.trials)]
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    records = list(
-                        pool.map(lambda t: run_trial(cfg, k, snr_db, t), range(cfg.trials))
-                    )
-            n = len(records)
-            mse = sum(r.squared_error for r in records) / n
-            crlb_vals = [r.crlb_value for r in records if not math.isnan(r.crlb_value)]
-            mean_crlb = sum(crlb_vals) / len(crlb_vals) if crlb_vals else math.nan
-            fail_rate = sum(1 for r in records if r.failed) / n
-            mean_energy = 0.0
-            mean_sparsity = cfg.typicality.sparsity
-            if cfg.mode != "synthetic":
-                # re-derive realized truth statistics for the analytic bound
-                energies, sizes = [], []
-                for r in records:
-                    real = _draw_truth(cfg, r.seed)
-                    energies.append(float(np.sum(np.abs(real.sparse_vec) ** 2)))
-                    sizes.append(len(real.support))
-                mean_energy = sum(energies) / n
-                mean_sparsity = sum(sizes) / n
-            upper = _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_energy, mean_sparsity)
-            rows.append(
-                SweepRow(
-                    k=int(k), snr_db=float(snr_db), mse=mse, crlb=mean_crlb,
-                    upper_bound=upper, fail_rate=fail_rate, trials=n,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-            if keep_trials:
-                all_records.extend(records)
+    cells = [(k, snr_db) for k in cfg.k_values for snr_db in cfg.snr_db_values]
+
+    def run(cell):
+        return _run_cell(cfg, *cell, keep_trials)
+
+    if threads == 1:
+        done = map(run, cells)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(run, cells))
+    rows, all_records = [], []
+    for row, records in done:
+        rows.append(row)
+        all_records.extend(records)
     return SweepResult(rows=rows, master_seed=cfg.master_seed, trial_records=all_records)
 
 

@@ -70,10 +70,13 @@ def svd_rank(s, shape):
     """Numeric rank of a matrix of ``shape`` from its descending singular values.
 
     Counts the singular values above max(rows, cols) * eps * largest singular
-    value, the standard SVD-based cutoff.
+    value, the standard SVD-based cutoff.  For a stack of matrices, ``s`` is
+    (..., min(rows, cols)) and ``shape`` ends in (rows, cols); the ranks come
+    back as an array of the stack's shape.
     """
-    tol = max(shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    return int(np.count_nonzero(s > tol))
+    tol = max(shape[-2:]) * np.finfo(np.float64).eps * (s[..., :1] if s.shape[-1] else 0.0)
+    rank = np.count_nonzero(s > tol, axis=-1)
+    return int(rank) if s.ndim == 1 else rank
 
 
 def numeric_rank(a, tol=None):

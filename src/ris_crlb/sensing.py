@@ -86,8 +86,12 @@ class Observation:
 
 def gen_pilots(cfg):
     """i.i.d. CN(0, 1) pilot block of shape (n_d, k), deterministic in the seed."""
-    rng = np.random.default_rng(cfg.seed)
-    shape = (cfg.n_d, cfg.k)
+    return _draw_pilots(cfg.n_d, cfg.k, cfg.seed)
+
+
+def _draw_pilots(n_d, k, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_d, k)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
@@ -97,6 +101,63 @@ def measurement_matrix(pilots, n_s):
         raise ValueError("n_s must be >= 1")
     pilots = np.asarray(pilots, dtype=np.complex128)
     return kron(pilots.T, np.eye(n_s, dtype=np.complex128))
+
+
+def kron_columns(pilots, n_s, cols):
+    """Columns ``cols`` of kron(X^T, I_ns), for one pilot block or a stack.
+
+    ``pilots`` (n_d, k) with ``cols`` (l,), or a stack (T, n_d, k) with one
+    column set per block, ``cols`` (T, l); the result is the C-ordered
+    (k*n_s, l) or (T, k*n_s, l) array of those columns.  Column j*n_s + i
+    holds the products X[j, :] * I[:, i] that :func:`measurement_matrix`
+    forms, so its entries carry the same bits, signs of zero included (LAPACK
+    and BLAS results can depend on those signs).
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    j, i = np.divmod(cols, n_s)
+    if cols.ndim > 1:
+        rows = pilots[np.arange(len(pilots))[:, None], j]
+    else:
+        rows = pilots[j]
+    # products laid out (..., l, n_s, k) so the inner loop runs over k
+    prod = rows[..., :, None, :] * np.eye(n_s, dtype=np.complex128)[i][..., None]
+    out = np.ascontiguousarray(prod.swapaxes(-1, -3))
+    return out.reshape(out.shape[:-3] + (-1, cols.shape[-1]))
+
+
+def kron_normal(pilots, n_s, y):
+    """Gram factor and Upsilon^H y of each pilot block of a stack.
+
+    With Upsilon = kron(X^T, I_ns), Upsilon^H Upsilon = kron(conj(X) X^T,
+    I_ns) and Upsilon^H y = vec(conj(X) Y) with Y = y.reshape(k, n_s), so
+    neither needs Upsilon.  ``pilots`` is (T, n_d, k) and ``y`` (T, k*n_s);
+    returns the (T, n_d, n_d) stack of conj(X) X^T and the (T, n_d*n_s)
+    correlation stack.
+    """
+    t, n_d, k = pilots.shape
+    conj = pilots.conj()
+    outer = np.matmul(conj, pilots.swapaxes(-1, -2))
+    corr = np.matmul(conj, y.reshape(t, k, n_s)).reshape(t, n_d * n_s)
+    return outer, corr
+
+
+def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
+    """Pilots and received vectors of a stack of independent trials.
+
+    Trial t draws its (n_d, k) pilot block from ``pilot_seeds[t]`` as
+    :func:`gen_pilots` does and its noise from ``noise_rngs[t]`` as
+    :func:`observe` does, and receives Upsilon_t truths[t] + n_t, where
+    Upsilon_t is built, used and dropped within that trial.  Returns the
+    (T, n_d, k) pilot stack and the (T, k*n_s) observation stack.
+    """
+    t_count, n_cols = truths.shape
+    pilots = np.empty((t_count, n_cols // n_s, k), dtype=np.complex128)
+    y = np.empty((t_count, k * n_s), dtype=np.complex128)
+    cols = np.arange(n_cols)
+    for t, seed in enumerate(pilot_seeds):
+        pilots[t] = _draw_pilots(n_cols // n_s, k, seed)
+        y[t] = _received(kron_columns(pilots[t], n_s, cols), truths[t], noise_var[t], noise_rngs[t])
+    return pilots, y
 
 
 def measurement_model(pilots, n_s, noise_var=None):
@@ -118,15 +179,19 @@ def observe(model, truth, rng, support=()):
         )
     if model.noise_var is None or model.noise_var < 0:
         raise ValueError("model.noise_var must be set and >= 0 before observing")
-    m = mat.shape[0]
-    scale = np.sqrt(model.noise_var / 2.0)
-    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     return Observation(
-        y=mat @ truth + noise,
+        y=_received(mat, truth, model.noise_var, rng),
         truth=truth,
         support=tuple(support),
         noise_var=model.noise_var,
     )
+
+
+def _received(mat, truth, noise_var, rng):
+    m = mat.shape[0]
+    scale = np.sqrt(noise_var / 2.0)
+    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return mat @ truth + noise
 
 
 def snr_to_noise_var(snr_db, energy, n_s):

@@ -48,6 +48,18 @@ class TestArrayResponses:
         )
         np.testing.assert_allclose(ch.upa_response(2, 2, elev, azim, s), expected)
 
+    def test_upa_bits_match_kron_of_ramps(self):
+        rng = np.random.default_rng(31)
+        for n_h, n_w in [(1, 1), (2, 5), (5, 2), (3, 7), (8, 8)]:
+            for _ in range(40):
+                elev, azim = rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)
+                u_h = 2 * np.pi * 0.5 * np.cos(elev)
+                u_w = 2 * np.pi * 0.5 * np.sin(elev) * np.cos(azim)
+                expected = np.kron(
+                    np.exp(1j * u_h * np.arange(n_h)), np.exp(1j * u_w * np.arange(n_w))
+                )
+                assert ch.upa_response(n_h, n_w, elev, azim).tobytes() == expected.tobytes()
+
 
 class TestBuildHop:
     def test_single_path_scaling_cancels(self):

@@ -253,6 +253,42 @@ class TestSearchEquivalence:
             assert res.subsets_examined > est._SCAN_BLOCK
 
 
+class TestJtSearchStack:
+    """A stack of problems searched at once decides as each problem alone."""
+
+    @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
+    @pytest.mark.parametrize("delta", [None, 0.05])
+    def test_matches_one_problem_search(self, order, delta):
+        rng = np.random.default_rng(950 + (order == est.BEST_STATISTIC) + 2 * (delta is None))
+        n_d, n_s, k, l, t_count = 3, 4, 8, 2, 12
+        pilots = np.stack(
+            [sn.gen_pilots(sn.PilotConfig(n_d=n_d, k=k, seed=95_000 + t)) for t in range(t_count)]
+        )
+        noise_var = rng.uniform(0.001, 0.1, t_count)
+        y = np.empty((t_count, k * n_s), dtype=complex)
+        for t in range(t_count):
+            truth = np.zeros(n_d * n_s, dtype=complex)
+            # magnitudes from faint to strong: some problems have many
+            # typical subsets, some one, some none
+            truth[rng.choice(n_d * n_s, size=l, replace=False)] = rng.uniform(0.05, 1.5, l)
+            mat = sn.measurement_matrix(pilots[t], n_s)
+            y[t] = mat @ truth + math.sqrt(noise_var[t] / 2) * crandn(rng, k * n_s)
+        cfg = est.TypicalityConfig(delta=delta, sparsity=l, search_order=order)
+
+        outer, corr = sn.kron_normal(pilots, n_s, y)
+        got = est.jt_search(
+            y, outer, n_s, corr, noise_var, cfg,
+            lambda rows, subsets: sn.kron_columns(pilots[rows], n_s, subsets),
+        )
+        want = [
+            literal_search(y[t], sn.measurement_matrix(pilots[t], n_s), cfg, noise_var[t])
+            for t in range(t_count)
+        ]
+        assert got == want
+        assert len({w[2] for w in want}) > 1 or order == est.BEST_STATISTIC
+        assert len({w[0] for w in want}) > 1
+
+
 class TestGenieLs:
     def test_noiseless_exact(self):
         model = default_scale_model(seed=12)

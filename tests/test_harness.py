@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from ris_crlb import channel as ch
 from ris_crlb import cli
 from ris_crlb import estimator as est
 from ris_crlb import harness as hn
-from ris_crlb.errors import ConfigError
+from ris_crlb import sensing as sn
+from ris_crlb.errors import ConfigError, RisCrlbError
 
 
 def small_config(**overrides):
@@ -37,6 +40,164 @@ class TestExperimentConfig:
             hn.default_config(k_values=())
         with pytest.raises(ConfigError, match="snr_db_values"):
             hn.default_config(snr_db_values=())
+
+
+def reference_trial(cfg, k, snr_db, trial_index):
+    """One trial composed from the public functions, one call per step.
+
+    The block core must reproduce this record bit for bit: it is the
+    per-trial loop the sweep ran before trials were computed in blocks.
+    """
+    seed = hn.trial_seed(cfg.master_seed, k, snr_db, trial_index)
+    g = cfg.geometry
+    rng = np.random.default_rng(hn._mix64(seed ^ 1))
+    if cfg.mode == "synthetic":
+        real = ch.realize_synthetic(g, cfg.typicality.sparsity, rng, cfg.magnitude)
+    else:
+        on_grid = cfg.mode == "physical_on_grid"
+        hop1 = ch.draw_hop(g, cfg.hop_bs_ris.n_paths, ch.BS_TO_RIS, rng, on_grid)
+        hop2 = ch.draw_hop(g, cfg.hop_ris_ms.n_paths, ch.RIS_TO_MS, rng, on_grid)
+        real = ch.realize_physical(g, hop1, hop2, rng, on_grid=on_grid)
+    truth, support = real.sparse_vec, real.support
+    energy = float(np.sum(np.abs(truth) ** 2))
+    fields = dict(
+        k=k, snr_db=snr_db, trial_index=trial_index, seed=seed,
+        truth_energy=energy, sparsity=len(support),
+    )
+    if not support or energy == 0.0:
+        return hn.TrialRecord(
+            squared_error=0.0, crlb_value=math.nan, failed=True, subsets_examined=0, **fields
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k <= n_d
+        pilots = sn.gen_pilots(sn.PilotConfig(g.n_d, k, hn._mix64(seed ^ 2)))
+    model = sn.measurement_model(pilots, g.n_s)
+    model.noise_var = sn.snr_to_noise_var(snr_db, energy, g.n_s)
+    obs = sn.observe(model, truth, np.random.default_rng(hn._mix64(seed ^ 3)), support)
+    try:
+        crlb = est.crlb(model.upsilon_mat, support, model.noise_var)
+        if cfg.estimator == "jt":
+            tcfg = replace(cfg.typicality, sparsity=len(support))
+            res = est.jt_estimate(obs.y, model.upsilon_mat, tcfg, model.noise_var)
+            estimate, failed, examined = res.upsilon_hat, res.failed, res.subsets_examined
+        elif cfg.estimator == "genie":
+            estimate = est.genie_ls(obs.y, model.upsilon_mat, support)
+            failed, examined = False, 0
+        else:
+            res = est.omp_estimate(obs.y, model.upsilon_mat, len(support))
+            estimate, failed, examined = res.upsilon_hat, res.degenerate, res.subsets_examined
+        sq_err = est.squared_error(estimate, truth)
+    except RisCrlbError:
+        return hn.TrialRecord(
+            squared_error=energy, crlb_value=math.nan, failed=True, subsets_examined=0, **fields
+        )
+    return hn.TrialRecord(
+        squared_error=sq_err, crlb_value=crlb, failed=failed, subsets_examined=examined,
+        **fields,
+    )
+
+
+def record_bits(records):
+    """Records as tuples with every float as its hex form: nan and -0.0 compare exactly."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in astuple(r)) for r in records
+    ]
+
+
+# (name, config overrides); each case runs 2 K x 2 SNR x 7 trials
+BLOCK_CASES = {
+    "jt-l1": dict(),
+    "jt-l1-best": dict(typicality=est.TypicalityConfig(None, 1, est.BEST_STATISTIC)),
+    "jt-l2": dict(typicality=est.TypicalityConfig(None, 2)),
+    "jt-l2-best": dict(typicality=est.TypicalityConfig(None, 2, est.BEST_STATISTIC)),
+    "jt-l3": dict(typicality=est.TypicalityConfig(None, 3), k_values=(8,)),
+    "jt-l3-best": dict(
+        typicality=est.TypicalityConfig(None, 3, est.BEST_STATISTIC), k_values=(8,)
+    ),
+    # loose delta: several typical subsets per trial, so several recheck rounds
+    "jt-l2-best-loose": dict(
+        typicality=est.TypicalityConfig(0.05, 2, est.BEST_STATISTIC), k_values=(6, 8),
+    ),
+    "jt-l2-loose": dict(typicality=est.TypicalityConfig(0.05, 2), k_values=(6, 8)),
+    "genie-l2": dict(estimator="genie", typicality=est.TypicalityConfig(None, 2)),
+    "omp-l2": dict(estimator="omp", typicality=est.TypicalityConfig(None, 2)),
+    "jt-on-grid": dict(mode="physical_on_grid"),
+    "jt-off-grid": dict(mode="physical_off_grid"),
+    # 2 x 2 paths: support sizes differ between trials of one block
+    "genie-off-grid-2x2": dict(
+        mode="physical_off_grid", estimator="genie",
+        hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2),
+    ),
+    "omp-on-grid-2x1": dict(mode="physical_on_grid", estimator="omp", hop_bs_ris=hn.HopSpec(2)),
+    # k = 1, 2 <= n_d: true supports sharing a BS bin are rank deficient
+    "jt-rank-deficient": dict(typicality=est.TypicalityConfig(None, 2), k_values=(1, 2)),
+    "genie-rank-deficient": dict(
+        estimator="genie", typicality=est.TypicalityConfig(None, 2), k_values=(1, 2)
+    ),
+    "jt-over-budget": dict(typicality=est.TypicalityConfig(None, 2, max_subsets=100)),
+}
+
+
+def block_case(name):
+    base = dict(k_values=(8, 20), snr_db_values=(20.0, 40.0), trials=7, master_seed=11)
+    base.update(BLOCK_CASES[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k <= n_d
+        return hn.default_config(**base)
+
+
+class TestBlockCore:
+    """The block core reproduces the per-trial reference record for record."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_matches_per_trial_reference(self, name, monkeypatch):
+        cfg = block_case(name)
+        cells = [(k, s) for k in cfg.k_values for s in cfg.snr_db_values]
+        want = [
+            reference_trial(cfg, k, s, t) for k, s in cells for t in range(cfg.trials)
+        ]
+        # blocks of 1 and 2 trials, and a whole cell per block
+        for size in (1, 2, cfg.trials):
+            got = [
+                rec
+                for k, s in cells
+                for start in range(0, cfg.trials, size)
+                for rec in hn._run_block(cfg, k, s, range(start, min(start + size, cfg.trials)))
+            ]
+            assert record_bits(got) == record_bits(want), size
+        # the sweep with a byte budget of 3 trials per block at the largest k
+        k_max = max(cfg.k_values)
+        monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * 16 * k_max * cfg.geometry.n_s)
+        res = hn.run_sweep(cfg, keep_trials=True)
+        assert record_bits(res.trial_records) == record_bits(want)
+
+    @pytest.mark.parametrize(
+        "name", ["jt-rank-deficient", "genie-rank-deficient", "jt-over-budget"]
+    )
+    def test_failure_cases_are_exercised(self, name):
+        cfg = block_case(name)
+        recs = hn.run_sweep(cfg, keep_trials=True).trial_records
+        errored = [r for r in recs if r.failed and math.isnan(r.crlb_value)]
+        assert errored and all(r.squared_error == r.truth_energy for r in errored)
+        if name == "jt-over-budget":
+            assert len(errored) == len(recs)
+        else:
+            assert len(errored) < len(recs)
+
+    def test_block_size_follows_byte_budget(self, monkeypatch):
+        cfg = hn.default_config(k_values=(8, 80), snr_db_values=(20.0,), trials=25)
+        sizes = []
+        inner = hn._run_block
+
+        def spy(cfg, k, snr_db, indices):
+            sizes.append((k, len(indices)))
+            return inner(cfg, k, snr_db, indices)
+
+        monkeypatch.setattr(hn, "_run_block", spy)
+        hn.run_sweep(cfg)
+        n_s = cfg.geometry.n_s
+        per_block = {k: hn._BLOCK_BYTES // (16 * k * n_s) for k in cfg.k_values}
+        assert sizes == [(8, 25), (80, per_block[80]), (80, per_block[80]), (80, 5)]
 
 
 class TestTrialSeed:
@@ -118,6 +279,18 @@ class TestRunSweep:
         res = hn.run_sweep(cfg, threads=4)
         row = res.rows[0]
         assert abs(row.mse / row.crlb - 1.0) < 0.1
+
+    def test_threaded_sweep_leaves_warning_filters_alone(self):
+        # k = 4 <= n_d: the config warns once; the trials must neither warn
+        # again nor touch the process-wide filter list from worker threads
+        with pytest.warns(UserWarning, match="k=4"):
+            cfg = small_config(k_values=(4, 8), trials=40)
+        before = list(warnings.filters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hn.run_sweep(cfg, threads=4)
+        hn.run_sweep(cfg, threads=4)
+        assert warnings.filters == before
 
     def test_thread_count_does_not_change_rows(self):
         cfg = small_config()
@@ -353,6 +526,40 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: threads must be >= 1")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kv, field",
+        [
+            # 26 nonzero entries cannot fit in a 5 x 5 synthetic truth
+            ({"sparsity": 26}, "sparsity"),
+            # the default delta needs k * n_s > sparsity: 1 * 5 <= 5
+            ({"k_values": "1, 8", "sparsity": 5, "trials": 60}, "k_values"),
+        ],
+    )
+    def test_impossible_synthetic_config_rejected_before_any_trial(
+        self, tmp_path, capsys, kv, field
+    ):
+        cfg = self._write_cfg(tmp_path, **kv)
+        out = tmp_path / "res.csv"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_crlb_table_nan_terms_below_kns_bound(self, tmp_path, capsys):
+        # k * n_s = 5 <= sparsity = 5: no default delta and no penalty terms
+        # for that row; the CRLB itself is defined (5 x 5 full rank)
+        cfg = self._write_cfg(
+            tmp_path, k_values="1 8", snr_db_values="20", sparsity=5, estimator="omp"
+        )
+        assert cli.main(["crlb", "--config", cfg]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1", "8"]
+        k1, k8 = rows
+        assert k1[3] == k1[5] == k1[6] == k1[7] == "nan"
+        assert math.isfinite(float(k1[4]))
+        assert all(math.isfinite(float(v)) for v in k8[1:])
 
     def test_seed_determinism(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

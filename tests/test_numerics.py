@@ -10,6 +10,7 @@ from ris_crlb.numerics import (
     least_squares,
     numeric_rank,
     projector_complement,
+    svd_rank,
     unvec,
     vec,
 )
@@ -164,3 +165,15 @@ class TestNumericRank:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), tol=-1.0)
+
+    def test_svd_rank_of_a_stack(self):
+        rng = np.random.default_rng(11)
+        stack = crandn(rng, 6, 7, 3)
+        stack[1, :, 2] = stack[1, :, 0]  # rank 2
+        stack[2] = 0.0  # rank 0
+        stack[3, :, 1:] = 1e-17 * stack[3, :, 1:]  # below the cutoff: rank 1
+        stack[4] = 1e-20 * stack[4]  # the cutoff scales with each matrix: rank 3
+        s = np.linalg.svd(stack, compute_uv=False)
+        ranks = svd_rank(s, stack.shape)
+        assert ranks.tolist() == [numeric_rank(a) for a in stack] == [3, 2, 0, 1, 3, 3]
+        assert svd_rank(s[0], stack.shape[1:]) == 3

@@ -8,6 +8,10 @@ from ris_crlb.errors import DimensionMismatchError
 from ris_crlb.numerics import kron, numeric_rank
 
 
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestGenPilots:
     def test_deterministic_given_seed(self):
         cfg = sn.PilotConfig(n_d=5, k=20, seed=123)
@@ -77,6 +81,57 @@ class TestMeasurementMatrix:
                 l = int(rng.integers(1, 4))
                 cols = rng.choice(25, size=l, replace=False)
                 assert numeric_rank(mat[:, cols]) == l
+
+
+class TestKronColumns:
+    SHAPES = [(5, 5, 20), (3, 4, 7), (2, 1, 3), (1, 3, 2)]  # (n_d, n_s, k)
+
+    def test_bits_match_measurement_matrix(self):
+        # signs of zero included: tobytes compares the raw entries
+        rng = np.random.default_rng(21)
+        for n_d, n_s, k in self.SHAPES:
+            pilots = crandn(rng, 4, n_d, k) / np.sqrt(2)
+            mats = [sn.measurement_matrix(x, n_s) for x in pilots]
+            full = sn.kron_columns(pilots[0], n_s, np.arange(n_d * n_s))
+            assert full.flags.c_contiguous
+            assert full.tobytes() == mats[0].tobytes()
+            cols = rng.integers(0, n_d * n_s, (4, 3))
+            stack = sn.kron_columns(pilots, n_s, cols)
+            assert stack.shape == (4, k * n_s, 3)
+            for t in range(4):
+                assert stack[t].tobytes() == mats[t][:, cols[t]].tobytes()
+
+    def test_normal_equations_without_the_matrix(self):
+        rng = np.random.default_rng(22)
+        for n_d, n_s, k in self.SHAPES:
+            pilots = crandn(rng, 3, n_d, k)
+            y = crandn(rng, 3, k * n_s)
+            outer, corr = sn.kron_normal(pilots, n_s, y)
+            for t in range(3):
+                mat = sn.measurement_matrix(pilots[t], n_s)
+                np.testing.assert_allclose(
+                    np.kron(outer[t], np.eye(n_s)), mat.conj().T @ mat, rtol=0, atol=1e-12
+                )
+                np.testing.assert_allclose(corr[t], mat.conj().T @ y[t], rtol=0, atol=1e-12)
+
+
+class TestObserveBlock:
+    def test_each_trial_matches_gen_pilots_and_observe(self):
+        rng = np.random.default_rng(23)
+        n_d, n_s, k = 5, 5, 12
+        truths = crandn(rng, 4, n_d * n_s)
+        truths[0, 1:] = 0.0  # sparse rows: many zero products in the sum
+        noise_var = np.array([0.5, 0.01, 2.0, 1e-6])
+        seeds, noise_seeds = [101, 102, 103, 104], [201, 202, 203, 204]
+        pilots, y = sn.observe_block(
+            seeds, k, n_s, truths, noise_var, [np.random.default_rng(s) for s in noise_seeds]
+        )
+        for t in range(4):
+            x = sn.gen_pilots(sn.PilotConfig(n_d, k, seeds[t]))
+            assert pilots[t].tobytes() == x.tobytes()
+            model = sn.measurement_model(x, n_s, noise_var=noise_var[t])
+            obs = sn.observe(model, truths[t], np.random.default_rng(noise_seeds[t]))
+            assert y[t].tobytes() == obs.y.tobytes()
 
 
 class TestObserve:
