@@ -93,7 +93,9 @@ class ChannelRealization:
 
     ``sparse_vec`` is vec of the conjugate-transposed angular matrix, the
     column-stacked length n_d*n_s vector the sensing model observes.  In
-    synthetic mode the hop matrices and RIS phases are None.
+    synthetic mode the hop matrices and RIS phases are None.  A stack of
+    draws (:func:`realize_stack`) carries leading axes on every array and
+    holds its supports as lists of tuples.
     """
 
     mode: str
@@ -107,17 +109,27 @@ class ChannelRealization:
     predicted_support: tuple = field(default=())
 
 
+# Every synthesis step below takes stacks: array arguments may carry leading
+# axes, one entry per realization.  Each stacked product is the elementwise or
+# per-matrix product the one-realization case forms, so a realization's bits
+# do not depend on the stack it was computed in.
+
+
 def directional_param(elev, azim, spacing_ratio=0.5):
-    """Scalar phase increment u = 2*pi*(d/lambda)*sin(elev)*cos(azim)."""
+    """Phase increment u = 2*pi*(d/lambda)*sin(elev)*cos(azim)."""
     return 2.0 * np.pi * spacing_ratio * np.sin(elev) * np.cos(azim)
+
+
+def _ramp(u, n):
+    """Phase ramps [1, e^{ju}, ..., e^{j(n-1)u}] along a new last axis."""
+    return np.exp(1j * np.asarray(u)[..., None] * np.arange(n))
 
 
 def ula_response(n, elev, azim, spacing_ratio=0.5):
     """Uniform linear array phase ramp [1, e^{ju}, ..., e^{j(n-1)u}]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = directional_param(elev, azim, spacing_ratio)
-    return np.exp(1j * u * np.arange(n))
+    return _ramp(directional_param(elev, azim, spacing_ratio), n)
 
 
 def upa_response(n_h, n_w, elev, azim, spacing_ratio=0.5):
@@ -128,44 +140,50 @@ def upa_response(n_h, n_w, elev, azim, spacing_ratio=0.5):
     """
     if n_h < 1 or n_w < 1:
         raise ValueError("n_h and n_w must be >= 1")
-    u_h = 2.0 * np.pi * spacing_ratio * np.cos(elev)
-    u_w = 2.0 * np.pi * spacing_ratio * np.sin(elev) * np.cos(azim)
-    ramp_h = np.exp(1j * u_h * np.arange(n_h))
-    ramp_w = np.exp(1j * u_w * np.arange(n_w))
+    ramp_h = _ramp(2.0 * np.pi * spacing_ratio * np.cos(elev), n_h)
+    ramp_w = _ramp(directional_param(elev, azim, spacing_ratio), n_w)
     # the products np.kron(ramp_h, ramp_w) forms, without its overhead
-    return np.outer(ramp_h, ramp_w).ravel()
+    return (ramp_h[..., :, None] * ramp_w[..., None, :]).reshape(ramp_h.shape[:-1] + (-1,))
+
+
+def hop_matrix(geometry, side, angles, gains, path_loss=None):
+    """Sum-of-paths hop matrix of each path set of a stack.
+
+    ``angles`` (..., P, 4) holds each path's angles in :class:`PathParams`
+    field order and ``gains`` (..., P) its gain.  For ``bs_to_ris`` returns
+    the (..., n_r, n_s) stack sqrt(n_s*n_r/path_loss) * sum_i gain_i *
+    a_ris(aoa_i) a_bs(aod_i)^H, for ``ris_to_ms`` the (..., n_d, n_r)
+    analogue with the MS array on the left and the RIS array on the right.
+    The default path loss cancels the leading scale.
+    """
+    g, s = geometry, geometry.spacing_ratio
+    aod_elev, aod_azim, aoa_elev, aoa_azim = np.moveaxis(angles, -1, 0)
+    if side == BS_TO_RIS:
+        left = upa_response(g.n_r_h, g.n_r_w, aoa_elev, aoa_azim, s)
+        right = ula_response(g.n_s, aod_elev, aod_azim, s)
+    elif side == RIS_TO_MS:
+        left = ula_response(g.n_d, aoa_elev, aoa_azim, s)
+        right = upa_response(g.n_r_h, g.n_r_w, aod_elev, aod_azim, s)
+    else:
+        raise ValueError(f"unknown hop side {side!r}")
+    path_loss = _default_loss(g, side) if path_loss is None else path_loss
+    scale = np.sqrt(left.shape[-1] * right.shape[-1] / path_loss)
+    out = np.zeros(left.shape[:-2] + (left.shape[-1], right.shape[-1]), dtype=np.complex128)
+    for i in range(gains.shape[-1]):
+        # path by path, each term the products np.outer forms
+        out += gains[..., i, None, None] * (left[..., i, :, None] * right[..., i, None, :].conj())
+    return scale * out
+
+
+def _path_arrays(hop):
+    """``(angles, gains, path_loss)`` of a :class:`HopModel`, as :func:`hop_matrix` takes them."""
+    angles = np.array([(p.aod_elev, p.aod_azim, p.aoa_elev, p.aoa_azim) for p in hop.paths])
+    return angles, np.array([p.gain for p in hop.paths], dtype=np.complex128), hop.path_loss
 
 
 def build_hop(geometry, hop, side):
-    """Sum-of-paths hop matrix.
-
-    For ``bs_to_ris`` returns the (n_r, n_s) matrix
-    sqrt(n_s*n_r/path_loss) * sum_i gain_i * a_ris(aoa_i) a_bs(aod_i)^H,
-    for ``ris_to_ms`` the (n_d, n_r) analogue with the MS array on the
-    left and the RIS array on the right.
-    """
-    g = geometry
-    if side == BS_TO_RIS:
-        rows, cols = g.n_r, g.n_s
-        scale = np.sqrt(g.n_s * g.n_r / hop.path_loss)
-    elif side == RIS_TO_MS:
-        rows, cols = g.n_d, g.n_r
-        scale = np.sqrt(g.n_r * g.n_d / hop.path_loss)
-    else:
-        raise ValueError(f"unknown hop side {side!r}")
-
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for p in hop.paths:
-        if side == BS_TO_RIS:
-            left = upa_response(g.n_r_h, g.n_r_w, p.aoa_elev, p.aoa_azim, g.spacing_ratio)
-            right = ula_response(g.n_s, p.aod_elev, p.aod_azim, g.spacing_ratio)
-        else:
-            left = ula_response(g.n_d, p.aoa_elev, p.aoa_azim, g.spacing_ratio)
-            right = upa_response(g.n_r_h, g.n_r_w, p.aod_elev, p.aod_azim, g.spacing_ratio)
-        if left.shape[0] != rows or right.shape[0] != cols:
-            raise DimensionMismatchError("path arrays disagree with geometry")
-        out += p.gain * np.outer(left, right.conj())
-    return scale * out
+    """Sum-of-paths hop matrix of a :class:`HopModel`; see :func:`hop_matrix`."""
+    return hop_matrix(geometry, side, *_path_arrays(hop))
 
 
 def compose_cascade(g_bs_ris, ris_phases, g_ris_ms):
@@ -176,12 +194,12 @@ def compose_cascade(g_bs_ris, ris_phases, g_ris_ms):
     g1 = np.asarray(g_bs_ris, dtype=np.complex128)
     g2 = np.asarray(g_ris_ms, dtype=np.complex128)
     phases = np.asarray(ris_phases, dtype=np.float64)
-    n_r = g1.shape[0]
-    if phases.shape != (n_r,) or g2.shape[1] != n_r:
+    n_r = g1.shape[-2]
+    if phases.shape[-1:] != (n_r,) or g2.shape[-1] != n_r:
         raise DimensionMismatchError(
             f"cascade dims do not chain: {g2.shape} x diag({phases.shape}) x {g1.shape}"
         )
-    return g2 @ (np.exp(1j * phases)[:, None] * g1)
+    return g2 @ (np.exp(1j * phases)[..., :, None] * g1)
 
 
 def angular_transform(h, geometry):
@@ -193,13 +211,13 @@ def angular_transform(h, geometry):
     n*n_s + m (0-based) corresponds to MS bin n and BS bin m.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (geometry.n_d, geometry.n_s):
+    if h.shape[-2:] != (geometry.n_d, geometry.n_s):
         raise DimensionMismatchError(
             f"h has shape {h.shape}, expected {(geometry.n_d, geometry.n_s)}"
         )
     u_s = dft_matrix(geometry.n_s)
     u_d = dft_matrix(geometry.n_d)
-    h_tilde_herm = u_s.conj().T @ h.conj().T @ u_d
+    h_tilde_herm = u_s.conj().T @ h.conj().swapaxes(-1, -2) @ u_d
     return h_tilde_herm, vec(h_tilde_herm)
 
 
@@ -219,8 +237,8 @@ def dominant_bin(u, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = 2.0 * np.pi * np.arange(n) / n
-    dist = np.abs(np.angle(np.exp(1j * (u - grid))))
-    return int(np.argmin(dist))
+    dist = np.abs(np.angle(np.exp(1j * (np.asarray(u)[..., None] - grid))))
+    return np.argmin(dist, axis=-1)
 
 
 def grid_parameter(bin_index, n):
@@ -279,6 +297,11 @@ def _grid_size(geometry, side, n_paths=1):
     return n_grid
 
 
+def _default_loss(geometry, side):
+    """Path loss that cancels a hop's sqrt(N*N/loss) leading scale."""
+    return float(_grid_size(geometry, side) * geometry.n_r)
+
+
 def check_on_grid(geometry, n_paths, side):
     """Raise ValueError unless on-grid :func:`draw_hop` succeeds whatever bins
     it draws: the paths fit in distinct bins and :func:`snap_angles` reaches
@@ -288,88 +311,120 @@ def check_on_grid(geometry, n_paths, side):
         snap_angles(b, n_grid, geometry.spacing_ratio)
 
 
+def draw_paths(geometry, n_paths, side, rng, on_grid):
+    """Raw randoms of one random hop, in the order they are drawn.
+
+    Returns the distinct on-grid endpoint bins (empty off-grid) and the
+    (n_paths, 5) doubles, per path the endpoint angle pair, the RIS angle
+    pair and the gain phase; on-grid the bins replace the endpoint pair, and
+    the doubles are (n_paths, 3).  :func:`hop_paths` maps them to angles.
+    """
+    n_grid = _grid_size(geometry, side, n_paths if on_grid else 1)
+    bins = rng.choice(n_grid, size=n_paths, replace=False) if on_grid else np.empty(0, int)
+    return bins, rng.random(n_paths * (3 if on_grid else 5)).reshape(n_paths, -1)
+
+
+def _angle_pairs(d):
+    """(elevation, azimuth) pairs from pairs of ``rng.random`` doubles, with the bits
+    ``rng.uniform(0, pi)`` and ``rng.uniform(-pi, pi)`` give them: low + (high - low) * d."""
+    low = np.array([0.0, -np.pi])
+    return low + (np.pi - low) * d
+
+
+def hop_paths(geometry, side, bins, draws, on_grid):
+    """Path angles and gains of a stack of hops from their :func:`draw_paths` draws.
+
+    ``bins`` and ``draws`` carry the same leading axes.  Returns ``angles``
+    (..., P, 4) in :class:`PathParams` field order and ``gains`` (..., P).
+    On-grid endpoint angles are snapped to the drawn DFT bins; the RIS-side
+    angles are always unconstrained since they never affect angular-domain
+    sparsity.  Gains have unit magnitude and uniform phase.
+    """
+    if on_grid:
+        n_grid = _grid_size(geometry, side)
+        snapped = [snap_angles(b, n_grid, geometry.spacing_ratio) for b in range(n_grid)]
+        end = np.array(snapped)[bins]
+    else:
+        end = _angle_pairs(draws[..., :2])
+    ris = _angle_pairs(draws[..., -3:-1])
+    # the endpoint's AoD at the BS, or its AoA at the MS, fixes the angular bin
+    pairs = (end, ris) if side == BS_TO_RIS else (ris, end)
+    return np.concatenate(pairs, axis=-1), np.exp(2j * np.pi * draws[..., -1])
+
+
 def draw_hop(geometry, n_paths, side, rng, on_grid, path_loss=None):
     """Random hop with the endpoint-side departure/arrival angles drawn per mode.
 
-    In on-grid mode the BS-side (or MS-side) directional parameters are
-    snapped to distinct DFT grid points; the RIS-side angles are always
-    unconstrained since they never affect angular-domain sparsity.  Gains
-    have unit magnitude and uniform phase.  Default path loss cancels the
-    sqrt(N*N/loss) leading scale.
+    The one-hop case of :func:`draw_paths` and :func:`hop_paths`.  Default
+    path loss cancels the sqrt(N*N/loss) leading scale.
+    """
+    bins, draws = draw_paths(geometry, n_paths, side, rng, on_grid)
+    angles, gains = hop_paths(geometry, side, bins, draws, on_grid)
+    path_loss = _default_loss(geometry, side) if path_loss is None else path_loss
+    return HopModel(tuple(map(PathParams, *angles.T.tolist(), gains)), path_loss)
+
+
+def draw_phases(geometry, rng):
+    """RIS phases of one realization, uniform in [0, 2 pi)."""
+    return rng.uniform(0.0, 2.0 * np.pi, geometry.n_r)
+
+
+def _indices(mask):
+    """True positions along the last axis: a tuple, or nested lists of them for a stack."""
+    if mask.ndim == 1:
+        return tuple(np.flatnonzero(mask).tolist())
+    return [_indices(m) for m in mask]
+
+
+def realize_stack(geometry, paths_bs_ris, paths_ris_ms, ris_phases, on_grid):
+    """Compose the cascades of a stack of realizations and transform them.
+
+    ``paths_*`` are ``(angles, gains, path_loss)`` as :func:`hop_matrix`
+    takes them and ``ris_phases`` is (..., n_r).  The recorded support is
+    the set of entries above SUPPORT_TOL of the peak magnitude when
+    ``on_grid`` (exact sparsity holds there), otherwise the dominant-bin
+    prediction (off-grid leakage makes thresholding meaningless): one bin
+    pair per (BS path, MS path) combination, collisions collapsing.
     """
     g = geometry
-    n_grid = _grid_size(g, side, n_paths if on_grid else 1)
-    default_loss = float(n_grid * g.n_r)
-
-    def rand_pair():
-        return float(rng.uniform(0.0, np.pi)), float(rng.uniform(-np.pi, np.pi))
-
-    paths = []
-    bins = rng.choice(n_grid, size=n_paths, replace=False) if on_grid else None
-    for i in range(n_paths):
-        if on_grid:
-            end_elev, end_azim = snap_angles(int(bins[i]), n_grid, g.spacing_ratio)
-        else:
-            end_elev, end_azim = rand_pair()
-        ris_elev, ris_azim = rand_pair()
-        gain = np.exp(2j * np.pi * rng.random())
-        if side == BS_TO_RIS:
-            # AoD at the BS fixes the angular bin, AoA at the RIS is free
-            paths.append(PathParams(end_elev, end_azim, ris_elev, ris_azim, gain))
-        else:
-            # AoD at the RIS is free, AoA at the MS fixes the angular bin
-            paths.append(PathParams(ris_elev, ris_azim, end_elev, end_azim, gain))
-    return HopModel(tuple(paths), default_loss if path_loss is None else path_loss)
-
-
-def predicted_support(geometry, hop_bs_ris, hop_ris_ms):
-    """Vec indices of the angular bins the path geometry should occupy.
-
-    One bin pair per (BS path, MS path) combination; collisions collapse.
-    """
-    g = geometry
-    bins_s = {
-        dominant_bin(directional_param(p.aod_elev, p.aod_azim, g.spacing_ratio), g.n_s)
-        for p in hop_bs_ris.paths
-    }
-    bins_d = {
-        dominant_bin(directional_param(p.aoa_elev, p.aoa_azim, g.spacing_ratio), g.n_d)
-        for p in hop_ris_ms.paths
-    }
-    return tuple(sorted(n * g.n_s + m for n in bins_d for m in bins_s))
+    g1 = hop_matrix(g, BS_TO_RIS, *paths_bs_ris)
+    g2 = hop_matrix(g, RIS_TO_MS, *paths_ris_ms)
+    phases = np.asarray(ris_phases, dtype=np.float64)
+    h = compose_cascade(g1, phases, g2)
+    h_tilde_herm, upsilon = angular_transform(h, g)
+    aod, aoa = paths_bs_ris[0][..., 0:2], paths_ris_ms[0][..., 2:4]
+    bins_s = dominant_bin(directional_param(aod[..., 0], aod[..., 1], g.spacing_ratio), g.n_s)
+    bins_d = dominant_bin(directional_param(aoa[..., 0], aoa[..., 1], g.spacing_ratio), g.n_d)
+    cells = bins_d[..., :, None] * g.n_s + bins_s[..., None, :]
+    predicted = np.zeros(upsilon.shape, dtype=bool)
+    np.put_along_axis(predicted, cells.reshape(cells.shape[:-2] + (-1,)), True, axis=-1)
+    if on_grid:
+        mags = np.abs(upsilon)
+        support = mags > SUPPORT_TOL * np.max(mags, axis=-1, keepdims=True)
+    else:
+        support = predicted
+    return ChannelRealization(
+        mode="physical_on_grid" if on_grid else "physical_off_grid",
+        cascade=h,
+        angular=h_tilde_herm.conj().swapaxes(-1, -2),
+        sparse_vec=upsilon,
+        support=_indices(support),
+        g_bs_ris=g1,
+        g_ris_ms=g2,
+        ris_phases=phases,
+        predicted_support=_indices(predicted),
+    )
 
 
 def realize_physical(geometry, hop_bs_ris, hop_ris_ms, rng, ris_phases=None, on_grid=True):
     """Draw RIS phases, compose the cascade, and transform to the angular domain.
 
-    The recorded support is the set of entries above SUPPORT_TOL of the peak
-    magnitude when ``on_grid`` (exact sparsity holds there), otherwise the
-    dominant-bin prediction (off-grid leakage makes thresholding meaningless).
+    The one-realization case of :func:`realize_stack`.
     """
-    g1 = build_hop(geometry, hop_bs_ris, BS_TO_RIS)
-    g2 = build_hop(geometry, hop_ris_ms, RIS_TO_MS)
     if ris_phases is None:
-        ris_phases = rng.uniform(0.0, 2.0 * np.pi, geometry.n_r)
-    h = compose_cascade(g1, ris_phases, g2)
-    h_tilde_herm, upsilon = angular_transform(h, geometry)
-    predicted = predicted_support(geometry, hop_bs_ris, hop_ris_ms)
-    if on_grid:
-        peak = np.max(np.abs(upsilon))
-        support = tuple(int(i) for i in np.flatnonzero(np.abs(upsilon) > SUPPORT_TOL * peak))
-        mode = "physical_on_grid"
-    else:
-        support = predicted
-        mode = "physical_off_grid"
-    return ChannelRealization(
-        mode=mode,
-        cascade=h,
-        angular=h_tilde_herm.conj().T,
-        sparse_vec=upsilon,
-        support=support,
-        g_bs_ris=g1,
-        g_ris_ms=g2,
-        ris_phases=np.asarray(ris_phases, dtype=np.float64),
-        predicted_support=predicted,
+        ris_phases = draw_phases(geometry, rng)
+    return realize_stack(
+        geometry, _path_arrays(hop_bs_ris), _path_arrays(hop_ris_ms), ris_phases, on_grid
     )
 
 

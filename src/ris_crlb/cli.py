@@ -153,12 +153,12 @@ def _selftest_checks():
         return nm.numeric_rank(sn.measurement_matrix(pilots, 5)) == 25
 
     def cascade_energy():
-        hop1 = ch.draw_hop(geom, 1, ch.BS_TO_RIS, rng, on_grid=False)
-        hop2 = ch.draw_hop(geom, 1, ch.RIS_TO_MS, rng, on_grid=False)
-        real = ch.realize_physical(geom, hop1, hop2, rng, on_grid=False)
+        cfg = hn.default_config(geometry=geom, mode="physical_off_grid")
+        real = hn.draw_physical(cfg, [rng])
+        cascade, upsilon = real.cascade[0], real.sparse_vec[0]
         return abs(
-            np.linalg.norm(real.cascade) - np.linalg.norm(real.sparse_vec)
-        ) < 1e-10 * max(np.linalg.norm(real.cascade), 1.0)
+            np.linalg.norm(cascade) - np.linalg.norm(upsilon)
+        ) < 1e-10 * max(np.linalg.norm(cascade), 1.0)
 
     def noiseless_recovery():
         real = ch.realize_synthetic(geom, 1, np.random.default_rng(3))

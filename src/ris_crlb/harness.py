@@ -88,11 +88,16 @@ class ExperimentConfig:
                 f"sparsity = {l} exceeds the n_d * n_s = {self.geometry.n_d * n_s} "
                 "entries of the synthetic truth"
             )
-        if self.mode == "synthetic" and self.estimator == "jt" and self.typicality.delta is None:
-            short = [k for k in self.k_values if k * n_s <= l]
+        # the most nonzero entries a truth can have; physical: one per path pair
+        largest = l if self.mode == "synthetic" else (
+            self.hop_bs_ris.n_paths * self.hop_ris_ms.n_paths
+        )
+        if self.estimator == "jt" and self.typicality.delta is None:
+            short = [k for k in self.k_values if k * n_s <= largest]
             if short:
                 raise ConfigError(
-                    f"k_values {short}: the default delta needs k * n_s > sparsity = {l}"
+                    f"k_values {short}: the default delta needs k * n_s > {largest}, "
+                    f"the largest support in mode {self.mode}"
                 )
         if self.mode == "physical_on_grid":
             for name, hop, side in (
@@ -198,25 +203,41 @@ def _substream(seed, index):
     return np.random.default_rng(_mix64(seed ^ index))
 
 
-def _draw_truth(cfg, seed):
-    """Angular-domain truth vector and its support for one trial, per mode."""
-    rng = _substream(seed, 1)
+def draw_physical(cfg, rngs):
+    """Physical realizations of one trial per generator, as one stack.
+
+    Each trial draws from its own generator, in this order, its BS-RIS
+    paths, its RIS-MS paths and its RIS phases: the draws of ``draw_hop``,
+    ``draw_hop`` and ``realize_physical``.  Everything after the draws runs
+    once on the stack (``channel.realize_stack``).
+    """
+    g, on_grid = cfg.geometry, cfg.mode == "physical_on_grid"
+    hops = ((cfg.hop_bs_ris, ch.BS_TO_RIS), (cfg.hop_ris_ms, ch.RIS_TO_MS))
+    raw = [
+        [x for spec, side in hops for x in ch.draw_paths(g, spec.n_paths, side, rng, on_grid)]
+        + [ch.draw_phases(g, rng)]
+        for rng in rngs
+    ]
+    bins1, draws1, bins2, draws2, phases = (np.array(column) for column in zip(*raw))
+    paths = [
+        ch.hop_paths(g, side, bins, draws, on_grid) + (spec.path_loss,)
+        for (spec, side), bins, draws in zip(hops, (bins1, bins2), (draws1, draws2))
+    ]
+    return ch.realize_stack(g, *paths, phases, on_grid)
+
+
+def _draw_truth(cfg, seeds):
+    """Angular-domain truths (T, n_d*n_s) and supports of the trials ``seeds``, per mode."""
+    rngs = [_substream(seed, 1) for seed in seeds]
     if cfg.mode == "synthetic":
         # the draws of ch.realize_synthetic, without the cascade it derives
         g = cfg.geometry
-        return ch.synth_sparse_signal(
-            g.n_d * g.n_s, cfg.typicality.sparsity, rng, cfg.magnitude
-        )
-    on_grid = cfg.mode == "physical_on_grid"
-    hop1 = ch.draw_hop(
-        cfg.geometry, cfg.hop_bs_ris.n_paths, ch.BS_TO_RIS, rng, on_grid,
-        path_loss=cfg.hop_bs_ris.path_loss,
-    )
-    hop2 = ch.draw_hop(
-        cfg.geometry, cfg.hop_ris_ms.n_paths, ch.RIS_TO_MS, rng, on_grid,
-        path_loss=cfg.hop_ris_ms.path_loss,
-    )
-    real = ch.realize_physical(cfg.geometry, hop1, hop2, rng, on_grid=on_grid)
+        draws = [
+            ch.synth_sparse_signal(g.n_d * g.n_s, cfg.typicality.sparsity, rng, cfg.magnitude)
+            for rng in rngs
+        ]
+        return np.array([truth for truth, _support in draws]), [s for _truth, s in draws]
+    real = draw_physical(cfg, rngs)
     return real.sparse_vec, real.support
 
 
@@ -244,9 +265,7 @@ def _run_block(cfg, k, snr_db, indices):
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
     seeds = [trial_seed(cfg.master_seed, k, snr_db, t) for t in indices]
-    draws = [_draw_truth(cfg, seed) for seed in seeds]
-    truths = np.array([truth for truth, _support in draws])
-    supports = [support for _truth, support in draws]
+    truths, supports = _draw_truth(cfg, seeds)
     energies = [float(e) for e in np.sum(np.abs(truths) ** 2, axis=-1)]
 
     def record(t, squared_error, crlb_value, failed, examined):
@@ -426,23 +445,13 @@ def export_angular_map(cfg, seed):
     """|angular channel| grid for heatmap rendering; physical modes only."""
     if cfg.mode == "synthetic":
         raise ConfigError("angular map export requires a physical mode")
-    on_grid = cfg.mode == "physical_on_grid"
-    rng = np.random.default_rng(_mix64(int(seed)))
-    hop1 = ch.draw_hop(
-        cfg.geometry, cfg.hop_bs_ris.n_paths, ch.BS_TO_RIS, rng, on_grid,
-        path_loss=cfg.hop_bs_ris.path_loss,
-    )
-    hop2 = ch.draw_hop(
-        cfg.geometry, cfg.hop_ris_ms.n_paths, ch.RIS_TO_MS, rng, on_grid,
-        path_loss=cfg.hop_ris_ms.path_loss,
-    )
-    real = ch.realize_physical(cfg.geometry, hop1, hop2, rng, on_grid=on_grid)
+    real = draw_physical(cfg, [np.random.default_rng(_mix64(int(seed)))])
     cells = tuple(
         (idx // cfg.geometry.n_s, idx % cfg.geometry.n_s)
-        for idx in real.predicted_support
+        for idx in real.predicted_support[0]
     )
     return AngularMap(
-        magnitudes=np.abs(real.angular),
+        magnitudes=np.abs(real.angular[0]),
         ms_bins=tuple(range(cfg.geometry.n_d)),
         bs_bins=tuple(range(cfg.geometry.n_s)),
         mode=cfg.mode,

@@ -52,8 +52,9 @@ def kron(a, b):
 
 
 def vec(m):
-    """Column-stacking vectorization, vec(M)."""
-    return np.asarray(m).ravel(order="F")
+    """Column-stacking vectorization, vec(M), of a matrix or of each matrix of a stack."""
+    m = np.asarray(m)
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
 
 
 def unvec(v, rows, cols):

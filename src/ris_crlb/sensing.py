@@ -146,17 +146,30 @@ def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
 
     Trial t draws its (n_d, k) pilot block from ``pilot_seeds[t]`` as
     :func:`gen_pilots` does and its noise from ``noise_rngs[t]`` as
-    :func:`observe` does, and receives Upsilon_t truths[t] + n_t, where
-    Upsilon_t is built, used and dropped within that trial.  Returns the
-    (T, n_d, k) pilot stack and the (T, k*n_s) observation stack.
+    :func:`observe` does, and receives Upsilon_t truths[t] + n_t with one
+    matrix-vector product.  Returns the (T, n_d, k) pilot stack and the
+    (T, k*n_s) observation stack.
+
+    One zero-filled Upsilon serves the whole block: each trial overwrites
+    its nonzero entries, the n_s-strided diagonals X[i, j] at row j*n_s + a,
+    column i*n_s + a.  Its zeros are +0 where kron(X^T, I_ns) has signed
+    zeros; a product with a zero factor never changes a nonzero sum, and
+    the tests pin these bits against :func:`observe`.
     """
     t_count, n_cols = truths.shape
-    pilots = np.empty((t_count, n_cols // n_s, k), dtype=np.complex128)
+    n_d = n_cols // n_s
+    pilots = np.empty((t_count, n_d, k), dtype=np.complex128)
     y = np.empty((t_count, k * n_s), dtype=np.complex128)
-    cols = np.arange(n_cols)
+    mat = np.zeros((k * n_s, n_cols), dtype=np.complex128)
+    row, item = mat.strides
+    # diagonals[j, i, a] is entry (j*n_s + a, i*n_s + a) of mat
+    diagonals = np.lib.stride_tricks.as_strided(
+        mat, (k, n_d, n_s), (n_s * row, n_s * item, row + item)
+    )
     for t, seed in enumerate(pilot_seeds):
-        pilots[t] = _draw_pilots(n_cols // n_s, k, seed)
-        y[t] = _received(kron_columns(pilots[t], n_s, cols), truths[t], noise_var[t], noise_rngs[t])
+        pilots[t] = _draw_pilots(n_d, k, seed)
+        diagonals[...] = pilots[t].T[:, :, None]
+        y[t] = _received(mat, truths[t], noise_var[t], noise_rngs[t])
     return pilots, y
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import frozen_channel as fc
 from ris_crlb import channel as ch
+from ris_crlb import harness as hn
 from ris_crlb.errors import DimensionMismatchError
 from ris_crlb.numerics import dft_matrix, numeric_rank, vec
 
@@ -272,3 +274,58 @@ class TestRealizations:
         assert len(real.support) == 2
         _, upsilon = ch.angular_transform(real.cascade, GEOM)
         np.testing.assert_allclose(upsilon, real.sparse_vec, atol=1e-12)
+
+
+class TestStackedSynthesis:
+    """The stacked synthesis reproduces the frozen per-path reference bit for bit."""
+
+    ODD = ch.Geometry(n_s=4, n_d=6, n_r_h=3, n_r_w=2, spacing_ratio=0.7)
+
+    @staticmethod
+    def _config(geometry, mode, paths, losses):
+        return hn.default_config(
+            geometry=geometry, mode=mode, k_values=(60,),
+            hop_bs_ris=hn.HopSpec(paths[0], losses[0]),
+            hop_ris_ms=hn.HopSpec(paths[1], losses[1]),
+        )
+
+    @pytest.mark.parametrize("mode", ["physical_on_grid", "physical_off_grid"])
+    @pytest.mark.parametrize("paths", [(1, 1), (2, 3), (3, 4)])
+    def test_stack_matches_per_path_reference(self, mode, paths):
+        # 1000 draws on the default geometry with the default path losses,
+        # 1000 on an uneven one with set path losses
+        for geometry, losses, first_seed in ((GEOM, (None, None), 0), (self.ODD, (7.5, 3.0), 1000)):
+            cfg = self._config(geometry, mode, paths, losses)
+            seeds = range(first_seed, first_seed + 1000)
+            real = hn.draw_physical(cfg, [np.random.default_rng(s) for s in seeds])
+            for t, seed in enumerate(seeds):
+                ref = fc.draw_physical(
+                    geometry, (paths[0], losses[0]), (paths[1], losses[1]),
+                    np.random.default_rng(seed), mode == "physical_on_grid",
+                )
+                assert real.sparse_vec[t].tobytes() == ref.upsilon.tobytes(), seed
+                assert real.angular[t].tobytes() == ref.h_tilde_herm.conj().T.tobytes(), seed
+                assert real.cascade[t].tobytes() == ref.cascade.tobytes(), seed
+                assert real.g_bs_ris[t].tobytes() == ref.g_bs_ris.tobytes(), seed
+                assert real.g_ris_ms[t].tobytes() == ref.g_ris_ms.tobytes(), seed
+                assert real.support[t] == ref.support, seed
+                assert real.predicted_support[t] == ref.predicted, seed
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_one_realization_case_matches_reference(self, on_grid):
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            sides = (ch.BS_TO_RIS, ch.RIS_TO_MS)
+            hops = [ch.draw_hop(GEOM, 2, side, rng, on_grid) for side in sides]
+            ref_hops = [fc.draw_hop(GEOM, 2, side, ref_rng, on_grid) for side in sides]
+            for hop, ref_hop in zip(hops, ref_hops):
+                assert hop.path_loss == ref_hop.path_loss
+                for p, q in zip(hop.paths, ref_hop.paths):
+                    assert (p.aod_elev, p.aod_azim, p.aoa_elev, p.aoa_azim) == q[:4]
+                    assert np.complex128(p.gain).tobytes() == np.complex128(q.gain).tobytes()
+            real = ch.realize_physical(GEOM, *hops, rng, on_grid=on_grid)
+            ref = fc.realize_physical(GEOM, *ref_hops, ref_rng, on_grid)
+            assert real.sparse_vec.tobytes() == ref.upsilon.tobytes()
+            assert real.ris_phases.tobytes() == ref.phases.tobytes()
+            assert real.support == ref.support
+            assert real.predicted_support == ref.predicted

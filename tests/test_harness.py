@@ -5,6 +5,7 @@ import math
 import warnings
 from dataclasses import astuple, replace
 
+import frozen_channel as fc
 import numpy as np
 import pytest
 
@@ -53,12 +54,15 @@ def reference_trial(cfg, k, snr_db, trial_index):
     rng = np.random.default_rng(hn._mix64(seed ^ 1))
     if cfg.mode == "synthetic":
         real = ch.realize_synthetic(g, cfg.typicality.sparsity, rng, cfg.magnitude)
+        truth, support = real.sparse_vec, real.support
     else:
-        on_grid = cfg.mode == "physical_on_grid"
-        hop1 = ch.draw_hop(g, cfg.hop_bs_ris.n_paths, ch.BS_TO_RIS, rng, on_grid)
-        hop2 = ch.draw_hop(g, cfg.hop_ris_ms.n_paths, ch.RIS_TO_MS, rng, on_grid)
-        real = ch.realize_physical(g, hop1, hop2, rng, on_grid=on_grid)
-    truth, support = real.sparse_vec, real.support
+        # the frozen per-path synthesis, independent of the stacked code
+        real = fc.draw_physical(
+            g, (cfg.hop_bs_ris.n_paths, cfg.hop_bs_ris.path_loss),
+            (cfg.hop_ris_ms.n_paths, cfg.hop_ris_ms.path_loss),
+            rng, cfg.mode == "physical_on_grid",
+        )
+        truth, support = real.upsilon, real.support
     energy = float(np.sum(np.abs(truth) ** 2))
     fields = dict(
         k=k, snr_db=snr_db, trial_index=trial_index, seed=seed,
@@ -135,6 +139,12 @@ BLOCK_CASES = {
         estimator="genie", typicality=est.TypicalityConfig(None, 2), k_values=(1, 2)
     ),
     "jt-over-budget": dict(typicality=est.TypicalityConfig(None, 2, max_subsets=100)),
+    # n_s != n_d, a 3 x 2 panel, a wider spacing and set path losses
+    "genie-on-grid-uneven": dict(
+        mode="physical_on_grid", estimator="genie",
+        geometry=ch.Geometry(n_s=4, n_d=6, n_r_h=3, n_r_w=2, spacing_ratio=0.7),
+        hop_bs_ris=hn.HopSpec(2, 7.5), hop_ris_ms=hn.HopSpec(3, 3.0),
+    ),
 }
 
 
@@ -358,6 +368,18 @@ class TestAngularMapExport:
             assert cell in amap.dominant_cells
 
 
+    @pytest.mark.parametrize("mode", ["physical_on_grid", "physical_off_grid"])
+    def test_map_matches_per_path_reference(self, mode):
+        cfg = small_config(mode=mode, hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2))
+        for seed in range(20):
+            amap = hn.export_angular_map(cfg, seed)
+            ref = fc.draw_physical(
+                cfg.geometry, (2, None), (2, None),
+                np.random.default_rng(hn._mix64(seed)), mode == "physical_on_grid",
+            )
+            assert amap.magnitudes.tobytes() == np.abs(ref.h_tilde_herm.conj().T).tobytes()
+            assert amap.dominant_cells == tuple(divmod(i, cfg.geometry.n_s) for i in ref.predicted)
+
 class TestConfigParsing:
     def test_defaults_from_empty(self):
         cfg = hn.parse_config_text("")
@@ -546,6 +568,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            # 5 x 1 on-grid paths fill up to 5 bins: 1 * 5 <= 5
+            {"mode": "physical_on_grid", "paths_bs_ris": 5, "k_values": 1},
+            # 5 x 2 off-grid paths predict up to 10 bins: 2 * 5 <= 10
+            {"mode": "physical_off_grid", "paths_bs_ris": 5, "paths_ris_ms": 2, "k_values": 2},
+        ],
+    )
+    def test_physical_jt_default_delta_rejected_before_any_trial(self, tmp_path, capsys, kv):
+        cfg = self._write_cfg(tmp_path, **kv)
+        out = tmp_path / "res.csv"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_values") and "largest support" in err
+        assert not out.exists()
+
+    def test_physical_jt_below_kns_bound_still_runs(self, tmp_path):
+        # 2 x 2 on-grid paths fill at most 4 bins, below k * n_s = 5 at k = 1
+        cfg = self._write_cfg(
+            tmp_path, mode="physical_on_grid", paths_bs_ris=2, paths_ris_ms=2, k_values=1
+        )
+        out = tmp_path / "res.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k <= n_d
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("1,20,")
 
     def test_crlb_table_nan_terms_below_kns_bound(self, tmp_path, capsys):
         # k * n_s = 5 <= sparsity = 5: no default delta and no penalty terms

@@ -1,5 +1,7 @@
 """Pilot generation, measurement matrix structure, and noise calibration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,32 @@ class TestObserveBlock:
             model = sn.measurement_model(x, n_s, noise_var=noise_var[t])
             obs = sn.observe(model, truths[t], np.random.default_rng(noise_seeds[t]))
             assert y[t].tobytes() == obs.y.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 80])
+    @pytest.mark.parametrize("n_d, n_s", [(5, 5), (3, 4), (6, 2)])
+    def test_reused_matrix_matches_observe_bit_for_bit(self, k, n_d, n_s):
+        # the block's reused Upsilon holds +0 where kron(X^T, I_ns) holds
+        # signed zeros; 1-sparse truths under zero noise leave whole rows of
+        # zero products, so y.tobytes() pins the signs of zero as well
+        rng = np.random.default_rng(23 + k)
+        truths = crandn(rng, 6, n_d * n_s)
+        truths[[0, 3, 4], :] = 0.0
+        truths[0, 1] = 0.3 - 1.2j
+        truths[3, -1] = -2.0 + 0.5j
+        truths[4, 0] = -1.0 - 1.0j
+        noise_var = np.array([0.5, 0.01, 0.0, 0.0, 1e-6, 2.0])
+        seeds, noise_seeds = [101, 102, 103, 104, 105, 106], [201, 202, 203, 204, 205, 206]
+        pilots, y = sn.observe_block(
+            seeds, k, n_s, truths, noise_var, [np.random.default_rng(s) for s in noise_seeds]
+        )
+        for t in range(len(seeds)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # k <= n_d
+                x = sn.gen_pilots(sn.PilotConfig(n_d, k, seeds[t]))
+            assert pilots[t].tobytes() == x.tobytes()
+            model = sn.measurement_model(x, n_s, noise_var=noise_var[t])
+            obs = sn.observe(model, truths[t], np.random.default_rng(noise_seeds[t]))
+            assert y[t].tobytes() == obs.y.tobytes(), t
 
 
 class TestObserve:
