@@ -232,7 +232,7 @@ def build_parser():
     p_sweep.add_argument("--estimator", choices=sorted(hn.ESTIMATORS))
     p_sweep.add_argument("--mode", choices=sorted(_CLI_MODES))
     p_sweep.add_argument("--delta", type=float, help="typicality threshold override")
-    p_sweep.add_argument("--threads", type=int, help="worker threads (env RIS_CRLB_THREADS)")
+    p_sweep.add_argument("--threads", type=int, help="worker processes (env RIS_CRLB_THREADS)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_map = sub.add_parser("angular-map", help="export an angular-domain magnitude grid")

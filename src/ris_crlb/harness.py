@@ -4,15 +4,16 @@ Reproducibility contract: every trial derives its own 64-bit seed from
 (master_seed, k, snr_db bit pattern, trial_index) through a SplitMix64-style
 mixer, and truth/pilot/noise each get an independent substream of that seed.
 Trials therefore never share generator state and a sweep gives byte-identical
-results whatever the thread count.
+results whatever the worker count.
 """
 
 import json
 import math
+import os
+import pickle
 import struct
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -406,28 +407,57 @@ def _run_cell(cfg, k, snr_db, keep_trials):
 def run_sweep(cfg, threads=1, keep_trials=False):
     """Cartesian product of k_values x snr_db_values x trials.
 
-    Each grid cell runs its trials in blocks of the block core; with
-    ``threads`` > 1 whole cells run on a thread pool.  Cells come back in
-    grid order and aggregate in trial-index order, so results are identical
-    for any thread count.
+    Each grid cell runs its trials in blocks of the block core.  With
+    ``threads`` > 1, up to that many processes share the cells, dealt largest
+    K first: this one runs one share, forked children the others.  Results
+    come back in grid and trial-index order, the same for any worker count.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [(k, snr_db) for k in cfg.k_values for snr_db in cfg.snr_db_values]
+    workers = min(threads, len(cells)) if hasattr(os, "fork") else 1
+    by_k = sorted(range(len(cells)), key=lambda c: -cells[c][0])
+    shares = [sorted(by_k[w::workers]) for w in range(workers)]
 
-    def run(cell):
-        return _run_cell(cfg, *cell, keep_trials)
+    def run(share):
+        return [(c, _run_cell(cfg, *cells[c], keep_trials)) for c in share]
 
-    if threads == 1:
-        done = map(run, cells)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, cells))
-    rows, all_records = [], []
-    for row, records in done:
-        rows.append(row)
-        all_records.extend(records)
-    return SweepResult(rows=rows, master_seed=cfg.master_seed, trial_records=all_records)
+    children = []  # (read end of its pipe, pid) per forked worker
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child pipes back its results or its error
+                try:
+                    os.close(read)
+                    try:
+                        data = pickle.dumps(run(share))
+                    except Exception as exc:  # re-raised by the parent
+                        data = pickle.dumps(exc)
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(0)  # runs no atexit handler, flushes no stdio copied from us
+                finally:
+                    os._exit(1)  # nothing sent
+            os.close(write)
+            children.append((os.fdopen(read, "rb"), pid))
+        done = dict(run(shares[0]))
+        sent = [pipe.read() for pipe, _pid in children]
+    finally:
+        for pipe, _pid in children:  # a child blocked writing then fails and exits
+            pipe.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for _p, pid in children]
+    for data, status in zip(sent, statuses):
+        if not data:
+            raise RuntimeError(f"sweep worker exited with status {status} without sending results")
+        payload = pickle.loads(data)  # written by a child of this process
+        if isinstance(payload, Exception):
+            raise payload
+        done.update(payload)
+    rows, records = zip(*(done[c] for c in range(len(cells))))
+    return SweepResult(
+        rows=list(rows), master_seed=cfg.master_seed,
+        trial_records=[r for cell in records for r in cell],
+    )
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Sweep orchestration, seeding, exports, config parsing, and the CLI."""
 
+import contextlib
 import json
 import math
+import os
+import signal
 import warnings
 from dataclasses import astuple, replace
 
@@ -133,6 +136,9 @@ BLOCK_CASES = {
         hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2),
     ),
     "omp-on-grid-2x1": dict(mode="physical_on_grid", estimator="omp", hop_bs_ris=hn.HopSpec(2)),
+    "jt-on-grid-2x2": dict(
+        mode="physical_on_grid", hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2)
+    ),
     # k = 1, 2 <= n_d: true supports sharing a BS bin are rank deficient
     "jt-rank-deficient": dict(typicality=est.TypicalityConfig(None, 2), k_values=(1, 2)),
     "genie-rank-deficient": dict(
@@ -292,7 +298,7 @@ class TestRunSweep:
 
     def test_threaded_sweep_leaves_warning_filters_alone(self):
         # k = 4 <= n_d: the config warns once; the trials must neither warn
-        # again nor touch the process-wide filter list from worker threads
+        # again nor touch the process-wide filter list from the workers
         with pytest.warns(UserWarning, match="k=4"):
             cfg = small_config(k_values=(4, 8), trials=40)
         before = list(warnings.filters)
@@ -320,6 +326,103 @@ class TestRunSweep:
             assert sum(r.squared_error for r in recs) / len(recs) == row.mse
             assert sum(r.crlb_value for r in recs) / len(recs) == row.crlb
             assert sum(1 for r in recs if r.failed) / len(recs) == row.fail_rate
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the test if the block runs longer than ``seconds``."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need os.fork")
+class TestWorkerProcesses:
+    """Forked workers give the in-process results and leave no child behind."""
+
+    @staticmethod
+    def two_cells(monkeypatch, fail=None):
+        """A 2-cell config; ``fail(in_parent)`` runs before each cell.
+
+        The child's cell is K = 8; its 1000 kept records pickle to more than
+        a pipe buffer (64 KiB), so it blocks writing until the parent reads
+        or closes the pipe.
+        """
+        cfg = small_config(k_values=(8, 20), snr_db_values=(20.0,), trials=1000)
+        if fail is not None:
+            parent, inner = os.getpid(), hn._run_cell
+
+            def run_cell(*args):
+                fail(os.getpid() == parent)
+                return inner(*args)
+
+            monkeypatch.setattr(hn, "_run_cell", run_cell)
+        return cfg
+
+    @pytest.mark.parametrize(
+        "name", ["jt-l1", "jt-l2", "genie-off-grid-2x2", "omp-l2", "jt-on-grid-2x2"]
+    )
+    def test_any_worker_count_gives_the_same_rows_and_records(self, name):
+        # 2 K x 2 SNR: 3 workers share the 4 cells unevenly, 8 are cut to 4
+        cfg = block_case(name)
+
+        def bits(result):  # wall_time, the last row field, is a timing
+            return [r[:-1] for r in record_bits(result.rows)], record_bits(result.trial_records)
+
+        with deadline(120):
+            want = bits(hn.run_sweep(cfg, threads=1, keep_trials=True))
+            for threads in (2, 3, 8):
+                assert bits(hn.run_sweep(cfg, threads=threads, keep_trials=True)) == want
+        assert_no_child_left()
+
+    def test_forks_once_per_extra_worker(self, monkeypatch):
+        cfg = self.two_cells(monkeypatch)
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        with deadline(60):
+            hn.run_sweep(cfg, threads=1, keep_trials=True)
+            assert forks == []
+            hn.run_sweep(cfg, threads=8, keep_trials=True)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_error_in_a_share_reraises_in_the_parent(self, monkeypatch, where):
+        def fail(in_parent):
+            if in_parent == (where == "parent"):
+                raise ValueError(f"cell failed in the {where}")
+
+        cfg = self.two_cells(monkeypatch, fail)
+        with deadline(60), pytest.raises(ValueError, match=f"in the {where}"):
+            hn.run_sweep(cfg, threads=2, keep_trials=True)
+        assert_no_child_left()
+
+    def test_child_exit_without_results_names_its_status(self, monkeypatch):
+        def fail(in_parent):
+            if not in_parent:
+                os._exit(3)
+
+        cfg = self.two_cells(monkeypatch, fail)
+        with deadline(60), pytest.raises(RuntimeError, match="status 3"):
+            hn.run_sweep(cfg, threads=2, keep_trials=True)
+        assert_no_child_left()
 
 
 class TestConvergenceCurveShape:
