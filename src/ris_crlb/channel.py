@@ -43,8 +43,8 @@ class Geometry:
         for name in ("n_s", "n_d", "n_r_h", "n_r_w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.spacing_ratio <= 0:
-            raise ValueError("spacing_ratio must be positive")
+        if not (math.isfinite(self.spacing_ratio) and self.spacing_ratio > 0):
+            raise ValueError(f"spacing_ratio must be finite and > 0, got {self.spacing_ratio!r}")
 
     @property
     def n_r(self):
@@ -83,8 +83,8 @@ class HopModel:
     def __post_init__(self):
         if len(self.paths) == 0:
             raise ValueError("a hop needs at least one path")
-        if self.path_loss <= 0:
-            raise ValueError("path_loss must be positive")
+        if not (math.isfinite(self.path_loss) and self.path_loss > 0):
+            raise ValueError(f"path_loss must be positive and finite, got {self.path_loss!r}")
 
 
 @dataclass

@@ -11,15 +11,15 @@ The estimator scans all L-subsets; if none is typical it outputs the zero
 vector.  The scan runs in the Gram domain (the search-decoding view of the
 estimator): with c = Upsilon^H y and G = Upsilon^H Upsilon formed once, the
 projected energy ||P_J y||^2 of every candidate is c_J^H G_J^-1 c_J, scored
-for a block of subsets at a time by one batched eigendecomposition of the
-G_J.  Its decisions are those of the SVD statistic
+for a block of subsets at a time by one LDL^H elimination run on the whole
+stack of G_J.  Its decisions are those of the SVD statistic
 :func:`typicality_statistic`: a subset is dismissed only when its Gram-domain
 statistic clears delta by more than a margin that bounds the rounding
 difference between the two computations, and every other subset (near the
-threshold, ill-conditioned, or typical) is rechecked with the SVD statistic
-in lexicographic order.  The reported statistic is always the SVD one.
-:func:`jt_search` runs this search for a stack of problems at once, and
-:func:`jt_estimate` is its one-problem case.
+threshold, with a pivot <= 0 or a condition bound >= 1e6, or typical) is
+rechecked with the SVD statistic in lexicographic order.  The reported
+statistic is always the SVD one.  :func:`jt_search` runs this search for a
+stack of problems at once, and :func:`jt_estimate` is its one-problem case.
 
 Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
@@ -44,9 +44,8 @@ _DEFAULT_ENUM_CAP = 10_000_000
 # (problem, subset) pairs scored per batched pass of the search; bounds its
 # working memory (a few hundred bytes per pair at small L) whatever C(n, L) is
 _SCAN_BLOCK = 4096
-# a G_J with w_min <= _ILL_CONDITIONED * w_max is always rechecked: the
-# margin's first-order rounding bound needs eps * cond(G_J) << 1, and the SVD
-# statistic decides the rank of such a subset
+# a G_J with a pivot <= 0 or a condition bound >= 1 / _ILL_CONDITIONED is always
+# rechecked: the margin needs eps * cond(G_J) << 1, and the SVD decides its rank
 _ILL_CONDITIONED = 1e-6
 # safety factor of the recheck margin over the first-order rounding bound
 _RECHECK_ULPS = 1024.0
@@ -72,6 +71,8 @@ class TypicalityConfig:
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
+        if self.max_subsets is not None and self.max_subsets < 1:
+            raise ValueError(f"max_subsets must be >= 1, got {self.max_subsets!r}")
         if self.search_order not in (LEXICOGRAPHIC_FIRST, BEST_STATISTIC):
             raise ValueError(f"unknown search order {self.search_order!r}")
 
@@ -162,30 +163,36 @@ def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
 
     The Gram matrices are G = kron(outer, I_reps) with ``outer`` (R, p, p);
     ``corr`` is (R, p*reps), ``yy`` and ``noise_var`` (R,) and ``subsets``
-    (b, l); the results are (R, b).  The projected energy
-    ||P_J y||^2 = c_J^H G_J^-1 c_J is sum_i |v_i^H c_J|^2 / w_i over the
-    eigenpairs (w_i, v_i) of G_J.  Returns the statistics and, per pair, a
-    margin that their distance from :func:`typicality_statistic` stays
-    below.  Both computations miss the exact energy by at most a few
-    m * eps * cond(G_J) * ||y||^2 to first order (m-term sums form G, c and
-    the SVD projection; an ill-posed span's basis tilts by about
-    eps * sqrt(cond(G_J))), so the statistics differ by at most a few
-    eps * cond(G_J) * (||y||^2 + sigma^2), and the margin is _RECHECK_ULPS
-    times that.  It is inf where G_J is ill-conditioned.
+    (b, l); the results are (R, b).  An LDL^H elimination of the (R, b, l, l)
+    stack of G_J, each pivot step on all pairs at once, with c_J forward
+    substituted to c', gives ||P_J y||^2 = sum_p |c'_p|^2 / d_p.  Returns the
+    statistics and, per pair, a margin that their distance from
+    :func:`typicality_statistic` stays below.  Unpivoted LDL^H is backward
+    stable on a Hermitian positive definite G_J (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 10.1), so its energy, like the
+    m-term sums forming G, c and the SVD projection, misses the exact one by
+    a few l * eps * cond(G_J) * ||y||^2.  The margin is _RECHECK_ULPS * eps *
+    cond * (||y||^2 + sigma^2) with cond = tr(G_J)^l / det, det = prod_p d_p:
+    as w_max <= tr and w_min >= det / w_max^(l-1), cond >= w_max / w_min
+    (= 1 at l = 1).  The margin is inf unless every pivot is > 0 (not just
+    det) and cond < 1 / _ILL_CONDITIONED.
     """
     l = subsets.shape[1]
     j, i = np.divmod(subsets, reps)
-    same = i[:, :, None] == i[:, None, :]
-    w, v = np.linalg.eigh(np.where(same, outer[:, j[:, :, None], j[:, None, :]], 0.0))
-    ill = w[..., 0] <= _ILL_CONDITIONED * w[..., -1]
-    w = np.where(ill[..., None], 1.0, w)
-    proj = np.matmul(v.conj().swapaxes(-1, -2), corr[:, subsets][..., None])[..., 0]
-    energy = np.sum(np.abs(proj) ** 2 / w, axis=-1)
-    yy, noise_var = yy[:, None], noise_var[:, None]
-    stat = np.abs(np.maximum(yy - energy, 0.0) / m - (m - l) / m * noise_var)
-    cond = w[..., -1] / w[..., 0]
-    margin = _RECHECK_ULPS * np.finfo(np.float64).eps * cond * (yy + np.abs(noise_var))
-    return stat, np.where(ill, np.inf, margin)
+    g = np.where(i[:, :, None] == i[:, None, :], outer[:, j[:, :, None], j[:, None, :]], 0.0)
+    c, cond = corr[:, subsets], np.einsum("...ii->...", g).real ** l
+    energy, ok = 0.0, True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(l):
+            d = g[..., p, p].real
+            f = g[..., p + 1:, p] / d[..., None]
+            g[..., p + 1:, p + 1:] -= f[..., :, None] * g[..., None, p, p + 1:]
+            c[..., p + 1:] -= f * c[..., p, None]
+            energy, cond, ok = energy + np.abs(c[..., p]) ** 2 / d, cond / d, ok & (d > 0)
+        yy, noise_var = yy[:, None], noise_var[:, None]
+        stat = np.abs(np.maximum(yy - energy, 0.0) / m - (m - l) / m * noise_var)
+        margin = _RECHECK_ULPS * np.finfo(np.float64).eps * cond * (yy + np.abs(noise_var))
+    return stat, np.where(ok & (cond < 1.0 / _ILL_CONDITIONED), margin, np.inf)
 
 
 def jt_search(y, outer, reps, corr, noise_var, cfg, columns):

@@ -46,6 +46,8 @@ class HopSpec:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if not (self.path_loss is None or math.isfinite(self.path_loss) and self.path_loss > 0):
+            raise ValueError(f"path_loss must be positive and finite, got {self.path_loss!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError("snr_db_values must be nonempty")
         if not all(math.isfinite(s) for s in self.snr_db_values):
             raise ConfigError(f"snr_db_values must be finite, got {self.snr_db_values}")
-        if self.magnitude <= 0:
-            raise ConfigError("magnitude must be positive")
+        if not (math.isfinite(self.magnitude) and self.magnitude > 0):
+            raise ConfigError(f"magnitude must be positive and finite, got {self.magnitude!r}")
         l, n_s = self.typicality.sparsity, self.geometry.n_s
         if self.mode == "synthetic" and l > self.geometry.n_d * n_s:
             raise ConfigError(

@@ -243,3 +243,30 @@ def test_criterion_10_cli_determinism_across_threads(tmp_path):
         outputs.append(out.read_bytes())
     assert all(o == outputs[0] for o in outputs)
     report(10, "byte-identical sweep CSV across repeated runs and 1 vs 8 threads")
+
+
+def test_criterion_11_fixed_delta_attains_crlb():
+    # under a fixed delta both penalty terms vanish as K grows, so the
+    # analytic bound meets the CRLB and the JT search attains it (the
+    # default delta shrinks with K and keeps a missed-detection floor)
+    ks = (20, 40, 100, 200)
+    cfg = hn.default_config(
+        k_values=ks, snr_db_values=(20.0, 30.0), trials=300,
+        typicality=est.TypicalityConfig(delta=0.05, sparsity=1),
+    )
+    res = hn.run_sweep(cfg, keep_trials=True)
+    for snr_db in cfg.snr_db_values:
+        rows = [r for r in res.rows if r.snr_db == snr_db]
+        assert [r.k for r in rows] == list(ks)
+        bound_ratio = [r.upper_bound / r.crlb for r in rows]
+        assert all(a >= b >= 1.0 for a, b in zip(bound_ratio, bound_ratio[1:]))
+        assert bound_ratio[-1] - 1.0 < 1e-6
+        for row in rows:
+            assert row.fail_rate == 0.0
+            recs = [t for t in res.trial_records if (t.k, t.snr_db) == (row.k, snr_db)]
+            gap = np.array([t.squared_error - t.crlb_value for t in recs])
+            # E[squared error - CRLB] = 0 per trial on the true support: allow
+            # four Monte Carlo standard errors of the mean gap
+            tol = 4.0 * gap.std(ddof=1) / math.sqrt(len(gap)) / row.crlb
+            assert abs(row.mse / row.crlb - 1.0) <= tol, (row.k, snr_db)
+    report(11, f"fixed delta: upper_bound/crlb -> 1, MSE within 4 SE of CRLB at K={ks}")

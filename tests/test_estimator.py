@@ -1,6 +1,7 @@
 """Typicality test, subset search, genie LS, CRLB, bound terms, OMP."""
 
 import math
+import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -287,6 +288,96 @@ class TestJtSearchStack:
         assert got == want
         assert len({w[2] for w in want}) > 1 or order == est.BEST_STATISTIC
         assert len({w[0] for w in want}) > 1
+
+
+class TestGramScreen:
+    """The LDL^H screen of _gram_statistics against eigh and the SVD statistic."""
+
+    @staticmethod
+    def _cond_bound(outer, reps, subsets):
+        # ||y||^2 = 1 and sigma^2 = 0 make the margin 2^-42 times the bound exactly
+        r, p = outer.shape[:2]
+        corr = np.ones((r, p * reps), dtype=complex)
+        _, margin = est._gram_statistics(
+            outer, reps, corr, np.ones(r), np.zeros(r), subsets, 100
+        )
+        return margin / (est._RECHECK_ULPS * np.finfo(np.float64).eps)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_bound_dominates_eigenvalue_ratio(self, l):
+        rng = np.random.default_rng(1200 + l)
+        r, p, reps = 40, 6, 2
+        basis, _ = np.linalg.qr(crandn(rng, r, p, p))
+        # eigenvalues spread over up to six decades per problem: cond(outer),
+        # and so cond(G_J) of every masked principal block, is at most 1e6
+        w = 10.0 ** (rng.uniform(0, 6, (r, 1)) * np.linspace(0, 1, p))
+        outer = (basis * w[:, None, :]) @ basis.conj().swapaxes(-1, -2)
+        subsets = np.array(list(combinations(range(p * reps), l)))
+        bound = self._cond_bound(outer, reps, subsets)
+
+        j, i = np.divmod(subsets, reps)
+        gram = np.where(
+            i[:, :, None] == i[:, None, :], outer[:, j[:, :, None], j[:, None, :]], 0.0
+        )
+        eig = np.linalg.eigvalsh(gram)
+        ratio = eig[..., -1] / eig[..., 0]
+        finite = np.isfinite(bound)
+        assert np.all(bound[finite] >= ratio[finite])
+        if l == 1:
+            assert np.all(bound == 1.0)
+        else:
+            assert finite.mean() > 0.3 and ratio[finite].max() > 1e3
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[2.0, 2.0], [2.0, 2.0]],  # duplicate column: second pivot 0
+            [[0.0, 0.0], [0.0, 3.0]],  # zero column: first pivot 0
+            [[4.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],  # third pivot 0
+            [[1.0, 2.0], [2.0, 1.0]],  # pivots 1, -3: a negative product
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]],  # 1, -3, -1: positive
+            [[-1.0, 0.0], [0.0, -2.0]],  # -1, -2: positive product
+        ],
+        ids=["duplicate", "zero", "third-zero", "one-negative", "two-negative", "all-negative"],
+    )
+    def test_singular_or_indefinite_gram_is_always_rechecked(self, gram):
+        outer = np.array(gram, dtype=complex)[None]
+        subsets = np.arange(outer.shape[1])[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._cond_bound(outer, 1, subsets)[0, 0] == math.inf
+
+    def test_statistic_within_margin_of_svd_statistic(self):
+        rng = np.random.default_rng(1300)
+        checked = 0
+        for batch in range(30):
+            t_count, n_d, n_s, k = 100, 3 + batch % 3, 2 + batch % 2, 4 + batch % 5
+            l = 1 + batch % 3
+            pilots = crandn(rng, t_count, n_d, k) / math.sqrt(2)
+            # near-collinear pilot rows make some G_J ill-conditioned
+            gap = 10.0 ** rng.uniform(-4, 0, (t_count, 1))
+            pilots[:, 1] = pilots[:, 0] + gap * crandn(rng, t_count, k)
+            dim = n_d * n_s
+            truth = np.zeros((t_count, dim), dtype=complex)
+            for t in range(t_count):
+                truth[t, rng.choice(dim, size=l, replace=False)] = crandn(rng, l)
+            noise_var = 10.0 ** rng.uniform(-6, 0, t_count)
+            y = np.stack([sn.measurement_matrix(pilots[t], n_s) @ truth[t] for t in range(t_count)])
+            y += np.sqrt(noise_var / 2)[:, None] * crandn(rng, t_count, k * n_s)
+            subsets = np.array(
+                [sorted(rng.choice(dim, size=l, replace=False)) for _ in range(2)]
+            )
+            outer, corr = sn.kron_normal(pilots, n_s, y)
+            yy = np.sum(np.abs(y) ** 2, axis=-1)
+            stat, margin = est._gram_statistics(
+                outer, n_s, corr, yy, noise_var, subsets, k * n_s
+            )
+            for t, b in zip(*np.nonzero(np.isfinite(margin))):
+                cols = sn.kron_columns(pilots[t], n_s, subsets[b])
+                ref = est.typicality_statistic(y[t], cols, noise_var[t], l)
+                assert abs(stat[t, b] - ref) <= margin[t, b], (batch, t, b)
+                checked += 1
+        assert checked >= 3000
 
 
 class TestGenieLs:

@@ -641,6 +641,26 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kv, field",
+        [
+            ({"magnitude": "nan"}, "magnitude"),
+            ({"magnitude": "inf"}, "magnitude"),
+            ({"mode": "physical_off_grid", "spacing_ratio": "nan"}, "spacing_ratio"),
+            ({"mode": "physical_off_grid", "path_loss_bs_ris": -1}, "path_loss"),
+            ({"mode": "physical_off_grid", "path_loss_ris_ms": "nan"}, "path_loss"),
+            ({"max_subsets": 0}, "max_subsets"),
+        ],
+    )
+    def test_bad_number_rejected_before_any_trial(self, tmp_path, capsys, kv, field):
+        cfg = self._write_cfg(tmp_path, **kv)
+        out = tmp_path / "res.csv"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, env", [("0", None), (None, "0")])
     def test_zero_threads_rejected(self, tmp_path, capsys, monkeypatch, flag, env):
         if env is not None:
