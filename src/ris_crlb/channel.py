@@ -15,7 +15,7 @@ Ground truth for recovery experiments comes in three flavours:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,42 +51,6 @@ class Geometry:
         return self.n_r_h * self.n_r_w
 
 
-@dataclass(frozen=True)
-class PathParams:
-    """Angles (radians) and complex gain of one propagation path."""
-
-    aod_elev: float
-    aod_azim: float
-    aoa_elev: float
-    aoa_azim: float
-    gain: complex
-
-    def __post_init__(self):
-        angles = (self.aod_elev, self.aod_azim, self.aoa_elev, self.aoa_azim)
-        if not all(math.isfinite(a) for a in angles):
-            raise ValueError("path angles must be finite")
-        for elev in (self.aod_elev, self.aoa_elev):
-            if not 0.0 <= elev <= math.pi:
-                raise ValueError(f"elevation {elev} outside [0, pi]")
-        for azim in (self.aod_azim, self.aoa_azim):
-            if not -math.pi <= azim <= math.pi:
-                raise ValueError(f"azimuth {azim} outside [-pi, pi]")
-
-
-@dataclass(frozen=True)
-class HopModel:
-    """Path list plus average path loss of one hop."""
-
-    paths: tuple
-    path_loss: float
-
-    def __post_init__(self):
-        if len(self.paths) == 0:
-            raise ValueError("a hop needs at least one path")
-        if not (math.isfinite(self.path_loss) and self.path_loss > 0):
-            raise ValueError(f"path_loss must be positive and finite, got {self.path_loss!r}")
-
-
 @dataclass
 class ChannelRealization:
     """One draw of the cascade channel and its sparse angular image.
@@ -98,7 +62,6 @@ class ChannelRealization:
     holds its supports as lists of tuples.
     """
 
-    mode: str
     cascade: np.ndarray           # (n_d, n_s)
     angular: np.ndarray           # (n_d, n_s)
     sparse_vec: np.ndarray        # (n_d*n_s,)
@@ -106,7 +69,7 @@ class ChannelRealization:
     g_bs_ris: np.ndarray | None = None   # (n_r, n_s)
     g_ris_ms: np.ndarray | None = None   # (n_d, n_r)
     ris_phases: np.ndarray | None = None  # (n_r,) radians
-    predicted_support: tuple = field(default=())
+    predicted_support: tuple = ()
 
 
 # Every synthesis step below takes stacks: array arguments may carry leading
@@ -149,12 +112,12 @@ def upa_response(n_h, n_w, elev, azim, spacing_ratio=0.5):
 def hop_matrix(geometry, side, angles, gains, path_loss=None):
     """Sum-of-paths hop matrix of each path set of a stack.
 
-    ``angles`` (..., P, 4) holds each path's angles in :class:`PathParams`
-    field order and ``gains`` (..., P) its gain.  For ``bs_to_ris`` returns
-    the (..., n_r, n_s) stack sqrt(n_s*n_r/path_loss) * sum_i gain_i *
-    a_ris(aoa_i) a_bs(aod_i)^H, for ``ris_to_ms`` the (..., n_d, n_r)
-    analogue with the MS array on the left and the RIS array on the right.
-    The default path loss cancels the leading scale.
+    ``angles`` (..., P, 4) holds each path's (aod_elev, aod_azim, aoa_elev,
+    aoa_azim) in radians and ``gains`` (..., P) its complex gain.  For
+    ``bs_to_ris`` returns the (..., n_r, n_s) stack sqrt(n_s*n_r/path_loss)
+    * sum_i gain_i * a_ris(aoa_i) a_bs(aod_i)^H, for ``ris_to_ms`` the
+    (..., n_d, n_r) analogue with the MS array on the left and the RIS array
+    on the right.  The default path loss, None, cancels the leading scale.
     """
     g, s = geometry, geometry.spacing_ratio
     aod_elev, aod_azim, aoa_elev, aoa_azim = np.moveaxis(angles, -1, 0)
@@ -173,17 +136,6 @@ def hop_matrix(geometry, side, angles, gains, path_loss=None):
         # path by path, each term the products np.outer forms
         out += gains[..., i, None, None] * (left[..., i, :, None] * right[..., i, None, :].conj())
     return scale * out
-
-
-def _path_arrays(hop):
-    """``(angles, gains, path_loss)`` of a :class:`HopModel`, as :func:`hop_matrix` takes them."""
-    angles = np.array([(p.aod_elev, p.aod_azim, p.aoa_elev, p.aoa_azim) for p in hop.paths])
-    return angles, np.array([p.gain for p in hop.paths], dtype=np.complex128), hop.path_loss
-
-
-def build_hop(geometry, hop, side):
-    """Sum-of-paths hop matrix of a :class:`HopModel`; see :func:`hop_matrix`."""
-    return hop_matrix(geometry, side, *_path_arrays(hop))
 
 
 def compose_cascade(g_bs_ris, ris_phases, g_ris_ms):
@@ -241,11 +193,6 @@ def dominant_bin(u, n):
     return np.argmin(dist, axis=-1)
 
 
-def grid_parameter(bin_index, n):
-    """Directional parameter of grid point ``bin_index``, wrapped to (-pi, pi]."""
-    return float(np.angle(np.exp(2j * np.pi * bin_index / n)))
-
-
 def snap_angles(bin_index, n, spacing_ratio=0.5):
     """Elevation/azimuth pair whose directional parameter hits grid point ``bin_index``.
 
@@ -253,7 +200,7 @@ def snap_angles(bin_index, n, spacing_ratio=0.5):
     negative ones (cos(azim) = +-1), then elevation = arcsin(|u|/(2 pi d/lambda)).
     Requires spacing_ratio >= 1/2 so the whole grid is reachable.
     """
-    u = grid_parameter(bin_index, n)
+    u = float(np.angle(np.exp(2j * np.pi * bin_index / n)))  # wrapped to (-pi, pi]
     amp = 2.0 * np.pi * spacing_ratio
     x = abs(u) / amp
     if x > 1.0:
@@ -335,7 +282,7 @@ def hop_paths(geometry, side, bins, draws, on_grid):
     """Path angles and gains of a stack of hops from their :func:`draw_paths` draws.
 
     ``bins`` and ``draws`` carry the same leading axes.  Returns ``angles``
-    (..., P, 4) in :class:`PathParams` field order and ``gains`` (..., P).
+    (..., P, 4) in :func:`hop_matrix` order and ``gains`` (..., P).
     On-grid endpoint angles are snapped to the drawn DFT bins; the RIS-side
     angles are always unconstrained since they never affect angular-domain
     sparsity.  Gains have unit magnitude and uniform phase.
@@ -352,16 +299,15 @@ def hop_paths(geometry, side, bins, draws, on_grid):
     return np.concatenate(pairs, axis=-1), np.exp(2j * np.pi * draws[..., -1])
 
 
-def draw_hop(geometry, n_paths, side, rng, on_grid, path_loss=None):
+def draw_hop(geometry, n_paths, side, rng, on_grid):
     """Random hop with the endpoint-side departure/arrival angles drawn per mode.
 
-    The one-hop case of :func:`draw_paths` and :func:`hop_paths`.  Default
-    path loss cancels the sqrt(N*N/loss) leading scale.
+    The one-hop case of :func:`draw_paths` and :func:`hop_paths`.  Returns
+    ``(angles, gains, None)`` as :func:`hop_matrix` takes them; the None path
+    loss is the default one, which cancels the sqrt(N*N/loss) leading scale.
     """
     bins, draws = draw_paths(geometry, n_paths, side, rng, on_grid)
-    angles, gains = hop_paths(geometry, side, bins, draws, on_grid)
-    path_loss = _default_loss(geometry, side) if path_loss is None else path_loss
-    return HopModel(tuple(map(PathParams, *angles.T.tolist(), gains)), path_loss)
+    return hop_paths(geometry, side, bins, draws, on_grid) + (None,)
 
 
 def draw_phases(geometry, rng):
@@ -404,7 +350,6 @@ def realize_stack(geometry, paths_bs_ris, paths_ris_ms, ris_phases, on_grid):
     else:
         support = predicted
     return ChannelRealization(
-        mode="physical_on_grid" if on_grid else "physical_off_grid",
         cascade=h,
         angular=h_tilde_herm.conj().swapaxes(-1, -2),
         sparse_vec=upsilon,
@@ -416,16 +361,14 @@ def realize_stack(geometry, paths_bs_ris, paths_ris_ms, ris_phases, on_grid):
     )
 
 
-def realize_physical(geometry, hop_bs_ris, hop_ris_ms, rng, ris_phases=None, on_grid=True):
+def realize_physical(geometry, hop_bs_ris, hop_ris_ms, rng, on_grid=True):
     """Draw RIS phases, compose the cascade, and transform to the angular domain.
 
-    The one-realization case of :func:`realize_stack`.
+    The one-realization case of :func:`realize_stack`, with the hops as
+    :func:`draw_hop` returns them.
     """
-    if ris_phases is None:
-        ris_phases = draw_phases(geometry, rng)
-    return realize_stack(
-        geometry, _path_arrays(hop_bs_ris), _path_arrays(hop_ris_ms), ris_phases, on_grid
-    )
+    phases = draw_phases(geometry, rng)
+    return realize_stack(geometry, hop_bs_ris, hop_ris_ms, phases, on_grid)
 
 
 def realize_synthetic(geometry, sparsity, rng, magnitude=1.0):
@@ -434,7 +377,6 @@ def realize_synthetic(geometry, sparsity, rng, magnitude=1.0):
     upsilon, support = synth_sparse_signal(dim, sparsity, rng, magnitude)
     h_tilde_herm = unvec(upsilon, geometry.n_s, geometry.n_d)
     return ChannelRealization(
-        mode="synthetic",
         cascade=inverse_angular_transform(upsilon, geometry),
         angular=h_tilde_herm.conj().T,
         sparse_vec=upsilon,

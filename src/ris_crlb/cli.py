@@ -102,9 +102,7 @@ def _cmd_crlb(args):
     energy = l * cfg.magnitude**2
     lines = ["k,snr_db,noise_var,delta,crlb,missed_term,wrong_support_term,upper_bound"]
     for k in cfg.k_values:
-        pilots = sn.gen_pilots(
-            sn.PilotConfig(cfg.geometry.n_d, k, hn.trial_seed(cfg.master_seed, k, 0.0, 0))
-        )
+        pilots = sn.gen_pilots(cfg.geometry.n_d, k, hn.trial_seed(cfg.master_seed, k, 0.0, 0))
         mat = sn.measurement_matrix(pilots, cfg.geometry.n_s)
         for snr_db in cfg.snr_db_values:
             noise_var, delta, missed, wrong = hn.bound_terms(cfg, k, snr_db, energy, l)
@@ -149,7 +147,7 @@ def _selftest_checks():
         )
 
     def measurement_rank():
-        pilots = sn.gen_pilots(sn.PilotConfig(5, 20, 11))
+        pilots = sn.gen_pilots(5, 20, 11)
         return nm.numeric_rank(sn.measurement_matrix(pilots, 5)) == 25
 
     def cascade_energy():
@@ -162,18 +160,18 @@ def _selftest_checks():
 
     def noiseless_recovery():
         real = ch.realize_synthetic(geom, 1, np.random.default_rng(3))
-        pilots = sn.gen_pilots(sn.PilotConfig(5, 20, 5))
+        pilots = sn.gen_pilots(5, 20, 5)
         model = sn.measurement_model(pilots, 5, noise_var=0.0)
-        obs = sn.observe(model, real.sparse_vec, np.random.default_rng(4), real.support)
+        y = sn.observe(model, real.sparse_vec, np.random.default_rng(4))
         cfg = est.TypicalityConfig(delta=1e-9, sparsity=1)
-        res = est.jt_estimate(obs.y, model.upsilon_mat, cfg, 0.0)
+        res = est.jt_estimate(y, model.upsilon_mat, cfg, 0.0)
         return res.support == real.support and est.squared_error(
             res.upsilon_hat, real.sparse_vec
         ) < 1e-18
 
     def genie_matches_crlb():
         real = ch.realize_synthetic(geom, 1, np.random.default_rng(9))
-        pilots = sn.gen_pilots(sn.PilotConfig(5, 20, 13))
+        pilots = sn.gen_pilots(5, 20, 13)
         model = sn.measurement_model(pilots, 5)
         energy = float(np.sum(np.abs(real.sparse_vec) ** 2))
         model.noise_var = sn.snr_to_noise_var(20.0, energy, model.n_s)
@@ -181,9 +179,9 @@ def _selftest_checks():
         draws = 2000
         errs = 0.0
         for i in range(draws):
-            obs = sn.observe(model, real.sparse_vec, np.random.default_rng(100 + i), real.support)
+            y = sn.observe(model, real.sparse_vec, np.random.default_rng(100 + i))
             errs += est.squared_error(
-                est.genie_ls(obs.y, model.upsilon_mat, real.support), real.sparse_vec
+                est.genie_ls(y, model.upsilon_mat, real.support), real.sparse_vec
             )
         return abs(errs / draws / bound - 1.0) < 0.1
 

@@ -364,7 +364,7 @@ def missed_detection_term(truth_energy, noise_var, delta, kns, l):
     return 2.0 * truth_energy * math.exp(exponent)
 
 
-def wrong_support_term(truth, support, noise_var, delta, kns, l, max_terms=None):
+def wrong_support_term(truth, support, noise_var, delta, kns, l):
     """Penalty for some wrong support passing the typicality test.
 
     (L sigma^2 + ||upsilon||^2) * sum over all L-subsets J != I of
@@ -380,9 +380,8 @@ def wrong_support_term(truth, support, noise_var, delta, kns, l, max_terms=None)
     if kns <= l:
         raise ValueError("kns must exceed l")
     n = truth.shape[0]
-    cap = max_terms if max_terms is not None else _DEFAULT_ENUM_CAP
-    if 2**l > cap:
-        raise SearchBudgetExceededError(f"2^{l} overlap groups exceed cap {cap}")
+    if 2**l > _DEFAULT_ENUM_CAP:
+        raise SearchBudgetExceededError(f"2^{l} overlap groups exceed cap {_DEFAULT_ENUM_CAP}")
 
     delta_p = delta * kns / (kns - l)
     energies = np.abs(truth[list(idx)]) ** 2

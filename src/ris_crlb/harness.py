@@ -549,13 +549,34 @@ def write_sweep_json(result, cfg, path):
 
 # --- flat key=value config files -------------------------------------------
 
-_CONFIG_KEYS = (
-    "n_s", "n_d", "n_r_h", "n_r_w", "spacing_ratio",
-    "paths_bs_ris", "paths_ris_ms", "path_loss_bs_ris", "path_loss_ris_ms",
-    "mode", "k_values", "snr_db_values", "trials", "master_seed",
-    "estimator", "sparsity", "delta", "search_order", "max_subsets",
-    "magnitude",
-)
+def _list_of(cast):
+    return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
+
+
+# key -> (ExperimentConfig field, field of that member or None, parser); a key
+# left out keeps its value in default_config
+_CONFIG_KEYS = {
+    "n_s": ("geometry", "n_s", int),
+    "n_d": ("geometry", "n_d", int),
+    "n_r_h": ("geometry", "n_r_h", int),
+    "n_r_w": ("geometry", "n_r_w", int),
+    "spacing_ratio": ("geometry", "spacing_ratio", float),
+    "paths_bs_ris": ("hop_bs_ris", "n_paths", int),
+    "paths_ris_ms": ("hop_ris_ms", "n_paths", int),
+    "path_loss_bs_ris": ("hop_bs_ris", "path_loss", float),
+    "path_loss_ris_ms": ("hop_ris_ms", "path_loss", float),
+    "mode": ("mode", None, str),
+    "k_values": ("k_values", None, _list_of(int)),
+    "snr_db_values": ("snr_db_values", None, _list_of(float)),
+    "trials": ("trials", None, int),
+    "master_seed": ("master_seed", None, int),
+    "estimator": ("estimator", None, str),
+    "sparsity": ("typicality", "sparsity", int),
+    "delta": ("typicality", "delta", float),
+    "search_order": ("typicality", "search_order", str),
+    "max_subsets": ("typicality", "max_subsets", int),
+    "magnitude": ("magnitude", None, float),
+}
 
 
 def parse_config_text(text):
@@ -577,59 +598,22 @@ def parse_config_text(text):
             )
         values[key], first_line[key] = val.strip(), lineno
 
-    def get_int(key, default):
+    fields, members = {}, {}
+    for key, val in values.items():
+        name, member, parse = _CONFIG_KEYS[key]
         try:
-            return int(values[key]) if key in values else default
+            value = parse(val)
         except ValueError as exc:
-            raise ConfigError(f"field {key!r}: not an integer: {values[key]!r}") from exc
-
-    def get_float(key, default):
-        try:
-            return float(values[key]) if key in values else default
-        except ValueError as exc:
-            raise ConfigError(f"field {key!r}: not a number: {values[key]!r}") from exc
-
-    def get_list(key, default, cast):
-        if key not in values:
-            return default
-        try:
-            return tuple(cast(tok) for tok in values[key].replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"field {key!r}: bad list: {values[key]!r}") from exc
-
+            raise ConfigError(f"line {first_line[key]}: field {key!r}: bad value {val!r}") from exc
+        if member is None:
+            fields[name] = value
+        else:
+            members.setdefault(name, {})[member] = value
+    base = default_config()
     try:
-        geometry = ch.Geometry(
-            n_s=get_int("n_s", 5),
-            n_d=get_int("n_d", 5),
-            n_r_h=get_int("n_r_h", 2),
-            n_r_w=get_int("n_r_w", 5),
-            spacing_ratio=get_float("spacing_ratio", 0.5),
-        )
-        typicality = est.TypicalityConfig(
-            delta=get_float("delta", None) if "delta" in values else None,
-            sparsity=get_int("sparsity", 1),
-            search_order=values.get("search_order", est.LEXICOGRAPHIC_FIRST),
-            max_subsets=get_int("max_subsets", None) if "max_subsets" in values else None,
-        )
-        return ExperimentConfig(
-            geometry=geometry,
-            hop_bs_ris=HopSpec(
-                get_int("paths_bs_ris", 1),
-                get_float("path_loss_bs_ris", None) if "path_loss_bs_ris" in values else None,
-            ),
-            hop_ris_ms=HopSpec(
-                get_int("paths_ris_ms", 1),
-                get_float("path_loss_ris_ms", None) if "path_loss_ris_ms" in values else None,
-            ),
-            mode=values.get("mode", "synthetic"),
-            k_values=get_list("k_values", (8, 12, 16, 20, 28, 40, 60, 80), int),
-            snr_db_values=get_list("snr_db_values", (20.0, 30.0, 40.0), float),
-            trials=get_int("trials", 1000),
-            master_seed=get_int("master_seed", 20260801),
-            estimator=values.get("estimator", "jt"),
-            typicality=typicality,
-            magnitude=get_float("magnitude", 1.0),
-        )
+        for name, changes in members.items():
+            fields[name] = replace(getattr(base, name), **changes)
+        return replace(base, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

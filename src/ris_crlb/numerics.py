@@ -80,18 +80,10 @@ def svd_rank(s, shape):
     return int(rank) if s.ndim == 1 else rank
 
 
-def numeric_rank(a, tol=None):
-    """Number of singular values above ``tol``.
-
-    Default tol is the standard SVD-based cutoff of :func:`svd_rank`.
-    """
+def numeric_rank(a):
+    """Number of singular values above the standard SVD-based cutoff of :func:`svd_rank`."""
     a = as_matrix(a)
-    if tol is not None and tol < 0:
-        raise ValueError("tol must be >= 0")
-    s = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        return svd_rank(s, a.shape)
-    return int(np.count_nonzero(s > tol))
+    return svd_rank(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
 def least_squares(a, y):

@@ -10,42 +10,12 @@ so the measurement matrix is (K*n_s) x (n_d*n_s) and column j*n_s + i pairs
 pilot row j with identity position i (exactly K nonzeros per column).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .numerics import as_vector, kron
-
-
-@dataclass(frozen=True)
-class PilotConfig:
-    """Pilot block shape and seed.
-
-    The full-rank guarantee for the measurement matrix needs k > n_d; below
-    that the config is usable but warns.  ``p_ms`` is the per-slot transmit
-    power implied by unit-variance entries, kept only as a derived quantity.
-    """
-
-    n_d: int
-    k: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_d < 1:
-            raise ValueError("n_d must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.k <= self.n_d:
-            warnings.warn(
-                f"k={self.k} <= n_d={self.n_d}: measurement matrix cannot be full rank",
-                stacklevel=2,
-            )
-
-    @property
-    def p_ms(self):
-        return float(self.n_d)
 
 
 @dataclass
@@ -74,22 +44,8 @@ class MeasurementModel:
         return self.upsilon_mat.shape[0] // self.k
 
 
-@dataclass
-class Observation:
-    """Received vector together with the ground truth that generated it."""
-
-    y: np.ndarray
-    truth: np.ndarray
-    support: tuple
-    noise_var: float
-
-
-def gen_pilots(cfg):
+def gen_pilots(n_d, k, seed):
     """i.i.d. CN(0, 1) pilot block of shape (n_d, k), deterministic in the seed."""
-    return _draw_pilots(cfg.n_d, cfg.k, cfg.seed)
-
-
-def _draw_pilots(n_d, k, seed):
     rng = np.random.default_rng(seed)
     shape = (n_d, k)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -144,8 +100,8 @@ def kron_normal(pilots, n_s, y):
 def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
     """Pilots and received vectors of a stack of independent trials.
 
-    Trial t draws its (n_d, k) pilot block from ``pilot_seeds[t]`` as
-    :func:`gen_pilots` does and its noise from ``noise_rngs[t]`` as
+    Trial t draws its (n_d, k) pilot block from ``pilot_seeds[t]`` with
+    :func:`gen_pilots` and its noise from ``noise_rngs[t]`` as
     :func:`observe` does, and receives Upsilon_t truths[t] + n_t with one
     matrix-vector product.  Returns the (T, n_d, k) pilot stack and the
     (T, k*n_s) observation stack.
@@ -167,7 +123,7 @@ def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
         mat, (k, n_d, n_s), (n_s * row, n_s * item, row + item)
     )
     for t, seed in enumerate(pilot_seeds):
-        pilots[t] = _draw_pilots(n_d, k, seed)
+        pilots[t] = gen_pilots(n_d, k, seed)
         diagonals[...] = pilots[t].T[:, :, None]
         y[t] = _received(mat, truths[t], noise_var[t], noise_rngs[t])
     return pilots, y
@@ -182,8 +138,8 @@ def measurement_model(pilots, n_s, noise_var=None):
     )
 
 
-def observe(model, truth, rng, support=()):
-    """Simulate y = Upsilon truth + n with per-entry complex noise variance sigma^2."""
+def observe(model, truth, rng):
+    """Received y = Upsilon truth + n with per-entry complex noise variance sigma^2."""
     truth = as_vector(truth, "truth")
     mat = model.upsilon_mat
     if truth.shape[0] != mat.shape[1]:
@@ -192,12 +148,7 @@ def observe(model, truth, rng, support=()):
         )
     if model.noise_var is None or model.noise_var < 0:
         raise ValueError("model.noise_var must be set and >= 0 before observing")
-    return Observation(
-        y=_received(mat, truth, model.noise_var, rng),
-        truth=truth,
-        support=tuple(support),
-        noise_var=model.noise_var,
-    )
+    return _received(mat, truth, model.noise_var, rng)
 
 
 def _received(mat, truth, noise_var, rng):

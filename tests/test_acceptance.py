@@ -63,7 +63,7 @@ def test_criterion_02_measurement_full_rank():
     rng = np.random.default_rng(202)
     draws = 1000
     for draw in range(draws):
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=50_000 + draw))
+        pilots = sn.gen_pilots(n_d=5, k=20, seed=50_000 + draw)
         mat = sn.measurement_matrix(pilots, 5)
         assert numeric_rank(mat) == 25
         for _ in range(100):
@@ -80,7 +80,7 @@ def test_criterion_03_crlb_inverse_moment_oracle():
     draws = 10_000
     total = 0.0
     for draw in range(draws):
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=k, seed=90_000 + draw))
+        pilots = sn.gen_pilots(n_d=5, k=k, seed=90_000 + draw)
         mat = sn.measurement_matrix(pilots, 5)
         total += est.crlb(mat, (0,), 1.0)
     mean = total / draws
@@ -93,7 +93,7 @@ def test_criterion_04_genie_efficiency():
     rng = np.random.default_rng(404)
     geom = ch.Geometry(5, 5, 2, 5)
     real = ch.realize_synthetic(geom, 1, rng)
-    pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=4040))
+    pilots = sn.gen_pilots(n_d=5, k=20, seed=4040)
     model = sn.measurement_model(pilots, 5)
     model.noise_var = sn.snr_to_noise_var(
         20.0, float(np.sum(np.abs(real.sparse_vec) ** 2)), model.n_s
@@ -102,8 +102,8 @@ def test_criterion_04_genie_efficiency():
     draws = 10_000
     total = 0.0
     for _ in range(draws):
-        obs = sn.observe(model, real.sparse_vec, rng, real.support)
-        estimate = est.genie_ls(obs.y, model.upsilon_mat, real.support)
+        y = sn.observe(model, real.sparse_vec, rng)
+        estimate = est.genie_ls(y, model.upsilon_mat, real.support)
         total += est.squared_error(estimate, real.sparse_vec)
     ratio = total / draws / bound
     assert abs(ratio - 1.0) < 0.03
@@ -114,7 +114,7 @@ def test_criterion_05_typicality_centering():
     rng = np.random.default_rng(505)
     geom = ch.Geometry(5, 5, 2, 5)
     real = ch.realize_synthetic(geom, 1, rng)
-    pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=5050))
+    pilots = sn.gen_pilots(n_d=5, k=20, seed=5050)
     model = sn.measurement_model(pilots, 5)
     sigma2 = sn.snr_to_noise_var(20.0, float(np.sum(np.abs(real.sparse_vec) ** 2)), model.n_s)
     model.noise_var = sigma2
@@ -123,8 +123,8 @@ def test_criterion_05_typicality_centering():
     draws = 10_000
     total = 0.0
     for _ in range(draws):
-        obs = sn.observe(model, real.sparse_vec, rng, real.support)
-        total += float(np.sum(np.abs(proj @ obs.y) ** 2)) / m
+        y = sn.observe(model, real.sparse_vec, rng)
+        total += float(np.sum(np.abs(proj @ y) ** 2)) / m
     expected = (m - 1) / m * sigma2
     assert abs(total / draws / expected - 1.0) < 0.02
     report(5, "projected residual energy centered on noise level")
@@ -167,7 +167,7 @@ def test_criterion_08_brute_force_equivalence():
         n_d, n_s = shapes[trial % len(shapes)]
         l = 1 + trial % 2
         dim = n_d * n_s
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=n_d, k=8, seed=80_000 + trial))
+        pilots = sn.gen_pilots(n_d=n_d, k=8, seed=80_000 + trial)
         mat = sn.measurement_matrix(pilots, n_s)
         truth = np.zeros(dim, dtype=complex)
         support = tuple(sorted(int(i) for i in rng.choice(dim, size=l, replace=False)))

@@ -23,7 +23,7 @@ def crandn(rng, *shape):
 
 
 def default_scale_model(k=20, seed=0, noise_var=None):
-    pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=k, seed=seed))
+    pilots = sn.gen_pilots(n_d=5, k=k, seed=seed)
     return sn.measurement_model(pilots, 5, noise_var=noise_var)
 
 
@@ -79,8 +79,8 @@ class TestTypicalityStatistic:
         draws = 10_000
         total = 0.0
         for _ in range(draws):
-            obs = sn.observe(model, truth, rng)
-            centered = est.typicality_statistic(obs.y, sub, 0.0, 1)
+            y = sn.observe(model, truth, rng)
+            centered = est.typicality_statistic(y, sub, 0.0, 1)
             total += centered  # with sigma^2 = 0 the statistic is the raw energy
         assert abs(total / draws / ((m - 1) / m * sigma2) - 1.0) < 0.02
 
@@ -116,9 +116,9 @@ class TestJtEstimate:
         model = default_scale_model(seed=6, noise_var=0.1)
         truth = np.zeros(25, dtype=complex)
         truth[0] = 1.0
-        obs = sn.observe(model, truth, rng)
+        y = sn.observe(model, truth, rng)
         cfg = est.TypicalityConfig(delta=1e-15, sparsity=1)
-        res = est.jt_estimate(obs.y, model.upsilon_mat, cfg, 0.1)
+        res = est.jt_estimate(y, model.upsilon_mat, cfg, 0.1)
         assert res.failed
         assert res.support == ()
         assert np.all(res.upsilon_hat == 0)
@@ -128,9 +128,9 @@ class TestJtEstimate:
         model = default_scale_model(seed=7, noise_var=0.1)
         truth = np.zeros(25, dtype=complex)
         truth[2] = 1.0
-        obs = sn.observe(model, truth, np.random.default_rng(8))
+        y = sn.observe(model, truth, np.random.default_rng(8))
         cfg = est.TypicalityConfig(delta=None, sparsity=1)
-        res = est.jt_estimate(obs.y, model.upsilon_mat, cfg, 0.1)
+        res = est.jt_estimate(y, model.upsilon_mat, cfg, 0.1)
         assert res.subsets_examined <= 25
 
     def test_budget_cap_raises(self):
@@ -147,7 +147,7 @@ class TestJtEstimate:
             n_d, n_s = (3, 4) if trial % 2 == 0 else (2, 5)
             l = 1 + trial % 2
             k = 8
-            pilots = sn.gen_pilots(sn.PilotConfig(n_d=n_d, k=k, seed=100 + trial))
+            pilots = sn.gen_pilots(n_d=n_d, k=k, seed=100 + trial)
             mat = sn.measurement_matrix(pilots, n_s)
             dim = n_d * n_s
             truth = np.zeros(dim, dtype=complex)
@@ -191,7 +191,7 @@ class TestSearchEquivalence:
         shapes = [(3, 4), (2, 5), (3, 3), (5, 2)]
         for trial in range(40):
             n_d, n_s = shapes[trial % len(shapes)]
-            pilots = sn.gen_pilots(sn.PilotConfig(n_d=n_d, k=8, seed=90_000 + trial))
+            pilots = sn.gen_pilots(n_d=n_d, k=8, seed=90_000 + trial)
             mat = sn.measurement_matrix(pilots, n_s)
             dim = mat.shape[1]
             support = [int(i) for i in rng.choice(dim, size=l, replace=False)]
@@ -237,7 +237,7 @@ class TestSearchEquivalence:
     def test_winner_beyond_first_block(self, order):
         # 40 columns, L = 3: 9,880 subsets, so several blocks; every subset
         # led by column 10 lies past position 5,820
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=8, k=10, seed=77))
+        pilots = sn.gen_pilots(n_d=8, k=10, seed=77)
         mat = sn.measurement_matrix(pilots, 5)
         support = (10, 21, 33)
         assert math.comb(mat.shape[1], 3) > 2 * est._SCAN_BLOCK
@@ -263,7 +263,7 @@ class TestJtSearchStack:
         rng = np.random.default_rng(950 + (order == est.BEST_STATISTIC) + 2 * (delta is None))
         n_d, n_s, k, l, t_count = 3, 4, 8, 2, 12
         pilots = np.stack(
-            [sn.gen_pilots(sn.PilotConfig(n_d=n_d, k=k, seed=95_000 + t)) for t in range(t_count)]
+            [sn.gen_pilots(n_d=n_d, k=k, seed=95_000 + t) for t in range(t_count)]
         )
         noise_var = rng.uniform(0.001, 0.1, t_count)
         y = np.empty((t_count, k * n_s), dtype=complex)
@@ -408,9 +408,9 @@ class TestGenieLs:
         draws = 10_000
         total = 0.0
         for _ in range(draws):
-            obs = sn.observe(model, truth, rng)
+            y = sn.observe(model, truth, rng)
             total += est.squared_error(
-                est.genie_ls(obs.y, model.upsilon_mat, support), truth
+                est.genie_ls(y, model.upsilon_mat, support), truth
             )
         assert abs(total / draws / bound - 1.0) < 0.03
 

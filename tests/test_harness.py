@@ -75,23 +75,21 @@ def reference_trial(cfg, k, snr_db, trial_index):
         return hn.TrialRecord(
             squared_error=0.0, crlb_value=math.nan, failed=True, subsets_examined=0, **fields
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # k <= n_d
-        pilots = sn.gen_pilots(sn.PilotConfig(g.n_d, k, hn._mix64(seed ^ 2)))
+    pilots = sn.gen_pilots(g.n_d, k, hn._mix64(seed ^ 2))
     model = sn.measurement_model(pilots, g.n_s)
     model.noise_var = sn.snr_to_noise_var(snr_db, energy, g.n_s)
-    obs = sn.observe(model, truth, np.random.default_rng(hn._mix64(seed ^ 3)), support)
+    y = sn.observe(model, truth, np.random.default_rng(hn._mix64(seed ^ 3)))
     try:
         crlb = est.crlb(model.upsilon_mat, support, model.noise_var)
         if cfg.estimator == "jt":
             tcfg = replace(cfg.typicality, sparsity=len(support))
-            res = est.jt_estimate(obs.y, model.upsilon_mat, tcfg, model.noise_var)
+            res = est.jt_estimate(y, model.upsilon_mat, tcfg, model.noise_var)
             estimate, failed, examined = res.upsilon_hat, res.failed, res.subsets_examined
         elif cfg.estimator == "genie":
-            estimate = est.genie_ls(obs.y, model.upsilon_mat, support)
+            estimate = est.genie_ls(y, model.upsilon_mat, support)
             failed, examined = False, 0
         else:
-            res = est.omp_estimate(obs.y, model.upsilon_mat, len(support))
+            res = est.omp_estimate(y, model.upsilon_mat, len(support))
             estimate, failed, examined = res.upsilon_hat, res.degenerate, res.subsets_examined
         sq_err = est.squared_error(estimate, truth)
     except RisCrlbError:
@@ -495,6 +493,7 @@ class TestConfigParsing:
         n_d = 3
         n_r_h = 2
         n_r_w = 3
+        spacing_ratio = 0.7
         mode = physical_on_grid
         k_values = 6, 10
         snr_db_values = 15 25
@@ -507,10 +506,12 @@ class TestConfigParsing:
         max_subsets = 500
         magnitude = 2.0
         paths_bs_ris = 2
-        paths_ris_ms = 1
+        paths_ris_ms = 2
+        path_loss_bs_ris = 7.5
+        path_loss_ris_ms = 3.0
         """
         cfg = hn.parse_config_text(text)
-        assert cfg.geometry == ch.Geometry(4, 3, 2, 3)
+        assert cfg.geometry == ch.Geometry(4, 3, 2, 3, spacing_ratio=0.7)
         assert cfg.mode == "physical_on_grid"
         assert cfg.k_values == (6, 10)
         assert cfg.snr_db_values == (15.0, 25.0)
@@ -521,7 +522,8 @@ class TestConfigParsing:
             delta=0.125, sparsity=2, search_order="best_statistic", max_subsets=500
         )
         assert cfg.magnitude == 2.0
-        assert cfg.hop_bs_ris.n_paths == 2
+        assert cfg.hop_bs_ris == hn.HopSpec(2, 7.5)
+        assert cfg.hop_ris_ms == hn.HopSpec(2, 3.0)
 
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="bogus_field"):

@@ -1,7 +1,5 @@
 """Pilot generation, measurement matrix structure, and noise calibration."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -16,25 +14,16 @@ def crandn(rng, *shape):
 
 class TestGenPilots:
     def test_deterministic_given_seed(self):
-        cfg = sn.PilotConfig(n_d=5, k=20, seed=123)
-        np.testing.assert_array_equal(sn.gen_pilots(cfg), sn.gen_pilots(cfg))
+        np.testing.assert_array_equal(sn.gen_pilots(5, 20, 123), sn.gen_pilots(5, 20, 123))
 
     def test_mean_entry_power(self):
-        x = sn.gen_pilots(sn.PilotConfig(n_d=100, k=1000, seed=1))
+        x = sn.gen_pilots(n_d=100, k=1000, seed=1)
         assert abs(np.mean(np.abs(x) ** 2) - 1.0) < 0.02
 
     def test_long_columns_nearly_orthogonal(self):
         # law-of-large-numbers decay of cross-correlation between pilot rows
-        x = sn.gen_pilots(sn.PilotConfig(n_d=2, k=10_000, seed=2))
+        x = sn.gen_pilots(n_d=2, k=10_000, seed=2)
         assert abs(np.vdot(x[0], x[1])) / x.shape[1] < 0.05
-
-    def test_warns_when_k_too_small(self):
-        with pytest.warns(UserWarning):
-            sn.PilotConfig(n_d=5, k=5, seed=0)
-
-    def test_p_ms(self):
-        cfg = sn.PilotConfig(n_d=5, k=20, seed=0)
-        assert cfg.p_ms == 5.0
 
 
 class TestMeasurementMatrix:
@@ -49,13 +38,13 @@ class TestMeasurementMatrix:
         np.testing.assert_allclose(sn.measurement_matrix(x, 1), x.T)
 
     def test_default_scale_full_rank(self):
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=4))
+        pilots = sn.gen_pilots(n_d=5, k=20, seed=4)
         mat = sn.measurement_matrix(pilots, 5)
         assert mat.shape == (100, 25)
         assert numeric_rank(mat) == 25
 
     def test_column_structure(self):
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=3, k=7, seed=5))
+        pilots = sn.gen_pilots(n_d=3, k=7, seed=5)
         n_s = 4
         mat = sn.measurement_matrix(pilots, n_s)
         # column j*n_s + i is pilot row j placed at identity position i
@@ -66,7 +55,7 @@ class TestMeasurementMatrix:
                 np.testing.assert_allclose(col[i::n_s], pilots[j])
 
     def test_same_pilot_row_columns_orthogonal(self):
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=3, k=7, seed=6))
+        pilots = sn.gen_pilots(n_d=3, k=7, seed=6)
         mat = sn.measurement_matrix(pilots, 4)
         # disjoint supports for equal pilot row, distinct identity index
         assert np.vdot(mat[:, 0], mat[:, 1]) == 0
@@ -76,7 +65,7 @@ class TestMeasurementMatrix:
         # reduced-size version of the full-rank sweep in the acceptance suite
         rng = np.random.default_rng(7)
         for draw in range(100):
-            pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=1000 + draw))
+            pilots = sn.gen_pilots(n_d=5, k=20, seed=1000 + draw)
             mat = sn.measurement_matrix(pilots, 5)
             assert numeric_rank(mat) == 25
             for _ in range(10):
@@ -129,11 +118,11 @@ class TestObserveBlock:
             seeds, k, n_s, truths, noise_var, [np.random.default_rng(s) for s in noise_seeds]
         )
         for t in range(4):
-            x = sn.gen_pilots(sn.PilotConfig(n_d, k, seeds[t]))
+            x = sn.gen_pilots(n_d, k, seeds[t])
             assert pilots[t].tobytes() == x.tobytes()
             model = sn.measurement_model(x, n_s, noise_var=noise_var[t])
-            obs = sn.observe(model, truths[t], np.random.default_rng(noise_seeds[t]))
-            assert y[t].tobytes() == obs.y.tobytes()
+            received = sn.observe(model, truths[t], np.random.default_rng(noise_seeds[t]))
+            assert y[t].tobytes() == received.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8, 80])
     @pytest.mark.parametrize("n_d, n_s", [(5, 5), (3, 4), (6, 2)])
@@ -153,32 +142,30 @@ class TestObserveBlock:
             seeds, k, n_s, truths, noise_var, [np.random.default_rng(s) for s in noise_seeds]
         )
         for t in range(len(seeds)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # k <= n_d
-                x = sn.gen_pilots(sn.PilotConfig(n_d, k, seeds[t]))
+            x = sn.gen_pilots(n_d, k, seeds[t])
             assert pilots[t].tobytes() == x.tobytes()
             model = sn.measurement_model(x, n_s, noise_var=noise_var[t])
-            obs = sn.observe(model, truths[t], np.random.default_rng(noise_seeds[t]))
-            assert y[t].tobytes() == obs.y.tobytes(), t
+            received = sn.observe(model, truths[t], np.random.default_rng(noise_seeds[t]))
+            assert y[t].tobytes() == received.tobytes(), t
 
 
 class TestObserve:
     def _model(self, noise_var, seed=8):
-        pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=12, seed=seed))
+        pilots = sn.gen_pilots(n_d=5, k=12, seed=seed)
         return sn.measurement_model(pilots, 5, noise_var=noise_var)
 
     def test_noiseless_limit(self):
         model = self._model(0.0)
         truth = np.zeros(25, dtype=complex)
         truth[3] = 1.0 + 2.0j
-        obs = sn.observe(model, truth, np.random.default_rng(9))
-        np.testing.assert_allclose(obs.y, model.upsilon_mat @ truth)
+        y = sn.observe(model, truth, np.random.default_rng(9))
+        np.testing.assert_allclose(y, model.upsilon_mat @ truth)
 
     def test_deterministic_given_seed(self):
         model = self._model(0.5)
         truth = np.ones(25, dtype=complex)
-        y1 = sn.observe(model, truth, np.random.default_rng(10)).y
-        y2 = sn.observe(model, truth, np.random.default_rng(10)).y
+        y1 = sn.observe(model, truth, np.random.default_rng(10))
+        y2 = sn.observe(model, truth, np.random.default_rng(10))
         np.testing.assert_array_equal(y1, y2)
 
     def test_noise_only_energy(self):
@@ -189,7 +176,7 @@ class TestObserve:
         draws = 10_000
         total = 0.0
         for _ in range(draws):
-            total += float(np.sum(np.abs(sn.observe(model, truth, rng).y) ** 2))
+            total += float(np.sum(np.abs(sn.observe(model, truth, rng)) ** 2))
         expected = model.k * model.n_s * sigma2
         assert abs(total / draws / expected - 1.0) < 0.02
 
@@ -200,8 +187,8 @@ class TestObserve:
         truth = (rng.standard_normal(25) + 1j * rng.standard_normal(25)) / 4
         samples = []
         for _ in range(200):
-            obs = sn.observe(model, truth, rng)
-            samples.append(obs.y - model.upsilon_mat @ truth)
+            y = sn.observe(model, truth, rng)
+            samples.append(y - model.upsilon_mat @ truth)
         per_entry = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert abs(per_entry / sigma2 - 1.0) < 0.02
 
@@ -214,7 +201,7 @@ class TestObserve:
 class TestSnrToNoiseVar:
     def test_unit_ratio(self):
         model = sn.measurement_model(
-            sn.gen_pilots(sn.PilotConfig(n_d=5, k=12, seed=13)), 5
+            sn.gen_pilots(n_d=5, k=12, seed=13), 5
         )
         truth = np.zeros(25, dtype=complex)
         truth[:5] = 1.0  # ||truth||^2 = n_s
@@ -223,7 +210,7 @@ class TestSnrToNoiseVar:
 
     def test_db_scaling(self):
         model = sn.measurement_model(
-            sn.gen_pilots(sn.PilotConfig(n_d=5, k=12, seed=14)), 5
+            sn.gen_pilots(n_d=5, k=12, seed=14), 5
         )
         truth = np.ones(25, dtype=complex)
         v0 = sn.snr_to_noise_var(0.0, float(np.sum(np.abs(truth) ** 2)), model.n_s)
@@ -232,7 +219,7 @@ class TestSnrToNoiseVar:
 
     def test_rejects_zero_truth(self):
         model = sn.measurement_model(
-            sn.gen_pilots(sn.PilotConfig(n_d=5, k=12, seed=15)), 5
+            sn.gen_pilots(n_d=5, k=12, seed=15), 5
         )
         with pytest.raises(ValueError):
             sn.snr_to_noise_var(10.0, 0.0, model.n_s)
@@ -244,7 +231,7 @@ class TestSnrToNoiseVar:
         snr_db = 13.0
         ratios = []
         for draw in range(1000):
-            pilots = sn.gen_pilots(sn.PilotConfig(n_d=5, k=20, seed=5000 + draw))
+            pilots = sn.gen_pilots(n_d=5, k=20, seed=5000 + draw)
             model = sn.measurement_model(pilots, 5)
             sigma2 = sn.snr_to_noise_var(snr_db, float(np.sum(np.abs(truth) ** 2)), model.n_s)
             signal = float(np.sum(np.abs(model.upsilon_mat @ truth) ** 2))
