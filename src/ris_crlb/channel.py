@@ -218,14 +218,22 @@ def synth_sparse_signal(dim, sparsity, rng, magnitude=1.0):
     phase; everything off the support is exactly zero.  Returns the vector
     and the sorted support tuple.
     """
+    vectors, supports = synth_sparse_stack(dim, sparsity, [rng], magnitude)
+    return vectors[0], supports[0]
+
+
+def synth_sparse_stack(dim, sparsity, rngs, magnitude=1.0):
+    """(T, dim) stack and support list of one :func:`synth_sparse_signal` per generator."""
     if not 1 <= sparsity <= dim:
         raise ValueError(f"sparsity must be in [1, {dim}], got {sparsity}")
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
-    idx = rng.choice(dim, size=sparsity, replace=False)
-    v = np.zeros(dim, dtype=np.complex128)
-    v[idx] = magnitude * np.exp(2j * np.pi * rng.random(sparsity))
-    return v, tuple(sorted(int(i) for i in idx))
+    # each generator draws its support, then its phases
+    idx = np.array([rng.choice(dim, size=sparsity, replace=False) for rng in rngs])
+    phases = np.array([rng.random(sparsity) for rng in rngs])
+    v = np.zeros((len(rngs), dim), dtype=np.complex128)
+    np.put_along_axis(v, idx, magnitude * np.exp(2j * np.pi * phases), axis=1)
+    return v, [tuple(s) for s in np.sort(idx, axis=1).tolist()]
 
 
 def _grid_size(geometry, side, n_paths=1):

@@ -7,6 +7,7 @@ Trials therefore never share generator state and a sweep gives byte-identical
 results whatever the worker count.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from . import channel as ch
 from . import estimator as est
 from . import sensing as sn
 from .errors import ConfigError, RisCrlbError
-from .numerics import least_squares
+from .numerics import least_squares_stack
 
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
@@ -86,6 +87,15 @@ class ExperimentConfig:
         if not (math.isfinite(self.magnitude) and self.magnitude > 0):
             raise ConfigError(f"magnitude must be positive and finite, got {self.magnitude!r}")
         l, n_s = self.typicality.sparsity, self.geometry.n_s
+        # a physical truth's energy is drawn, so there only the SNR factor is checked
+        energy = l * self.magnitude * self.magnitude if self.mode == "synthetic" else n_s
+        if not 0 < energy < math.inf:
+            raise ConfigError(f"sparsity * magnitude**2 = {energy!r} must be positive and finite")
+        for snr in self.snr_db_values:
+            with contextlib.suppress(OverflowError):
+                if math.isfinite(sn.snr_to_noise_var(snr, energy, n_s)):
+                    continue
+            raise ConfigError(f"snr_db = {snr!r}: the noise variance overflows")
         if self.mode == "synthetic" and l > self.geometry.n_d * n_s:
             raise ConfigError(
                 f"sparsity = {l} exceeds the n_d * n_s = {self.geometry.n_d * n_s} "
@@ -182,7 +192,7 @@ _MASK = (1 << 64) - 1
 
 
 def _mix64(z):
-    """SplitMix64 finalizer; the documented integer hash behind seed splitting."""
+    """SplitMix64 finalizer of an int, or of each word of a uint64 array (mod 2^64)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -190,20 +200,24 @@ def _mix64(z):
 
 
 def trial_seed(master_seed, k, snr_db, trial_index):
-    """64-bit trial seed mixed from the master seed and the trial coordinates.
+    """64-bit seed of one trial: the first of :func:`trial_seeds`."""
+    return trial_seeds(master_seed, k, snr_db, [trial_index])[0][0]
 
-    snr_db enters through its IEEE-754 bit pattern so any float value maps
-    to a stable word.
+
+def trial_seeds(master_seed, k, snr_db, indices):
+    """64-bit seeds of the trials ``indices`` of a grid cell and of their substreams.
+
+    The master seed, k, the IEEE-754 bit pattern of snr_db (so any float maps
+    to a stable word) and the trial index are mixed in turn, the indices in
+    one uint64 pass.  Returns four lists of ints: the trial seeds and their
+    substream seeds ``_mix64(seed ^ i)``, i = 1 (truth), 2 (pilots), 3 (noise).
     """
     (snr_bits,) = struct.unpack("<Q", struct.pack("<d", float(snr_db)))
     s = _mix64(master_seed & _MASK)
-    for word in (int(k), snr_bits, int(trial_index)):
+    for word in (int(k), snr_bits):
         s = _mix64(s ^ (word & _MASK))
-    return s
-
-
-def _substream(seed, index):
-    return np.random.default_rng(_mix64(seed ^ index))
+    seeds = _mix64(np.asarray(indices, dtype=np.uint64) ^ s)
+    return [seeds.tolist()] + [_mix64(seeds ^ i).tolist() for i in (1, 2, 3)]
 
 
 def draw_physical(cfg, rngs):
@@ -230,16 +244,12 @@ def draw_physical(cfg, rngs):
 
 
 def _draw_truth(cfg, seeds):
-    """Angular-domain truths (T, n_d*n_s) and supports of the trials ``seeds``, per mode."""
-    rngs = [_substream(seed, 1) for seed in seeds]
+    """Angular-domain truths (T, n_d*n_s) and supports drawn from the truth ``seeds``, per mode."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if cfg.mode == "synthetic":
         # the draws of ch.realize_synthetic, without the cascade it derives
         g = cfg.geometry
-        draws = [
-            ch.synth_sparse_signal(g.n_d * g.n_s, cfg.typicality.sparsity, rng, cfg.magnitude)
-            for rng in rngs
-        ]
-        return np.array([truth for truth, _support in draws]), [s for _truth, s in draws]
+        return ch.synth_sparse_stack(g.n_d * g.n_s, cfg.typicality.sparsity, rngs, cfg.magnitude)
     real = draw_physical(cfg, rngs)
     return real.sparse_vec, real.support
 
@@ -258,24 +268,26 @@ def run_trial(cfg, k, snr_db, trial_index):
 def _run_block(cfg, k, snr_db, indices):
     """Records of trials ``indices`` of the grid cell (k, snr_db), as stacks.
 
-    Each trial keeps its own seed, truth, pilot and noise draws, its own
-    y = Upsilon upsilon + n on its own matrix, its own least-squares fit and
-    (OMP) its own greedy search.  The CRLB, the subset search and the
-    squared errors run on the block's stacks, whose per-matrix LAPACK and
-    BLAS calls are those of a single trial, so a record does not depend on
-    the block it was computed in.
+    Each trial keeps its own generators and their draws, its own
+    y = Upsilon upsilon + n on its own matrix and (OMP) its own greedy
+    search.  The seeds, the CRLB, the subset search, the least-squares fits
+    and the squared errors run on the block's stacks, whose per-matrix
+    LAPACK and BLAS calls are those of a single trial, so a record does not
+    depend on the block it was computed in.
     """
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
-    seeds = [trial_seed(cfg.master_seed, k, snr_db, t) for t in indices]
-    truths, supports = _draw_truth(cfg, seeds)
-    energies = [float(e) for e in np.sum(np.abs(truths) ** 2, axis=-1)]
+    seeds, truth_seeds, pilot_seeds, noise_seeds = trial_seeds(
+        cfg.master_seed, k, snr_db, indices
+    )
+    truths, supports = _draw_truth(cfg, truth_seeds)
+    energies = np.sum(np.abs(truths) ** 2, axis=-1)
 
     def record(t, squared_error, crlb_value, failed, examined):
         return TrialRecord(
             k=int(k), snr_db=float(snr_db), trial_index=indices[t], seed=seeds[t],
             squared_error=squared_error, crlb_value=crlb_value, failed=failed,
-            subsets_examined=examined, truth_energy=energies[t],
+            subsets_examined=examined, truth_energy=float(energies[t]),
             sparsity=len(supports[t]),
         )
 
@@ -287,10 +299,10 @@ def _run_block(cfg, k, snr_db, indices):
     live = [t for t, rec in enumerate(records) if rec is None]
     if not live:
         return records
-    noise_var = np.array([sn.snr_to_noise_var(snr_db, energies[t], n_s) for t in live])
+    noise_var = sn.snr_to_noise_var(snr_db, energies[live], n_s)
     pilots, y = sn.observe_block(
-        [_mix64(seeds[t] ^ 2) for t in live], k, n_s, truths[live], noise_var,
-        [_substream(seeds[t], 3) for t in live],
+        [pilot_seeds[t] for t in live], k, n_s, truths[live], noise_var,
+        [np.random.default_rng(noise_seeds[t]) for t in live],
     )
 
     estimates = np.zeros((len(live), n_cols), dtype=np.complex128)
@@ -312,7 +324,7 @@ def _run_block(cfg, k, snr_db, indices):
         if not ok.size:
             continue
         if cfg.estimator == "genie":
-            picks = [(tuple(sup), 0) for sup in support]  # (support to fit, examined)
+            found = [(tuple(sup), 0.0, 0) for sup in support]  # (support, statistic, examined)
         else:
             try:
                 outer, corr = sn.kron_normal(pilots[ok], n_s, y[ok])
@@ -322,22 +334,22 @@ def _run_block(cfg, k, snr_db, indices):
                 )
             except RisCrlbError:
                 continue
-            picks = [(subset, n) for subset, _stat, n in found]
-        hit = [r for r, (sup, _n) in enumerate(picks) if sup]
-        cols = sn.kron_columns(pilots[ok[hit]], n_s, [picks[r][0] for r in hit]) if hit else []
-        fit_columns = dict(zip(hit, cols))
-        for r, (i, (sup, n)) in enumerate(zip(ok, picks)):
-            if sup:
-                try:
-                    estimates[i, list(sup)] = least_squares(fit_columns[r], y[i])
-                except RisCrlbError:
-                    continue
-            outcome[i] = (float(crlbs[r]), not sup, n)
+        # one stacked fit of every found support; a rank-deficient fit fails its trial
+        hit = [r for r, (sup, _stat, _n) in enumerate(found) if sup]
+        ranks = np.full(len(found), l)
+        if hit:
+            rows, cols = ok[hit], np.array([found[r][0] for r in hit])
+            estimates[rows[:, None], cols], ranks[hit] = least_squares_stack(
+                sn.kron_columns(pilots[rows], n_s, cols), y[rows]
+            )
+        for r, (i, (sup, _stat, n)) in enumerate(zip(ok, found)):
+            if ranks[r] >= l:
+                outcome[i] = (float(crlbs[r]), not sup, n)
 
     errors = est.squared_errors(estimates, truths[live])
     for i, t in enumerate(live):
         if outcome[i] is None:
-            records[t] = record(t, energies[t], math.nan, True, 0)
+            records[t] = record(t, float(energies[t]), math.nan, True, 0)
         else:
             records[t] = record(t, float(errors[i]), *outcome[i])
     return records

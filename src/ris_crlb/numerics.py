@@ -5,6 +5,7 @@ Everything here is a pure function of its inputs; matrices are plain
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatchError, RankDeficientError
 
@@ -86,6 +87,20 @@ def numeric_rank(a):
     return svd_rank(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
+def _raise_lstsq(_err, _flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def least_squares_stack(a, y):
+    """Solutions (..., n) and numeric ranks of min ||y - a v|| for a stack of
+    complex a (..., m, n) and y (..., m): per matrix, the gufunc, cutoff
+    eps * max(m, n) and error state that ``np.linalg.lstsq(a, y, rcond=None)`` uses."""
+    m, n = a.shape[-2:]
+    with np.errstate(all="ignore", invalid="call", call=_raise_lstsq):
+        x, _, rank, _ = _umath_linalg.lstsq(a, y[..., None], np.finfo(np.float64).eps * max(m, n))
+    return x[..., 0], rank
+
+
 def least_squares(a, y):
     """Minimizer of ||y - a v||^2 for a full-column-rank a.
 
@@ -99,7 +114,7 @@ def least_squares(a, y):
         raise DimensionMismatchError(
             f"y has length {y.shape[0]}, expected {a.shape[0]}"
         )
-    sol, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    sol, rank = least_squares_stack(a, y)
     if rank < a.shape[1]:
         raise RankDeficientError(
             f"matrix has numeric rank {rank} < {a.shape[1]} columns"

@@ -46,9 +46,17 @@ class MeasurementModel:
 
 def gen_pilots(n_d, k, seed):
     """i.i.d. CN(0, 1) pilot block of shape (n_d, k), deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    shape = (n_d, k)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return _pilot_entries(np.random.default_rng(seed).standard_normal((2, n_d, k)))
+
+
+def _pilot_entries(normals):
+    """(re + 1j im)/sqrt(2) of the real and imaginary parts stacked on axis -3."""
+    return (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
+
+
+def _noise(normals, noise_var):
+    """sqrt(sigma^2/2) (re + 1j im) of the parts on axis -2, one sigma^2 per vector."""
+    return np.sqrt(noise_var / 2.0)[..., None] * (normals[..., 0, :] + 1j * normals[..., 1, :])
 
 
 def measurement_matrix(pilots, n_s):
@@ -100,10 +108,11 @@ def kron_normal(pilots, n_s, y):
 def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
     """Pilots and received vectors of a stack of independent trials.
 
-    Trial t draws its (n_d, k) pilot block from ``pilot_seeds[t]`` with
-    :func:`gen_pilots` and its noise from ``noise_rngs[t]`` as
-    :func:`observe` does, and receives Upsilon_t truths[t] + n_t with one
-    matrix-vector product.  Returns the (T, n_d, k) pilot stack and the
+    Trial t draws its (n_d, k) pilot block from ``pilot_seeds[t]`` as
+    :func:`gen_pilots` does and its noise from ``noise_rngs[t]`` as
+    :func:`observe` does, and receives Upsilon_t truths[t] with one
+    matrix-vector product; the pilot entries and the noise are formed and
+    added once per block.  Returns the (T, n_d, k) pilot stack and the
     (T, k*n_s) observation stack.
 
     One zero-filled Upsilon serves the whole block: each trial overwrites
@@ -114,7 +123,12 @@ def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
     """
     t_count, n_cols = truths.shape
     n_d = n_cols // n_s
-    pilots = np.empty((t_count, n_d, k), dtype=np.complex128)
+    pilot_normals = np.empty((t_count, 2, n_d, k))
+    noise_normals = np.empty((t_count, 2, k * n_s))
+    for t, seed in enumerate(pilot_seeds):
+        np.random.default_rng(seed).standard_normal(out=pilot_normals[t])
+        noise_rngs[t].standard_normal(out=noise_normals[t])
+    pilots = _pilot_entries(pilot_normals)
     y = np.empty((t_count, k * n_s), dtype=np.complex128)
     mat = np.zeros((k * n_s, n_cols), dtype=np.complex128)
     row, item = mat.strides
@@ -122,10 +136,10 @@ def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
     diagonals = np.lib.stride_tricks.as_strided(
         mat, (k, n_d, n_s), (n_s * row, n_s * item, row + item)
     )
-    for t, seed in enumerate(pilot_seeds):
-        pilots[t] = gen_pilots(n_d, k, seed)
+    for t in range(t_count):
         diagonals[...] = pilots[t].T[:, :, None]
-        y[t] = _received(mat, truths[t], noise_var[t], noise_rngs[t])
+        np.matmul(mat, truths[t], out=y[t])
+    y += _noise(noise_normals, noise_var)
     return pilots, y
 
 
@@ -148,14 +162,7 @@ def observe(model, truth, rng):
         )
     if model.noise_var is None or model.noise_var < 0:
         raise ValueError("model.noise_var must be set and >= 0 before observing")
-    return _received(mat, truth, model.noise_var, rng)
-
-
-def _received(mat, truth, noise_var, rng):
-    m = mat.shape[0]
-    scale = np.sqrt(noise_var / 2.0)
-    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return mat @ truth + noise
+    return mat @ truth + _noise(rng.standard_normal((2, mat.shape[0])), model.noise_var)
 
 
 def snr_to_noise_var(snr_db, energy, n_s):
@@ -167,8 +174,8 @@ def snr_to_noise_var(snr_db, energy, n_s):
 
         sigma^2 = (||upsilon||^2 / n_s) * 10^(-snr_db/10).
 
-    This is the only place the formula is evaluated.
+    This is the only place the formula is evaluated (per entry of an array of energies).
     """
-    if energy == 0.0:
+    if not np.all(energy):
         raise ValueError("truth must be nonzero to define an SNR")
     return (energy / n_s) * 10.0 ** (-snr_db / 10.0)

@@ -212,6 +212,25 @@ class TestSynthSparseSignal:
         with pytest.raises(ValueError):
             ch.synth_sparse_signal(4, 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dim, sparsity, magnitude", [(25, 1, 1.0), (25, 3, 2.5), (6, 6, 0.3)])
+    def test_stack_matches_per_draw_reference(self, dim, sparsity, magnitude):
+        # the one-vector draw and assignment the stacked synthesis replaced
+        def reference(rng):
+            idx = rng.choice(dim, size=sparsity, replace=False)
+            v = np.zeros(dim, dtype=np.complex128)
+            v[idx] = magnitude * np.exp(2j * np.pi * rng.random(sparsity))
+            return v, tuple(sorted(int(i) for i in idx))
+
+        seeds = range(40 * dim, 40 * dim + 300)
+        stack, supports = ch.synth_sparse_stack(
+            dim, sparsity, [np.random.default_rng(s) for s in seeds], magnitude
+        )
+        for t, seed in enumerate(seeds):
+            want, want_support = reference(np.random.default_rng(seed))
+            assert stack[t].tobytes() == want.tobytes()
+            assert supports[t] == want_support
+            assert all(type(i) is int for i in supports[t])
+
 
 class TestRealizations:
     def test_on_grid_support_matches_prediction(self):

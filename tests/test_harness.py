@@ -5,6 +5,7 @@ import json
 import math
 import os
 import signal
+import struct
 import warnings
 from dataclasses import astuple, replace
 
@@ -229,6 +230,25 @@ class TestTrialSeed:
 
     def test_sensitive_to_master_seed(self):
         assert hn.trial_seed(1, 8, 20.0, 0) != hn.trial_seed(2, 8, 20.0, 0)
+
+    @pytest.mark.parametrize("master", [0, 1, -1, 2**64 - 1, 2**64 + 5])
+    def test_block_derivation_matches_scalar_mixing(self, master):
+        # the per-trial Python-int mixing the block's uint64 pass replaced
+        def reference(k, snr_db, t):
+            s = hn._mix64(master & hn._MASK)
+            for word in (k, struct.unpack("<Q", struct.pack("<d", snr_db))[0], t):
+                s = hn._mix64(s ^ word)
+            return s
+
+        indices = [*range(2001), 2**40]
+        for k in (1, 8, 80):
+            for snr_db in (-0.0, 20.0, 1e-300):
+                seeds, *streams = hn.trial_seeds(master, k, snr_db, indices)
+                assert seeds == [reference(k, snr_db, t) for t in indices]
+                assert seeds == [hn.trial_seed(master, k, snr_db, t) for t in indices]
+                for i, stream in enumerate(streams, start=1):
+                    assert stream == [hn._mix64(seed ^ i) for seed in seeds]
+                assert all(type(v) is int for v in seeds + streams[0])
 
 
 class TestRunTrial:
@@ -662,6 +682,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kv, field",
+        [
+            # sparsity * magnitude**2 overflows to inf, then y is non-finite
+            ({"magnitude": 1e200}, "magnitude"),
+            # sparsity * magnitude**2 underflows to 0: no SNR can be defined
+            ({"magnitude": 1e-200}, "magnitude"),
+            # 10**400 overflows the noise variance
+            ({"snr_db_values": -4000}, "snr_db"),
+        ],
+    )
+    def test_overflowing_noise_variance_rejected_before_any_trial(
+        self, tmp_path, capsys, kv, field
+    ):
+        cfg = self._write_cfg(tmp_path, trials=3, **kv)
+        out = tmp_path / "res.csv"
+        rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            # noise variance 0: the noiseless regime
+            {"snr_db_values": 4000},
+            # a physical truth's energy is drawn; magnitude does not enter it
+            {"mode": "physical_off_grid", "magnitude": 1e200},
+        ],
+    )
+    def test_extreme_but_finite_noise_variance_still_runs(self, tmp_path, kv):
+        cfg = self._write_cfg(tmp_path, trials=3, **kv)
+        out = tmp_path / "res.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("flag, env", [("0", None), (None, "0")])
     def test_zero_threads_rejected(self, tmp_path, capsys, monkeypatch, flag, env):

@@ -8,6 +8,7 @@ from ris_crlb.numerics import (
     dft_matrix,
     kron,
     least_squares,
+    least_squares_stack,
     numeric_rank,
     projector_complement,
     svd_rank,
@@ -115,6 +116,24 @@ class TestLeastSquares:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             least_squares(np.eye(3), np.ones(4))
+
+
+class TestLeastSquaresStack:
+    @pytest.mark.parametrize("m", [5, 6, 40, 400])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_each_matrix_matches_lstsq_bit_for_bit(self, l, m):
+        rng = np.random.default_rng(100 * l + m)
+        a = crandn(rng, 5, m, l)
+        a[1, :, -1] = a[1, :, 0]  # a repeated column (rank 1 when l > 1)
+        a[2, :, 0] = 0.0  # a zero column
+        a[3, :, 0] *= 1e-12  # a column near the rank cutoff
+        y = crandn(rng, 5, m)
+        sol, rank = least_squares_stack(a, y)
+        for i in range(len(a)):
+            want, _, want_rank, _ = np.linalg.lstsq(a[i], y[i], rcond=None)
+            assert sol[i].tobytes() == want.tobytes(), i
+            assert rank[i] == want_rank, i
+        assert rank[2] == l - 1 and (l == 1 or rank[1] == l - 1)
 
 
 class TestProjectorComplement:

@@ -149,6 +149,53 @@ class TestObserveBlock:
             assert y[t].tobytes() == received.tobytes(), t
 
 
+def two_draw_pilots(n_d, k, seed):
+    """The pilot draw as two separate normal draws and scalar arithmetic."""
+    rng = np.random.default_rng(seed)
+    shape = (n_d, k)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def two_draw_received(mat, truth, noise_var, rng):
+    """y = mat truth + n with n drawn as two normal vectors and a scalar scale."""
+    m = mat.shape[0]
+    scale = np.sqrt(noise_var / 2.0)
+    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return mat @ truth + noise
+
+
+class TestBlockDrawsMatchTwoDrawReference:
+    """The (T, 2, ...) normal buffers and block arithmetic keep the bits of
+    drawing real and imaginary parts separately, one trial at a time."""
+
+    @pytest.mark.parametrize("k, n_d, n_s", [(1, 5, 5), (8, 5, 5), (7, 3, 4), (80, 6, 2)])
+    def test_observe_block(self, k, n_d, n_s):
+        rng = np.random.default_rng(31 + k)
+        truths = crandn(rng, 6, n_d * n_s)
+        truths[[1, 4], 1:] = 0.0
+        noise_var = np.array([0.5, 0.0, 1e-6, 2.0, 0.0, 3e-300])
+        seeds = [7, 2**64 - 1, 0, 11, 12, 13]
+        pilots, y = sn.observe_block(
+            seeds, k, n_s, truths, noise_var, [np.random.default_rng(300 + s % 97) for s in seeds]
+        )
+        for t, seed in enumerate(seeds):
+            x = two_draw_pilots(n_d, k, seed)
+            assert pilots[t].tobytes() == x.tobytes() == sn.gen_pilots(n_d, k, seed).tobytes()
+            received = two_draw_received(
+                sn.measurement_matrix(x, n_s), truths[t], float(noise_var[t]),
+                np.random.default_rng(300 + seed % 97),
+            )
+            assert y[t].tobytes() == received.tobytes(), t
+
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-6, 0.5, 7.0])
+    def test_observe(self, noise_var):
+        model = sn.measurement_model(sn.gen_pilots(5, 12, 21), 5, noise_var=noise_var)
+        truth = crandn(np.random.default_rng(22), 25)
+        got = sn.observe(model, truth, np.random.default_rng(23))
+        want = two_draw_received(model.upsilon_mat, truth, noise_var, np.random.default_rng(23))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestObserve:
     def _model(self, noise_var, seed=8):
         pilots = sn.gen_pilots(n_d=5, k=12, seed=seed)
@@ -223,6 +270,14 @@ class TestSnrToNoiseVar:
         )
         with pytest.raises(ValueError):
             sn.snr_to_noise_var(10.0, 0.0, model.n_s)
+
+    def test_array_of_energies_matches_each_scalar(self):
+        energies = np.array([1e-3, 0.7, 25.0, 3e5])
+        got = sn.snr_to_noise_var(17.0, energies, 5)
+        want = [sn.snr_to_noise_var(17.0, float(e), 5) for e in energies]
+        assert got.tobytes() == np.array(want).tobytes()
+        with pytest.raises(ValueError):
+            sn.snr_to_noise_var(17.0, np.array([1.0, 0.0]), 5)
 
     def test_snr_definition_monte_carlo(self):
         # mean ||Upsilon upsilon||^2 / (K n_s sigma^2) should hit 10^(snr/10)
