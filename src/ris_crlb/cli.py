@@ -79,17 +79,18 @@ def _cmd_sweep(args):
 def _cmd_angular_map(args):
     cfg = _load_config(args)
     amap = hn.export_angular_map(cfg, args.seed if args.seed is not None else cfg.master_seed)
+    n_d, n_s = amap.magnitudes.shape
     lines = [
-        f"# angular-domain channel magnitudes, mode={amap.mode}",
-        f"# rows: MS bins (n_d={len(amap.ms_bins)}), cols: BS bins (n_s={len(amap.bs_bins)})",
+        f"# angular-domain channel magnitudes, mode={cfg.mode}",
+        f"# rows: MS bins (n_d={n_d}), cols: BS bins (n_s={n_s})",
         f"# predicted dominant cells (ms_bin, bs_bin): {list(amap.dominant_cells)}",
-        "ms_bin," + ",".join(str(b) for b in amap.bs_bins),
+        "ms_bin," + ",".join(str(b) for b in range(n_s)),
     ]
-    for n, row in zip(amap.ms_bins, amap.magnitudes):
+    for n, row in enumerate(amap.magnitudes):
         lines.append(f"{n}," + ",".join(format(v, ".17g") for v in row))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {amap.magnitudes.shape[0]}x{amap.magnitudes.shape[1]} grid to {args.out}")
+    print(f"wrote {n_d}x{n_s} grid to {args.out}")
     return 0
 
 
@@ -170,20 +171,12 @@ def _selftest_checks():
         ) < 1e-18
 
     def genie_matches_crlb():
-        real = ch.realize_synthetic(geom, 1, np.random.default_rng(9))
-        pilots = sn.gen_pilots(5, 20, 13)
-        model = sn.measurement_model(pilots, 5)
-        energy = float(np.sum(np.abs(real.sparse_vec) ** 2))
-        model.noise_var = sn.snr_to_noise_var(20.0, energy, model.n_s)
-        bound = est.crlb(model.upsilon_mat, real.support, model.noise_var)
-        draws = 2000
-        errs = 0.0
-        for i in range(draws):
-            y = sn.observe(model, real.sparse_vec, np.random.default_rng(100 + i))
-            errs += est.squared_error(
-                est.genie_ls(y, model.upsilon_mat, real.support), real.sparse_vec
-            )
-        return abs(errs / draws / bound - 1.0) < 0.1
+        # one cell of the sweep's block core: a 2,000-trial genie sweep
+        cfg = hn.default_config(
+            k_values=(20,), snr_db_values=(20.0,), trials=2000, estimator="genie"
+        )
+        (row,) = hn.run_sweep(cfg).rows
+        return row.fail_rate == 0 and abs(row.mse / row.crlb - 1.0) < 0.1
 
     return (
         ("dft unitarity", dft_unitary),

@@ -27,6 +27,7 @@ mean-squared-error upper bound adds two exponentially small penalty terms
 for missing the true support and for accepting a wrong one.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
@@ -350,6 +351,9 @@ def missed_detection_term(truth_energy, noise_var, delta, kns, l):
     """Penalty for the search finding no typical set.
 
     2 ||upsilon||^2 exp(-(delta^2/(4 sigma^4)) m^2 / (m - L + (2 delta/sigma^2) m)).
+    Where that expression overflows or divides by zero, the same exponent is
+    taken in the scale-free rm = (delta/sigma^2) m, -(rm/4) / ((m - L)/rm + 2),
+    which goes to 0 with rm.
     """
     if kns <= l:
         raise ValueError("kns must exceed l")
@@ -358,9 +362,15 @@ def missed_detection_term(truth_energy, noise_var, delta, kns, l):
     if noise_var == 0.0:
         # noiseless: the true support is always typical for any delta > 0
         return 0.0
-    exponent = -(delta**2 / (4.0 * noise_var**2)) * kns**2 / (
-        kns - l + (2.0 * delta / noise_var) * kns
-    )
+    try:
+        exponent = -(delta**2 / (4.0 * noise_var**2)) * kns**2 / (
+            kns - l + (2.0 * delta / noise_var) * kns
+        )
+    except (OverflowError, ZeroDivisionError):
+        exponent = math.nan
+    if not math.isfinite(exponent):
+        rm = (delta / noise_var) * kns
+        exponent = -(rm / 4.0) / ((kns - l) / rm + 2.0) if rm else 0.0
     return 2.0 * truth_energy * math.exp(exponent)
 
 
@@ -399,7 +409,8 @@ def wrong_support_term(truth, support, noise_var, delta, kns, l):
             if denom == 0.0:
                 continue  # indistinguishable noiseless sets, vacuous term
             ratio = (miss_energy - delta_p) / denom
-            total += count * math.exp((l - kns) / 4.0 * ratio**2)
+            with contextlib.suppress(OverflowError):  # ratio**2 overflows: exp(-inf) = 0
+                total += count * math.exp((l - kns) / 4.0 * ratio**2)
     return prefactor * total
 
 

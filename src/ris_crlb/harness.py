@@ -13,6 +13,7 @@ import math
 import os
 import pickle
 import struct
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -22,7 +23,7 @@ import numpy as np
 from . import channel as ch
 from . import estimator as est
 from . import sensing as sn
-from .errors import ConfigError, RisCrlbError
+from .errors import ConfigError, SearchBudgetExceededError
 from .numerics import least_squares_stack
 
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
@@ -123,11 +124,16 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"mode physical_on_grid with {name} = {hop.n_paths}: {exc}"
                     ) from exc
+        # warn at the first caller outside this package and dataclasses (whose
+        # generated __init__ runs with this module's __name__)
+        internal, level, frame = (__name__.partition(".")[0], "dataclasses"), 1, sys._getframe()
+        while frame and frame.f_globals.get("__name__", "").partition(".")[0] in internal:
+            level, frame = level + 1, frame.f_back
         for k in self.k_values:
             if k <= self.geometry.n_d:
                 warnings.warn(
                     f"k={k} <= n_d={self.geometry.n_d}: full-rank sensing not guaranteed",
-                    stacklevel=2,
+                    stacklevel=level,
                 )
 
 
@@ -164,7 +170,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    master_seed: int
     trial_records: list = field(default_factory=list)
 
 
@@ -255,104 +260,89 @@ def _draw_truth(cfg, seeds):
 
 
 def run_trial(cfg, k, snr_db, trial_index):
-    """Generate truth, pilots and noise, run the configured estimator, record.
-
-    Estimator errors do not abort a sweep; they yield a failed record whose
-    squared error is the zero-output penalty ||upsilon||^2.  This is the
-    one-trial block of the sweep's block core, so it returns the record the
-    sweep has for that trial.
-    """
+    """The sweep's record of one trial: the one-trial block of :func:`_run_block`."""
     return _run_block(cfg, k, snr_db, [trial_index])[0]
 
 
 def _run_block(cfg, k, snr_db, indices):
     """Records of trials ``indices`` of the grid cell (k, snr_db), as stacks.
 
-    Each trial keeps its own generators and their draws, its own
-    y = Upsilon upsilon + n on its own matrix and (OMP) its own greedy
-    search.  The seeds, the CRLB, the subset search, the least-squares fits
-    and the squared errors run on the block's stacks, whose per-matrix
-    LAPACK and BLAS calls are those of a single trial, so a record does not
-    depend on the block it was computed in.
+    Per trial run only its generators and their draws, its y = Upsilon
+    upsilon + n and (OMP) its greedy search.  The rest runs on the block's
+    stacks with the per-matrix LAPACK and BLAS calls of a single trial, so a
+    record does not depend on its block.  Every trial starts as the failed
+    record: the zero estimate (squared error ||upsilon||^2), CRLB nan and no
+    subsets examined.  A zero truth, a rank-deficient support or fit and a
+    group over the search budget keep it; the estimators overwrite the rest.
     """
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
-    seeds, truth_seeds, pilot_seeds, noise_seeds = trial_seeds(
-        cfg.master_seed, k, snr_db, indices
-    )
+    seeds, truth_seeds, pilot_seeds, noise_seeds = trial_seeds(cfg.master_seed, k, snr_db, indices)
     truths, supports = _draw_truth(cfg, truth_seeds)
     energies = np.sum(np.abs(truths) ** 2, axis=-1)
+    estimates = np.zeros(truths.shape, dtype=np.complex128)
+    n = len(supports)
+    crlbs, failed, examined = [math.nan] * n, [True] * n, [0] * n
 
-    def record(t, squared_error, crlb_value, failed, examined):
-        return TrialRecord(
-            k=int(k), snr_db=float(snr_db), trial_index=indices[t], seed=seeds[t],
-            squared_error=squared_error, crlb_value=crlb_value, failed=failed,
-            subsets_examined=examined, truth_energy=float(energies[t]),
-            sparsity=len(supports[t]),
-        )
-
-    # a degenerate draw (identically zero channel) is flagged, not estimated
-    records = [
-        record(t, 0.0, math.nan, True, 0) if not support or energies[t] == 0.0 else None
-        for t, support in enumerate(supports)
-    ]
-    live = [t for t, rec in enumerate(records) if rec is None]
-    if not live:
-        return records
+    # a zero channel is not estimated
+    live = np.array(
+        [t for t, sup in enumerate(supports) if sup and energies[t] != 0.0], dtype=np.intp
+    )
     noise_var = sn.snr_to_noise_var(snr_db, energies[live], n_s)
     pilots, y = sn.observe_block(
         [pilot_seeds[t] for t in live], k, n_s, truths[live], noise_var,
         [np.random.default_rng(noise_seeds[t]) for t in live],
     )
-
-    estimates = np.zeros((len(live), n_cols), dtype=np.complex128)
-    outcome = [None] * len(live)  # (crlb, failed, subsets_examined); None on error
     sizes = np.array([len(supports[t]) for t in live])
     for l in sorted(set(sizes.tolist())):
-        group = np.flatnonzero(sizes == l)
-        support = np.array([supports[live[i]] for i in group])
-        crlbs, ranks = est.crlb_stack(sn.kron_columns(pilots[group], n_s, support), noise_var[group])
+        rows = np.flatnonzero(sizes == l)  # of the live stacks
+        support = np.array([supports[t] for t in live[rows]])
+        bound, ranks = est.crlb_stack(sn.kron_columns(pilots[rows], n_s, support), noise_var[rows])
         full = ranks >= l
-        ok, support, crlbs = group[full], support[full], crlbs[full]
-        if cfg.estimator == "omp":
-            for i, bound in zip(ok, crlbs):
-                mat = sn.kron_columns(pilots[i], n_s, np.arange(n_cols))
-                result = est.omp_estimate(y[i], mat, l)
-                estimates[i] = result.upsilon_hat
-                outcome[i] = (float(bound), result.degenerate, result.subsets_examined)
+        rows, support, bound = rows[full], support[full], bound[full]
+        if not rows.size:
             continue
-        if not ok.size:
+        at = live[rows]  # their block positions
+        if cfg.estimator == "omp":
+            mats = sn.kron_columns(pilots[rows], n_s, np.tile(np.arange(n_cols), (rows.size, 1)))
+            for t, i, mat, crlb in zip(at, rows, mats, bound.tolist()):
+                fit = est.omp_estimate(y[i], mat, l)
+                estimates[t] = fit.upsilon_hat
+                crlbs[t], failed[t], examined[t] = crlb, fit.degenerate, fit.subsets_examined
             continue
         if cfg.estimator == "genie":
-            found = [(tuple(sup), 0.0, 0) for sup in support]  # (support, statistic, examined)
+            found, counts = support, [0] * rows.size
         else:
+            outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
             try:
-                outer, corr = sn.kron_normal(pilots[ok], n_s, y[ok])
-                found = est.jt_search(
-                    y[ok], outer, n_s, corr, noise_var[ok], replace(cfg.typicality, sparsity=l),
-                    lambda rows, subsets: sn.kron_columns(pilots[ok[rows]], n_s, subsets),
-                )
-            except RisCrlbError:
+                found, _stats, counts = zip(*est.jt_search(
+                    y[rows], outer, n_s, corr, noise_var[rows], replace(cfg.typicality, sparsity=l),
+                    lambda r, subsets: sn.kron_columns(pilots[rows[r]], n_s, subsets),
+                ))
+            except SearchBudgetExceededError:
                 continue
-        # one stacked fit of every found support; a rank-deficient fit fails its trial
-        hit = [r for r, (sup, _stat, _n) in enumerate(found) if sup]
-        ranks = np.full(len(found), l)
+        # one stacked fit of every found support; a rank-deficient fit keeps the failed record
+        hit = [r for r, sup in enumerate(found) if len(sup)]
+        fitted = np.ones(rows.size, dtype=bool)
         if hit:
-            rows, cols = ok[hit], np.array([found[r][0] for r in hit])
-            estimates[rows[:, None], cols], ranks[hit] = least_squares_stack(
-                sn.kron_columns(pilots[rows], n_s, cols), y[rows]
+            cols = np.array([found[r] for r in hit])
+            coef, fit_ranks = least_squares_stack(
+                sn.kron_columns(pilots[rows[hit]], n_s, cols), y[rows[hit]]
             )
-        for r, (i, (sup, _stat, n)) in enumerate(zip(ok, found)):
-            if ranks[r] >= l:
-                outcome[i] = (float(crlbs[r]), not sup, n)
+            good = fit_ranks >= l
+            fitted[hit] = good
+            estimates[at[hit][good, None], cols[good]] = coef[good]
+        for t, crlb, sup, count, ok in zip(at, bound.tolist(), found, counts, fitted.tolist()):
+            if ok:
+                crlbs[t], failed[t], examined[t] = crlb, not len(sup), count
 
-    errors = est.squared_errors(estimates, truths[live])
-    for i, t in enumerate(live):
-        if outcome[i] is None:
-            records[t] = record(t, float(energies[t]), math.nan, True, 0)
-        else:
-            records[t] = record(t, float(errors[i]), *outcome[i])
-    return records
+    errors = est.squared_errors(estimates, truths).tolist()
+    return [
+        TrialRecord(int(k), float(snr_db), *fields)
+        for fields in zip(
+            indices, seeds, errors, crlbs, failed, examined, energies.tolist(), map(len, supports)
+        )
+    ]
 
 
 def bound_terms(cfg, k, snr_db, energy, l):
@@ -468,20 +458,14 @@ def run_sweep(cfg, threads=1, keep_trials=False):
             raise payload
         done.update(payload)
     rows, records = zip(*(done[c] for c in range(len(cells))))
-    return SweepResult(
-        rows=list(rows), master_seed=cfg.master_seed,
-        trial_records=[r for cell in records for r in cell],
-    )
+    return SweepResult(rows=list(rows), trial_records=[r for cell in records for r in cell])
 
 
 @dataclass
 class AngularMap:
-    """Dense magnitude grid of the angular-domain channel with bin labels."""
+    """Dense magnitude grid of the angular-domain channel and its predicted cells."""
 
     magnitudes: np.ndarray   # (n_d, n_s): rows are MS bins, cols BS bins
-    ms_bins: tuple
-    bs_bins: tuple
-    mode: str
     dominant_cells: tuple    # predicted (ms_bin, bs_bin) pairs
 
 
@@ -494,13 +478,7 @@ def export_angular_map(cfg, seed):
         (idx // cfg.geometry.n_s, idx % cfg.geometry.n_s)
         for idx in real.predicted_support[0]
     )
-    return AngularMap(
-        magnitudes=np.abs(real.angular[0]),
-        ms_bins=tuple(range(cfg.geometry.n_d)),
-        bs_bins=tuple(range(cfg.geometry.n_s)),
-        mode=cfg.mode,
-        dominant_cells=cells,
-    )
+    return AngularMap(magnitudes=np.abs(real.angular[0]), dominant_cells=cells)
 
 
 def _fmt(x):
@@ -541,7 +519,7 @@ def write_sweep_json(result, cfg, path):
     """JSON mirror of the CSV with the full config embedded for provenance."""
     payload = {
         "config": asdict(cfg),
-        "master_seed": result.master_seed,
+        "master_seed": cfg.master_seed,
         "snr_definition": "sigma^2 = (||upsilon||^2 / n_s) * 10^(-snr_db/10)",
         "delta_rule": "4*sigma^2*sqrt(k*n_s - L)/(k*n_s) unless overridden",
         "rows": [

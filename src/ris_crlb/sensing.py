@@ -83,9 +83,10 @@ def kron_columns(pilots, n_s, cols):
         rows = pilots[np.arange(len(pilots))[:, None], j]
     else:
         rows = pilots[j]
-    # products laid out (..., l, n_s, k) so the inner loop runs over k
-    prod = rows[..., :, None, :] * np.eye(n_s, dtype=np.complex128)[i][..., None]
-    out = np.ascontiguousarray(prod.swapaxes(-1, -3))
+    # the products written straight into the (..., k, n_s, l) output
+    x = rows.swapaxes(-1, -2)[..., :, None, :]
+    ident = np.eye(n_s, dtype=np.complex128)[i].swapaxes(-1, -2)[..., None, :, :]
+    out = np.multiply(x, ident, order="C")
     return out.reshape(out.shape[:-3] + (-1, cols.shape[-1]))
 
 

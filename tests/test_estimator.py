@@ -518,6 +518,39 @@ class TestWrongSupportTerm:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+class TestBoundTermsAtExtremeScales:
+    """Where the plain exponent overflows or divides by zero, the terms keep
+    their scale-free value; where it is finite, they keep its bits."""
+
+    def test_finite_case_is_the_plain_expression(self):
+        energy, sigma2, delta, kns, l = 2.0, 0.3, 0.07, 120, 2
+        exponent = -(delta**2 / (4.0 * sigma2**2)) * kns**2 / (
+            kns - l + (2.0 * delta / sigma2) * kns
+        )
+        want = 2.0 * energy * math.exp(exponent)
+        assert est.missed_detection_term(energy, sigma2, delta, kns, l) == want
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-200, 1e160])
+    def test_missed_term_is_scale_free(self, scale):
+        # energy, sigma^2 and delta all scale together: the exponent does not move
+        energy, sigma2, delta, kns, l = 2.0, 0.3, 0.07, 120, 2
+        want = est.missed_detection_term(energy, sigma2, delta, kns, l)
+        got = est.missed_detection_term(energy * scale, sigma2 * scale, delta * scale, kns, l)
+        assert got / scale == pytest.approx(want, rel=1e-12)
+
+    def test_missed_term_limits(self):
+        # delta / sigma^2 -> inf: never missed; -> 0 (underflows here): 2 ||upsilon||^2
+        assert est.missed_detection_term(3.0, 1e-300, 1e300, 40, 1) == 0.0
+        assert est.missed_detection_term(3.0, 1e200, 1e-200, 40, 1) == 6.0
+
+    def test_wrong_support_term_overflowing_ratio_is_zero(self):
+        truth = np.zeros(25, dtype=complex)
+        truth[3] = 1.0
+        # ((E_miss - delta') / (E_miss + sigma^2))**2 overflows: every term is exp(-inf)
+        assert est.wrong_support_term(truth, (3,), 0.002, 1e300, 40, 1) == 0.0
+        assert est.wrong_support_term(truth, (3,), 0.002, 1e150, 40, 1) == 0.0
+
+
 def bound_report(model, sigma2, delta=None):
     """CRLB at support (5,) plus harness.bound_terms for one unit-energy entry
     at kns = 100; snr_db = 10 log10(0.2 / sigma2) sets noise variance sigma2."""

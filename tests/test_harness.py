@@ -18,7 +18,7 @@ from ris_crlb import cli
 from ris_crlb import estimator as est
 from ris_crlb import harness as hn
 from ris_crlb import sensing as sn
-from ris_crlb.errors import ConfigError, RisCrlbError
+from ris_crlb.errors import ConfigError, DimensionMismatchError, RisCrlbError
 
 
 def small_config(**overrides):
@@ -31,6 +31,12 @@ class TestExperimentConfig:
     def test_warns_when_k_not_above_n_d(self):
         with pytest.warns(UserWarning):
             hn.default_config(k_values=(4,))
+
+    def test_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="full-rank") as record:
+            cfg = hn.default_config(k_values=(4,))
+            replace(cfg, k_values=(4,))
+        assert [w.filename for w in record] == [__file__, __file__]
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -213,6 +219,36 @@ class TestBlockCore:
         n_s = cfg.geometry.n_s
         per_block = {k: hn._BLOCK_BYTES // (16 * k * n_s) for k in cfg.k_values}
         assert sizes == [(8, 25), (80, per_block[80]), (80, per_block[80]), (80, 5)]
+
+
+class TestBlockFailurePath:
+    """The block core's column stacks for OMP, and which errors become failed records."""
+
+    @pytest.mark.parametrize("size", [1, 7, 25])
+    # off-grid 2 x 2 paths: colliding bins give one block supports of several sizes
+    @pytest.mark.parametrize("name", ["omp-l2", "genie-off-grid-2x2"])
+    def test_omp_builds_two_column_stacks_per_group(self, monkeypatch, name, size):
+        cfg = replace(block_case(name), estimator="omp")
+        calls = []
+        inner = sn.kron_columns
+
+        def spy(pilots, n_s, cols):
+            calls.append(np.shape(cols))
+            return inner(pilots, n_s, cols)
+
+        monkeypatch.setattr(sn, "kron_columns", spy)
+        sizes = [r.sparsity for r in hn._run_block(cfg, 20, 20.0, range(size))]
+        # per group: the true supports' columns for the CRLB, then all 25 for OMP
+        groups = [(sizes.count(l), l) for l in sorted(set(sizes))]
+        assert calls == [shape for n, l in groups for shape in ((n, l), (n, 25))]
+
+    def test_estimator_error_is_not_a_failed_trial(self, monkeypatch):
+        def broken(*args):
+            raise DimensionMismatchError("broken search")
+
+        monkeypatch.setattr(est, "jt_search", broken)
+        with pytest.raises(DimensionMismatchError, match="broken search"):
+            hn._run_block(hn.default_config(), 20, 20.0, range(5))
 
 
 class TestTrialSeed:
@@ -864,3 +900,43 @@ class TestCli:
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_selftest_genie_check_catches_a_broken_fit(self, capsys, monkeypatch):
+        inner = hn.least_squares_stack
+
+        def scaled(a, y):
+            coef, rank = inner(a, y)
+            return 1.5 * coef, rank
+
+        monkeypatch.setattr(hn, "least_squares_stack", scaled)
+        assert cli.main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  genie attains crlb" in out
+        assert out.count("FAIL") == 1
+
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            {"magnitude": 1e150},
+            {"magnitude": 1e-150},
+            {"magnitude": 1e-160},
+            # the bound itself leaves the float range: upper_bound may be inf
+            {"magnitude": 1e154},
+            {"snr_db_values": 3000},
+            {"snr_db_values": -3000},
+            {"delta": 1e300},
+            {"mode": "physical_off_grid", "path_loss_bs_ris": 1e-300},
+            {"mode": "physical_off_grid", "path_loss_bs_ris": 1e300},
+        ],
+    )
+    def test_extreme_scale_bound_completes(self, tmp_path, kv):
+        # the plain bound expressions overflow or divide by zero here, after every trial
+        cfg = self._write_cfg(tmp_path, trials=3, **kv)
+        out = tmp_path / "res.csv"
+        with np.errstate(all="ignore"):
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        k, _snr, _mse, _crlb, upper, _fail, trials = row.split(",")
+        assert header == hn.CSV_HEADER and (k, trials) == ("8", "3")
+        assert not math.isnan(float(upper))
+        assert math.isfinite(float(upper)) or kv == {"magnitude": 1e154}
