@@ -29,6 +29,7 @@ for missing the true support and for accepting a wrong one.
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 
@@ -258,7 +259,8 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, columns):
                 y[p_rows], columns(p_rows, subsets[p_pos]), yy[p_rows],
                 noise_var[p_rows], l,
             )
-            accept = (rank >= l) & ~(s >= delta[p_rows])
+            # a NaN statistic (an overflowed ||y||^2) is not typical
+            accept = (rank >= l) & (s < delta[p_rows])
             if not first:
                 accept &= ~found[p_rows] | (s < stat[p_rows])
             for i in np.flatnonzero(accept):
@@ -351,9 +353,10 @@ def missed_detection_term(truth_energy, noise_var, delta, kns, l):
     """Penalty for the search finding no typical set.
 
     2 ||upsilon||^2 exp(-(delta^2/(4 sigma^4)) m^2 / (m - L + (2 delta/sigma^2) m)).
-    Where that expression overflows or divides by zero, the same exponent is
-    taken in the scale-free rm = (delta/sigma^2) m, -(rm/4) / ((m - L)/rm + 2),
-    which goes to 0 with rm.
+    Where that expression overflows or divides by zero, or delta^2 or sigma^4
+    is subnormal (and so has lost digits), the same exponent is taken in the
+    scale-free rm = (delta/sigma^2) m, -(rm/4) / ((m - L)/rm + 2), which goes
+    to 0 with rm.
     """
     if kns <= l:
         raise ValueError("kns must exceed l")
@@ -363,9 +366,10 @@ def missed_detection_term(truth_energy, noise_var, delta, kns, l):
         # noiseless: the true support is always typical for any delta > 0
         return 0.0
     try:
-        exponent = -(delta**2 / (4.0 * noise_var**2)) * kns**2 / (
-            kns - l + (2.0 * delta / noise_var) * kns
-        )
+        d2, v2 = delta**2, noise_var**2
+        exponent = -(d2 / (4.0 * v2)) * kns**2 / (kns - l + (2.0 * delta / noise_var) * kns)
+        if min(d2, v2) < sys.float_info.min:  # a subnormal square has lost digits
+            exponent = math.nan
     except (OverflowError, ZeroDivisionError):
         exponent = math.nan
     if not math.isfinite(exponent):

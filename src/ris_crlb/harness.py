@@ -12,11 +12,11 @@ import json
 import math
 import os
 import pickle
-import struct
 import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -210,18 +210,18 @@ def trial_seed(master_seed, k, snr_db, trial_index):
 
 
 def trial_seeds(master_seed, k, snr_db, indices):
-    """64-bit seeds of the trials ``indices`` of a grid cell and of their substreams.
+    """64-bit seeds of the trials ``indices`` of one K and of their substreams.
 
-    The master seed, k, the IEEE-754 bit pattern of snr_db (so any float maps
-    to a stable word) and the trial index are mixed in turn, the indices in
-    one uint64 pass.  Returns four lists of ints: the trial seeds and their
-    substream seeds ``_mix64(seed ^ i)``, i = 1 (truth), 2 (pilots), 3 (noise).
+    ``snr_db`` is a float or one SNR per index.  The master seed, k, the
+    IEEE-754 bit pattern of the trial's snr_db (so any float maps to a
+    stable word) and the trial index are mixed in turn, the SNRs and indices
+    in one uint64 pass.  Returns four lists of ints: the trial seeds and
+    their substream seeds ``_mix64(seed ^ i)``, i = 1 (truth), 2 (pilots),
+    3 (noise).
     """
-    (snr_bits,) = struct.unpack("<Q", struct.pack("<d", float(snr_db)))
-    s = _mix64(master_seed & _MASK)
-    for word in (int(k), snr_bits):
-        s = _mix64(s ^ (word & _MASK))
-    seeds = _mix64(np.asarray(indices, dtype=np.uint64) ^ s)
+    s = _mix64(_mix64(master_seed & _MASK) ^ (int(k) & _MASK))
+    snr_bits = np.asarray(snr_db, dtype=np.float64).reshape(-1).view(np.uint64)
+    seeds = _mix64(np.asarray(indices, dtype=np.uint64) ^ _mix64(snr_bits ^ np.uint64(s)))
     return [seeds.tolist()] + [_mix64(seeds ^ i).tolist() for i in (1, 2, 3)]
 
 
@@ -265,15 +265,17 @@ def run_trial(cfg, k, snr_db, trial_index):
 
 
 def _run_block(cfg, k, snr_db, indices):
-    """Records of trials ``indices`` of the grid cell (k, snr_db), as stacks.
+    """Records of trials ``indices`` at K = k, as stacks.
 
-    Per trial run only its generators and their draws, its y = Upsilon
-    upsilon + n and (OMP) its greedy search.  The rest runs on the block's
-    stacks with the per-matrix LAPACK and BLAS calls of a single trial, so a
-    record does not depend on its block.  Every trial starts as the failed
-    record: the zero estimate (squared error ||upsilon||^2), CRLB nan and no
-    subsets examined.  A zero truth, a rank-deficient support or fit and a
-    group over the search budget keep it; the estimators overwrite the rest.
+    ``snr_db`` is the SNR of every trial, or one SNR per index, so a block
+    may hold trials of several grid cells of one K.  Per trial run only its
+    generators and their draws, its y = Upsilon upsilon + n and (OMP) its
+    greedy search.  The rest runs on the block's stacks with the per-matrix
+    LAPACK and BLAS calls of a single trial, so a record does not depend on
+    its block.  Every trial starts as the failed record: the zero estimate
+    (squared error ||upsilon||^2), CRLB nan and no subsets examined.  A zero
+    truth, a rank-deficient support or fit and a group over the search
+    budget keep it; the estimators overwrite the rest.
     """
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
@@ -288,7 +290,8 @@ def _run_block(cfg, k, snr_db, indices):
     live = np.array(
         [t for t, sup in enumerate(supports) if sup and energies[t] != 0.0], dtype=np.intp
     )
-    noise_var = sn.snr_to_noise_var(snr_db, energies[live], n_s)
+    snr = np.asarray(snr_db, dtype=np.float64)
+    noise_var = sn.snr_to_noise_var(snr if snr.ndim == 0 else snr[live], energies[live], n_s)
     pilots, y = sn.observe_block(
         [pilot_seeds[t] for t in live], k, n_s, truths[live], noise_var,
         [np.random.default_rng(noise_seeds[t]) for t in live],
@@ -337,10 +340,12 @@ def _run_block(cfg, k, snr_db, indices):
                 crlbs[t], failed[t], examined[t] = crlb, not len(sup), count
 
     errors = est.squared_errors(estimates, truths).tolist()
+    snrs = np.broadcast_to(snr, (n,)).tolist()
     return [
-        TrialRecord(int(k), float(snr_db), *fields)
+        TrialRecord(int(k), *fields)
         for fields in zip(
-            indices, seeds, errors, crlbs, failed, examined, energies.tolist(), map(len, supports)
+            snrs, indices, seeds, errors, crlbs, failed, examined, energies.tolist(),
+            map(len, supports),
         )
     ]
 
@@ -385,13 +390,37 @@ def _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_truth_energy, mean_spa
     return mean_crlb + missed + wrong
 
 
-def _run_cell(cfg, k, snr_db, keep_trials):
-    """SweepRow of one grid cell, and its records when ``keep_trials``."""
+def _run_share(cfg, cells, keep_trials):
+    """(SweepRow, records when ``keep_trials``) of each (k, snr_db) cell of ``cells``.
+
+    ``cells`` is one worker's share, in grid order.  The trials of its cells
+    of one K run cell after cell in blocks of ``_BLOCK_BYTES // (16 k n_s)``
+    trials, so a block may span SNR cells; records do not depend on their
+    block.  A row's wall_time is its trials' share of the time of the blocks
+    they ran in, plus its aggregation.
+    """
+    out = []
+    for k, group in groupby(cells, key=lambda cell: cell[0]):
+        snrs = [snr_db for _k, snr_db in group]
+        snr_of = [snr_db for snr_db in snrs for _t in range(cfg.trials)]
+        index_of = list(range(cfg.trials)) * len(snrs)
+        size = max(_BLOCK_BYTES // (16 * k * cfg.geometry.n_s), 1)
+        records, shares = [], []
+        for start in range(0, len(index_of), size):
+            stop = min(start + size, len(index_of))
+            t0 = time.perf_counter()
+            records += _run_block(cfg, k, snr_of[start:stop], index_of[start:stop])
+            shares += [(time.perf_counter() - t0) / (stop - start)] * (stop - start)
+        for c, snr_db in enumerate(snrs):
+            cell = slice(c * cfg.trials, (c + 1) * cfg.trials)
+            row = _aggregate(cfg, k, snr_db, records[cell], sum(shares[cell]))
+            out.append((row, records[cell] if keep_trials else []))
+    return out
+
+
+def _aggregate(cfg, k, snr_db, records, wall_time):
+    """SweepRow of one grid cell's records; ``wall_time`` is their blocks' share."""
     t0 = time.perf_counter()
-    size = max(_BLOCK_BYTES // (16 * k * cfg.geometry.n_s), 1)
-    records = []
-    for start in range(0, cfg.trials, size):
-        records += _run_block(cfg, k, snr_db, range(start, min(start + size, cfg.trials)))
     n = len(records)
     mse = sum(r.squared_error for r in records) / n
     crlb_vals = [r.crlb_value for r in records if not math.isnan(r.crlb_value)]
@@ -400,21 +429,21 @@ def _run_cell(cfg, k, snr_db, keep_trials):
     mean_energy = sum(r.truth_energy for r in records) / n
     mean_sparsity = sum(r.sparsity for r in records) / n
     upper = _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_energy, mean_sparsity)
-    row = SweepRow(
+    return SweepRow(
         k=int(k), snr_db=float(snr_db), mse=mse, crlb=mean_crlb,
         upper_bound=upper, fail_rate=fail_rate, trials=n,
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall_time + time.perf_counter() - t0,
     )
-    return row, records if keep_trials else []
 
 
 def run_sweep(cfg, threads=1, keep_trials=False):
     """Cartesian product of k_values x snr_db_values x trials.
 
-    Each grid cell runs its trials in blocks of the block core.  With
-    ``threads`` > 1, up to that many processes share the cells, dealt largest
-    K first: this one runs one share, forked children the others.  Results
-    come back in grid and trial-index order, the same for any worker count.
+    With ``threads`` > 1, up to that many processes share the grid cells,
+    dealt largest K first: this one runs one share, forked children the
+    others.  Each share runs its trials in blocks of the block core
+    (:func:`_run_share`).  Results come back in grid and trial-index order,
+    the same for any worker count.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -424,7 +453,7 @@ def run_sweep(cfg, threads=1, keep_trials=False):
     shares = [sorted(by_k[w::workers]) for w in range(workers)]
 
     def run(share):
-        return [(c, _run_cell(cfg, *cells[c], keep_trials)) for c in share]
+        return list(zip(share, _run_share(cfg, [cells[c] for c in share], keep_trials)))
 
     children = []  # (read end of its pipe, pid) per forked worker
     try:

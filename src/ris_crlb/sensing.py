@@ -175,8 +175,14 @@ def snr_to_noise_var(snr_db, energy, n_s):
 
         sigma^2 = (||upsilon||^2 / n_s) * 10^(-snr_db/10).
 
-    This is the only place the formula is evaluated (per entry of an array of energies).
+    This is the only place the formula is evaluated: per entry of an array of
+    energies, and with ``snr_db`` a float or one SNR per entry.  The factor
+    10^(-snr_db/10) is a Python float power per SNR, never numpy's array
+    ``power``, whose SIMD loop can round differently.
     """
     if not np.all(energy):
         raise ValueError("truth must be nonzero to define an SNR")
-    return (energy / n_s) * 10.0 ** (-snr_db / 10.0)
+    if np.ndim(snr_db) == 0:
+        return (energy / n_s) * 10.0 ** (-float(snr_db) / 10.0)
+    factors = [10.0 ** (-s / 10.0) for s in np.asarray(snr_db, dtype=np.float64).tolist()]
+    return (energy / n_s) * np.array(factors)

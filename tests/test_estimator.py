@@ -530,7 +530,8 @@ class TestBoundTermsAtExtremeScales:
         want = 2.0 * energy * math.exp(exponent)
         assert est.missed_detection_term(energy, sigma2, delta, kns, l) == want
 
-    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-200, 1e160])
+    # 1e-160: sigma^4 and delta^2 are subnormal, so the plain exponent lost digits
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-200, 1e160, 1e-160])
     def test_missed_term_is_scale_free(self, scale):
         # energy, sigma^2 and delta all scale together: the exponent does not move
         energy, sigma2, delta, kns, l = 2.0, 0.3, 0.07, 120, 2

@@ -186,11 +186,25 @@ class TestBlockCore:
                 for rec in hn._run_block(cfg, k, s, range(start, min(start + size, cfg.trials)))
             ]
             assert record_bits(got) == record_bits(want), size
-        # the sweep with a byte budget of 3 trials per block at the largest k
+        # every cell of one K in one block, with one SNR per trial
+        snrs = np.repeat(cfg.snr_db_values, cfg.trials)
+        indices = list(range(cfg.trials)) * len(cfg.snr_db_values)
+        got = [rec for k in cfg.k_values for rec in hn._run_block(cfg, k, snrs, indices)]
+        assert record_bits(got) == record_bits(want)
+        # the sweep with a byte budget of 3 trials per block at the largest k:
+        # 7 trials per cell, so some of its blocks span two SNR cells
         k_max = max(cfg.k_values)
         monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * 16 * k_max * cfg.geometry.n_s)
+        blocks, inner = [], hn._run_block
+
+        def spy(cfg, k, snr_db, indices):
+            blocks.append((k, set(np.atleast_1d(snr_db).tolist())))
+            return inner(cfg, k, snr_db, indices)
+
+        monkeypatch.setattr(hn, "_run_block", spy)
         res = hn.run_sweep(cfg, keep_trials=True)
         assert record_bits(res.trial_records) == record_bits(want)
+        assert (k_max, set(cfg.snr_db_values)) in blocks
 
     @pytest.mark.parametrize(
         "name", ["jt-rank-deficient", "genie-rank-deficient", "jt-over-budget"]
@@ -206,7 +220,9 @@ class TestBlockCore:
             assert len(errored) < len(recs)
 
     def test_block_size_follows_byte_budget(self, monkeypatch):
-        cfg = hn.default_config(k_values=(8, 80), snr_db_values=(20.0,), trials=25)
+        # a worker cuts the trials of its cells of each K into blocks by the
+        # budget; of 2 workers, this process runs (8, 30), (80, 20), (80, 40)
+        cfg = hn.default_config(k_values=(8, 80), trials=25)
         sizes = []
         inner = hn._run_block
 
@@ -214,11 +230,17 @@ class TestBlockCore:
             sizes.append((k, len(indices)))
             return inner(cfg, k, snr_db, indices)
 
+        def cut(k, cells):
+            n, size = cells * cfg.trials, hn._BLOCK_BYTES // (16 * k * cfg.geometry.n_s)
+            return [(k, size)] * (n // size) + [(k, n % size)] * (n % size > 0)
+
         monkeypatch.setattr(hn, "_run_block", spy)
-        hn.run_sweep(cfg)
-        n_s = cfg.geometry.n_s
-        per_block = {k: hn._BLOCK_BYTES // (16 * k * n_s) for k in cfg.k_values}
-        assert sizes == [(8, 25), (80, per_block[80]), (80, per_block[80]), (80, 5)]
+        hn.run_sweep(cfg, threads=1)
+        assert sizes == cut(8, 3) + cut(80, 3)
+        if hasattr(os, "fork"):
+            sizes.clear()
+            hn.run_sweep(cfg, threads=2)
+            assert sizes == cut(8, 1) + cut(80, 2)
 
 
 class TestBlockFailurePath:
@@ -241,6 +263,15 @@ class TestBlockFailurePath:
         # per group: the true supports' columns for the CRLB, then all 25 for OMP
         groups = [(sizes.count(l), l) for l in sorted(set(sizes))]
         assert calls == [shape for n, l in groups for shape in ((n, l), (n, 25))]
+
+    def test_overflowed_statistic_is_not_typical(self):
+        # ||y||^2 overflows to inf, so every statistic is nan: no subset is typical
+        cfg = hn.default_config(k_values=(8,), trials=3, magnitude=1e154)
+        with np.errstate(all="ignore"):
+            res = hn.run_sweep(cfg, keep_trials=True)
+        assert len(res.trial_records) == 9
+        assert all(r.failed and r.subsets_examined == 25 for r in res.trial_records)
+        assert [row.fail_rate for row in res.rows] == [1.0, 1.0, 1.0]
 
     def test_estimator_error_is_not_a_failed_trial(self, monkeypatch):
         def broken(*args):
@@ -285,6 +316,10 @@ class TestTrialSeed:
                 for i, stream in enumerate(streams, start=1):
                     assert stream == [hn._mix64(seed ^ i) for seed in seeds]
                 assert all(type(v) is int for v in seeds + streams[0])
+            # one SNR per trial
+            snrs = [(-0.0, 20.0, 1e-300, -7.5)[t % 4] for t in range(len(indices))]
+            seeds = hn.trial_seeds(master, k, snrs, indices)[0]
+            assert seeds == [reference(k, s, t) for s, t in zip(snrs, indices)]
 
 
 class TestRunTrial:
@@ -409,7 +444,7 @@ class TestWorkerProcesses:
 
     @staticmethod
     def two_cells(monkeypatch, fail=None):
-        """A 2-cell config; ``fail(in_parent)`` runs before each cell.
+        """A 2-cell config; ``fail(in_parent)`` runs before each share.
 
         The child's cell is K = 8; its 1000 kept records pickle to more than
         a pipe buffer (64 KiB), so it blocks writing until the parent reads
@@ -417,13 +452,13 @@ class TestWorkerProcesses:
         """
         cfg = small_config(k_values=(8, 20), snr_db_values=(20.0,), trials=1000)
         if fail is not None:
-            parent, inner = os.getpid(), hn._run_cell
+            parent, inner = os.getpid(), hn._run_share
 
-            def run_cell(*args):
+            def run_share(*args):
                 fail(os.getpid() == parent)
                 return inner(*args)
 
-            monkeypatch.setattr(hn, "_run_cell", run_cell)
+            monkeypatch.setattr(hn, "_run_share", run_share)
         return cfg
 
     @pytest.mark.parametrize(

@@ -279,6 +279,16 @@ class TestSnrToNoiseVar:
         with pytest.raises(ValueError):
             sn.snr_to_noise_var(17.0, np.array([1.0, 0.0]), 5)
 
+    def test_array_of_snrs_matches_each_scalar_formula(self):
+        # numpy's array power can round 10^x differently from Python's float power
+        rng = np.random.default_rng(17)
+        snrs = np.concatenate([rng.uniform(-60.0, 120.0, 10_000), [20.0, 30.0, 40.0, -0.0, 4000.0]])
+        energies = rng.uniform(1e-3, 1e3, snrs.size)
+        got = sn.snr_to_noise_var(snrs, energies, 5)
+        want = [(e / 5) * 10.0 ** (-s / 10.0) for s, e in zip(snrs.tolist(), energies.tolist())]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got[-1] == 0.0
+
     def test_snr_definition_monte_carlo(self):
         # mean ||Upsilon upsilon||^2 / (K n_s sigma^2) should hit 10^(snr/10)
         rng = np.random.default_rng(16)
