@@ -56,19 +56,15 @@ class ChannelRealization:
     """One draw of the cascade channel and its sparse angular image.
 
     ``sparse_vec`` is vec of the conjugate-transposed angular matrix, the
-    column-stacked length n_d*n_s vector the sensing model observes.  In
-    synthetic mode the hop matrices and RIS phases are None.  A stack of
-    draws (:func:`realize_stack`) carries leading axes on every array and
-    holds its supports as lists of tuples.
+    column-stacked length n_d*n_s vector the sensing model observes.  A
+    stack of draws (:func:`realize_stack`) carries leading axes on every
+    array and holds its supports as lists of tuples.
     """
 
     cascade: np.ndarray           # (n_d, n_s)
     angular: np.ndarray           # (n_d, n_s)
     sparse_vec: np.ndarray        # (n_d*n_s,)
     support: tuple
-    g_bs_ris: np.ndarray | None = None   # (n_r, n_s)
-    g_ris_ms: np.ndarray | None = None   # (n_d, n_r)
-    ris_phases: np.ndarray | None = None  # (n_r,) radians
     predicted_support: tuple = ()
 
 
@@ -343,29 +339,26 @@ def realize_stack(geometry, paths_bs_ris, paths_ris_ms, ris_phases, on_grid):
     g = geometry
     g1 = hop_matrix(g, BS_TO_RIS, *paths_bs_ris)
     g2 = hop_matrix(g, RIS_TO_MS, *paths_ris_ms)
-    phases = np.asarray(ris_phases, dtype=np.float64)
-    h = compose_cascade(g1, phases, g2)
+    h = compose_cascade(g1, ris_phases, g2)
     h_tilde_herm, upsilon = angular_transform(h, g)
     aod, aoa = paths_bs_ris[0][..., 0:2], paths_ris_ms[0][..., 2:4]
     bins_s = dominant_bin(directional_param(aod[..., 0], aod[..., 1], g.spacing_ratio), g.n_s)
     bins_d = dominant_bin(directional_param(aoa[..., 0], aoa[..., 1], g.spacing_ratio), g.n_d)
     cells = bins_d[..., :, None] * g.n_s + bins_s[..., None, :]
-    predicted = np.zeros(upsilon.shape, dtype=bool)
-    np.put_along_axis(predicted, cells.reshape(cells.shape[:-2] + (-1,)), True, axis=-1)
+    mask = np.zeros(upsilon.shape, dtype=bool)
+    np.put_along_axis(mask, cells.reshape(cells.shape[:-2] + (-1,)), True, axis=-1)
+    predicted = _indices(mask)
     if on_grid:
         mags = np.abs(upsilon)
-        support = mags > SUPPORT_TOL * np.max(mags, axis=-1, keepdims=True)
+        support = _indices(mags > SUPPORT_TOL * np.max(mags, axis=-1, keepdims=True))
     else:
         support = predicted
     return ChannelRealization(
         cascade=h,
         angular=h_tilde_herm.conj().swapaxes(-1, -2),
         sparse_vec=upsilon,
-        support=_indices(support),
-        g_bs_ris=g1,
-        g_ris_ms=g2,
-        ris_phases=phases,
-        predicted_support=_indices(predicted),
+        support=support,
+        predicted_support=predicted,
     )
 
 

@@ -95,7 +95,7 @@ def _cmd_angular_map(args):
 
 
 def _cmd_crlb(args):
-    """One deterministic pilot draw per K; no trial loop."""
+    """One deterministic pilot draw per K, on the sweep's kron_columns and crlb_stack."""
     cfg = _load_config(args)
     if cfg.mode != "synthetic":
         raise ConfigError("the crlb table is defined for synthetic mode")
@@ -104,10 +104,11 @@ def _cmd_crlb(args):
     lines = ["k,snr_db,noise_var,delta,crlb,missed_term,wrong_support_term,upper_bound"]
     for k in cfg.k_values:
         pilots = sn.gen_pilots(cfg.geometry.n_d, k, hn.trial_seed(cfg.master_seed, k, 0.0, 0))
-        mat = sn.measurement_matrix(pilots, cfg.geometry.n_s)
+        subs = sn.kron_columns(pilots, cfg.geometry.n_s, np.arange(l))
         for snr_db in cfg.snr_db_values:
             noise_var, delta, missed, wrong = hn.bound_terms(cfg, k, snr_db, energy, l)
-            crlb = est.crlb(mat, range(l), noise_var)
+            crlb, rank = est.crlb_stack(subs, noise_var)
+            crlb = float(crlb) if rank >= l else np.nan  # rank deficient, as in a sweep
             row = (snr_db, noise_var, delta, crlb, missed, wrong, crlb + missed + wrong)
             lines.append(f"{k}," + ",".join(format(v, ".17g") for v in row))
     text = "\n".join(lines) + "\n"
@@ -135,7 +136,7 @@ def _selftest_checks():
         m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         x = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         lhs = nm.vec(m @ x)
-        rhs = nm.kron(x.T, np.eye(4)) @ nm.vec(m)
+        rhs = sn.kron_columns(x, 4, np.arange(12)) @ nm.vec(m)
         return np.max(np.abs(lhs - rhs)) < 1e-10
 
     def projector_props():
@@ -149,7 +150,7 @@ def _selftest_checks():
 
     def measurement_rank():
         pilots = sn.gen_pilots(5, 20, 11)
-        return nm.numeric_rank(sn.measurement_matrix(pilots, 5)) == 25
+        return nm.numeric_rank(sn.kron_columns(pilots, 5, np.arange(25))) == 25
 
     def cascade_energy():
         cfg = hn.default_config(geometry=geom, mode="physical_off_grid")
@@ -160,15 +161,13 @@ def _selftest_checks():
         ) < 1e-10 * max(np.linalg.norm(cascade), 1.0)
 
     def noiseless_recovery():
-        real = ch.realize_synthetic(geom, 1, np.random.default_rng(3))
-        pilots = sn.gen_pilots(5, 20, 5)
-        model = sn.measurement_model(pilots, 5, noise_var=0.0)
-        y = sn.observe(model, real.sparse_vec, np.random.default_rng(4))
-        cfg = est.TypicalityConfig(delta=1e-9, sparsity=1)
-        res = est.jt_estimate(y, model.upsilon_mat, cfg, 0.0)
-        return res.support == real.support and est.squared_error(
-            res.upsilon_hat, real.sparse_vec
-        ) < 1e-18
+        # one cell of the sweep's block core: sigma^2 = 0.2 * 10^-400 underflows to 0
+        cfg = hn.default_config(
+            k_values=(20,), snr_db_values=(4000.0,), trials=100,
+            typicality=est.TypicalityConfig(delta=1e-9, sparsity=2),
+        )
+        (row,) = hn.run_sweep(cfg).rows
+        return row.fail_rate == 0 and row.mse < 1e-18
 
     def genie_matches_crlb():
         # one cell of the sweep's block core: a 2,000-trial genie sweep

@@ -386,6 +386,9 @@ def wrong_support_term(truth, support, noise_var, delta, kns, l):
     is the truth energy on I \\ J and delta' = delta m/(m - L).  The sum is
     exact: it is grouped over the intersection I cap J, whose complement in
     I alone determines each exponent, with a binomial count per group.
+    Overlap sizes that no J has (count 0) are skipped; raises
+    SearchBudgetExceededError when the rest hold more groups than the
+    enumeration cap.
     """
     truth = as_vector(truth, "truth")
     idx = tuple(support)
@@ -394,20 +397,19 @@ def wrong_support_term(truth, support, noise_var, delta, kns, l):
     if kns <= l:
         raise ValueError("kns must exceed l")
     n = truth.shape[0]
-    if 2**l > _DEFAULT_ENUM_CAP:
-        raise SearchBudgetExceededError(f"2^{l} overlap groups exceed cap {_DEFAULT_ENUM_CAP}")
+    # t = |I cap J| < l, with count C(n - l, l - t) > 0
+    counts = {t: c for t in range(l) if (c := math.comb(n - l, l - t))}
+    groups = sum(math.comb(l, t) for t in counts)
+    if groups > _DEFAULT_ENUM_CAP:
+        raise SearchBudgetExceededError(f"{groups} overlap groups exceed cap {_DEFAULT_ENUM_CAP}")
 
     delta_p = delta * kns / (kns - l)
     energies = np.abs(truth[list(idx)]) ** 2
     prefactor = l * noise_var + float(np.sum(np.abs(truth) ** 2))
 
     total = 0.0
-    for t in range(l):  # t = |I cap J| < l
-        missing = l - t
+    for t, count in counts.items():
         for kept in combinations(range(l), t):
-            count = math.comb(n - l, missing)
-            if count == 0:
-                continue
             miss_energy = float(np.sum(energies)) - float(np.sum(energies[list(kept)]))
             denom = miss_energy + noise_var
             if denom == 0.0:

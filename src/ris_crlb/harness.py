@@ -300,9 +300,10 @@ def _run_block(cfg, k, snr_db, indices):
     for l in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == l)  # of the live stacks
         support = np.array([supports[t] for t in live[rows]])
-        bound, ranks = est.crlb_stack(sn.kron_columns(pilots[rows], n_s, support), noise_var[rows])
+        subs = sn.kron_columns(pilots[rows], n_s, support)
+        bound, ranks = est.crlb_stack(subs, noise_var[rows])
         full = ranks >= l
-        rows, support, bound = rows[full], support[full], bound[full]
+        rows, support, bound, subs = rows[full], support[full], bound[full], subs[full]
         if not rows.size:
             continue
         at = live[rows]  # their block positions
@@ -329,9 +330,9 @@ def _run_block(cfg, k, snr_db, indices):
         fitted = np.ones(rows.size, dtype=bool)
         if hit:
             cols = np.array([found[r] for r in hit])
-            coef, fit_ranks = least_squares_stack(
-                sn.kron_columns(pilots[rows[hit]], n_s, cols), y[rows[hit]]
-            )
+            if cfg.estimator == "jt":  # the genie fits the columns of its CRLB
+                subs = sn.kron_columns(pilots[rows[hit]], n_s, cols)
+            coef, fit_ranks = least_squares_stack(subs, y[rows[hit]])
             good = fit_ranks >= l
             fitted[hit] = good
             estimates[at[hit][good, None], cols[good]] = coef[good]
@@ -357,7 +358,8 @@ def bound_terms(cfg, k, snr_db, energy, l):
     Returns ``(noise_var, delta, missed_term, wrong_support_term)``; the
     sweep's ``upper_bound`` and the ``crlb`` table each add their own CRLB.
     Both terms, and the default delta, need k * n_s > l; below that they are
-    nan.
+    nan.  The wrong-support term is nan too where its overlap subsets exceed
+    the enumeration cap.
     """
     kns = k * cfg.geometry.n_s
     noise_var = sn.snr_to_noise_var(snr_db, energy, cfg.geometry.n_s)
@@ -369,7 +371,10 @@ def bound_terms(cfg, k, snr_db, energy, l):
     template = np.zeros(cfg.geometry.n_d * cfg.geometry.n_s, dtype=np.complex128)
     template[:l] = math.sqrt(energy / l)
     missed = est.missed_detection_term(energy, noise_var, delta, kns, l)
-    wrong = est.wrong_support_term(template, tuple(range(l)), noise_var, delta, kns, l)
+    try:
+        wrong = est.wrong_support_term(template, tuple(range(l)), noise_var, delta, kns, l)
+    except SearchBudgetExceededError:
+        wrong = math.nan
     return noise_var, delta, missed, wrong
 
 

@@ -663,6 +663,24 @@ class TestWriters:
         assert "snr_definition" in payload
 
 
+# values crossed with every config key and sweep flag in the boundary table
+_EXTREMES = ("0", "-0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300")
+# int keys that size an array or a loop are never probed at 10**30
+_SIZE_KEYS = ("n_s", "n_d", "n_r_h", "n_r_w", "paths_bs_ris", "paths_ris_ms", "trials", "sparsity")
+_BOUNDARY_KEYS = (
+    [(key, value) for key in hn._CONFIG_KEYS for value in _EXTREMES]
+    + [
+        (key, str(10**30)) for key, (_field, _member, parse) in hn._CONFIG_KEYS.items()
+        if parse is int and key not in _SIZE_KEYS
+    ]
+    # L = n_d * n_s: no wrong support J exists, so no overlap group is enumerated
+    + [("sparsity", "25")]
+)
+_BOUNDARY_FLAGS = [
+    (flag, value) for flag in ("--delta", "--trials", "--seed", "--threads") for value in _EXTREMES
+] + [(flag, str(10**30)) for flag in ("--delta", "--seed", "--threads")]
+
+
 class TestCli:
     def _write_cfg(self, tmp_path, **kv):
         base = {"k_values": "8", "snr_db_values": "20", "trials": "5"}
@@ -865,6 +883,71 @@ class TestCli:
         assert math.isfinite(float(k1[4]))
         assert all(math.isfinite(float(v)) for v in k8[1:])
 
+    def test_crlb_table_rank_deficient_support_is_nan(self, tmp_path, capsys):
+        # at k = 1 the 5 x 6 support submatrix has rank 5 < 6: its CRLB is nan, as in a sweep
+        cfg = self._write_cfg(
+            tmp_path, k_values="1 8", snr_db_values="20", sparsity=6, estimator="omp"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k <= n_d
+            assert cli.main(["crlb", "--config", cfg]) == 0
+        k1, k8 = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert k1[0] == "1" and k1[3:] == ["nan"] * 5
+        assert k8[0] == "8" and all(math.isfinite(float(v)) for v in k8[1:])
+
+    def test_full_width_sparsity_has_no_wrong_support_term(self, tmp_path, capsys):
+        # L = n_d * n_s = 25: 2^25 overlap groups exceeded the cap, but no wrong support exists
+        cfg = self._write_cfg(tmp_path, sparsity=25, trials=2)
+        out = tmp_path / "res.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        _k, _snr, _mse, crlb, upper, _fail, trials = out.read_text().splitlines()[1].split(",")
+        assert trials == "2" and math.isfinite(float(crlb)) and math.isfinite(float(upper))
+        capsys.readouterr()
+        assert cli.main(["crlb", "--config", cfg]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[6] == "0"
+        assert float(row[7]) == float(row[4]) + float(row[5])
+
+    def test_overlap_cap_gives_nan_wrong_support_term(self, tmp_path, capsys):
+        # 2^25 - 1 overlap groups at L = 25 of n = 50 entries exceed the cap
+        cfg = self._write_cfg(
+            tmp_path, n_d=10, k_values=12, sparsity=25, estimator="genie", trials=2
+        )
+        out = tmp_path / "res.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        _k, _snr, mse, crlb, upper, fail, _n = out.read_text().splitlines()[1].split(",")
+        assert (fail, upper) == ("0", "nan")
+        assert math.isfinite(float(mse)) and math.isfinite(float(crlb))
+        capsys.readouterr()
+        assert cli.main(["crlb", "--config", cfg]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[6:] == ["nan", "nan"]
+        assert all(math.isfinite(float(v)) for v in row[:6])
+
+    def _assert_exit_0_or_2(self, tmp_path, capsys, kv, flags):
+        # exit 0 with a complete CSV, or exit 2 with an error line and no output
+        cfg = self._write_cfg(tmp_path, **{"trials": 1, **kv})
+        out = tmp_path / "res.csv"
+        try:
+            rc = cli.main(["sweep", "--config", cfg, "--out", str(out), *flags])
+        except SystemExit as exc:  # argparse rejects a flag value it cannot convert
+            rc = exc.code
+        err = capsys.readouterr().err
+        if rc == 0:
+            header, row = out.read_text().splitlines()
+            assert header == hn.CSV_HEADER and len(row.split(",")) == 7
+        else:
+            assert rc == 2 and "error:" in err, (rc, err)
+            assert not out.exists() and not (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize("key, value", _BOUNDARY_KEYS)
+    def test_boundary_config_value_exits_0_or_2(self, tmp_path, capsys, key, value):
+        self._assert_exit_0_or_2(tmp_path, capsys, {key: value}, [])
+
+    @pytest.mark.parametrize("flag, value", _BOUNDARY_FLAGS)
+    def test_boundary_flag_value_exits_0_or_2(self, tmp_path, capsys, flag, value):
+        self._assert_exit_0_or_2(tmp_path, capsys, {}, [f"{flag}={value}"])
+
     def test_seed_determinism(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -946,7 +1029,21 @@ class TestCli:
         monkeypatch.setattr(hn, "least_squares_stack", scaled)
         assert cli.main(["selftest"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  genie attains crlb" in out
+        # the noiseless jt check fits its supports through the same call
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  noiseless jt recovery", "FAIL  genie attains crlb"]
+
+    def test_selftest_jt_check_catches_a_broken_kronecker_normal(self, capsys, monkeypatch):
+        inner = sn.kron_normal
+
+        def conjugated(pilots, n_s, y):
+            outer, corr = inner(pilots, n_s, y)
+            return outer, corr.conj()
+
+        monkeypatch.setattr(sn, "kron_normal", conjugated)
+        assert cli.main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  noiseless jt recovery" in out
         assert out.count("FAIL") == 1
 
     @pytest.mark.parametrize(
