@@ -99,8 +99,7 @@ def _cmd_crlb(args):
     cfg = _load_config(args)
     if cfg.mode != "synthetic":
         raise ConfigError("the crlb table is defined for synthetic mode")
-    l = cfg.typicality.sparsity
-    energy = l * cfg.magnitude**2
+    l, energy = cfg.typicality.sparsity, cfg.synthetic_energy
     lines = ["k,snr_db,noise_var,delta,crlb,missed_term,wrong_support_term,upper_bound"]
     for k in cfg.k_values:
         pilots = sn.gen_pilots(cfg.geometry.n_d, k, hn.trial_seed(cfg.master_seed, k, 0.0, 0))

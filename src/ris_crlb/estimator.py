@@ -27,7 +27,6 @@ mean-squared-error upper bound adds two exponentially small penalty terms
 for missing the true support and for accepting a wrong one.
 """
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -378,45 +377,42 @@ def missed_detection_term(truth_energy, noise_var, delta, kns, l):
     return 2.0 * truth_energy * math.exp(exponent)
 
 
-def wrong_support_term(truth, support, noise_var, delta, kns, l):
+def wrong_support_term(energy, n, noise_var, delta, kns, l):
     """Penalty for some wrong support passing the typicality test.
 
     (L sigma^2 + ||upsilon||^2) * sum over all L-subsets J != I of
-    exp(((L - m)/4) * ((E_miss - delta')/(E_miss + sigma^2))^2) where E_miss
-    is the truth energy on I \\ J and delta' = delta m/(m - L).  The sum is
-    exact: it is grouped over the intersection I cap J, whose complement in
-    I alone determines each exponent, with a binomial count per group.
-    Overlap sizes that no J has (count 0) are skipped; raises
-    SearchBudgetExceededError when the rest hold more groups than the
-    enumeration cap.
+    exp(((L - m)/4) * ((E_miss - delta')/(E_miss + sigma^2))^2), where E_miss
+    is the truth energy on I \\ J and delta' = delta m/(m - L).  The truth is
+    ``l`` equal shares of ``energy`` among ``n`` entries, so a term depends on
+    J only through t = |I cap J| < L, and the sum is taken in closed form over
+    t with C(L, t) C(n - L, L - t) supports of each size; sizes no J has are
+    skipped.
     """
-    truth = as_vector(truth, "truth")
-    idx = tuple(support)
-    if len(idx) != l:
-        raise ValueError(f"support size {len(idx)} != l={l}")
     if kns <= l:
         raise ValueError("kns must exceed l")
-    n = truth.shape[0]
-    # t = |I cap J| < l, with count C(n - l, l - t) > 0
-    counts = {t: c for t in range(l) if (c := math.comb(n - l, l - t))}
-    groups = sum(math.comb(l, t) for t in counts)
-    if groups > _DEFAULT_ENUM_CAP:
-        raise SearchBudgetExceededError(f"{groups} overlap groups exceed cap {_DEFAULT_ENUM_CAP}")
-
+    shares = np.zeros(n)
+    shares[:l] = np.square(math.sqrt(energy / l))
     delta_p = delta * kns / (kns - l)
-    energies = np.abs(truth[list(idx)]) ** 2
-    prefactor = l * noise_var + float(np.sum(np.abs(truth) ** 2))
+    prefactor = l * noise_var + float(np.sum(shares))
+    on_support = float(np.sum(shares[:l]))
 
     total = 0.0
-    for t, count in counts.items():
-        for kept in combinations(range(l), t):
-            miss_energy = float(np.sum(energies)) - float(np.sum(energies[list(kept)]))
-            denom = miss_energy + noise_var
-            if denom == 0.0:
-                continue  # indistinguishable noiseless sets, vacuous term
-            ratio = (miss_energy - delta_p) / denom
-            with contextlib.suppress(OverflowError):  # ratio**2 overflows: exp(-inf) = 0
-                total += count * math.exp((l - kns) / 4.0 * ratio**2)
+    for t in range(l):
+        count = math.comb(l, t) * math.comb(n - l, l - t)
+        miss_energy = on_support - float(np.sum(shares[:t]))
+        denom = miss_energy + noise_var
+        if not count or denom == 0.0:
+            continue  # no such J, or indistinguishable noiseless sets: vacuous term
+        ratio = (miss_energy - delta_p) / denom
+        try:
+            exponent = (l - kns) / 4.0 * ratio**2
+        except OverflowError:  # ratio**2 overflows: exp(-inf) = 0
+            continue
+        if count < 2**1023:
+            total += count * math.exp(exponent)
+        else:  # a count past the float range: the term in logs, inf where it overflows
+            log_term = math.log(count) + exponent
+            total += math.exp(log_term) if log_term < math.log(sys.float_info.max) else math.inf
     return prefactor * total
 
 

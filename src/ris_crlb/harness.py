@@ -68,6 +68,13 @@ class ExperimentConfig:
     typicality: est.TypicalityConfig
     magnitude: float = 1.0
 
+    @property
+    def synthetic_energy(self):
+        """``sparsity * magnitude**2``, the energy of every synthetic truth (inf on overflow)."""
+        with contextlib.suppress(OverflowError):
+            return self.typicality.sparsity * self.magnitude**2
+        return math.inf
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -89,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"magnitude must be positive and finite, got {self.magnitude!r}")
         l, n_s = self.typicality.sparsity, self.geometry.n_s
         # a physical truth's energy is drawn, so there only the SNR factor is checked
-        energy = l * self.magnitude * self.magnitude if self.mode == "synthetic" else n_s
+        energy = self.synthetic_energy if self.mode == "synthetic" else n_s
         if not 0 < energy < math.inf:
             raise ConfigError(f"sparsity * magnitude**2 = {energy!r} must be positive and finite")
         for snr in self.snr_db_values:
@@ -358,41 +365,18 @@ def bound_terms(cfg, k, snr_db, energy, l):
     Returns ``(noise_var, delta, missed_term, wrong_support_term)``; the
     sweep's ``upper_bound`` and the ``crlb`` table each add their own CRLB.
     Both terms, and the default delta, need k * n_s > l; below that they are
-    nan.  The wrong-support term is nan too where its overlap subsets exceed
-    the enumeration cap.
+    nan.  A zero energy has no SNR: its noise variance is nan as well.
     """
-    kns = k * cfg.geometry.n_s
-    noise_var = sn.snr_to_noise_var(snr_db, energy, cfg.geometry.n_s)
+    g, kns = cfg.geometry, k * cfg.geometry.n_s
+    noise_var = sn.snr_to_noise_var(snr_db, energy, g.n_s) if energy else math.nan
     delta = cfg.typicality.delta
-    if kns <= l:
+    if kns <= l or not energy:
         return noise_var, math.nan if delta is None else delta, math.nan, math.nan
     if delta is None:
         delta = est.default_delta(noise_var, kns, l)
-    template = np.zeros(cfg.geometry.n_d * cfg.geometry.n_s, dtype=np.complex128)
-    template[:l] = math.sqrt(energy / l)
     missed = est.missed_detection_term(energy, noise_var, delta, kns, l)
-    try:
-        wrong = est.wrong_support_term(template, tuple(range(l)), noise_var, delta, kns, l)
-    except SearchBudgetExceededError:
-        wrong = math.nan
+    wrong = est.wrong_support_term(energy, g.n_d * g.n_s, noise_var, delta, kns, l)
     return noise_var, delta, missed, wrong
-
-
-def _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_truth_energy, mean_sparsity):
-    """Sweep-level bound: mean per-realization CRLB plus the analytic terms.
-
-    In synthetic mode the truth statistics are exact (L entries of the
-    configured magnitude); physical modes use the mean realized energy
-    spread in equal shares, an approximation noted in the JSON metadata.
-    """
-    if cfg.mode == "synthetic":
-        l = cfg.typicality.sparsity
-        energy = l * cfg.magnitude**2
-    else:
-        l = max(int(round(mean_sparsity)), 1)
-        energy = mean_truth_energy
-    _, _, missed, wrong = bound_terms(cfg, k, snr_db, energy, l)
-    return mean_crlb + missed + wrong
 
 
 def _run_share(cfg, cells, keep_trials):
@@ -431,9 +415,15 @@ def _aggregate(cfg, k, snr_db, records, wall_time):
     crlb_vals = [r.crlb_value for r in records if not math.isnan(r.crlb_value)]
     mean_crlb = sum(crlb_vals) / len(crlb_vals) if crlb_vals else math.nan
     fail_rate = sum(1 for r in records if r.failed) / n
-    mean_energy = sum(r.truth_energy for r in records) / n
-    mean_sparsity = sum(r.sparsity for r in records) / n
-    upper = _analytic_upper_bound(cfg, k, snr_db, mean_crlb, mean_energy, mean_sparsity)
+    # the analytic bound's truth: exact in synthetic mode; a physical cell spreads
+    # its mean realized energy in equal shares over its rounded mean sparsity
+    if cfg.mode == "synthetic":
+        l, energy = cfg.typicality.sparsity, cfg.synthetic_energy
+    else:
+        l = max(int(round(sum(r.sparsity for r in records) / n)), 1)
+        energy = sum(r.truth_energy for r in records) / n
+    _, _, missed, wrong = bound_terms(cfg, k, snr_db, energy, l)
+    upper = mean_crlb + missed + wrong
     return SweepRow(
         k=int(k), snr_db=float(snr_db), mse=mse, crlb=mean_crlb,
         upper_bound=upper, fail_rate=fail_rate, trials=n,

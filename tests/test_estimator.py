@@ -465,8 +465,8 @@ class TestMissedDetectionTerm:
 
 class TestWrongSupportTerm:
     def _literal(self, truth, support, sigma2, delta, kns, l):
-        # direct enumeration over every wrong subset, the oracle the grouped
-        # implementation must reproduce exactly
+        # direct enumeration over every wrong subset, the oracle the closed
+        # form over overlap sizes must reproduce
         n = truth.shape[0]
         delta_p = delta * kns / (kns - l)
         total = 0.0
@@ -479,42 +479,37 @@ class TestWrongSupportTerm:
             total += math.exp((l - kns) / 4 * ratio**2)
         return (l * sigma2 + float(np.sum(np.abs(truth) ** 2))) * total
 
+    def _equal_share_literal(self, energy, n, sigma2, delta, kns, l):
+        truth = np.zeros(n, dtype=complex)
+        truth[:l] = math.sqrt(energy / l)
+        return self._literal(truth, tuple(range(l)), sigma2, delta, kns, l)
+
     def test_single_term_count(self):
-        truth = np.array([1.0 + 0j, 0.0])
-        val = est.wrong_support_term(truth, (0,), 0.5, 0.1, 50, 1)
-        lit = self._literal(truth, (0,), 0.5, 0.1, 50, 1)
+        val = est.wrong_support_term(1.0, 2, 0.5, 0.1, 50, 1)
+        lit = self._equal_share_literal(1.0, 2, 0.5, 0.1, 50, 1)
         assert abs(val - lit) < 1e-15 * max(abs(lit), 1.0)
 
     def test_symmetric_l1_closed_form(self):
         n, sigma2, delta, kns = 25, 0.4, 0.02, 100
-        truth = np.zeros(n, dtype=complex)
-        truth[7] = 1.5
         delta_p = delta * kns / (kns - 1)
         e = 1.5**2
         expected = (sigma2 + e) * (n - 1) * math.exp(
             (1 - kns) / 4 * ((e - delta_p) / (e + sigma2)) ** 2
         )
-        assert abs(est.wrong_support_term(truth, (7,), sigma2, delta, kns, 1) - expected) < 1e-12
+        assert abs(est.wrong_support_term(e, n, sigma2, delta, kns, 1) - expected) < 1e-12
 
     def test_grouped_equals_literal_enumeration(self):
         rng = np.random.default_rng(18)
-        for n, l in [(8, 1), (8, 2), (10, 3)]:
-            truth = np.zeros(n, dtype=complex)
-            support = tuple(sorted(rng.choice(n, size=l, replace=False)))
-            truth[list(support)] = crandn(rng, l)
-            sigma2, delta, kns = 0.3, 0.05, 60
-            got = est.wrong_support_term(truth, support, sigma2, delta, kns, l)
-            want = self._literal(truth, support, sigma2, delta, kns, l)
-            assert abs(got - want) < 1e-12 * max(want, 1.0)
+        for n, l in [(2, 1), (8, 1), (8, 2), (10, 3), (12, 6), (16, 8)]:
+            # per-entry shares on both sides of delta', so ratios of both signs
+            for energy in l * rng.uniform(0.01, 2.0, size=3):
+                sigma2, delta, kns = 0.3, 0.05, 60
+                got = est.wrong_support_term(energy, n, sigma2, delta, kns, l)
+                want = self._equal_share_literal(energy, n, sigma2, delta, kns, l)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, l, energy)
 
     def test_decreasing_in_kns(self):
-        rng = np.random.default_rng(19)
-        truth = np.zeros(25, dtype=complex)
-        truth[[2, 9]] = crandn(rng, 2)
-        vals = [
-            est.wrong_support_term(truth, (2, 9), 0.1, 0.01, kns, 2)
-            for kns in (100, 200, 400, 800)
-        ]
+        vals = [est.wrong_support_term(1.3, 25, 0.1, 0.01, kns, 2) for kns in (100, 200, 400, 800)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -545,11 +540,26 @@ class TestBoundTermsAtExtremeScales:
         assert est.missed_detection_term(3.0, 1e200, 1e-200, 40, 1) == 6.0
 
     def test_wrong_support_term_overflowing_ratio_is_zero(self):
-        truth = np.zeros(25, dtype=complex)
-        truth[3] = 1.0
         # ((E_miss - delta') / (E_miss + sigma^2))**2 overflows: every term is exp(-inf)
-        assert est.wrong_support_term(truth, (3,), 0.002, 1e300, 40, 1) == 0.0
-        assert est.wrong_support_term(truth, (3,), 0.002, 1e150, 40, 1) == 0.0
+        assert est.wrong_support_term(1.0, 25, 0.002, 1e300, 40, 1) == 0.0
+        assert est.wrong_support_term(1.0, 25, 0.002, 1e150, 40, 1) == 0.0
+
+    def test_wrong_support_counts_past_float_range_are_kept(self):
+        # C(800, t) C(800, 800 - t) passes 2^1024 for most t at n = 1600, L = 800
+        energy, n, sigma2, delta, l = 800.0, 1600, 0.2, 0.014, 800
+        for kns, finite in [(6000, True), (1600, False)]:
+            delta_p = delta * kns / (kns - l)
+            log_terms = [
+                math.log(math.comb(l, t) * math.comb(n - l, l - t))
+                + (l - kns) / 4 * (((l - t) - delta_p) / ((l - t) + sigma2)) ** 2
+                for t in range(l)
+            ]
+            got = est.wrong_support_term(energy, n, sigma2, delta, kns, l)
+            if finite:  # about 1e-81, though most counts are past the float range
+                want = (l * sigma2 + energy) * sum(math.exp(x) for x in log_terms)
+                assert got == pytest.approx(want, rel=1e-9)
+            else:  # the true term is about 1e396
+                assert max(log_terms) > 709.8 and got == math.inf
 
 
 def bound_report(model, sigma2, delta=None):
@@ -590,13 +600,11 @@ class TestMseUpperBound:
     def test_vanishes_as_observation_count_grows(self):
         # the full bound does go to zero, but in the kns -> infinity limit
         model = default_scale_model(seed=22)
-        truth = np.zeros(25, dtype=complex)
-        truth[5] = 1.0
         sigma2 = 1e-3
         delta = 0.05  # fixed threshold, not scaled with kns
         vals = [
             est.missed_detection_term(1.0, sigma2, delta, kns, 1)
-            + est.wrong_support_term(truth, (5,), sigma2, delta, kns, 1)
+            + est.wrong_support_term(1.0, 25, sigma2, delta, kns, 1)
             for kns in (100, 200, 400, 800)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))

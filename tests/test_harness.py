@@ -673,7 +673,7 @@ _BOUNDARY_KEYS = (
         (key, str(10**30)) for key, (_field, _member, parse) in hn._CONFIG_KEYS.items()
         if parse is int and key not in _SIZE_KEYS
     ]
-    # L = n_d * n_s: no wrong support J exists, so no overlap group is enumerated
+    # L = n_d * n_s: no wrong support J exists, so the wrong-support sum is empty
     + [("sparsity", "25")]
 )
 _BOUNDARY_FLAGS = [
@@ -781,6 +781,9 @@ class TestCli:
             ({"magnitude": 1e-200}, "magnitude"),
             # 10**400 overflows the noise variance
             ({"snr_db_values": -4000}, "snr_db"),
+            # magnitude**2 underflows to 0, though (sparsity * magnitude) * magnitude
+            # does not: the check reads the energy the bound reads
+            ({"sparsity": 25, "magnitude": 1e-162}, "magnitude"),
         ],
     )
     def test_overflowing_noise_variance_rejected_before_any_trial(
@@ -896,7 +899,7 @@ class TestCli:
         assert k8[0] == "8" and all(math.isfinite(float(v)) for v in k8[1:])
 
     def test_full_width_sparsity_has_no_wrong_support_term(self, tmp_path, capsys):
-        # L = n_d * n_s = 25: 2^25 overlap groups exceeded the cap, but no wrong support exists
+        # L = n_d * n_s = 25: no wrong support exists
         cfg = self._write_cfg(tmp_path, sparsity=25, trials=2)
         out = tmp_path / "res.csv"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
@@ -908,21 +911,21 @@ class TestCli:
         assert row[6] == "0"
         assert float(row[7]) == float(row[4]) + float(row[5])
 
-    def test_overlap_cap_gives_nan_wrong_support_term(self, tmp_path, capsys):
-        # 2^25 - 1 overlap groups at L = 25 of n = 50 entries exceed the cap
+    def test_large_sparsity_wrong_support_term_is_finite(self, tmp_path, capsys):
+        # L = 25 of n = 50 entries: 2^25 - 1 overlap subsets, summed over 25 overlap sizes
         cfg = self._write_cfg(
             tmp_path, n_d=10, k_values=12, sparsity=25, estimator="genie", trials=2
         )
         out = tmp_path / "res.csv"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         _k, _snr, mse, crlb, upper, fail, _n = out.read_text().splitlines()[1].split(",")
-        assert (fail, upper) == ("0", "nan")
-        assert math.isfinite(float(mse)) and math.isfinite(float(crlb))
+        assert fail == "0"
+        assert all(math.isfinite(float(v)) for v in (mse, crlb, upper))
         capsys.readouterr()
         assert cli.main(["crlb", "--config", cfg]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert row[6:] == ["nan", "nan"]
-        assert all(math.isfinite(float(v)) for v in row[:6])
+        assert all(math.isfinite(float(v)) for v in row)
+        assert float(row[7]) == float(row[4]) + float(row[5]) + float(row[6])
 
     def _assert_exit_0_or_2(self, tmp_path, capsys, kv, flags):
         # exit 0 with a complete CSV, or exit 2 with an error line and no output
@@ -943,6 +946,24 @@ class TestCli:
     @pytest.mark.parametrize("key, value", _BOUNDARY_KEYS)
     def test_boundary_config_value_exits_0_or_2(self, tmp_path, capsys, key, value):
         self._assert_exit_0_or_2(tmp_path, capsys, {key: value}, [])
+
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            {"mode": "physical_off_grid"},
+            {"mode": "physical_on_grid", "estimator": "genie"},
+        ],
+        ids=lambda kv: kv["mode"],
+    )
+    def test_zero_energy_cell_has_nan_bound(self, tmp_path, kv):
+        # both path losses underflow every truth to zero: no trial is observed
+        # and no SNR is defined, so the bound's noise variance and terms are nan
+        cfg = self._write_cfg(
+            tmp_path, trials=3, path_loss_bs_ris=1e300, path_loss_ris_ms=1e300, **kv
+        )
+        out = tmp_path / "res.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "8,20,0,nan,nan,1,3"
 
     @pytest.mark.parametrize("flag, value", _BOUNDARY_FLAGS)
     def test_boundary_flag_value_exits_0_or_2(self, tmp_path, capsys, flag, value):
@@ -983,8 +1004,8 @@ class TestCli:
         assert lines[0].startswith("k,snr_db,")
         assert len(lines) == 1 + 4
 
-    # at (3, 0.3) the equal-share template's energy is 0.2700000000000001,
-    # not l * magnitude**2 = 0.27; both consumers use the latter
+    # at (3, 0.3) the equal shares sum to 0.2700000000000001, not
+    # l * magnitude**2 = 0.27; both consumers use the latter
     @pytest.mark.parametrize("l, magnitude", [(2, 1.0), (3, 0.3)])
     def test_crlb_table_terms_match_sweep_bound(self, tmp_path, capsys, l, magnitude):
         # the sweep's upper_bound is its mean CRLB plus the same two penalty
