@@ -8,6 +8,7 @@ results whatever the worker count.
 """
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -226,10 +227,72 @@ def trial_seeds(master_seed, k, snr_db, indices):
     their substream seeds ``_mix64(seed ^ i)``, i = 1 (truth), 2 (pilots),
     3 (noise).
     """
+    return _seed_stack(master_seed, k, snr_db, indices).tolist()
+
+
+def _seed_stack(master_seed, k, snr_db, indices):
+    """:func:`trial_seeds` as one (4, T) uint64 array."""
     s = _mix64(_mix64(master_seed & _MASK) ^ (int(k) & _MASK))
     snr_bits = np.asarray(snr_db, dtype=np.float64).reshape(-1).view(np.uint64)
     seeds = _mix64(np.asarray(indices, dtype=np.uint64) ^ _mix64(snr_bits ^ np.uint64(s)))
-    return [seeds.tolist()] + [_mix64(seeds ^ i).tolist() for i in (1, 2, 3)]
+    return np.stack([seeds] + [_mix64(seeds ^ np.uint64(i)) for i in (1, 2, 3)])
+
+
+# numpy's SeedSequence hash of a 4-word pool: its j-th hashmix XORs the j-th
+# constant of _HASH_A and multiplies by the next; the output words use _HASH_B
+_HASH_A, _HASH_B = (
+    np.array([init * pow(mult, j, 1 << 32) % (1 << 32) for j in range(n)], dtype=np.uint32)[:, None]
+    for init, mult, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9))
+)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def seed_words(seeds):
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` of each uint64 seed, as (T, 4).
+
+    numpy's algorithm on a (4, T) uint32 pool: the seed's two 32-bit words
+    (a seed below 2^32 hashes as one word, the same as a high word of 0) and
+    two zeros are hashed in, each word is mixed into the other three, and
+    eight hashed outputs are read as four little-endian 64-bit words.
+    """
+    def hashmix(x, j, n):  # numpy's hashmix calls j, ..., j + n - 1, one per row
+        x = (x ^ _HASH_A[j:j + n]) * _HASH_A[j + 1:j + n + 1]
+        return x ^ (x >> np.uint32(16))
+
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0], pool[1] = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
+    pool = hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        x = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src], 4 + 3 * src, 3)
+        pool[dst] = x ^ (x >> np.uint32(16))
+    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8]) * _HASH_B[1:]
+    out ^= out >> np.uint32(16)
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _words_type():
+    """An ``ISeedSequence`` holding one row of :func:`seed_words`; made on first
+    use, so importing this module does not import ``numpy.random`` (~17 ms)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words
+
+
+def generators(words):
+    """``np.random.default_rng(s)`` for each row ``seed_words(s)``: PCG64 seats
+    its state from the four words as it does from ``SeedSequence(s)``."""
+    words_type, gen, pcg = _words_type(), np.random.Generator, np.random.PCG64
+    return [gen(pcg(words_type(w))) for w in words]
 
 
 def draw_physical(cfg, rngs):
@@ -255,9 +318,8 @@ def draw_physical(cfg, rngs):
     return ch.realize_stack(g, *paths, phases, on_grid)
 
 
-def _draw_truth(cfg, seeds):
-    """Angular-domain truths (T, n_d*n_s) and supports drawn from the truth ``seeds``, per mode."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+def _draw_truth(cfg, rngs):
+    """Angular-domain truths (T, n_d*n_s) and supports, one per truth generator, per mode."""
     if cfg.mode == "synthetic":
         # the draws of ch.realize_synthetic, without the cascade it derives
         g = cfg.geometry
@@ -275,7 +337,9 @@ def _run_block(cfg, k, snr_db, indices):
     """Records of trials ``indices`` at K = k, as stacks.
 
     ``snr_db`` is the SNR of every trial, or one SNR per index, so a block
-    may hold trials of several grid cells of one K.  Per trial run only its
+    may hold trials of several grid cells of one K.  The seed words of all
+    its truth, pilot and noise substreams are hashed in one pass
+    (:func:`seed_words`).  Per trial run only the seating of its three
     generators and their draws, its y = Upsilon upsilon + n and (OMP) its
     greedy search.  The rest runs on the block's stacks with the per-matrix
     LAPACK and BLAS calls of a single trial, so a record does not depend on
@@ -286,8 +350,9 @@ def _run_block(cfg, k, snr_db, indices):
     """
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
-    seeds, truth_seeds, pilot_seeds, noise_seeds = trial_seeds(cfg.master_seed, k, snr_db, indices)
-    truths, supports = _draw_truth(cfg, truth_seeds)
+    seeds = _seed_stack(cfg.master_seed, k, snr_db, indices)
+    truth_words, pilot_words, noise_words = seed_words(seeds[1:]).reshape(3, -1, 4)
+    truths, supports = _draw_truth(cfg, generators(truth_words))
     energies = np.sum(np.abs(truths) ** 2, axis=-1)
     estimates = np.zeros(truths.shape, dtype=np.complex128)
     n = len(supports)
@@ -300,8 +365,8 @@ def _run_block(cfg, k, snr_db, indices):
     snr = np.asarray(snr_db, dtype=np.float64)
     noise_var = sn.snr_to_noise_var(snr if snr.ndim == 0 else snr[live], energies[live], n_s)
     pilots, y = sn.observe_block(
-        [pilot_seeds[t] for t in live], k, n_s, truths[live], noise_var,
-        [np.random.default_rng(noise_seeds[t]) for t in live],
+        generators(pilot_words[live]), k, n_s, truths[live], noise_var,
+        generators(noise_words[live]),
     )
     sizes = np.array([len(supports[t]) for t in live])
     for l in sorted(set(sizes.tolist())):
@@ -352,7 +417,7 @@ def _run_block(cfg, k, snr_db, indices):
     return [
         TrialRecord(int(k), *fields)
         for fields in zip(
-            snrs, indices, seeds, errors, crlbs, failed, examined, energies.tolist(),
+            snrs, indices, seeds[0].tolist(), errors, crlbs, failed, examined, energies.tolist(),
             map(len, supports),
         )
     ]
@@ -539,8 +604,13 @@ def write_trials_csv(records, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_float(x):
+    """``x``, or None (JSON ``null``) where it is nan or infinite, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def write_sweep_json(result, cfg, path):
-    """JSON mirror of the CSV with the full config embedded for provenance."""
+    """JSON mirror of the CSV with the full config embedded; nan and inf are ``null``."""
     payload = {
         "config": asdict(cfg),
         "master_seed": cfg.master_seed,
@@ -548,16 +618,16 @@ def write_sweep_json(result, cfg, path):
         "delta_rule": "4*sigma^2*sqrt(k*n_s - L)/(k*n_s) unless overridden",
         "rows": [
             {
-                "k": r.k, "snr_db": r.snr_db, "mse": r.mse, "crlb": r.crlb,
-                "upper_bound": r.upper_bound, "fail_rate": r.fail_rate,
-                "trials": r.trials,
+                "k": r.k, "snr_db": r.snr_db, "mse": _json_float(r.mse),
+                "crlb": _json_float(r.crlb), "upper_bound": _json_float(r.upper_bound),
+                "fail_rate": r.fail_rate, "trials": r.trials,
             }
             for r in result.rows
         ],
         "wall_time": {f"{r.k},{r.snr_db}": r.wall_time for r in result.rows},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -106,15 +106,15 @@ def kron_normal(pilots, n_s, y):
     return outer, corr
 
 
-def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
+def observe_block(pilot_rngs, k, n_s, truths, noise_var, noise_rngs):
     """Pilots and received vectors of a stack of independent trials.
 
-    Trial t draws its (n_d, k) pilot block from ``pilot_seeds[t]`` as
-    :func:`gen_pilots` does and its noise from ``noise_rngs[t]`` as
-    :func:`observe` does, and receives Upsilon_t truths[t] with one
-    matrix-vector product; the pilot entries and the noise are formed and
-    added once per block.  Returns the (T, n_d, k) pilot stack and the
-    (T, k*n_s) observation stack.
+    Trial t draws its (n_d, k) pilot block from ``pilot_rngs[t]`` as
+    :func:`gen_pilots` does from ``default_rng(seed)``, and its noise from
+    ``noise_rngs[t]`` as :func:`observe` does, and receives Upsilon_t
+    truths[t] with one matrix-vector product; the pilot entries and the
+    noise are formed and added once per block.  Returns the (T, n_d, k)
+    pilot stack and the (T, k*n_s) observation stack.
 
     One zero-filled Upsilon serves the whole block: each trial overwrites
     its nonzero entries, the n_s-strided diagonals X[i, j] at row j*n_s + a,
@@ -126,9 +126,9 @@ def observe_block(pilot_seeds, k, n_s, truths, noise_var, noise_rngs):
     n_d = n_cols // n_s
     pilot_normals = np.empty((t_count, 2, n_d, k))
     noise_normals = np.empty((t_count, 2, k * n_s))
-    for t, seed in enumerate(pilot_seeds):
-        np.random.default_rng(seed).standard_normal(out=pilot_normals[t])
-        noise_rngs[t].standard_normal(out=noise_normals[t])
+    for t, (pilot_rng, noise_rng) in enumerate(zip(pilot_rngs, noise_rngs)):
+        pilot_rng.standard_normal(out=pilot_normals[t])
+        noise_rng.standard_normal(out=noise_normals[t])
     pilots = _pilot_entries(pilot_normals)
     y = np.empty((t_count, k * n_s), dtype=np.complex128)
     mat = np.zeros((k * n_s, n_cols), dtype=np.complex128)

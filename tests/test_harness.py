@@ -6,6 +6,8 @@ import math
 import os
 import signal
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple, replace
 
@@ -320,6 +322,47 @@ class TestTrialSeed:
             snrs = [(-0.0, 20.0, 1e-300, -7.5)[t % 4] for t in range(len(indices))]
             seeds = hn.trial_seeds(master, k, snrs, indices)[0]
             assert seeds == [reference(k, s, t) for s, t in zip(snrs, indices)]
+
+
+class TestSeedWords:
+    # edge seeds: zero, one-word entropies, the first two-word seed, the top
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    def seeds(self):
+        drawn = np.random.default_rng(15).integers(0, 2**64, size=10_000, dtype=np.uint64)
+        return self.EDGES + drawn.tolist()
+
+    def test_words_match_seed_sequence(self):
+        seeds = self.seeds()
+        words = hn.seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for seed, row in zip(seeds, words):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tolist() == want.tolist(), seed
+
+    def test_generators_match_default_rng(self):
+        seeds = self.seeds()
+        for seed, rng in zip(seeds, hn.generators(hn.seed_words(np.array(seeds, dtype=np.uint64)))):
+            want = np.random.default_rng(seed)
+            assert rng.bit_generator.state == want.bit_generator.state, seed
+            assert rng.standard_normal() == want.standard_normal()
+            assert rng.random() == want.random()
+            assert rng.choice(25, size=3, replace=False).tolist() == want.choice(
+                25, size=3, replace=False
+            ).tolist()
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random takes ~17 ms to import; a sweep imports it on its first
+        # generator, so set-up does not pay for it
+        import ris_crlb
+
+        src = os.path.dirname(os.path.dirname(ris_crlb.__file__))
+        code = "import sys, ris_crlb.cli; print('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestRunTrial:
@@ -661,6 +704,30 @@ class TestWriters:
         assert payload["config"]["trials"] == 3
         assert payload["rows"][0]["k"] == 8
         assert "snr_definition" in payload
+
+    @pytest.mark.parametrize("text", [
+        # zero-energy truths: every trial failed, crlb and upper_bound nan
+        "mode = physical_off_grid\npath_loss_bs_ris = 1e300\npath_loss_ris_ms = 1e300\n"
+        "k_values = 8\nsnr_db_values = 20\ntrials = 3\n",
+        # k * n_s <= L: no analytic bound
+        "estimator = genie\nsparsity = 10\nk_values = 2\nsnr_db_values = 20\ntrials = 3\n",
+    ], ids=["zero-truth", "short-k"])
+    def test_json_mirror_is_strict_json(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = hn.parse_config_text(text)
+        res = hn.run_sweep(cfg)
+        assert any(math.isnan(v) for v in (res.rows[0].crlb, res.rows[0].upper_bound))
+        out = tmp_path / "rows.json"
+        hn.write_sweep_json(res, cfg, out)
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        row = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)["rows"][0]
+        for key in ("mse", "crlb", "upper_bound"):
+            value = getattr(res.rows[0], key)
+            assert row[key] == (value if math.isfinite(value) else None)
 
 
 # values crossed with every config key and sweep flag in the boundary table

@@ -115,7 +115,8 @@ class TestObserveBlock:
         noise_var = np.array([0.5, 0.01, 2.0, 1e-6])
         seeds, noise_seeds = [101, 102, 103, 104], [201, 202, 203, 204]
         pilots, y = sn.observe_block(
-            seeds, k, n_s, truths, noise_var, [np.random.default_rng(s) for s in noise_seeds]
+            [np.random.default_rng(s) for s in seeds], k, n_s, truths, noise_var,
+            [np.random.default_rng(s) for s in noise_seeds],
         )
         for t in range(4):
             x = sn.gen_pilots(n_d, k, seeds[t])
@@ -139,7 +140,8 @@ class TestObserveBlock:
         noise_var = np.array([0.5, 0.01, 0.0, 0.0, 1e-6, 2.0])
         seeds, noise_seeds = [101, 102, 103, 104, 105, 106], [201, 202, 203, 204, 205, 206]
         pilots, y = sn.observe_block(
-            seeds, k, n_s, truths, noise_var, [np.random.default_rng(s) for s in noise_seeds]
+            [np.random.default_rng(s) for s in seeds], k, n_s, truths, noise_var,
+            [np.random.default_rng(s) for s in noise_seeds],
         )
         for t in range(len(seeds)):
             x = sn.gen_pilots(n_d, k, seeds[t])
@@ -176,7 +178,8 @@ class TestBlockDrawsMatchTwoDrawReference:
         noise_var = np.array([0.5, 0.0, 1e-6, 2.0, 0.0, 3e-300])
         seeds = [7, 2**64 - 1, 0, 11, 12, 13]
         pilots, y = sn.observe_block(
-            seeds, k, n_s, truths, noise_var, [np.random.default_rng(300 + s % 97) for s in seeds]
+            [np.random.default_rng(s) for s in seeds], k, n_s, truths, noise_var,
+            [np.random.default_rng(300 + s % 97) for s in seeds],
         )
         for t, seed in enumerate(seeds):
             x = two_draw_pilots(n_d, k, seed)
