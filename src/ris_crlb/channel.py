@@ -207,19 +207,13 @@ def snap_angles(bin_index, n, spacing_ratio=0.5):
     return float(np.arcsin(x)), azim
 
 
-def synth_sparse_signal(dim, sparsity, rng, magnitude=1.0):
-    """Exactly sparse complex vector with uniform-random support and phases.
-
-    Every nonzero entry has the given magnitude and an independent uniform
-    phase; everything off the support is exactly zero.  Returns the vector
-    and the sorted support tuple.
-    """
-    vectors, supports = synth_sparse_stack(dim, sparsity, [rng], magnitude)
-    return vectors[0], supports[0]
-
-
 def synth_sparse_stack(dim, sparsity, rngs, magnitude=1.0):
-    """(T, dim) stack and support list of one :func:`synth_sparse_signal` per generator."""
+    """Exactly sparse complex vectors with uniform-random supports and phases.
+
+    One vector per generator, as a (T, dim) stack, and the list of their
+    sorted support tuples.  Every nonzero entry has the given magnitude and
+    an independent uniform phase; everything off the support is exactly zero.
+    """
     if not 1 <= sparsity <= dim:
         raise ValueError(f"sparsity must be in [1, {dim}], got {sparsity}")
     if magnitude <= 0:
@@ -375,7 +369,7 @@ def realize_physical(geometry, hop_bs_ris, hop_ris_ms, rng, on_grid=True):
 def realize_synthetic(geometry, sparsity, rng, magnitude=1.0):
     """Exactly sparse ground truth drawn directly in the angular domain."""
     dim = geometry.n_d * geometry.n_s
-    upsilon, support = synth_sparse_signal(dim, sparsity, rng, magnitude)
+    (upsilon,), (support,) = synth_sparse_stack(dim, sparsity, [rng], magnitude)
     h_tilde_herm = unvec(upsilon, geometry.n_s, geometry.n_d)
     return ChannelRealization(
         cascade=inverse_angular_transform(upsilon, geometry),

@@ -63,6 +63,16 @@ def _load_config(args):
     return cfg
 
 
+def _check_out(path):
+    """Reject an ``--out`` file that cannot be written, before any trial runs;
+    a sweep writes its other files beside it."""
+    folder = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path):
+        raise ConfigError(f"--out {path!r}: not a file name")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"--out {path!r}: no writable directory {folder}")
+
+
 def _cmd_sweep(args):
     cfg = _load_config(args)
     threads = _thread_count(args)
@@ -78,15 +88,16 @@ def _cmd_sweep(args):
 
 def _cmd_angular_map(args):
     cfg = _load_config(args)
-    amap = hn.export_angular_map(cfg, args.seed if args.seed is not None else cfg.master_seed)
-    n_d, n_s = amap.magnitudes.shape
+    seed = args.seed if args.seed is not None else cfg.master_seed
+    magnitudes, cells = hn.export_angular_map(cfg, seed)
+    n_d, n_s = magnitudes.shape
     lines = [
         f"# angular-domain channel magnitudes, mode={cfg.mode}",
         f"# rows: MS bins (n_d={n_d}), cols: BS bins (n_s={n_s})",
-        f"# predicted dominant cells (ms_bin, bs_bin): {list(amap.dominant_cells)}",
+        f"# predicted dominant cells (ms_bin, bs_bin): {list(cells)}",
         "ms_bin," + ",".join(str(b) for b in range(n_s)),
     ]
-    for n, row in enumerate(amap.magnitudes):
+    for n, row in enumerate(magnitudes):
         lines.append(f"{n}," + ",".join(format(v, ".17g") for v in row))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -102,7 +113,8 @@ def _cmd_crlb(args):
     l, energy = cfg.typicality.sparsity, cfg.synthetic_energy
     lines = ["k,snr_db,noise_var,delta,crlb,missed_term,wrong_support_term,upper_bound"]
     for k in cfg.k_values:
-        pilots = sn.gen_pilots(cfg.geometry.n_d, k, hn.trial_seed(cfg.master_seed, k, 0.0, 0))
+        seed = int(hn.trial_seeds(cfg.master_seed, k, 0.0, [0])[0, 0])
+        pilots = sn.gen_pilots(cfg.geometry.n_d, k, seed)
         subs = sn.kron_columns(pilots, cfg.geometry.n_s, np.arange(l))
         for snr_db in cfg.snr_db_values:
             noise_var, delta, missed, wrong = hn.bound_terms(cfg, k, snr_db, energy, l)
@@ -245,6 +257,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

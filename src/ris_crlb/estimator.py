@@ -77,6 +77,14 @@ class TypicalityConfig:
         if self.search_order not in (LEXICOGRAPHIC_FIRST, BEST_STATISTIC):
             raise ValueError(f"unknown search order {self.search_order!r}")
 
+    def threshold(self, noise_var, kns, l):
+        """The override ``delta`` as it is, else :func:`default_delta` of ``noise_var``
+        (a float or an array) for support size ``l`` among ``kns`` observations, nan
+        where kns <= l: the one home of the choice for the search and the bound."""
+        if self.delta is not None:
+            return self.delta
+        return default_delta(noise_var, kns, l) if kns > l else math.nan
+
 
 @dataclass
 class EstimateResult:
@@ -196,15 +204,17 @@ def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
     return stat, np.where(ok & (cond < 1.0 / _ILL_CONDITIONED), margin, np.inf)
 
 
-def jt_search(y, outer, reps, corr, noise_var, cfg, columns):
+def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     """The subset search of :func:`jt_estimate` for a stack of T problems.
 
+    The candidates are the ``l``-subsets; ``cfg`` gives the threshold
+    (:meth:`TypicalityConfig.threshold`), the order and the budget.
     Problem t observes ``y[t]`` (length m) through a matrix Upsilon_t with
     n columns, given by its Gram matrix Upsilon_t^H Upsilon_t =
     kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; the pilot
     model has outer = conj(X) X^T and reps = n_s), ``corr[t]`` =
     Upsilon_t^H y[t] and ``noise_var[t]``.  ``columns(rows, subsets)``
-    returns the (len(rows), m, L) stack whose entry i holds the columns
+    returns the (len(rows), m, l) stack whose entry i holds the columns
     ``subsets[i]`` of Upsilon_{rows[i]}.  Returns one (support, statistic,
     subsets_examined) triple per problem, with support () and statistic inf
     where no subset is typical.
@@ -216,7 +226,6 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, columns):
     each problem sees the decisions of checking its subsets one by one.
     """
     t_count, n_cols = corr.shape
-    l = cfg.sparsity
     if l > n_cols:
         raise ValueError(f"sparsity {l} exceeds {n_cols} columns")
     total = math.comb(n_cols, l)
@@ -225,10 +234,7 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, columns):
         raise SearchBudgetExceededError(f"{total} subsets exceed cap {cap}")
     m = y.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
-    if cfg.delta is not None:
-        delta = np.full(t_count, cfg.delta)
-    else:
-        delta = default_delta(noise_var, m, l)
+    delta = np.full(t_count, cfg.threshold(noise_var, m, l))
     first = cfg.search_order == LEXICOGRAPHIC_FIRST
     yy = np.array([np.vdot(v, v).real for v in y])
 
@@ -297,7 +303,7 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
     upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
     herm = upsilon_mat.conj().T
     ((subset, stat, examined),) = jt_search(
-        y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg,
+        y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg, cfg.sparsity,
         lambda rows, subsets: np.moveaxis(upsilon_mat[:, subsets], 0, 1),
     )
     estimate = np.zeros(upsilon_mat.shape[1], dtype=np.complex128)
@@ -463,17 +469,6 @@ def omp_estimate(y, upsilon_mat, l):
     )
 
 
-def squared_error(estimate, truth):
-    """Squared Euclidean distance ||estimate - truth||^2."""
-    estimate = as_vector(estimate, "estimate")
-    truth = as_vector(truth, "truth")
-    if estimate.shape != truth.shape:
-        raise DimensionMismatchError(
-            f"length mismatch: {estimate.shape[0]} vs {truth.shape[0]}"
-        )
-    return float(squared_errors(estimate, truth))
-
-
 def squared_errors(estimates, truths):
-    """:func:`squared_error` along the last axis of two stacks of vectors."""
+    """Squared Euclidean distances ||estimate - truth||^2 along the last axis of two stacks."""
     return np.sum(np.abs(estimates - truths) ** 2, axis=-1)

@@ -212,26 +212,16 @@ def _mix64(z):
     return (z ^ (z >> 31)) & _MASK
 
 
-def trial_seed(master_seed, k, snr_db, trial_index):
-    """64-bit seed of one trial: the first of :func:`trial_seeds`."""
-    return trial_seeds(master_seed, k, snr_db, [trial_index])[0][0]
-
-
 def trial_seeds(master_seed, k, snr_db, indices):
     """64-bit seeds of the trials ``indices`` of one K and of their substreams.
 
     ``snr_db`` is a float or one SNR per index.  The master seed, k, the
     IEEE-754 bit pattern of the trial's snr_db (so any float maps to a
     stable word) and the trial index are mixed in turn, the SNRs and indices
-    in one uint64 pass.  Returns four lists of ints: the trial seeds and
+    in one uint64 pass.  Returns a (4, T) uint64 array: the trial seeds and
     their substream seeds ``_mix64(seed ^ i)``, i = 1 (truth), 2 (pilots),
     3 (noise).
     """
-    return _seed_stack(master_seed, k, snr_db, indices).tolist()
-
-
-def _seed_stack(master_seed, k, snr_db, indices):
-    """:func:`trial_seeds` as one (4, T) uint64 array."""
     s = _mix64(_mix64(master_seed & _MASK) ^ (int(k) & _MASK))
     snr_bits = np.asarray(snr_db, dtype=np.float64).reshape(-1).view(np.uint64)
     seeds = _mix64(np.asarray(indices, dtype=np.uint64) ^ _mix64(snr_bits ^ np.uint64(s)))
@@ -350,7 +340,7 @@ def _run_block(cfg, k, snr_db, indices):
     """
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
-    seeds = _seed_stack(cfg.master_seed, k, snr_db, indices)
+    seeds = trial_seeds(cfg.master_seed, k, snr_db, indices)
     truth_words, pilot_words, noise_words = seed_words(seeds[1:]).reshape(3, -1, 4)
     truths, supports = _draw_truth(cfg, generators(truth_words))
     energies = np.sum(np.abs(truths) ** 2, axis=-1)
@@ -392,7 +382,7 @@ def _run_block(cfg, k, snr_db, indices):
             outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
             try:
                 found, _stats, counts = zip(*est.jt_search(
-                    y[rows], outer, n_s, corr, noise_var[rows], replace(cfg.typicality, sparsity=l),
+                    y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l,
                     lambda r, subsets: sn.kron_columns(pilots[rows[r]], n_s, subsets),
                 ))
             except SearchBudgetExceededError:
@@ -434,11 +424,9 @@ def bound_terms(cfg, k, snr_db, energy, l):
     """
     g, kns = cfg.geometry, k * cfg.geometry.n_s
     noise_var = sn.snr_to_noise_var(snr_db, energy, g.n_s) if energy else math.nan
-    delta = cfg.typicality.delta
+    delta = cfg.typicality.threshold(noise_var, kns, l)
     if kns <= l or not energy:
-        return noise_var, math.nan if delta is None else delta, math.nan, math.nan
-    if delta is None:
-        delta = est.default_delta(noise_var, kns, l)
+        return noise_var, delta, math.nan, math.nan
     missed = est.missed_detection_term(energy, noise_var, delta, kns, l)
     wrong = est.wrong_support_term(energy, g.n_d * g.n_s, noise_var, delta, kns, l)
     return noise_var, delta, missed, wrong
@@ -550,16 +538,9 @@ def run_sweep(cfg, threads=1, keep_trials=False):
     return SweepResult(rows=list(rows), trial_records=[r for cell in records for r in cell])
 
 
-@dataclass
-class AngularMap:
-    """Dense magnitude grid of the angular-domain channel and its predicted cells."""
-
-    magnitudes: np.ndarray   # (n_d, n_s): rows are MS bins, cols BS bins
-    dominant_cells: tuple    # predicted (ms_bin, bs_bin) pairs
-
-
 def export_angular_map(cfg, seed):
-    """|angular channel| grid for heatmap rendering; physical modes only."""
+    """|angular channel| grid (n_d, n_s), rows MS bins and columns BS bins, and its
+    predicted dominant (ms_bin, bs_bin) cells, for heatmap rendering; physical modes only."""
     if cfg.mode == "synthetic":
         raise ConfigError("angular map export requires a physical mode")
     real = draw_physical(cfg, [np.random.default_rng(_mix64(int(seed)))])
@@ -567,7 +548,7 @@ def export_angular_map(cfg, seed):
         (idx // cfg.geometry.n_s, idx % cfg.geometry.n_s)
         for idx in real.predicted_support[0]
     )
-    return AngularMap(magnitudes=np.abs(real.angular[0]), dominant_cells=cells)
+    return np.abs(real.angular[0]), cells
 
 
 def _fmt(x):
@@ -706,6 +687,6 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)

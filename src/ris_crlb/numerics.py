@@ -10,28 +10,26 @@ from numpy.linalg import _umath_linalg
 from .errors import DimensionMismatchError, RankDeficientError
 
 
-def as_matrix(a, name="matrix"):
-    """Validate and return a 2-D finite complex array."""
+def _as_finite(a, ndim, name):
+    """Validate and return a non-empty, finite complex array of ``ndim`` dimensions."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
     if arr.size == 0:
         raise DimensionMismatchError(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_matrix(a, name="matrix"):
+    """Validate and return a 2-D finite complex array."""
+    return _as_finite(a, 2, name)
 
 
 def as_vector(v, name="vector"):
     """Validate and return a 1-D finite complex array."""
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-D, got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise DimensionMismatchError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _as_finite(v, 1, name)
 
 
 def dft_matrix(n):

@@ -79,10 +79,7 @@ def kron_columns(pilots, n_s, cols):
     """
     cols = np.asarray(cols, dtype=np.intp)
     j, i = np.divmod(cols, n_s)
-    if cols.ndim > 1:
-        rows = pilots[np.arange(len(pilots))[:, None], j]
-    else:
-        rows = pilots[j]
+    rows = np.take_along_axis(pilots, j[..., None], axis=-2)
     # the products written straight into the (..., k, n_s, l) output
     x = rows.swapaxes(-1, -2)[..., :, None, :]
     ident = np.eye(n_s, dtype=np.complex128)[i].swapaxes(-1, -2)[..., None, :, :]

@@ -188,31 +188,37 @@ class TestSnapAngles:
 
 
 class TestSynthSparseSignal:
+    @staticmethod
+    def draw(dim, sparsity, rng, magnitude=1.0):
+        """The one-generator stack of ch.synth_sparse_stack, as a vector and its support."""
+        (v,), (support,) = ch.synth_sparse_stack(dim, sparsity, [rng], magnitude)
+        return v, support
+
     def test_full_support(self):
         rng = np.random.default_rng(8)
-        _, support = ch.synth_sparse_signal(6, 6, rng)
+        _, support = self.draw(6, 6, rng)
         assert support == tuple(range(6))
 
     def test_deterministic_given_seed(self):
-        v1, s1 = ch.synth_sparse_signal(25, 1, np.random.default_rng(42))
-        v2, s2 = ch.synth_sparse_signal(25, 1, np.random.default_rng(42))
+        v1, s1 = self.draw(25, 1, np.random.default_rng(42))
+        v2, s2 = self.draw(25, 1, np.random.default_rng(42))
         np.testing.assert_array_equal(v1, v2)
         assert s1 == s2
 
     def test_energy_is_sparsity_times_magnitude_squared(self):
         rng = np.random.default_rng(9)
-        v, _ = ch.synth_sparse_signal(30, 4, rng, magnitude=2.5)
+        v, _ = self.draw(30, 4, rng, magnitude=2.5)
         assert abs(np.sum(np.abs(v) ** 2) - 4 * 2.5**2) < 1e-12
 
     def test_off_support_exactly_zero(self):
         rng = np.random.default_rng(10)
-        v, support = ch.synth_sparse_signal(30, 3, rng)
+        v, support = self.draw(30, 3, rng)
         off = np.setdiff1d(np.arange(30), support)
         assert np.all(v[off] == 0)
 
     def test_rejects_oversparse(self):
         with pytest.raises(ValueError):
-            ch.synth_sparse_signal(4, 5, np.random.default_rng(0))
+            self.draw(4, 5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("dim, sparsity, magnitude", [(25, 1, 1.0), (25, 3, 2.5), (6, 6, 0.3)])
     def test_stack_matches_per_draw_reference(self, dim, sparsity, magnitude):

@@ -11,11 +11,7 @@ import pytest
 from ris_crlb import estimator as est
 from ris_crlb import harness as hn
 from ris_crlb import sensing as sn
-from ris_crlb.errors import (
-    DimensionMismatchError,
-    RankDeficientError,
-    SearchBudgetExceededError,
-)
+from ris_crlb.errors import RankDeficientError, SearchBudgetExceededError
 
 
 def crandn(rng, *shape):
@@ -96,6 +92,28 @@ class TestTypicalityConfig:
         with pytest.raises(ValueError, match="delta"):
             est.TypicalityConfig(delta=delta, sparsity=1)
 
+    @pytest.mark.parametrize("kns, l", [(100, 1), (5, 5), (3, 4)])
+    def test_threshold_returns_the_override_unchanged(self, kns, l):
+        # also where kns <= l, where the crlb table prints it
+        cfg = est.TypicalityConfig(delta=0.05, sparsity=1)
+        assert cfg.threshold(0.5, kns, l) == 0.05
+        assert cfg.threshold(np.array([0.1, 0.5]), kns, l) == 0.05
+
+    def test_threshold_default_is_bitwise_default_delta(self):
+        cfg = est.TypicalityConfig(delta=None, sparsity=1)
+        noise = np.random.default_rng(3).uniform(1e-6, 10.0, 50)
+        for kns, l in ((100, 1), (6, 5), (40, 3)):
+            want = est.default_delta(noise, kns, l)
+            assert cfg.threshold(noise, kns, l).tobytes() == want.tobytes()
+            for v in noise.tolist():
+                assert cfg.threshold(v, kns, l).hex() == est.default_delta(v, kns, l).hex()
+
+    @pytest.mark.parametrize("kns, l", [(5, 5), (3, 4)])
+    def test_threshold_default_is_nan_at_or_below_the_support(self, kns, l):
+        cfg = est.TypicalityConfig(delta=None, sparsity=1)
+        assert math.isnan(cfg.threshold(0.5, kns, l))
+        assert np.all(np.isnan(cfg.threshold(np.array([0.1, 0.5]), kns, l)))
+
 
 class TestJtEstimate:
     def test_noiseless_recovery_default_scale(self):
@@ -109,7 +127,7 @@ class TestJtEstimate:
         res = est.jt_estimate(y, model.upsilon_mat, cfg, sigma2)
         assert not res.failed
         assert res.support == (13,)
-        assert est.squared_error(res.upsilon_hat, truth) < 1e-18
+        assert est.squared_errors(res.upsilon_hat, truth) < 1e-18
 
     def test_tight_threshold_fails(self):
         rng = np.random.default_rng(5)
@@ -278,7 +296,7 @@ class TestJtSearchStack:
 
         outer, corr = sn.kron_normal(pilots, n_s, y)
         got = est.jt_search(
-            y, outer, n_s, corr, noise_var, cfg,
+            y, outer, n_s, corr, noise_var, cfg, l,
             lambda rows, subsets: sn.kron_columns(pilots[rows], n_s, subsets),
         )
         want = [
@@ -386,7 +404,7 @@ class TestGenieLs:
         truth = np.zeros(25, dtype=complex)
         truth[[3, 17]] = [1.0, -2.0j]
         estimate = est.genie_ls(model.upsilon_mat @ truth, model.upsilon_mat, (3, 17))
-        assert est.squared_error(estimate, truth) < 1e-18
+        assert est.squared_errors(estimate, truth) < 1e-18
 
     def test_singleton_is_scalar_ls(self):
         model = default_scale_model(seed=13)
@@ -409,7 +427,7 @@ class TestGenieLs:
         total = 0.0
         for _ in range(draws):
             y = sn.observe(model, truth, rng)
-            total += est.squared_error(
+            total += est.squared_errors(
                 est.genie_ls(y, model.upsilon_mat, support), truth
             )
         assert abs(total / draws / bound - 1.0) < 0.03
@@ -618,7 +636,7 @@ class TestOmpEstimate:
         truth[19] = 2.0 - 1.0j
         res = est.omp_estimate(model.upsilon_mat @ truth, model.upsilon_mat, 1)
         assert res.support == (19,)
-        assert est.squared_error(res.upsilon_hat, truth) < 1e-18
+        assert est.squared_errors(res.upsilon_hat, truth) < 1e-18
         assert not res.degenerate
 
     def test_zero_observation_lowest_index_tiebreak(self):
@@ -647,25 +665,21 @@ class TestOmpEstimate:
 class TestSquaredError:
     def test_exact_match(self):
         v = np.array([1.0 + 1j, 2.0])
-        assert est.squared_error(v, v) == 0.0
+        assert est.squared_errors(v, v) == 0.0
 
     def test_unit_basis_vector(self):
         truth = np.zeros(4, dtype=complex)
         e2 = np.zeros(4, dtype=complex)
         e2[2] = 1.0
-        assert est.squared_error(e2, truth) == 1.0
+        assert est.squared_errors(e2, truth) == 1.0
 
     def test_zero_output_penalty_is_truth_energy(self):
         rng = np.random.default_rng(28)
         truth = crandn(rng, 9)
         zero = np.zeros(9, dtype=complex)
         assert abs(
-            est.squared_error(zero, truth) - float(np.sum(np.abs(truth) ** 2))
+            est.squared_errors(zero, truth) - float(np.sum(np.abs(truth) ** 2))
         ) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            est.squared_error(np.ones(3), np.ones(4))
 
 
 class TestDefaultDelta:

@@ -61,7 +61,7 @@ def reference_trial(cfg, k, snr_db, trial_index):
     The block core must reproduce this record bit for bit: it is the
     per-trial loop the sweep ran before trials were computed in blocks.
     """
-    seed = hn.trial_seed(cfg.master_seed, k, snr_db, trial_index)
+    seed = int(hn.trial_seeds(cfg.master_seed, k, snr_db, [trial_index])[0, 0])
     g = cfg.geometry
     rng = np.random.default_rng(hn._mix64(seed ^ 1))
     if cfg.mode == "synthetic":
@@ -100,7 +100,7 @@ def reference_trial(cfg, k, snr_db, trial_index):
         else:
             res = est.omp_estimate(y, model.upsilon_mat, len(support))
             estimate, failed, examined = res.upsilon_hat, res.degenerate, res.subsets_examined
-        sq_err = est.squared_error(estimate, truth)
+        sq_err = float(est.squared_errors(estimate, truth))
     except RisCrlbError:
         return hn.TrialRecord(
             squared_error=energy, crlb_value=math.nan, failed=True, subsets_examined=0, **fields
@@ -284,21 +284,47 @@ class TestBlockFailurePath:
             hn._run_block(hn.default_config(), 20, 20.0, range(5))
 
 
+class TestRuleHomes:
+    """The block core builds no TypicalityConfig, and one method chooses every delta."""
+
+    def test_sweep_builds_no_typicality_config(self, monkeypatch):
+        cfg = small_config(trials=50, typicality=est.TypicalityConfig(None, 2))
+        calls = []
+        inner = est.TypicalityConfig.__post_init__
+        monkeypatch.setattr(
+            est.TypicalityConfig, "__post_init__", lambda self: calls.append(self) or inner(self)
+        )
+        hn.run_sweep(cfg)
+        assert calls == []
+
+    def test_search_and_bound_take_delta_from_threshold(self, monkeypatch):
+        callers = []
+        inner = est.TypicalityConfig.threshold
+
+        def spy(self, noise_var, kns, l):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return inner(self, noise_var, kns, l)
+
+        monkeypatch.setattr(est.TypicalityConfig, "threshold", spy)
+        hn.run_sweep(small_config(trials=5))
+        assert set(callers) == {"jt_search", "bound_terms"}
+
+
 class TestTrialSeed:
     def test_deterministic(self):
-        assert hn.trial_seed(1, 8, 20.0, 3) == hn.trial_seed(1, 8, 20.0, 3)
+        assert np.array_equal(hn.trial_seeds(1, 8, 20.0, [3]), hn.trial_seeds(1, 8, 20.0, [3]))
 
     def test_distinct_across_grid(self):
         seeds = {
-            hn.trial_seed(7, k, snr, t)
+            seed
             for k in (8, 12)
             for snr in (20.0, 30.0)
-            for t in range(50)
+            for seed in hn.trial_seeds(7, k, snr, range(50))[0].tolist()
         }
         assert len(seeds) == 2 * 2 * 50
 
     def test_sensitive_to_master_seed(self):
-        assert hn.trial_seed(1, 8, 20.0, 0) != hn.trial_seed(2, 8, 20.0, 0)
+        assert hn.trial_seeds(1, 8, 20.0, [0])[0, 0] != hn.trial_seeds(2, 8, 20.0, [0])[0, 0]
 
     @pytest.mark.parametrize("master", [0, 1, -1, 2**64 - 1, 2**64 + 5])
     def test_block_derivation_matches_scalar_mixing(self, master):
@@ -312,15 +338,15 @@ class TestTrialSeed:
         indices = [*range(2001), 2**40]
         for k in (1, 8, 80):
             for snr_db in (-0.0, 20.0, 1e-300):
-                seeds, *streams = hn.trial_seeds(master, k, snr_db, indices)
+                stack = hn.trial_seeds(master, k, snr_db, indices)
+                assert stack.shape == (4, len(indices)) and stack.dtype == np.uint64
+                seeds, *streams = stack.tolist()
                 assert seeds == [reference(k, snr_db, t) for t in indices]
-                assert seeds == [hn.trial_seed(master, k, snr_db, t) for t in indices]
                 for i, stream in enumerate(streams, start=1):
                     assert stream == [hn._mix64(seed ^ i) for seed in seeds]
-                assert all(type(v) is int for v in seeds + streams[0])
             # one SNR per trial
             snrs = [(-0.0, 20.0, 1e-300, -7.5)[t % 4] for t in range(len(indices))]
-            seeds = hn.trial_seeds(master, k, snrs, indices)[0]
+            seeds = hn.trial_seeds(master, k, snrs, indices)[0].tolist()
             assert seeds == [reference(k, s, t) for s, t in zip(snrs, indices)]
 
 
@@ -589,31 +615,31 @@ class TestAngularMapExport:
 
     def test_single_path_one_dominant_cell(self):
         cfg = small_config(mode="physical_on_grid")
-        amap = hn.export_angular_map(cfg, seed=3)
-        peak = np.max(amap.magnitudes)
-        assert int(np.sum(amap.magnitudes > 0.01 * peak)) == 1
-        assert len(amap.dominant_cells) == 1
+        magnitudes, cells = hn.export_angular_map(cfg, seed=3)
+        peak = np.max(magnitudes)
+        assert int(np.sum(magnitudes > 0.01 * peak)) == 1
+        assert len(cells) == 1
 
     def test_off_grid_argmax_is_predicted_cell(self):
         cfg = small_config(mode="physical_off_grid")
         for seed in range(5):
-            amap = hn.export_angular_map(cfg, seed=seed)
-            flat = int(np.argmax(amap.magnitudes))
-            cell = (flat // amap.magnitudes.shape[1], flat % amap.magnitudes.shape[1])
-            assert cell in amap.dominant_cells
+            magnitudes, cells = hn.export_angular_map(cfg, seed=seed)
+            flat = int(np.argmax(magnitudes))
+            cell = (flat // magnitudes.shape[1], flat % magnitudes.shape[1])
+            assert cell in cells
 
 
     @pytest.mark.parametrize("mode", ["physical_on_grid", "physical_off_grid"])
     def test_map_matches_per_path_reference(self, mode):
         cfg = small_config(mode=mode, hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2))
         for seed in range(20):
-            amap = hn.export_angular_map(cfg, seed)
+            magnitudes, cells = hn.export_angular_map(cfg, seed)
             ref = fc.draw_physical(
                 cfg.geometry, (2, None), (2, None),
                 np.random.default_rng(hn._mix64(seed)), mode == "physical_on_grid",
             )
-            assert amap.magnitudes.tobytes() == np.abs(ref.h_tilde_herm.conj().T).tobytes()
-            assert amap.dominant_cells == tuple(divmod(i, cfg.geometry.n_s) for i in ref.predicted)
+            assert magnitudes.tobytes() == np.abs(ref.h_tilde_herm.conj().T).tobytes()
+            assert cells == tuple(divmod(i, cfg.geometry.n_s) for i in ref.predicted)
 
 class TestConfigParsing:
     def test_defaults_from_empty(self):
@@ -779,6 +805,32 @@ class TestCli:
         )
         assert rc != 0
         assert "/nope/missing.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "crlb"])
+    def test_undecodable_config_rejected_before_any_trial(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe k_values = 8\n")
+        out = tmp_path / "res.csv"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "crlb", "angular-map"])
+    @pytest.mark.parametrize("target", ["missing/res.csv", "dir.csv", ""])
+    def test_unusable_out_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, command, target
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(hn, "_run_block", no_trial)
+        cfg = self._write_cfg(tmp_path, mode="physical_on_grid")
+        (tmp_path / "dir.csv").mkdir()
+        out = str(tmp_path / target) if target else target
+        assert cli.main([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out!r}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv", "exp.cfg"]
 
     def test_bad_field_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
