@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .numerics import dft_matrix, unvec, vec
 
 BS_TO_RIS = "bs_to_ris"
@@ -86,8 +85,6 @@ def _ramp(u, n):
 
 def ula_response(n, elev, azim, spacing_ratio=0.5):
     """Uniform linear array phase ramp [1, e^{ju}, ..., e^{j(n-1)u}]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _ramp(directional_param(elev, azim, spacing_ratio), n)
 
 
@@ -97,8 +94,6 @@ def upa_response(n_h, n_w, elev, azim, spacing_ratio=0.5):
     The height axis sees u_h = 2*pi*(d/lambda)*cos(elev) and the width axis
     u_w = 2*pi*(d/lambda)*sin(elev)*cos(azim); result has length n_h*n_w.
     """
-    if n_h < 1 or n_w < 1:
-        raise ValueError("n_h and n_w must be >= 1")
     ramp_h = _ramp(2.0 * np.pi * spacing_ratio * np.cos(elev), n_h)
     ramp_w = _ramp(directional_param(elev, azim, spacing_ratio), n_w)
     # the products np.kron(ramp_h, ramp_w) forms, without its overhead
@@ -120,11 +115,9 @@ def hop_matrix(geometry, side, angles, gains, path_loss=None):
     if side == BS_TO_RIS:
         left = upa_response(g.n_r_h, g.n_r_w, aoa_elev, aoa_azim, s)
         right = ula_response(g.n_s, aod_elev, aod_azim, s)
-    elif side == RIS_TO_MS:
+    else:
         left = ula_response(g.n_d, aoa_elev, aoa_azim, s)
         right = upa_response(g.n_r_h, g.n_r_w, aod_elev, aod_azim, s)
-    else:
-        raise ValueError(f"unknown hop side {side!r}")
     path_loss = _default_loss(g, side) if path_loss is None else path_loss
     scale = np.sqrt(left.shape[-1] * right.shape[-1] / path_loss)
     out = np.zeros(left.shape[:-2] + (left.shape[-1], right.shape[-1]), dtype=np.complex128)
@@ -139,15 +132,7 @@ def compose_cascade(g_bs_ris, ris_phases, g_ris_ms):
 
     Reflection amplitudes are fixed at one; only the phases vary.
     """
-    g1 = np.asarray(g_bs_ris, dtype=np.complex128)
-    g2 = np.asarray(g_ris_ms, dtype=np.complex128)
-    phases = np.asarray(ris_phases, dtype=np.float64)
-    n_r = g1.shape[-2]
-    if phases.shape[-1:] != (n_r,) or g2.shape[-1] != n_r:
-        raise DimensionMismatchError(
-            f"cascade dims do not chain: {g2.shape} x diag({phases.shape}) x {g1.shape}"
-        )
-    return g2 @ (np.exp(1j * phases)[..., :, None] * g1)
+    return g_ris_ms @ (np.exp(1j * ris_phases)[..., :, None] * g_bs_ris)
 
 
 def angular_transform(h, geometry):
@@ -158,11 +143,6 @@ def angular_transform(h, geometry):
     the column-stacked sparse vector of length n_d*n_s.  Vec index
     n*n_s + m (0-based) corresponds to MS bin n and BS bin m.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape[-2:] != (geometry.n_d, geometry.n_s):
-        raise DimensionMismatchError(
-            f"h has shape {h.shape}, expected {(geometry.n_d, geometry.n_s)}"
-        )
     u_s = dft_matrix(geometry.n_s)
     u_d = dft_matrix(geometry.n_d)
     h_tilde_herm = u_s.conj().T @ h.conj().swapaxes(-1, -2) @ u_d
@@ -182,8 +162,6 @@ def dominant_bin(u, n):
 
     Ties at an exact midpoint break toward the lower index.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     grid = 2.0 * np.pi * np.arange(n) / n
     dist = np.abs(np.angle(np.exp(1j * (np.asarray(u)[..., None] - grid))))
     return np.argmin(dist, axis=-1)
@@ -214,10 +192,6 @@ def synth_sparse_stack(dim, sparsity, rngs, magnitude=1.0):
     sorted support tuples.  Every nonzero entry has the given magnitude and
     an independent uniform phase; everything off the support is exactly zero.
     """
-    if not 1 <= sparsity <= dim:
-        raise ValueError(f"sparsity must be in [1, {dim}], got {sparsity}")
-    if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
     # each generator draws its support, then its phases
     idx = np.array([rng.choice(dim, size=sparsity, replace=False) for rng in rngs])
     phases = np.array([rng.random(sparsity) for rng in rngs])
@@ -231,12 +205,7 @@ def _grid_size(geometry, side, n_paths=1):
 
     Raises ValueError unless ``n_paths`` distinct on-grid paths fit in it.
     """
-    if side == BS_TO_RIS:
-        n_grid = geometry.n_s
-    elif side == RIS_TO_MS:
-        n_grid = geometry.n_d
-    else:
-        raise ValueError(f"unknown hop side {side!r}")
+    n_grid = geometry.n_s if side == BS_TO_RIS else geometry.n_d
     if n_paths > n_grid:
         raise ValueError(f"cannot place {n_paths} distinct on-grid paths in {n_grid} bins")
     return n_grid

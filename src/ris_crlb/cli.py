@@ -11,7 +11,11 @@ Subcommands:
 import argparse
 import os
 import sys
-from dataclasses import replace
+
+# each forked sweep worker would start a BLAS pool as wide as the machine:
+# pin BLAS to one thread, before numpy loads, unless the user has set it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -42,25 +46,18 @@ def _thread_count(args):
 
 
 def _load_config(args):
+    """The config file (or the defaults) with each given flag replacing its key, built once."""
+    flags = {
+        "master_seed": getattr(args, "seed", None),
+        "trials": getattr(args, "trials", None),
+        "estimator": getattr(args, "estimator", None),
+        "mode": _CLI_MODES.get(getattr(args, "mode", None)),
+        "delta": getattr(args, "delta", None),
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if args.config is not None:
-        cfg = hn.load_config(args.config)
-    else:
-        cfg = hn.default_config()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if getattr(args, "estimator", None) is not None:
-        cfg = replace(cfg, estimator=args.estimator)
-    if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, mode=_CLI_MODES[args.mode])
-    if getattr(args, "delta", None) is not None:
-        try:
-            typicality = replace(cfg.typicality, delta=args.delta)
-        except ValueError as exc:
-            raise ConfigError(f"--delta: {exc}") from exc
-        cfg = replace(cfg, typicality=typicality)
-    return cfg
+        return hn.load_config(args.config, overrides)
+    return hn.parse_config_text("", overrides)
 
 
 def _check_out(path):

@@ -35,7 +35,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError, SearchBudgetExceededError
-from .numerics import as_matrix, as_vector, least_squares, svd_rank
+from .numerics import as_matrix, as_vector, least_squares, least_squares_stack, svd_rank
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
@@ -76,6 +76,11 @@ class TypicalityConfig:
             raise ValueError(f"max_subsets must be >= 1, got {self.max_subsets!r}")
         if self.search_order not in (LEXICOGRAPHIC_FIRST, BEST_STATISTIC):
             raise ValueError(f"unknown search order {self.search_order!r}")
+
+    @property
+    def subset_cap(self):
+        """Most l-subsets a search may enumerate: ``max_subsets``, else _DEFAULT_ENUM_CAP."""
+        return self.max_subsets if self.max_subsets is not None else _DEFAULT_ENUM_CAP
 
     def threshold(self, noise_var, kns, l):
         """The override ``delta`` as it is, else :func:`default_delta` of ``noise_var``
@@ -226,12 +231,9 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     each problem sees the decisions of checking its subsets one by one.
     """
     t_count, n_cols = corr.shape
-    if l > n_cols:
-        raise ValueError(f"sparsity {l} exceeds {n_cols} columns")
     total = math.comb(n_cols, l)
-    cap = cfg.max_subsets if cfg.max_subsets is not None else _DEFAULT_ENUM_CAP
-    if total > cap:
-        raise SearchBudgetExceededError(f"{total} subsets exceed cap {cap}")
+    if total > cfg.subset_cap:
+        raise SearchBudgetExceededError(f"{total} subsets exceed cap {cfg.subset_cap}")
     m = y.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
     delta = np.full(t_count, cfg.threshold(noise_var, m, l))
@@ -301,6 +303,10 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
     """
     y = as_vector(y, "y")
     upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
+    if cfg.sparsity > upsilon_mat.shape[1]:
+        raise ValueError(f"sparsity {cfg.sparsity} exceeds {upsilon_mat.shape[1]} columns")
+    if cfg.delta is None and y.shape[0] <= cfg.sparsity:
+        raise ValueError(f"the default delta needs m = {y.shape[0]} > sparsity = {cfg.sparsity}")
     herm = upsilon_mat.conj().T
     ((subset, stat, examined),) = jt_search(
         y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg, cfg.sparsity,
@@ -429,13 +435,9 @@ def omp_estimate(y, upsilon_mat, l):
     residual correlation (ties break to the lowest index), then refits by
     least squares on the selected set.  If the selected columns ever become
     dependent the partial estimate is returned with ``degenerate`` set.
+    Unchecked: the block core passes a complex y, upsilon_mat and 1 <= l <= n.
     """
-    y = as_vector(y, "y")
-    upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
     n_cols = upsilon_mat.shape[1]
-    if not 1 <= l <= n_cols:
-        raise ValueError(f"l must be in [1, {n_cols}], got {l}")
-
     col_norms = np.linalg.norm(upsilon_mat, axis=0)
     safe_norms = np.where(col_norms > 0, col_norms, 1.0)
     selected = []
@@ -446,9 +448,8 @@ def omp_estimate(y, upsilon_mat, l):
         corr = np.abs(upsilon_mat.conj().T @ residual) / safe_norms
         corr[selected] = -1.0
         pick = int(np.argmax(corr))
-        try:
-            trial_coef = least_squares(upsilon_mat[:, selected + [pick]], y)
-        except RankDeficientError:
+        trial_coef, rank = least_squares_stack(upsilon_mat[:, selected + [pick]], y)
+        if rank <= len(selected):
             degenerate = True
             break
         selected.append(pick)

@@ -495,6 +495,11 @@ def run_sweep(cfg, threads=1, keep_trials=False):
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    l, cap = cfg.typicality.sparsity, cfg.typicality.subset_cap
+    n = cfg.geometry.n_d * cfg.geometry.n_s
+    if cfg.estimator == "jt" and cfg.mode == "synthetic" and math.comb(n, l) > cap:
+        # a synthetic truth's support size is known, so its search budget is checked here
+        raise ConfigError(f"C({n}, {l}) = {math.comb(n, l)} subsets exceed max_subsets = {cap}")
     cells = [(k, snr_db) for k in cfg.k_values for snr_db in cfg.snr_db_values]
     workers = min(threads, len(cells)) if hasattr(os, "fork") else 1
     by_k = sorted(range(len(cells)), key=lambda c: -cells[c][0])
@@ -644,8 +649,10 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config_text(text):
-    """Parse the flat key=value experiment format into an ExperimentConfig."""
+def parse_config_text(text, overrides=None):
+    """Parse the flat key=value experiment format into an ExperimentConfig, built (and
+    so checked) once with ``overrides``, a map of config keys to parsed values, replacing
+    the file's."""
     values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -663,13 +670,15 @@ def parse_config_text(text):
             )
         values[key], first_line[key] = val.strip(), lineno
 
-    fields, members = {}, {}
+    parsed = {}
     for key, val in values.items():
-        name, member, parse = _CONFIG_KEYS[key]
         try:
-            value = parse(val)
+            parsed[key] = _CONFIG_KEYS[key][2](val)
         except ValueError as exc:
             raise ConfigError(f"line {first_line[key]}: field {key!r}: bad value {val!r}") from exc
+    fields, members = {}, {}
+    for key, value in {**parsed, **(overrides or {})}.items():
+        name, member, _ = _CONFIG_KEYS[key]
         if member is None:
             fields[name] = value
         else:
@@ -683,10 +692,10 @@ def parse_config_text(text):
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path):
+def load_config(path, overrides=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)

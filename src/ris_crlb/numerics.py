@@ -39,8 +39,6 @@ def dft_matrix(n):
     makes a phase ramp exp(+j*k*u) concentrate in the column whose grid value
     2*pi*q/n is wrap-nearest to u, matching :func:`ris_crlb.channel.dominant_bin`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     idx = np.arange(n)
     return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 

@@ -8,7 +8,6 @@ import pytest
 import frozen_channel as fc
 from ris_crlb import channel as ch
 from ris_crlb import harness as hn
-from ris_crlb.errors import DimensionMismatchError
 from ris_crlb.numerics import dft_matrix, numeric_rank, vec
 
 
@@ -111,10 +110,6 @@ class TestComposeCascade:
         base = np.linalg.norm(ch.compose_cascade(g1, phases, g2))
         shifted = np.linalg.norm(ch.compose_cascade(g1, phases + 1.234, g2))
         assert abs(base - shifted) < 1e-10 * base
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            ch.compose_cascade(np.eye(3), np.zeros(4), np.eye(3))
 
 
 class TestAngularTransform:

@@ -116,6 +116,21 @@ class TestTypicalityConfig:
 
 
 class TestJtEstimate:
+    @pytest.mark.parametrize(
+        "shape, delta, match",
+        [
+            # m = 5 <= L = 5: the default delta is undefined
+            ((5, 8), None, "default delta"),
+            # L = 5 > 4 columns: there is no candidate support
+            ((12, 4), 0.1, "exceeds"),
+        ],
+    )
+    def test_rejects_a_search_it_cannot_run(self, shape, delta, match):
+        mat = crandn(np.random.default_rng(5), *shape)
+        cfg = est.TypicalityConfig(delta=delta, sparsity=5)
+        with pytest.raises(ValueError, match=match):
+            est.jt_estimate(mat[:, 0], mat, cfg, 0.1)
+
     def test_noiseless_recovery_default_scale(self):
         rng = np.random.default_rng(3)
         model = default_scale_model(seed=4)

@@ -151,7 +151,11 @@ BLOCK_CASES = {
     "genie-rank-deficient": dict(
         estimator="genie", typicality=est.TypicalityConfig(None, 2), k_values=(1, 2)
     ),
-    "jt-over-budget": dict(typicality=est.TypicalityConfig(None, 2, max_subsets=100)),
+    # physical: every support (here of size 1) exceeds the cap, so every trial fails;
+    # a synthetic sweep over the cap is rejected before any trial
+    "jt-over-budget": dict(
+        mode="physical_on_grid", typicality=est.TypicalityConfig(None, 1, max_subsets=10)
+    ),
     # n_s != n_d, a 3 x 2 panel, a wider spacing and set path losses
     "genie-on-grid-uneven": dict(
         mode="physical_on_grid", estimator="genie",
@@ -1087,6 +1091,65 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", _BOUNDARY_FLAGS)
     def test_boundary_flag_value_exits_0_or_2(self, tmp_path, capsys, flag, value):
         self._assert_exit_0_or_2(tmp_path, capsys, {}, [f"{flag}={value}"])
+
+    def test_flags_replace_file_keys_before_the_one_check(self, tmp_path):
+        # 3 x 2 on-grid paths fill up to 6 bins, so only JT's default delta rejects
+        # k = 1; --estimator omp replaces the file's estimator before that check
+        cfg = self._write_cfg(
+            tmp_path, mode="physical_on_grid", paths_bs_ris=3, paths_ris_ms=2, k_values="1, 8"
+        )
+        out = tmp_path / "res.csv"
+        argv = ["sweep", "--config", cfg, "--estimator", "omp", "--trials", "3", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k <= n_d
+            assert cli.main(argv) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["1", "8"]
+
+    def test_flags_build_the_config_once(self, tmp_path):
+        # k = 4 <= n_d warns once, however many flags replace file keys
+        cfg = self._write_cfg(tmp_path, k_values=4)
+        argv = ["sweep", "--config", cfg, "--trials", "3", "--estimator", "genie", "--seed", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv + ["--out", str(tmp_path / "w.csv")]) == 0
+        assert [w.category for w in caught] == [UserWarning]
+
+    def test_bad_delta_flag_without_config_names_delta(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert cli.main(["sweep", "--delta", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delta" in err
+        assert not out.exists()
+
+    def test_synthetic_search_over_budget_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(hn, "_run_block", no_trial)
+        # C(25, 1) = 25 candidate supports against a cap of 10
+        cfg = self._write_cfg(tmp_path, max_subsets=10)
+        out = tmp_path / "res.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_subsets" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_cli_import_pins_blas_unless_set(self, preset):
+        import ris_crlb
+
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ris_crlb.__file__))
+        if preset is not None:
+            env.update(dict.fromkeys(names, preset))
+        code = "import os, ris_crlb.cli; print([os.environ[v] for v in %r])" % (names,)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == str([preset or "1"] * 3)
 
     def test_seed_determinism(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

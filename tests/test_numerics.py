@@ -38,10 +38,6 @@ class TestDftMatrix:
             u = dft_matrix(n)
             assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-10
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            dft_matrix(0)
-
 
 class TestKron:
     def test_identity_kron_identity(self):
