@@ -195,7 +195,13 @@ def synth_sparse_stack(dim, sparsity, rngs, magnitude=1.0):
     # each generator draws its support, then its phases
     idx = np.array([rng.choice(dim, size=sparsity, replace=False) for rng in rngs])
     phases = np.array([rng.random(sparsity) for rng in rngs])
-    v = np.zeros((len(rngs), dim), dtype=np.complex128)
+    return sparse_stack(dim, idx, phases, magnitude)
+
+
+def sparse_stack(dim, idx, phases, magnitude=1.0):
+    """The (T, dim) stack with ``magnitude * exp(2j pi phases)`` at the (T, L) positions
+    ``idx`` and zeros elsewhere, and the list of its sorted support tuples."""
+    v = np.zeros((len(idx), dim), dtype=np.complex128)
     np.put_along_axis(v, idx, magnitude * np.exp(2j * np.pi * phases), axis=1)
     return v, [tuple(s) for s in np.sort(idx, axis=1).tolist()]
 

@@ -60,25 +60,33 @@ def _load_config(args):
     return hn.parse_config_text("", overrides)
 
 
-def _check_out(path):
+def _sweep_files(out):
+    """The JSON mirror and the per-trial CSV that a sweep writes beside ``out``."""
+    stem = os.path.splitext(out)[0] or out
+    return stem + ".json", stem + "_trials.csv"
+
+
+def _check_out(path, command):
     """Reject an ``--out`` file that cannot be written, before any trial runs;
-    a sweep writes its other files beside it."""
+    a sweep writes its other files beside it, so none of them may be ``path``."""
     folder = os.path.dirname(path) or "."
     if not path or os.path.isdir(path):
         raise ConfigError(f"--out {path!r}: not a file name")
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ConfigError(f"--out {path!r}: no writable directory {folder}")
+    if command == "sweep" and path in _sweep_files(path):
+        raise ConfigError(f"--out {path!r}: a file the sweep writes beside it would overwrite it")
 
 
 def _cmd_sweep(args):
     cfg = _load_config(args)
     threads = _thread_count(args)
     result = hn.run_sweep(cfg, threads=threads, keep_trials=args.per_trial)
+    json_path, trials_path = _sweep_files(args.out)
     hn.write_sweep_csv(result, args.out)
-    stem = os.path.splitext(args.out)[0] or args.out
-    hn.write_sweep_json(result, cfg, stem + ".json")
+    hn.write_sweep_json(result, cfg, json_path)
     if args.per_trial:
-        hn.write_trials_csv(result.trial_records, stem + "_trials.csv")
+        hn.write_trials_csv(result.trial_records, trials_path)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 
@@ -255,7 +263,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if getattr(args, "out", None) is not None:
-            _check_out(args.out)
+            _check_out(args.out, args.command)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,18 @@ Reproducibility contract: every trial derives its own 64-bit seed from
 mixer, and truth/pilot/noise each get an independent substream of that seed.
 Trials therefore never share generator state and a sweep gives byte-identical
 results whatever the worker count.
+
+A worker runs the trials of one K in two stages.  The truth stage
+(``_stage_truths``) derives the seeds, the seed words of all three
+substreams, the truths, supports and energies once per chunk of about
+``_BLOCK_BYTES // _truth_bytes(cfg)`` trials, a whole number of estimation
+sub-blocks; ``_truth_bytes`` states the stage's peak bytes per trial.  The
+estimation stage (``_run_block``: pilots, observation, CRLB, search and fit)
+runs per sub-block of ``_BLOCK_BYTES // (16 k n_s)`` trials.  A synthetic truth
+seats no ``Generator``: ``pcg64_choice_random`` reproduces, from the raw PCG64
+words of its seed words, the ``choice(n, L, replace=False)`` and ``random(L)``
+draws a fresh ``default_rng`` makes.  numpy does not promise ``Generator``
+streams across versions, so the tests compare the two on the numpy in use.
 """
 
 import contextlib
@@ -17,7 +29,8 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from itertools import groupby
+from itertools import groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +43,9 @@ from .numerics import least_squares_stack
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
 
-# byte budget of one (trials, k*n_s) complex stack of a block, such as its
-# observations; it sets the trials per block from k*n_s, so a block's working
-# set does not grow with the trial count
+# byte budget of one (trials, k*n_s) complex stack of an estimation sub-block,
+# such as its observations, and of a truth chunk's stated peak (_truth_bytes);
+# it sets the trials of each, so neither working set grows with the trial count
 _BLOCK_BYTES = 64 * 1024
 
 CSV_HEADER = "k,snr_db,mse,crlb,upper_bound,fail_rate,trials"
@@ -285,6 +298,91 @@ def generators(words):
     return [gen(pcg(words_type(w))) for w in words]
 
 
+# numpy's PCG64: a 128-bit LCG with this multiplier and the XSL-RR output
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def pcg64_state(w0, w1, w2, w3):
+    """``(state, inc)`` that ``np.random.PCG64`` seats from one row of :func:`seed_words`,
+    as its ``bit_generator.state`` shows them: numpy's ``pcg64_set_seed``."""
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def pcg64_words(state, inc):
+    """The raw 64-bit words (``random_raw``) of a PCG64 at ``(state, inc)``: each steps
+    the LCG, then rotates the XOR of the new state's halves by its top 6 bits."""
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK
+        rot = state >> 122
+        yield (x >> rot | x << (64 - rot)) & _MASK
+
+
+def _halves(words):
+    """numpy's ``next_uint32`` stream: the low, then the high half of each word."""
+    for w in words:
+        yield w & 0xFFFFFFFF
+        yield w >> 32
+
+
+def _bounded(halves, j):
+    """numpy's unmasked ``random_bounded_uint64(0, j)`` for ``j < 2^32``: Lemire's
+    multiply-shift of a 32-bit draw, redrawn while its low word is below
+    ``2^32 mod (j + 1)``."""
+    if not j:
+        return 0
+    n = j + 1
+    m = next(halves) * n
+    if m & 0xFFFFFFFF < n:
+        floor = (1 << 32) % n
+        while m & 0xFFFFFFFF < floor:
+            m = next(halves) * n
+    return m >> 32
+
+
+def pcg64_choice_random(state, inc, dim, l):
+    """``rng.choice(dim, l, replace=False)`` then ``rng.random(l)`` of a fresh
+    ``Generator`` whose PCG64 is at ``(state, inc)``, from its raw words; ``dim <= 2^32``.
+
+    numpy's algorithm: for ``dim > 10000`` and ``l > dim // 50`` it shuffles the
+    tail of ``range(dim)`` (a draw in ``[0, i]`` for ``i = dim - 1`` down to
+    ``max(dim - l, 1)``) and keeps its last ``l`` entries; otherwise Floyd's
+    selection (a draw ``v`` in ``[0, j]`` for ``j = dim - l ... dim - 1``,
+    taking ``j`` when ``v`` is taken) and a shuffle of the picks (``i = l - 1``
+    down to 1).  Every draw is :func:`_bounded`.  A double is ``(word >> 11)
+    2^-53`` of a fresh word.  Returns the picks and the ``l`` raw words of the
+    doubles.
+    """
+    words = pcg64_words(state, inc)
+    halves = _halves(words)
+    if dim > 10000 and l > dim // 50:
+        moved = {}  # the entries of range(dim) the shuffle has swapped
+        for i in range(dim - 1, max(dim - l, 1) - 1, -1):
+            j = _bounded(halves, i)
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        picks = [moved.get(i, i) for i in range(dim - l, dim)]
+    else:
+        picks, taken = [], set()
+        for j in range(dim - l, dim):
+            v = _bounded(halves, j)
+            v = j if v in taken else v
+            taken.add(v)
+            picks.append(v)
+        for i in range(l - 1, 0, -1):
+            j = _bounded(halves, i)
+            picks[i], picks[j] = picks[j], picks[i]
+    return picks, list(islice(words, l))
+
+
+def synth_draws(words, dim, l):
+    """The (T, l) supports and phases that ``channel.synth_sparse_stack`` draws from
+    ``generators(words)``, with no ``Generator``: :func:`pcg64_choice_random` per row."""
+    picks, raws = zip(*(pcg64_choice_random(*pcg64_state(*w), dim, l) for w in words.tolist()))
+    phases = (np.array(raws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+    return np.array(picks, dtype=np.int64), phases
+
+
 def draw_physical(cfg, rngs):
     """Physical realizations of one trial per generator, as one stack.
 
@@ -308,14 +406,53 @@ def draw_physical(cfg, rngs):
     return ch.realize_stack(g, *paths, phases, on_grid)
 
 
-def _draw_truth(cfg, rngs):
-    """Angular-domain truths (T, n_d*n_s) and supports, one per truth generator, per mode."""
+def _draw_truth(cfg, words):
+    """Angular-domain truths (T, n_d*n_s) and supports, one per row of truth seed words:
+    the draws of ``generators(words)``, per mode."""
     if cfg.mode == "synthetic":
         # the draws of ch.realize_synthetic, without the cascade it derives
-        g = cfg.geometry
-        return ch.synth_sparse_stack(g.n_d * g.n_s, cfg.typicality.sparsity, rngs, cfg.magnitude)
-    real = draw_physical(cfg, rngs)
+        dim, l = cfg.geometry.n_d * cfg.geometry.n_s, cfg.typicality.sparsity
+        return ch.sparse_stack(dim, *synth_draws(words, dim, l), cfg.magnitude)
+    real = draw_physical(cfg, generators(words))
     return real.sparse_vec, real.support
+
+
+class _Truths(NamedTuple):
+    """The truth stage of a run of trials, one entry per trial on axis 0."""
+
+    seeds: np.ndarray        # (T,) uint64 trial seeds
+    pilot_words: np.ndarray  # (T, 4) seed words of the pilot substream
+    noise_words: np.ndarray  # (T, 4) seed words of the noise substream
+    truths: np.ndarray       # (T, n_d*n_s) complex
+    supports: list           # support tuples
+    energies: np.ndarray     # (T,) ||upsilon||^2
+
+
+def _stage_truths(cfg, k, snr_db, indices):
+    """The truth stage of trials ``indices`` at K = k (``snr_db`` as in :func:`_run_block`):
+    their seeds, the seed words of all their substreams hashed in one pass
+    (:func:`seed_words`), their truths, supports and energies."""
+    seeds = trial_seeds(cfg.master_seed, k, snr_db, indices)
+    truth_words, pilot_words, noise_words = seed_words(seeds[1:]).reshape(3, -1, 4)
+    truths, supports = _draw_truth(cfg, truth_words)
+    energies = np.sum(np.abs(truths) ** 2, axis=-1)
+    return _Truths(seeds[0], pilot_words, noise_words, truths, supports, energies)
+
+
+def _truth_bytes(cfg):
+    """Stated per-trial peak of :func:`_stage_truths` in bytes, which sizes its chunks.
+
+    Synthetic: the complex truth and the two float temporaries of its
+    energy, 32 B an entry, plus 256 B of seeds, words and support.
+    Physical: the truth's 16 B an entry, two complex temporaries of each hop
+    matrix (``channel.hop_matrix``), 256 B of raw draws per path and 2 KiB of
+    per-trial draw objects.
+    """
+    g = cfg.geometry
+    if cfg.mode == "synthetic":
+        return 32 * g.n_d * g.n_s + 256
+    paths = cfg.hop_bs_ris.n_paths + cfg.hop_ris_ms.n_paths
+    return 16 * g.n_d * g.n_s + 32 * g.n_r * (g.n_s + g.n_d) + 256 * paths + 2048
 
 
 def run_trial(cfg, k, snr_db, trial_index):
@@ -323,27 +460,26 @@ def run_trial(cfg, k, snr_db, trial_index):
     return _run_block(cfg, k, snr_db, [trial_index])[0]
 
 
-def _run_block(cfg, k, snr_db, indices):
-    """Records of trials ``indices`` at K = k, as stacks.
+def _run_block(cfg, k, snr_db, indices, staged=None):
+    """Records of trials ``indices`` at K = k, as stacks: the estimation stage.
 
     ``snr_db`` is the SNR of every trial, or one SNR per index, so a block
-    may hold trials of several grid cells of one K.  The seed words of all
-    its truth, pilot and noise substreams are hashed in one pass
-    (:func:`seed_words`).  Per trial run only the seating of its three
-    generators and their draws, its y = Upsilon upsilon + n and (OMP) its
-    greedy search.  The rest runs on the block's stacks with the per-matrix
-    LAPACK and BLAS calls of a single trial, so a record does not depend on
-    its block.  Every trial starts as the failed record: the zero estimate
-    (squared error ||upsilon||^2), CRLB nan and no subsets examined.  A zero
-    truth, a rank-deficient support or fit and a group over the search
-    budget keep it; the estimators overwrite the rest.
+    may hold trials of several grid cells of one K.  ``staged`` is their
+    truth stage (:func:`_stage_truths`), which is run here when it is None.
+    Per trial run only the seating of its pilot and noise generators from
+    their staged words and their draws, its y = Upsilon upsilon + n and
+    (OMP) its greedy search.  The rest runs on the block's stacks with the
+    per-matrix LAPACK and BLAS calls of a single trial, so a record does not
+    depend on its block.  Every trial starts as the failed record: the zero
+    estimate (squared error ||upsilon||^2), CRLB nan and no subsets
+    examined.  A zero truth, a rank-deficient support or fit and a group
+    over the search budget keep it; the estimators overwrite the rest.
     """
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
-    seeds = trial_seeds(cfg.master_seed, k, snr_db, indices)
-    truth_words, pilot_words, noise_words = seed_words(seeds[1:]).reshape(3, -1, 4)
-    truths, supports = _draw_truth(cfg, generators(truth_words))
-    energies = np.sum(np.abs(truths) ** 2, axis=-1)
+    if staged is None:
+        staged = _stage_truths(cfg, k, snr_db, indices)
+    seeds, pilot_words, noise_words, truths, supports, energies = staged
     estimates = np.zeros(truths.shape, dtype=np.complex128)
     n = len(supports)
     crlbs, failed, examined = [math.nan] * n, [True] * n, [0] * n
@@ -407,7 +543,7 @@ def _run_block(cfg, k, snr_db, indices):
     return [
         TrialRecord(int(k), *fields)
         for fields in zip(
-            snrs, indices, seeds[0].tolist(), errors, crlbs, failed, examined, energies.tolist(),
+            snrs, indices, seeds.tolist(), errors, crlbs, failed, examined, energies.tolist(),
             map(len, supports),
         )
     ]
@@ -436,10 +572,11 @@ def _run_share(cfg, cells, keep_trials):
     """(SweepRow, records when ``keep_trials``) of each (k, snr_db) cell of ``cells``.
 
     ``cells`` is one worker's share, in grid order.  The trials of its cells
-    of one K run cell after cell in blocks of ``_BLOCK_BYTES // (16 k n_s)``
-    trials, so a block may span SNR cells; records do not depend on their
-    block.  A row's wall_time is its trials' share of the time of the blocks
-    they ran in, plus its aggregation.
+    of one K run cell after cell, staged in truth chunks of whole estimation
+    sub-blocks (see the module docstring), so a chunk or sub-block may span
+    SNR cells; records do not depend on either.  A row's wall_time is its
+    trials' share of the time of the chunks and sub-blocks they ran in, plus
+    its aggregation.
     """
     out = []
     for k, group in groupby(cells, key=lambda cell: cell[0]):
@@ -447,12 +584,19 @@ def _run_share(cfg, cells, keep_trials):
         snr_of = [snr_db for snr_db in snrs for _t in range(cfg.trials)]
         index_of = list(range(cfg.trials)) * len(snrs)
         size = max(_BLOCK_BYTES // (16 * k * cfg.geometry.n_s), 1)
+        chunk = size * max(_BLOCK_BYTES // _truth_bytes(cfg) // size, 1)
         records, shares = [], []
-        for start in range(0, len(index_of), size):
-            stop = min(start + size, len(index_of))
+        for first in range(0, len(index_of), chunk):
+            last = min(first + chunk, len(index_of))
             t0 = time.perf_counter()
-            records += _run_block(cfg, k, snr_of[start:stop], index_of[start:stop])
-            shares += [(time.perf_counter() - t0) / (stop - start)] * (stop - start)
+            staged = _stage_truths(cfg, k, snr_of[first:last], index_of[first:last])
+            staging = (time.perf_counter() - t0) / (last - first)
+            for start in range(first, last, size):
+                stop = min(start + size, last)
+                t0 = time.perf_counter()
+                part = _Truths(*(column[start - first:stop - first] for column in staged))
+                records += _run_block(cfg, k, snr_of[start:stop], index_of[start:stop], part)
+                shares += [staging + (time.perf_counter() - t0) / (stop - start)] * (stop - start)
         for c, snr_db in enumerate(snrs):
             cell = slice(c * cfg.trials, (c + 1) * cfg.trials)
             row = _aggregate(cfg, k, snr_db, records[cell], sum(shares[cell]))

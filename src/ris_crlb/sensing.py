@@ -79,7 +79,8 @@ def kron_columns(pilots, n_s, cols):
     """
     cols = np.asarray(cols, dtype=np.intp)
     j, i = np.divmod(cols, n_s)
-    rows = np.take_along_axis(pilots, j[..., None], axis=-2)
+    # pilot rows j of each block: one index array per axis, cheaper than take_along_axis
+    rows = pilots[j] if j.ndim == 1 else pilots[np.arange(len(j))[:, None], j]
     # the products written straight into the (..., k, n_s, l) output
     x = rows.swapaxes(-1, -2)[..., :, None, :]
     ident = np.eye(n_s, dtype=np.complex128)[i].swapaxes(-1, -2)[..., None, :, :]

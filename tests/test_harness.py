@@ -8,6 +8,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import astuple, replace
 
@@ -203,14 +204,43 @@ class TestBlockCore:
         monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * 16 * k_max * cfg.geometry.n_s)
         blocks, inner = [], hn._run_block
 
-        def spy(cfg, k, snr_db, indices):
+        def spy(cfg, k, snr_db, indices, staged=None):
             blocks.append((k, set(np.atleast_1d(snr_db).tolist())))
-            return inner(cfg, k, snr_db, indices)
+            return inner(cfg, k, snr_db, indices, staged)
 
         monkeypatch.setattr(hn, "_run_block", spy)
         res = hn.run_sweep(cfg, keep_trials=True)
         assert record_bits(res.trial_records) == record_bits(want)
         assert (k_max, set(cfg.snr_db_values)) in blocks
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_chunks_and_sub_blocks_split_cells(self, name, monkeypatch):
+        cfg = block_case(name)
+        cells = [(k, s) for k in cfg.k_values for s in cfg.snr_db_values]
+        want = [reference_trial(cfg, k, s, t) for k, s in cells for t in range(cfg.trials)]
+        # sub-blocks of 3 trials and truth chunks of 2 sub-blocks at the largest k: with
+        # 7 trials per cell, both fall across cell boundaries
+        k_max = max(cfg.k_values)
+        monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * 16 * k_max * cfg.geometry.n_s)
+        monkeypatch.setattr(hn, "_truth_bytes", lambda cfg: hn._BLOCK_BYTES // 6)
+        chunks, blocks = [], []
+        stage, estimate = hn._stage_truths, hn._run_block
+
+        def stage_spy(cfg, k, snr_db, indices):
+            chunks.append((k, len(indices), len(set(snr_db))))
+            return stage(cfg, k, snr_db, indices)
+
+        def estimate_spy(cfg, k, snr_db, indices, staged=None):
+            assert staged is not None and len(staged.truths) == len(indices)
+            blocks.append((k, len(indices)))
+            return estimate(cfg, k, snr_db, indices, staged)
+
+        monkeypatch.setattr(hn, "_stage_truths", stage_spy)
+        monkeypatch.setattr(hn, "_run_block", estimate_spy)
+        res = hn.run_sweep(cfg, keep_trials=True)
+        assert record_bits(res.trial_records) == record_bits(want)
+        assert [c[1:] for c in chunks if c[0] == k_max] == [(6, 1), (6, 2), (2, 1)]
+        assert [n for k, n in blocks if k == k_max] == [3, 3, 3, 3, 2]
 
     @pytest.mark.parametrize(
         "name", ["jt-rank-deficient", "genie-rank-deficient", "jt-over-budget"]
@@ -232,9 +262,9 @@ class TestBlockCore:
         sizes = []
         inner = hn._run_block
 
-        def spy(cfg, k, snr_db, indices):
+        def spy(cfg, k, snr_db, indices, staged=None):
             sizes.append((k, len(indices)))
-            return inner(cfg, k, snr_db, indices)
+            return inner(cfg, k, snr_db, indices, staged)
 
         def cut(k, cells):
             n, size = cells * cfg.trials, hn._BLOCK_BYTES // (16 * k * cfg.geometry.n_s)
@@ -247,6 +277,28 @@ class TestBlockCore:
             sizes.clear()
             hn.run_sweep(cfg, threads=2)
             assert sizes == cut(8, 1) + cut(80, 2)
+
+
+class TestTruthStage:
+    @pytest.mark.parametrize("mode", hn.MODES)
+    @pytest.mark.parametrize(
+        "geometry", [ch.Geometry(5, 5, 2, 5), ch.Geometry(4, 6, 3, 2, spacing_ratio=0.7)]
+    )
+    def test_peak_per_trial_is_the_stated_footprint(self, geometry, mode):
+        # two paths per hop, so a physical stage holds several paths per trial
+        cfg = hn.default_config(
+            geometry=geometry, mode=mode, hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2),
+            typicality=est.TypicalityConfig(None, 2),
+        )
+        trials = 200
+        hn._stage_truths(cfg, 20, 20.0, range(trials))  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            hn._stage_truths(cfg, 20, 20.0, range(trials))
+            peak = tracemalloc.get_traced_memory()[1] / trials
+        finally:
+            tracemalloc.stop()
+        assert 0.5 <= peak / hn._truth_bytes(cfg) <= 2.0, peak
 
 
 class TestBlockFailurePath:
@@ -393,6 +445,89 @@ class TestSeedWords:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+class TestSyntheticDraws:
+    """The raw-word PCG64 emulation reproduces numpy's Generator draws bit for bit."""
+
+    MASK128 = (1 << 128) - 1
+    INC = 0x5851F42D4C957F2D14057B7EF767814F  # any odd increment
+
+    def test_state_and_words_match_pcg64(self):
+        seeds = TestSeedWords().seeds()
+        for seed, w in zip(seeds, hn.seed_words(np.array(seeds, dtype=np.uint64)).tolist()):
+            bits = np.random.default_rng(seed).bit_generator
+            state, inc = hn.pcg64_state(*w)
+            assert bits.state["state"] == {"state": state, "inc": inc}, seed
+            words = hn.pcg64_words(state, inc)
+            assert [next(words) for _ in range(3)] == bits.random_raw(3).tolist(), seed
+
+    @pytest.mark.parametrize(
+        "dim, l",
+        [(7, 1), (7, 2), (7, 3), (25, 1), (25, 2), (25, 3), (25, 25), (100, 1), (100, 2),
+         (100, 3), (100, 25)],
+    )
+    def test_matches_choice_then_random(self, dim, l):
+        seeds = TestSeedWords().seeds()
+        self.check(seeds, dim, l)
+
+    # 10201 // 50 = 204: Floyd's selection at l = 204, the tail shuffle at 205
+    @pytest.mark.parametrize("l", [204, 205])
+    def test_matches_both_branches_of_a_large_choice(self, l):
+        self.check(TestSeedWords().seeds()[:200], 10201, l)
+
+    def check(self, seeds, dim, l):
+        picks, phases = hn.synth_draws(hn.seed_words(np.array(seeds, dtype=np.uint64)), dim, l)
+        assert picks.shape == phases.shape == (len(seeds), l)
+        assert picks.dtype == np.int64 and phases.dtype == np.float64
+        for seed, got, phase in zip(seeds, picks, phases):
+            rng = np.random.default_rng(seed)
+            assert got.tolist() == rng.choice(dim, size=l, replace=False).tolist(), seed
+            assert phase.tobytes() == rng.random(l).tobytes(), seed
+
+    def crafted(self, word, steps):
+        """A PCG64 state whose ``steps``-th output is ``word``: the state after that
+        step has a rotation of 0 and halves whose XOR is ``word``."""
+        high = 0x0123456789ABCDEF >> 6  # top 6 bits 0: no rotation
+        state, back = high << 64 | (high ^ word), pow(hn._PCG_MULT, -1, 1 << 128)
+        for _ in range(steps):
+            state = (state - self.INC) * back & self.MASK128
+        return state
+
+    @pytest.mark.parametrize(
+        # (dim, l, output holding the zero half, its high half?, bound j of the redraw)
+        "dim, l, steps, high, bound",
+        [
+            (25, 1, 1, False, 24), (7, 2, 1, False, 5), (100, 3, 1, False, 97),
+            # l = 3: the 4th half draws the shuffle's [0, 2]
+            (25, 3, 2, True, 2), (100, 3, 2, True, 2),
+        ],
+    )
+    def test_lemire_rejection(self, monkeypatch, dim, l, steps, high, bound):
+        # a zero half gives a zero leftover, which is below 2^32 mod (j + 1) unless
+        # j + 1 is a power of two, so the draw is made again from the next half
+        word = 0x9E3779B9 << 32 if not high else 0x7F4A7C15
+        state = self.crafted(word, steps)
+        draws, inner = [], hn._bounded
+
+        def spy(halves, j):
+            taken = []
+            v = inner((taken.append(h) or h for h in halves), j)
+            draws.append((j, len(taken)))
+            return v
+
+        monkeypatch.setattr(hn, "_bounded", spy)
+        picks, raws = hn.pcg64_choice_random(state, self.INC, dim, l)
+        assert (bound, 2) in draws
+        bits = np.random.PCG64()
+        bits.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": self.INC},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        rng = np.random.Generator(bits)
+        assert picks == rng.choice(dim, size=l, replace=False).tolist()
+        phases = (np.array(raws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+        assert phases.tobytes() == rng.random(l).tobytes()
 
 
 class TestRunTrial:
@@ -835,6 +970,25 @@ class TestCli:
         assert cli.main([command, "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: --out {out!r}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv", "exp.cfg"]
+
+    @pytest.mark.parametrize("per_trial", [[], ["--per-trial"]])
+    def test_out_named_like_its_json_mirror_rejected(
+        self, tmp_path, capsys, monkeypatch, per_trial
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(hn, "_stage_truths", no_trial)
+        cfg = self._write_cfg(tmp_path)
+        out = str(tmp_path / "res.json")
+        assert cli.main(["sweep", "--config", cfg, "--out", out, *per_trial]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out!r}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_other_commands_may_write_json_names(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        assert cli.main(["crlb", "--out", str(out)]) == 0
+        assert out.read_text().startswith("k,snr_db,")
 
     def test_bad_field_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
