@@ -238,6 +238,7 @@ def draw_paths(geometry, n_paths, side, rng, on_grid):
     (n_paths, 5) doubles, per path the endpoint angle pair, the RIS angle
     pair and the gain phase; on-grid the bins replace the endpoint pair, and
     the doubles are (n_paths, 3).  :func:`hop_paths` maps them to angles.
+    A sweep reads the same draws from raw words (``harness.physical_stack``).
     """
     n_grid = _grid_size(geometry, side, n_paths if on_grid else 1)
     bins = rng.choice(n_grid, size=n_paths, replace=False) if on_grid else np.empty(0, int)

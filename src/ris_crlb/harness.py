@@ -6,17 +6,19 @@ mixer, and truth/pilot/noise each get an independent substream of that seed.
 Trials therefore never share generator state and a sweep gives byte-identical
 results whatever the worker count.
 
-A worker runs the trials of one K in two stages.  The truth stage
-(``_stage_truths``) derives the seeds, the seed words of all three
-substreams, the truths, supports and energies once per chunk of about
-``_BLOCK_BYTES // _truth_bytes(cfg)`` trials, a whole number of estimation
-sub-blocks; ``_truth_bytes`` states the stage's peak bytes per trial.  The
-estimation stage (``_run_block``: pilots, observation, CRLB, search and fit)
-runs per sub-block of ``_BLOCK_BYTES // (16 k n_s)`` trials.  A synthetic truth
-seats no ``Generator``: ``pcg64_choice_random`` reproduces, from the raw PCG64
-words of its seed words, the ``choice(n, L, replace=False)`` and ``random(L)``
-draws a fresh ``default_rng`` makes.  numpy does not promise ``Generator``
-streams across versions, so the tests compare the two on the numpy in use.
+A worker runs the trials of one K in two stages, each under the peak
+``_BLOCK_BYTES`` (640 KiB).  The truth stage (``_stage_truths``) derives the
+seeds, the seed words of all three substreams, the truths, supports and
+energies once per chunk of about ``_BLOCK_BYTES // _truth_bytes(cfg)``
+trials, a whole number of estimation sub-blocks.  The estimation stage
+(``_run_block``: pilots, observation, CRLB, search and fit) runs per
+sub-block of ``_BLOCK_BYTES // _sub_block_bytes(cfg, k)`` trials.  Both
+helpers state a measured per-trial peak; OMP and the L >= 2 search hold
+more than theirs.  A truth seats no ``Generator``: ``raw_draws`` reads the
+``choice``, ``random`` and ``uniform`` draws a fresh ``default_rng`` makes
+from the raw words of its PCG64, carrying numpy's buffered 32-bit half from
+one ``choice`` to the next.  numpy does not promise ``Generator`` streams
+across versions, so the tests compare the two on the numpy in use.
 """
 
 import contextlib
@@ -29,7 +31,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -43,10 +45,10 @@ from .numerics import least_squares_stack
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
 
-# byte budget of one (trials, k*n_s) complex stack of an estimation sub-block,
-# such as its observations, and of a truth chunk's stated peak (_truth_bytes);
-# it sets the trials of each, so neither working set grows with the trial count
-_BLOCK_BYTES = 64 * 1024
+# the peak bytes an estimation sub-block or a truth chunk may hold, over its
+# stated per-trial peak (_sub_block_bytes, _truth_bytes): it sets the trials of
+# each, so neither working set grows with the trial count
+_BLOCK_BYTES = 640 * 1024
 
 CSV_HEADER = "k,snr_db,mse,crlb,upper_bound,fail_rate,trials"
 TRIALS_CSV_HEADER = "k,snr_db,trial_index,seed,squared_error,crlb,failed,subsets_examined"
@@ -291,36 +293,21 @@ def _words_type():
     return Words
 
 
+def bit_generators(words):
+    """The PCG64 of ``np.random.default_rng(s)`` for each row ``seed_words(s)``, made as
+    it is read: PCG64 seats its state from the four words as it does from ``SeedSequence(s)``."""
+    words_type, pcg = _words_type(), np.random.PCG64
+    return (pcg(words_type(w)) for w in words)
+
+
 def generators(words):
-    """``np.random.default_rng(s)`` for each row ``seed_words(s)``: PCG64 seats
-    its state from the four words as it does from ``SeedSequence(s)``."""
-    words_type, gen, pcg = _words_type(), np.random.Generator, np.random.PCG64
-    return [gen(pcg(words_type(w))) for w in words]
-
-
-# numpy's PCG64: a 128-bit LCG with this multiplier and the XSL-RR output
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-
-
-def pcg64_state(w0, w1, w2, w3):
-    """``(state, inc)`` that ``np.random.PCG64`` seats from one row of :func:`seed_words`,
-    as its ``bit_generator.state`` shows them: numpy's ``pcg64_set_seed``."""
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
-
-
-def pcg64_words(state, inc):
-    """The raw 64-bit words (``random_raw``) of a PCG64 at ``(state, inc)``: each steps
-    the LCG, then rotates the XOR of the new state's halves by its top 6 bits."""
-    while True:
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x = (state >> 64 ^ state) & _MASK
-        rot = state >> 122
-        yield (x >> rot | x << (64 - rot)) & _MASK
+    """``np.random.default_rng(s)`` for each row ``seed_words(s)``, made as it is read."""
+    return (np.random.Generator(bits) for bits in bit_generators(words))
 
 
 def _halves(words):
-    """numpy's ``next_uint32`` stream: the low, then the high half of each word."""
+    """numpy's ``next_uint32`` stream: the low, then the high half of each word.  A high
+    half not yet read waits here while doubles take whole words, as numpy buffers it."""
     for w in words:
         yield w & 0xFFFFFFFF
         yield w >> 32
@@ -341,79 +328,100 @@ def _bounded(halves, j):
     return m >> 32
 
 
-def pcg64_choice_random(state, inc, dim, l):
-    """``rng.choice(dim, l, replace=False)`` then ``rng.random(l)`` of a fresh
-    ``Generator`` whose PCG64 is at ``(state, inc)``, from its raw words; ``dim <= 2^32``.
+def _choice(halves, dim, l):
+    """``choice(dim, l, replace=False)`` from numpy's 32-bit draws ``halves``; ``dim <= 2^32``.
 
     numpy's algorithm: for ``dim > 10000`` and ``l > dim // 50`` it shuffles the
     tail of ``range(dim)`` (a draw in ``[0, i]`` for ``i = dim - 1`` down to
     ``max(dim - l, 1)``) and keeps its last ``l`` entries; otherwise Floyd's
     selection (a draw ``v`` in ``[0, j]`` for ``j = dim - l ... dim - 1``,
     taking ``j`` when ``v`` is taken) and a shuffle of the picks (``i = l - 1``
-    down to 1).  Every draw is :func:`_bounded`.  A double is ``(word >> 11)
-    2^-53`` of a fresh word.  Returns the picks and the ``l`` raw words of the
-    doubles.
+    down to 1).  Every draw is :func:`_bounded`.
     """
-    words = pcg64_words(state, inc)
-    halves = _halves(words)
     if dim > 10000 and l > dim // 50:
         moved = {}  # the entries of range(dim) the shuffle has swapped
         for i in range(dim - 1, max(dim - l, 1) - 1, -1):
             j = _bounded(halves, i)
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        picks = [moved.get(i, i) for i in range(dim - l, dim)]
-    else:
-        picks, taken = [], set()
-        for j in range(dim - l, dim):
-            v = _bounded(halves, j)
-            v = j if v in taken else v
-            taken.add(v)
-            picks.append(v)
-        for i in range(l - 1, 0, -1):
-            j = _bounded(halves, i)
-            picks[i], picks[j] = picks[j], picks[i]
-    return picks, list(islice(words, l))
+        return [moved.get(i, i) for i in range(dim - l, dim)]
+    picks, taken = [], set()
+    for j in range(dim - l, dim):
+        v = _bounded(halves, j)
+        v = j if v in taken else v
+        taken.add(v)
+        picks.append(v)
+    for i in range(l - 1, 0, -1):
+        j = _bounded(halves, i)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
 
 
-def synth_draws(words, dim, l):
-    """The (T, l) supports and phases that ``channel.synth_sparse_stack`` draws from
-    ``generators(words)``, with no ``Generator``: :func:`pcg64_choice_random` per row."""
-    picks, raws = zip(*(pcg64_choice_random(*pcg64_state(*w), dim, l) for w in words.tolist()))
-    phases = (np.array(raws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
-    return np.array(picks, dtype=np.int64), phases
+def raw_draws(bits, steps):
+    """The draws of ``np.random.Generator(b)`` for each PCG64 ``b`` of ``bits``, from its
+    raw words: no ``Generator`` is made.
+
+    Each generator makes, for each ``(dim, l, n)`` of ``steps`` in turn,
+    ``choice(dim, l, replace=False)`` (none where ``l`` is 0) and then
+    ``random(n)``.  A double is ``(word >> 11) 2^-53`` of a fresh word; a
+    choice reads 32-bit halves (:func:`_halves`), so the high half a choice
+    leaves unread is the first half the next choice reads.  Returns the (T, l)
+    picks of each choice and the (T, sum of n) doubles.
+    """
+    n_words = sum(l + n for _dim, l, n in steps)  # all a generator reads, unless it redraws
+    choosing, picks, raws = any(l for _dim, l, _n in steps), [], []
+    for b in bits:
+        row = b.random_raw(n_words)  # with no choice, the words of the doubles
+        if choosing:
+            words = chain(row.tolist(), iter(b.random_raw, None))
+            halves, chosen, row = _halves(words), [], []
+            for dim, l, n in steps:
+                if l:
+                    chosen.append(_choice(halves, dim, l))
+                row.extend(islice(words, n))
+            picks.append(chosen)
+        raws.append(row)
+    doubles = (np.array(raws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+    return [np.array(column, dtype=np.int64) for column in zip(*picks)], doubles
 
 
-def draw_physical(cfg, rngs):
-    """Physical realizations of one trial per generator, as one stack.
+def physical_stack(cfg, bits):
+    """Physical realizations, one per PCG64 of ``bits``, as one stack.
 
-    Each trial draws from its own generator, in this order, its BS-RIS
-    paths, its RIS-MS paths and its RIS phases: the draws of ``draw_hop``,
-    ``draw_hop`` and ``realize_physical``.  Everything after the draws runs
-    once on the stack (``channel.realize_stack``).
+    Each trial's generator draws, in this order, its BS-RIS paths, its RIS-MS
+    paths and its RIS phases: the draws of ``draw_hop``, ``draw_hop`` and
+    ``realize_physical``, read from its raw words (:func:`raw_draws`).
+    ``uniform(0, 2 pi)`` is ``2 pi d`` of a double ``d``.  Everything after
+    the draws runs once on the stack (``channel.realize_stack``).
     """
     g, on_grid = cfg.geometry, cfg.mode == "physical_on_grid"
-    hops = ((cfg.hop_bs_ris, ch.BS_TO_RIS), (cfg.hop_ris_ms, ch.RIS_TO_MS))
-    raw = [
-        [x for spec, side in hops for x in ch.draw_paths(g, spec.n_paths, side, rng, on_grid)]
-        + [ch.draw_phases(g, rng)]
-        for rng in rngs
+    hops = ((cfg.hop_bs_ris, ch.BS_TO_RIS, g.n_s), (cfg.hop_ris_ms, ch.RIS_TO_MS, g.n_d))
+    per_path = 3 if on_grid else 5  # doubles per path, as ch.draw_paths draws them
+    steps = [
+        (n_grid, spec.n_paths if on_grid else 0, spec.n_paths * per_path)
+        for spec, _side, n_grid in hops
     ]
-    bins1, draws1, bins2, draws2, phases = (np.array(column) for column in zip(*raw))
+    bins, doubles = raw_draws(bits, steps + [(0, 0, g.n_r)])
+    draws = np.split(doubles, np.cumsum([n for _dim, _l, n in steps]), axis=1)
     paths = [
-        ch.hop_paths(g, side, bins, draws, on_grid) + (spec.path_loss,)
-        for (spec, side), bins, draws in zip(hops, (bins1, bins2), (draws1, draws2))
+        ch.hop_paths(
+            g, side, bins[i] if on_grid else None,
+            draws[i].reshape(len(doubles), spec.n_paths, per_path), on_grid,
+        ) + (spec.path_loss,)
+        for i, (spec, side, _n_grid) in enumerate(hops)
     ]
-    return ch.realize_stack(g, *paths, phases, on_grid)
+    return ch.realize_stack(g, *paths, 2.0 * np.pi * draws[2], on_grid)
 
 
 def _draw_truth(cfg, words):
     """Angular-domain truths (T, n_d*n_s) and supports, one per row of truth seed words:
-    the draws of ``generators(words)``, per mode."""
+    the draws of ``generators(words)``, per mode, from raw words (:func:`raw_draws`)."""
+    bits = bit_generators(words)
     if cfg.mode == "synthetic":
         # the draws of ch.realize_synthetic, without the cascade it derives
         dim, l = cfg.geometry.n_d * cfg.geometry.n_s, cfg.typicality.sparsity
-        return ch.sparse_stack(dim, *synth_draws(words, dim, l), cfg.magnitude)
-    real = draw_physical(cfg, generators(words))
+        (picks,), phases = raw_draws(bits, [(dim, l, l)])
+        return ch.sparse_stack(dim, picks, phases, cfg.magnitude)
+    real = physical_stack(cfg, bits)
     return real.sparse_vec, real.support
 
 
@@ -445,14 +453,25 @@ def _truth_bytes(cfg):
     Synthetic: the complex truth and the two float temporaries of its
     energy, 32 B an entry, plus 256 B of seeds, words and support.
     Physical: the truth's 16 B an entry, two complex temporaries of each hop
-    matrix (``channel.hop_matrix``), 256 B of raw draws per path and 2 KiB of
-    per-trial draw objects.
+    matrix (``channel.hop_matrix``) and 48 B per raw word of a double, held
+    as a Python int: 5 per path and one per RIS phase.
     """
     g = cfg.geometry
     if cfg.mode == "synthetic":
         return 32 * g.n_d * g.n_s + 256
     paths = cfg.hop_bs_ris.n_paths + cfg.hop_ris_ms.n_paths
-    return 16 * g.n_d * g.n_s + 32 * g.n_r * (g.n_s + g.n_d) + 256 * paths + 2048
+    return 16 * g.n_d * g.n_s + 32 * g.n_r * (g.n_s + g.n_d) + 48 * (5 * paths + g.n_r)
+
+
+def _sub_block_bytes(cfg, k):
+    """Stated per-trial peak of an estimation sub-block (:func:`_run_block`) at K = k in
+    bytes, which sizes the sub-blocks: ``160 k n_s``, ten complex observations.
+
+    It holds for JT at L = 1 and the genie (tracemalloc reads 120-200 k n_s).
+    OMP holds more, and so does the L >= 2 search, whose scratch is bounded
+    per pass (``estimator._SCAN_BLOCK``), not per trial.
+    """
+    return 160 * k * cfg.geometry.n_s
 
 
 def run_trial(cfg, k, snr_db, trial_index):
@@ -583,7 +602,7 @@ def _run_share(cfg, cells, keep_trials):
         snrs = [snr_db for _k, snr_db in group]
         snr_of = [snr_db for snr_db in snrs for _t in range(cfg.trials)]
         index_of = list(range(cfg.trials)) * len(snrs)
-        size = max(_BLOCK_BYTES // (16 * k * cfg.geometry.n_s), 1)
+        size = max(_BLOCK_BYTES // _sub_block_bytes(cfg, k), 1)
         chunk = size * max(_BLOCK_BYTES // _truth_bytes(cfg) // size, 1)
         records, shares = [], []
         for first in range(0, len(index_of), chunk):
@@ -692,7 +711,7 @@ def export_angular_map(cfg, seed):
     predicted dominant (ms_bin, bs_bin) cells, for heatmap rendering; physical modes only."""
     if cfg.mode == "synthetic":
         raise ConfigError("angular map export requires a physical mode")
-    real = draw_physical(cfg, [np.random.default_rng(_mix64(int(seed)))])
+    real = physical_stack(cfg, bit_generators(seed_words(_mix64(int(seed)))))
     cells = tuple(
         (idx // cfg.geometry.n_s, idx % cfg.geometry.n_s)
         for idx in real.predicted_support[0]

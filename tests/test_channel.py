@@ -317,13 +317,19 @@ class TestStackedSynthesis:
     @pytest.mark.parametrize("mode", ["physical_on_grid", "physical_off_grid"])
     @pytest.mark.parametrize("paths", [(1, 1), (2, 3), (3, 4)])
     def test_stack_matches_per_path_reference(self, mode, paths):
-        # 1000 draws on the default geometry with the default path losses,
-        # 1000 on an uneven one with set path losses
-        for geometry, losses, first_seed in ((GEOM, (None, None), 0), (self.ODD, (7.5, 3.0), 1000)):
+        # the sweep's draw from raw words against a Generator's: 1000 seeds on the
+        # default geometry with the default path losses, 1000 on an uneven one with
+        # set path losses; 12,000 distinct seeds over the 6 cases.  On grid, the
+        # first hop's choice reads an odd number of halves at each path count, so
+        # the second hop's bin draw starts on the half it left buffered
+        case = 2 * [(1, 1), (2, 3), (3, 4)].index(paths) + (mode == "physical_on_grid")
+        drawn = np.random.default_rng(case).integers(0, 2**64, size=2000, dtype=np.uint64)
+        for geometry, losses, seeds in (
+            (GEOM, (None, None), drawn[:1000]), (self.ODD, (7.5, 3.0), drawn[1000:])
+        ):
             cfg = self._config(geometry, mode, paths, losses)
-            seeds = range(first_seed, first_seed + 1000)
-            real = hn.draw_physical(cfg, [np.random.default_rng(s) for s in seeds])
-            for t, seed in enumerate(seeds):
+            real = hn.physical_stack(cfg, hn.bit_generators(hn.seed_words(seeds)))
+            for t, seed in enumerate(seeds.tolist()):
                 ref = fc.draw_physical(
                     geometry, (paths[0], losses[0]), (paths[1], losses[1]),
                     np.random.default_rng(seed), mode == "physical_on_grid",

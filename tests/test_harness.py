@@ -201,7 +201,7 @@ class TestBlockCore:
         # the sweep with a byte budget of 3 trials per block at the largest k:
         # 7 trials per cell, so some of its blocks span two SNR cells
         k_max = max(cfg.k_values)
-        monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * 16 * k_max * cfg.geometry.n_s)
+        monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * hn._sub_block_bytes(cfg, k_max))
         blocks, inner = [], hn._run_block
 
         def spy(cfg, k, snr_db, indices, staged=None):
@@ -221,7 +221,7 @@ class TestBlockCore:
         # sub-blocks of 3 trials and truth chunks of 2 sub-blocks at the largest k: with
         # 7 trials per cell, both fall across cell boundaries
         k_max = max(cfg.k_values)
-        monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * 16 * k_max * cfg.geometry.n_s)
+        monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * hn._sub_block_bytes(cfg, k_max))
         monkeypatch.setattr(hn, "_truth_bytes", lambda cfg: hn._BLOCK_BYTES // 6)
         chunks, blocks = [], []
         stage, estimate = hn._stage_truths, hn._run_block
@@ -267,7 +267,7 @@ class TestBlockCore:
             return inner(cfg, k, snr_db, indices, staged)
 
         def cut(k, cells):
-            n, size = cells * cfg.trials, hn._BLOCK_BYTES // (16 * k * cfg.geometry.n_s)
+            n, size = cells * cfg.trials, hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k)
             return [(k, size)] * (n // size) + [(k, n % size)] * (n % size > 0)
 
         monkeypatch.setattr(hn, "_run_block", spy)
@@ -299,6 +299,47 @@ class TestTruthStage:
         finally:
             tracemalloc.stop()
         assert 0.5 <= peak / hn._truth_bytes(cfg) <= 2.0, peak
+
+    @pytest.mark.parametrize("k", [8, 20, 80])
+    @pytest.mark.parametrize(
+        "estimator, mode", [("jt", "synthetic"), ("genie", "synthetic"), ("genie", "physical_off_grid")]
+    )
+    def test_sub_block_peak_per_trial_is_the_stated_footprint(self, estimator, mode, k):
+        # one sub-block at the budget's size, its truths staged beforehand
+        cfg = hn.default_config(estimator=estimator, mode=mode, k_values=(k,))
+        trials = hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k)
+        staged = hn._stage_truths(cfg, k, 20.0, range(trials))
+        hn._run_block(cfg, k, 20.0, range(trials), staged)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            hn._run_block(cfg, k, 20.0, range(trials), staged)
+            peak = tracemalloc.get_traced_memory()[1] / trials
+        finally:
+            tracemalloc.stop()
+        assert 0.5 <= peak / hn._sub_block_bytes(cfg, k) <= 2.0, peak
+
+    @pytest.mark.parametrize(
+        # the benchmark's sweeps: 25 trials per cell, 3 SNR cells per K
+        "overrides", [{}, {"mode": "physical_off_grid", "estimator": "genie"}]
+    )
+    def test_each_default_k_stages_in_one_chunk(self, monkeypatch, overrides):
+        cfg = hn.default_config(trials=25, **overrides)
+        chunks, stage = [], hn._stage_truths
+
+        def spy(cfg, k, snr_db, indices):
+            chunks.append((k, len(indices)))
+            return stage(cfg, k, snr_db, indices)
+
+        monkeypatch.setattr(hn, "_stage_truths", spy)
+        hn.run_sweep(cfg)
+        assert chunks == [(k, 75) for k in cfg.k_values]
+
+    def test_default_sub_blocks_keep_their_sizes(self):
+        # the trials per L = 1 sub-block at each default K under the 64 KiB budget
+        # of one complex observation per trial, which the stated peak replaced
+        cfg = hn.default_config()
+        sizes = [hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k) for k in cfg.k_values]
+        assert sizes == [102, 68, 51, 40, 29, 20, 13, 10]
 
 
 class TestBlockFailurePath:
@@ -451,16 +492,16 @@ class TestSyntheticDraws:
     """The raw-word PCG64 emulation reproduces numpy's Generator draws bit for bit."""
 
     MASK128 = (1 << 128) - 1
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
     INC = 0x5851F42D4C957F2D14057B7EF767814F  # any odd increment
 
     def test_state_and_words_match_pcg64(self):
         seeds = TestSeedWords().seeds()
-        for seed, w in zip(seeds, hn.seed_words(np.array(seeds, dtype=np.uint64)).tolist()):
+        ours = hn.bit_generators(hn.seed_words(np.array(seeds, dtype=np.uint64)))
+        for seed, own in zip(seeds, ours):
             bits = np.random.default_rng(seed).bit_generator
-            state, inc = hn.pcg64_state(*w)
-            assert bits.state["state"] == {"state": state, "inc": inc}, seed
-            words = hn.pcg64_words(state, inc)
-            assert [next(words) for _ in range(3)] == bits.random_raw(3).tolist(), seed
+            assert bits.state["state"] == own.state["state"], seed
+            assert own.random_raw(3).tolist() == bits.random_raw(3).tolist(), seed
 
     @pytest.mark.parametrize(
         "dim, l",
@@ -477,7 +518,8 @@ class TestSyntheticDraws:
         self.check(TestSeedWords().seeds()[:200], 10201, l)
 
     def check(self, seeds, dim, l):
-        picks, phases = hn.synth_draws(hn.seed_words(np.array(seeds, dtype=np.uint64)), dim, l)
+        bits = hn.bit_generators(hn.seed_words(np.array(seeds, dtype=np.uint64)))
+        (picks,), phases = hn.raw_draws(bits, [(dim, l, l)])
         assert picks.shape == phases.shape == (len(seeds), l)
         assert picks.dtype == np.int64 and phases.dtype == np.float64
         for seed, got, phase in zip(seeds, picks, phases):
@@ -485,14 +527,39 @@ class TestSyntheticDraws:
             assert got.tolist() == rng.choice(dim, size=l, replace=False).tolist(), seed
             assert phase.tobytes() == rng.random(l).tobytes(), seed
 
-    def crafted(self, word, steps):
+    @classmethod
+    def crafted(cls, word, steps):
         """A PCG64 state whose ``steps``-th output is ``word``: the state after that
         step has a rotation of 0 and halves whose XOR is ``word``."""
         high = 0x0123456789ABCDEF >> 6  # top 6 bits 0: no rotation
-        state, back = high << 64 | (high ^ word), pow(hn._PCG_MULT, -1, 1 << 128)
+        state, back = high << 64 | (high ^ word), pow(cls.MULT, -1, 1 << 128)
         for _ in range(steps):
-            state = (state - self.INC) * back & self.MASK128
+            state = (state - cls.INC) * back & cls.MASK128
         return state
+
+    @classmethod
+    def pcg64_at(cls, state):
+        """A PCG64 at ``state`` with the test's increment and no buffered half."""
+        bits = np.random.PCG64()
+        bits.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": cls.INC},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return bits
+
+    @staticmethod
+    def spy_bounded(monkeypatch):
+        """(j, halves read) of every bounded draw, as they are made."""
+        draws, inner = [], hn._bounded
+
+        def spy(halves, j):
+            taken = []
+            v = inner((taken.append(h) or h for h in halves), j)
+            draws.append((j, len(taken)))
+            return v
+
+        monkeypatch.setattr(hn, "_bounded", spy)
+        return draws
 
     @pytest.mark.parametrize(
         # (dim, l, output holding the zero half, its high half?, bound j of the redraw)
@@ -508,26 +575,58 @@ class TestSyntheticDraws:
         # j + 1 is a power of two, so the draw is made again from the next half
         word = 0x9E3779B9 << 32 if not high else 0x7F4A7C15
         state = self.crafted(word, steps)
-        draws, inner = [], hn._bounded
-
-        def spy(halves, j):
-            taken = []
-            v = inner((taken.append(h) or h for h in halves), j)
-            draws.append((j, len(taken)))
-            return v
-
-        monkeypatch.setattr(hn, "_bounded", spy)
-        picks, raws = hn.pcg64_choice_random(state, self.INC, dim, l)
+        draws = self.spy_bounded(monkeypatch)
+        (picks,), phases = hn.raw_draws([self.pcg64_at(state)], [(dim, l, l)])
+        picks, phases = picks[0].tolist(), phases[0]
         assert (bound, 2) in draws
-        bits = np.random.PCG64()
-        bits.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": self.INC},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        rng = np.random.Generator(bits)
+        rng = np.random.Generator(self.pcg64_at(state))
         assert picks == rng.choice(dim, size=l, replace=False).tolist()
-        phases = (np.array(raws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
         assert phases.tobytes() == rng.random(l).tobytes()
+
+    def test_redraws_past_the_words_read_up_front(self, monkeypatch):
+        # a zero first word rejects both its halves: the third half comes from the
+        # second word, so the double is a word beyond the two read in one call
+        draws = self.spy_bounded(monkeypatch)
+        state = self.crafted(0, 1)
+        (picks,), phases = hn.raw_draws([self.pcg64_at(state)], [(25, 1, 1)])
+        assert draws == [(24, 3)]
+        rng = np.random.Generator(self.pcg64_at(state))
+        assert picks.tolist() == [rng.choice(25, size=1, replace=False).tolist()]
+        assert phases.tobytes() == rng.random(1).tobytes()
+
+
+class TestPhysicalDraws:
+    """An on-grid truth drawn from raw words equals the frozen per-path draw of a Generator."""
+
+    @pytest.mark.parametrize(
+        # (paths per hop, output holding the zero half, its high half?, bound j of the redraw)
+        "paths, steps, high, bound",
+        [
+            # the first bin draw, choice(5, 3)'s [0, 2], from the first half
+            ((3, 4), 1, False, 2),
+            # its shuffle's [0, 2] is the 4th half: the high half of the second word
+            ((3, 4), 2, True, 2),
+            # the second hop's choice(5, 2) draws [0, 3] from the high half that the
+            # first hop's choice(5, 1) left, across its 3 doubles, then [0, 4] from
+            # the low half of the 5th word
+            ((1, 2), 5, False, 4),
+        ],
+    )
+    def test_lemire_rejection_in_bin_draws(self, monkeypatch, paths, steps, high, bound):
+        cfg = hn.default_config(
+            mode="physical_on_grid", hop_bs_ris=hn.HopSpec(paths[0]),
+            hop_ris_ms=hn.HopSpec(paths[1]),
+        )
+        word = 0x9E3779B9 << 32 if not high else 0x7F4A7C15
+        state = TestSyntheticDraws.crafted(word, steps)
+        draws = TestSyntheticDraws.spy_bounded(monkeypatch)
+        real = hn.physical_stack(cfg, [TestSyntheticDraws.pcg64_at(state)])
+        assert (bound, 2) in draws
+        rng = np.random.Generator(TestSyntheticDraws.pcg64_at(state))
+        ref = fc.draw_physical(cfg.geometry, (paths[0], None), (paths[1], None), rng, True)
+        assert real.sparse_vec[0].tobytes() == ref.upsilon.tobytes()
+        assert real.support[0] == ref.support
+        assert real.predicted_support[0] == ref.predicted
 
 
 class TestRunTrial:
