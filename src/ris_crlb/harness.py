@@ -108,6 +108,9 @@ class ExperimentConfig:
             raise ConfigError("snr_db_values must be nonempty")
         if not all(math.isfinite(s) for s in self.snr_db_values):
             raise ConfigError(f"snr_db_values must be finite, got {self.snr_db_values}")
+        for name, values in (("k_values", self.k_values), ("snr_db_values", self.snr_db_values)):
+            if len(set(values)) < len(values):  # -0.0 == 0.0: one SNR
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
         if not (math.isfinite(self.magnitude) and self.magnitude > 0):
             raise ConfigError(f"magnitude must be positive and finite, got {self.magnitude!r}")
         l, n_s = self.typicality.sparsity, self.geometry.n_s

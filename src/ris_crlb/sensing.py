@@ -7,7 +7,8 @@ column-wise turns the angular-domain channel into the linear model
     y = (X^T kron I_ns) upsilon + n,    n ~ CN(0, sigma^2 I),
 
 so the measurement matrix is (K*n_s) x (n_d*n_s) and column j*n_s + i pairs
-pilot row j with identity position i (exactly K nonzeros per column).
+pilot row j with identity position i (exactly K nonzeros per column).  Reception
+and the normal equations use its Kronecker identities and never form it whole.
 """
 
 from dataclasses import dataclass
@@ -88,6 +89,17 @@ def kron_columns(pilots, n_s, cols):
     return out.reshape(out.shape[:-3] + (-1, cols.shape[-1]))
 
 
+def kron_forward(pilots, n_s, v):
+    """Upsilon v = vec(X^T V), V = v.reshape(n_d, n_s), for one pilot block or a stack.
+
+    ``pilots`` (n_d, k) with ``v`` (n_d*n_s,), or (T, n_d, k) with (T, n_d*n_s).  A
+    stack makes the BLAS call of one block per block, so each row has its one-block bits.
+    """
+    *lead, n_d, k = pilots.shape
+    prod = np.matmul(pilots.swapaxes(-1, -2), v.reshape(*lead, n_d, n_s))
+    return prod.reshape(*lead, k * n_s)
+
+
 def kron_normal(pilots, n_s, y):
     """Gram factor and Upsilon^H y of each pilot block of a stack.
 
@@ -109,16 +121,10 @@ def observe_block(pilot_rngs, k, n_s, truths, noise_var, noise_rngs):
 
     Trial t draws its (n_d, k) pilot block from ``pilot_rngs[t]`` as
     :func:`gen_pilots` does from ``default_rng(seed)``, and its noise from
-    ``noise_rngs[t]`` as :func:`observe` does, and receives Upsilon_t
-    truths[t] with one matrix-vector product; the pilot entries and the
-    noise are formed and added once per block.  Returns the (T, n_d, k)
-    pilot stack and the (T, k*n_s) observation stack.
-
-    One zero-filled Upsilon serves the whole block: each trial overwrites
-    its nonzero entries, the n_s-strided diagonals X[i, j] at row j*n_s + a,
-    column i*n_s + a.  Its zeros are +0 where kron(X^T, I_ns) has signed
-    zeros; a product with a zero factor never changes a nonzero sum, and
-    the tests pin these bits against :func:`observe`.
+    ``noise_rngs[t]`` as :func:`observe` does; the pilot entries, the
+    signals (one stacked :func:`kron_forward`) and the noise are formed once
+    per block.  Returns the (T, n_d, k) pilot stack and the (T, k*n_s)
+    observation stack.
     """
     t_count, n_cols = truths.shape
     n_d = n_cols // n_s
@@ -128,16 +134,7 @@ def observe_block(pilot_rngs, k, n_s, truths, noise_var, noise_rngs):
         pilot_rng.standard_normal(out=pilot_normals[t])
         noise_rng.standard_normal(out=noise_normals[t])
     pilots = _pilot_entries(pilot_normals)
-    y = np.empty((t_count, k * n_s), dtype=np.complex128)
-    mat = np.zeros((k * n_s, n_cols), dtype=np.complex128)
-    row, item = mat.strides
-    # diagonals[j, i, a] is entry (j*n_s + a, i*n_s + a) of mat
-    diagonals = np.lib.stride_tricks.as_strided(
-        mat, (k, n_d, n_s), (n_s * row, n_s * item, row + item)
-    )
-    for t in range(t_count):
-        diagonals[...] = pilots[t].T[:, :, None]
-        np.matmul(mat, truths[t], out=y[t])
+    y = kron_forward(pilots, n_s, truths)
     y += _noise(noise_normals, noise_var)
     return pilots, y
 
@@ -152,16 +149,15 @@ def measurement_model(pilots, n_s, noise_var=None):
 
 
 def observe(model, truth, rng):
-    """Received y = Upsilon truth + n with per-entry complex noise variance sigma^2."""
+    """Received y = Upsilon truth + n (:func:`kron_forward`), noise variance sigma^2 per entry."""
     truth = as_vector(truth, "truth")
-    mat = model.upsilon_mat
-    if truth.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(
-            f"truth has length {truth.shape[0]}, expected {mat.shape[1]}"
-        )
+    rows, cols = model.upsilon_mat.shape
+    if truth.shape[0] != cols:
+        raise DimensionMismatchError(f"truth has length {truth.shape[0]}, expected {cols}")
     if model.noise_var is None or model.noise_var < 0:
         raise ValueError("model.noise_var must be set and >= 0 before observing")
-    return mat @ truth + _noise(rng.standard_normal((2, mat.shape[0])), model.noise_var)
+    noise = _noise(rng.standard_normal((2, rows)), model.noise_var)
+    return kron_forward(model.pilots, model.n_s, truth) + noise
 
 
 def snr_to_noise_var(snr_db, energy, n_s):

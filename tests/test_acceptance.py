@@ -244,13 +244,20 @@ def test_criterion_10_cli_determinism_across_threads(tmp_path):
     report(10, "byte-identical sweep CSV across repeated runs and 1 vs 8 threads")
 
 
-def test_criterion_11_fixed_delta_attains_crlb():
+@pytest.mark.parametrize(
+    "num, ks, trials",
+    [
+        pytest.param(11, (20, 40, 100, 200), 300, id="11"),
+        # criterion 12: the paper's large-K regime, where the CRLB falls as 1/K
+        pytest.param(12, (800, 2000, 4000), 200, id="12"),
+    ],
+)
+def test_criterion_11_fixed_delta_attains_crlb(num, ks, trials):
     # under a fixed delta both penalty terms vanish as K grows, so the
     # analytic bound meets the CRLB and the JT search attains it (the
     # default delta shrinks with K and keeps a missed-detection floor)
-    ks = (20, 40, 100, 200)
     cfg = hn.default_config(
-        k_values=ks, snr_db_values=(20.0, 30.0), trials=300,
+        k_values=ks, snr_db_values=(20.0, 30.0), trials=trials,
         typicality=est.TypicalityConfig(delta=0.05, sparsity=1),
     )
     res = hn.run_sweep(cfg, keep_trials=True)
@@ -268,4 +275,4 @@ def test_criterion_11_fixed_delta_attains_crlb():
             # four Monte Carlo standard errors of the mean gap
             tol = 4.0 * gap.std(ddof=1) / math.sqrt(len(gap)) / row.crlb
             assert abs(row.mse / row.crlb - 1.0) <= tol, (row.k, snr_db)
-    report(11, f"fixed delta: upper_bound/crlb -> 1, MSE within 4 SE of CRLB at K={ks}")
+    report(num, f"fixed delta: upper_bound/crlb -> 1, MSE within 4 SE of CRLB at K={ks}")

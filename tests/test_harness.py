@@ -300,14 +300,21 @@ class TestTruthStage:
             tracemalloc.stop()
         assert 0.5 <= peak / hn._truth_bytes(cfg) <= 2.0, peak
 
-    @pytest.mark.parametrize("k", [8, 20, 80])
+    @pytest.mark.parametrize(
+        # K = 4000 and n_d = n_s = 20 sub-blocks hold one trial each, so a
+        # per-block (K n_s, n_d n_s) Upsilon would show in the peak
+        "k, n", [pytest.param(k, 5, id=str(k)) for k in (8, 20, 80, 4000)]
+        + [pytest.param(1000, 20, id="1000-20x20")],
+    )
     @pytest.mark.parametrize(
         "estimator, mode", [("jt", "synthetic"), ("genie", "synthetic"), ("genie", "physical_off_grid")]
     )
-    def test_sub_block_peak_per_trial_is_the_stated_footprint(self, estimator, mode, k):
-        # one sub-block at the budget's size, its truths staged beforehand
-        cfg = hn.default_config(estimator=estimator, mode=mode, k_values=(k,))
-        trials = hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k)
+    def test_sub_block_peak_per_trial_is_the_stated_footprint(self, estimator, mode, k, n):
+        # one sub-block at the sweep's size, its truths staged beforehand
+        cfg = hn.default_config(
+            estimator=estimator, mode=mode, k_values=(k,), geometry=ch.Geometry(n, n, 2, 5)
+        )
+        trials = max(hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k), 1)
         staged = hn._stage_truths(cfg, k, 20.0, range(trials))
         hn._run_block(cfg, k, 20.0, range(trials), staged)  # first-use imports and caches
         tracemalloc.start()
@@ -1117,6 +1124,9 @@ class TestCli:
             ({"mode": "physical_on_grid", "paths_bs_ris": 6}, "paths_bs_ris"),
             ({"mode": "physical_on_grid", "spacing_ratio": 0.3}, "spacing_ratio"),
             ({"n_s": 0}, "n_s"),
+            # a repeated value would rerun a cell on the same seeds; -0 and 0 are one SNR
+            ({"k_values": "8, 8", "snr_db_values": "20, 20"}, "k_values"),
+            ({"snr_db_values": "-0, 0"}, "snr_db_values"),
         ],
     )
     def test_bad_grid_rejected_before_any_trial(self, tmp_path, capsys, kv, field):

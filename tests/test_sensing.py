@@ -128,9 +128,9 @@ class TestObserveBlock:
     @pytest.mark.parametrize("k", [1, 2, 5, 8, 80])
     @pytest.mark.parametrize("n_d, n_s", [(5, 5), (3, 4), (6, 2)])
     def test_reused_matrix_matches_observe_bit_for_bit(self, k, n_d, n_s):
-        # the block's reused Upsilon holds +0 where kron(X^T, I_ns) holds
-        # signed zeros; 1-sparse truths under zero noise leave whole rows of
-        # zero products, so y.tobytes() pins the signs of zero as well
+        # the block and the one trial form y through the same product
+        # (sensing.kron_forward); 1-sparse truths under zero noise leave whole
+        # rows of zero products, so y.tobytes() pins the signs of zero as well
         rng = np.random.default_rng(23 + k)
         truths = crandn(rng, 6, n_d * n_s)
         truths[[0, 3, 4], :] = 0.0
@@ -158,17 +158,22 @@ def two_draw_pilots(n_d, k, seed):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def two_draw_received(mat, truth, noise_var, rng):
-    """y = mat truth + n with n drawn as two normal vectors and a scalar scale."""
-    m = mat.shape[0]
+def two_draw_noise(m, noise_var, rng):
+    """n drawn as two normal vectors and a scalar scale."""
     scale = np.sqrt(noise_var / 2.0)
-    noise = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    return mat @ truth + noise
+    return scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+
+
+def two_draw_received(pilots, n_s, truth, noise_var, rng):
+    """y = Upsilon truth + n with the signal formed as X^T V, V = truth.reshape(n_d, n_s)."""
+    signal = (pilots.T @ truth.reshape(pilots.shape[0], n_s)).reshape(-1)
+    return signal + two_draw_noise(signal.size, noise_var, rng)
 
 
 class TestBlockDrawsMatchTwoDrawReference:
     """The (T, 2, ...) normal buffers and block arithmetic keep the bits of
-    drawing real and imaginary parts separately, one trial at a time."""
+    drawing real and imaginary parts separately, one trial at a time; the
+    signal agrees with the materialised Upsilon truth to rounding."""
 
     @pytest.mark.parametrize("k, n_d, n_s", [(1, 5, 5), (8, 5, 5), (7, 3, 4), (80, 6, 2)])
     def test_observe_block(self, k, n_d, n_s):
@@ -184,19 +189,23 @@ class TestBlockDrawsMatchTwoDrawReference:
         for t, seed in enumerate(seeds):
             x = two_draw_pilots(n_d, k, seed)
             assert pilots[t].tobytes() == x.tobytes() == sn.gen_pilots(n_d, k, seed).tobytes()
-            received = two_draw_received(
-                sn.measurement_matrix(x, n_s), truths[t], float(noise_var[t]),
-                np.random.default_rng(300 + seed % 97),
-            )
+            nv, noise_seed = float(noise_var[t]), 300 + seed % 97
+            received = two_draw_received(x, n_s, truths[t], nv, np.random.default_rng(noise_seed))
             assert y[t].tobytes() == received.tobytes(), t
+            noise = two_draw_noise(k * n_s, nv, np.random.default_rng(noise_seed))
+            np.testing.assert_allclose(
+                y[t], sn.measurement_matrix(x, n_s) @ truths[t] + noise, rtol=1e-12
+            )
 
     @pytest.mark.parametrize("noise_var", [0.0, 1e-6, 0.5, 7.0])
     def test_observe(self, noise_var):
         model = sn.measurement_model(sn.gen_pilots(5, 12, 21), 5, noise_var=noise_var)
         truth = crandn(np.random.default_rng(22), 25)
         got = sn.observe(model, truth, np.random.default_rng(23))
-        want = two_draw_received(model.upsilon_mat, truth, noise_var, np.random.default_rng(23))
+        want = two_draw_received(model.pilots, 5, truth, noise_var, np.random.default_rng(23))
         assert got.tobytes() == want.tobytes()
+        noise = two_draw_noise(60, noise_var, np.random.default_rng(23))
+        np.testing.assert_allclose(got, model.upsilon_mat @ truth + noise, rtol=1e-12)
 
 
 class TestObserve:
