@@ -111,20 +111,23 @@ def _cmd_angular_map(args):
 
 
 def _cmd_crlb(args):
-    """One deterministic pilot draw per K, on the sweep's kron_columns and crlb_stack."""
+    """One deterministic pilot draw per K, its CRLB from the sweep's Gram-domain gram_solve."""
     cfg = _load_config(args)
     if cfg.mode != "synthetic":
         raise ConfigError("the crlb table is defined for synthetic mode")
-    l, energy = cfg.typicality.sparsity, cfg.synthetic_energy
+    l, energy, n_s = cfg.typicality.sparsity, cfg.synthetic_energy, cfg.geometry.n_s
     lines = ["k,snr_db,noise_var,delta,crlb,missed_term,wrong_support_term,upper_bound"]
+    cols = np.arange(l)[None]
     for k in cfg.k_values:
         seed = int(hn.trial_seeds(cfg.master_seed, k, 0.0, [0])[0, 0])
-        pilots = sn.gen_pilots(cfg.geometry.n_d, k, seed)
-        subs = sn.kron_columns(pilots, cfg.geometry.n_s, np.arange(l))
+        pilots = sn.gen_pilots(cfg.geometry.n_d, k, seed)[None]
+        outer, _ = sn.kron_normal(pilots, n_s, np.zeros((1, k * n_s)))
+        (trace,), (rank,), _ = nm.gram_solve(
+            nm.kron_gram(outer, n_s, cols), lambda b: sn.kron_columns(pilots[b], n_s, cols[b])
+        )
         for snr_db in cfg.snr_db_values:
             noise_var, delta, missed, wrong = hn.bound_terms(cfg, k, snr_db, energy, l)
-            crlb, rank = est.crlb_stack(subs, noise_var)
-            crlb = float(crlb) if rank >= l else np.nan  # rank deficient, as in a sweep
+            crlb = float(noise_var * trace) if rank >= l else np.nan  # as a sweep does
             row = (snr_db, noise_var, delta, crlb, missed, wrong, crlb + missed + wrong)
             lines.append(f"{k}," + ",".join(format(v, ".17g") for v in row))
     text = "\n".join(lines) + "\n"

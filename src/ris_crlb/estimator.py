@@ -8,18 +8,15 @@ noise-only level:
     | (1/m) ||P_J^perp y||^2 - ((m - L)/m) sigma^2 | < delta,   m = K*n_s.
 
 The estimator scans all L-subsets; if none is typical it outputs the zero
-vector.  The scan runs in the Gram domain (the search-decoding view of the
-estimator): with c = Upsilon^H y and G = Upsilon^H Upsilon formed once, the
+vector.  With c = Upsilon^H y and G = Upsilon^H Upsilon formed once, the
 projected energy ||P_J y||^2 of every candidate is c_J^H G_J^-1 c_J, scored
-for a block of subsets at a time by one LDL^H elimination run on the whole
-stack of G_J.  Its decisions are those of the SVD statistic
-:func:`typicality_statistic`: a subset is dismissed only when its Gram-domain
-statistic clears delta by more than a margin that bounds the rounding
-difference between the two computations, and every other subset (near the
-threshold, with a pivot <= 0 or a condition bound >= 1e6, or typical) is
-rechecked with the SVD statistic in lexicographic order.  The reported
-statistic is always the SVD one.  :func:`jt_search` runs this search for a
-stack of problems at once, and :func:`jt_estimate` is its one-problem case.
+a block of subsets at a time by one LDL^H elimination of the stack of G_J.
+A margin bounds its rounding difference from the SVD statistic
+:func:`typicality_statistic`.  A subset above delta by more than the margin
+is dismissed; under ``lexicographic_first`` one below delta by more than it
+is accepted, with this statistic (``best_statistic`` ranks by SVD
+statistics); the SVD statistic decides the rest.  So every decision is the
+SVD statistic's.
 
 Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
@@ -35,7 +32,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError, SearchBudgetExceededError
-from .numerics import as_matrix, as_vector, least_squares, least_squares_stack, svd_rank
+from .numerics import GRAM_COND, as_matrix, as_vector, kron_gram, least_squares, svd_rank
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
@@ -45,9 +42,6 @@ _DEFAULT_ENUM_CAP = 10_000_000
 # (problem, subset) pairs scored per batched pass of the search; bounds its
 # working memory (a few hundred bytes per pair at small L) whatever C(n, L) is
 _SCAN_BLOCK = 4096
-# a G_J with a pivot <= 0 or a condition bound >= 1 / _ILL_CONDITIONED is always
-# rechecked: the margin needs eps * cond(G_J) << 1, and the SVD decides its rank
-_ILL_CONDITIONED = 1e-6
 # safety factor of the recheck margin over the first-order rounding bound
 _RECHECK_ULPS = 1024.0
 
@@ -144,10 +138,8 @@ def _svd_statistics(y, subs, yy, noise_var, l):
     """Statistic of :func:`typicality_statistic` and rank of each pair of a stack.
 
     ``y`` is (..., m) and ``subs`` (..., m, l); ``yy`` = ||y||^2 and
-    ``noise_var`` broadcast against the stack.  A stacked SVD makes the same
-    LAPACK call per matrix as a single one, so each entry has the bits of the
-    unstacked computation.  The statistic is meaningless where the rank
-    falls short of l.
+    ``noise_var`` broadcast against the stack.  The statistic is meaningless
+    where the rank falls short of l.
     """
     basis, s, _ = np.linalg.svd(subs, full_matrices=False)
     m = subs.shape[-2]
@@ -175,12 +167,12 @@ def _subset_blocks(n_cols, l, size):
 def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
     """Typicality statistic of each (problem, subset) pair from G and c.
 
-    The Gram matrices are G = kron(outer, I_reps) with ``outer`` (R, p, p);
-    ``corr`` is (R, p*reps), ``yy`` and ``noise_var`` (R,) and ``subsets``
-    (b, l); the results are (R, b).  An LDL^H elimination of the (R, b, l, l)
-    stack of G_J, each pivot step on all pairs at once, with c_J forward
-    substituted to c', gives ||P_J y||^2 = sum_p |c'_p|^2 / d_p.  Returns the
-    statistics and, per pair, a margin that their distance from
+    G = kron(outer, I_reps), ``outer`` (R, p, p); ``corr`` is (R, p*reps),
+    ``yy`` and ``noise_var`` (R,) and ``subsets`` (b, l); the results are
+    (R, b).  An LDL^H elimination of the stack of G_J (:func:`kron_gram`),
+    each pivot step on all pairs at once, with c_J forward substituted to
+    c', gives ||P_J y||^2 = sum_p |c'_p|^2 / d_p.  Returns the statistics
+    and a margin per pair that their distance from
     :func:`typicality_statistic` stays below.  Unpivoted LDL^H is backward
     stable on a Hermitian positive definite G_J (Higham, Accuracy and
     Stability of Numerical Algorithms, sec. 10.1), so its energy, like the
@@ -188,12 +180,11 @@ def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
     a few l * eps * cond(G_J) * ||y||^2.  The margin is _RECHECK_ULPS * eps *
     cond * (||y||^2 + sigma^2) with cond = tr(G_J)^l / det, det = prod_p d_p:
     as w_max <= tr and w_min >= det / w_max^(l-1), cond >= w_max / w_min
-    (= 1 at l = 1).  The margin is inf unless every pivot is > 0 (not just
-    det) and cond < 1 / _ILL_CONDITIONED.
+    (= 1 at l = 1).  The margin is inf, and the SVD decides, unless every
+    pivot is > 0 (not just det) and cond < GRAM_COND.
     """
     l = subsets.shape[1]
-    j, i = np.divmod(subsets, reps)
-    g = np.where(i[:, :, None] == i[:, None, :], outer[:, j[:, :, None], j[:, None, :]], 0.0)
+    g = kron_gram(outer, reps, subsets[None])
     c, cond = corr[:, subsets], np.einsum("...ii->...", g).real ** l
     energy, ok = 0.0, True
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,29 +197,26 @@ def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
         yy, noise_var = yy[:, None], noise_var[:, None]
         stat = np.abs(np.maximum(yy - energy, 0.0) / m - (m - l) / m * noise_var)
         margin = _RECHECK_ULPS * np.finfo(np.float64).eps * cond * (yy + np.abs(noise_var))
-    return stat, np.where(ok & (cond < 1.0 / _ILL_CONDITIONED), margin, np.inf)
+    return stat, np.where(ok & (cond < GRAM_COND), margin, np.inf)
 
 
 def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     """The subset search of :func:`jt_estimate` for a stack of T problems.
 
     The candidates are the ``l``-subsets; ``cfg`` gives the threshold
-    (:meth:`TypicalityConfig.threshold`), the order and the budget.
-    Problem t observes ``y[t]`` (length m) through a matrix Upsilon_t with
-    n columns, given by its Gram matrix Upsilon_t^H Upsilon_t =
-    kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; the pilot
-    model has outer = conj(X) X^T and reps = n_s), ``corr[t]`` =
-    Upsilon_t^H y[t] and ``noise_var[t]``.  ``columns(rows, subsets)``
-    returns the (len(rows), m, l) stack whose entry i holds the columns
-    ``subsets[i]`` of Upsilon_{rows[i]}.  Returns one (support, statistic,
-    subsets_examined) triple per problem, with support () and statistic inf
-    where no subset is typical.
+    (:meth:`TypicalityConfig.threshold`), the order and the budget.  Problem
+    t observes ``y[t]`` (length m) through Upsilon_t, of n columns and Gram
+    matrix kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; n_s
+    for the pilot model), with ``corr[t]`` = Upsilon_t^H y[t] and
+    ``noise_var[t]``.  ``columns(rows, subsets)`` returns the (len(rows), m,
+    l) stack of the columns ``subsets[i]`` of Upsilon_{rows[i]}.  Returns a
+    (support, statistic, subsets_examined) triple per problem, support ()
+    and statistic inf where no subset is typical.
 
     Every (problem, subset) pair of a block of subsets is scored in the Gram
-    domain at once; pairs not dismissed by the margin are rechecked with the
-    SVD statistic in rounds, round r taking each open problem's r-th
-    remaining subset in lexicographic order, one stacked SVD per round.  So
-    each problem sees the decisions of checking its subsets one by one.
+    domain at once, and the pairs the margin leaves open go to one stacked
+    SVD per round, round r taking each open problem's r-th remaining subset
+    in order: each problem sees the decisions of checking them one by one.
     """
     t_count, n_cols = corr.shape
     total = math.comb(n_cols, l)
@@ -262,10 +250,15 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
             if pick.size == 0:
                 break
             p_rows, p_pos = rows[ri[pick]], ci[pick]
-            s, rank = _svd_statistics(
-                y[p_rows], columns(p_rows, subsets[p_pos]), yy[p_rows],
-                noise_var[p_rows], l,
-            )
+            s, rank = gstat[ri[pick], p_pos], np.full(pick.size, l)
+            # lexicographic_first takes a pair typical by more than its margin as it is;
+            # best_statistic orders pairs by their SVD statistics, so it rechecks them all
+            svd = np.flatnonzero(~(first & (s + margin[ri[pick], p_pos] < delta[p_rows])))
+            if svd.size:
+                s[svd], rank[svd] = _svd_statistics(
+                    y[p_rows[svd]], columns(p_rows[svd], subsets[p_pos[svd]]),
+                    yy[p_rows[svd]], noise_var[p_rows[svd]], l,
+                )
             # a NaN statistic (an overflowed ||y||^2) is not typical
             accept = (rank >= l) & (s < delta[p_rows])
             if not first:
@@ -293,13 +286,8 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
     lexicographic position plus one under ``lexicographic_first`` and
     C(n, L) otherwise.  The estimate restricted to the winning support is
     its least-squares fit; with no typical set the zero vector is returned
-    with ``failed`` set.
-
-    This is the one-problem case of :func:`jt_search`: candidates are scored
-    in the Gram domain (see the module docstring), and only those that this
-    cannot dismiss pass through the SVD statistic of
-    :func:`typicality_statistic`, so every decision and the reported
-    statistic are the SVD statistic's.
+    with ``failed`` set.  The one-problem case of :func:`jt_search`, so
+    every decision is the SVD statistic's (see the module docstring).
     """
     y = as_vector(y, "y")
     upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
@@ -337,27 +325,14 @@ def genie_ls(y, upsilon_mat, support):
 def crlb(upsilon_mat, support, noise_var):
     """Estimation-error floor sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1].
 
-    Computed from the singular values of the support submatrix, so no Gram
-    inverse is formed.
+    From the singular values of the support submatrix: the SVD reference of
+    the sweep's Gram-domain CRLB (``numerics.gram_solve``).
     """
-    upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
-    idx = list(support)
-    value, rank = crlb_stack(upsilon_mat[:, idx], noise_var)
-    if rank < len(idx):
+    sub = as_matrix(upsilon_mat, "upsilon_mat")[:, list(support)]
+    s = np.linalg.svd(sub, compute_uv=False)
+    if svd_rank(s, sub.shape) < sub.shape[1]:
         raise RankDeficientError("support submatrix is rank deficient")
-    return float(value)
-
-
-def crlb_stack(subs, noise_var):
-    """:func:`crlb` of each support submatrix of a (..., m, l) stack, with its rank.
-
-    ``noise_var`` broadcasts against the stack.  The value is meaningless
-    where the rank falls short of l.
-    """
-    s = np.linalg.svd(subs, full_matrices=False, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        value = noise_var * np.sum(1.0 / s**2, axis=-1)
-    return value, svd_rank(s, subs.shape)
+    return float(noise_var * np.sum(1.0 / s**2))
 
 
 def missed_detection_term(truth_energy, noise_var, delta, kns, l):
@@ -448,7 +423,7 @@ def omp_estimate(y, upsilon_mat, l):
         corr = np.abs(upsilon_mat.conj().T @ residual) / safe_norms
         corr[selected] = -1.0
         pick = int(np.argmax(corr))
-        trial_coef, rank = least_squares_stack(upsilon_mat[:, selected + [pick]], y)
+        trial_coef, _, rank, _ = np.linalg.lstsq(upsilon_mat[:, selected + [pick]], y, rcond=None)
         if rank <= len(selected):
             degenerate = True
             break

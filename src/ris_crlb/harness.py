@@ -7,18 +7,13 @@ Trials therefore never share generator state and a sweep gives byte-identical
 results whatever the worker count.
 
 A worker runs the trials of one K in two stages, each under the peak
-``_BLOCK_BYTES`` (640 KiB).  The truth stage (``_stage_truths``) derives the
-seeds, the seed words of all three substreams, the truths, supports and
-energies once per chunk of about ``_BLOCK_BYTES // _truth_bytes(cfg)``
-trials, a whole number of estimation sub-blocks.  The estimation stage
-(``_run_block``: pilots, observation, CRLB, search and fit) runs per
-sub-block of ``_BLOCK_BYTES // _sub_block_bytes(cfg, k)`` trials.  Both
-helpers state a measured per-trial peak; OMP and the L >= 2 search hold
-more than theirs.  A truth seats no ``Generator``: ``raw_draws`` reads the
-``choice``, ``random`` and ``uniform`` draws a fresh ``default_rng`` makes
-from the raw words of its PCG64, carrying numpy's buffered 32-bit half from
-one ``choice`` to the next.  numpy does not promise ``Generator`` streams
-across versions, so the tests compare the two on the numpy in use.
+``_BLOCK_BYTES`` (640 KiB) over a stated per-trial peak: the truth stage
+(``_stage_truths``: seeds, seed words, truths, supports and energies) per
+chunk of a whole number of estimation sub-blocks, and the estimation stage
+(``_run_block``: pilots, observation, CRLB, search and fit) per sub-block.
+A truth seats no ``Generator``: ``raw_draws`` reads its draws from the raw
+words of its PCG64 (numpy does not promise ``Generator`` streams across
+versions: the tests compare both).
 """
 
 import contextlib
@@ -38,9 +33,9 @@ import numpy as np
 
 from . import channel as ch
 from . import estimator as est
+from . import numerics as nm
 from . import sensing as sn
 from .errors import ConfigError, SearchBudgetExceededError
-from .numerics import least_squares_stack
 
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
@@ -470,7 +465,7 @@ def _sub_block_bytes(cfg, k):
     """Stated per-trial peak of an estimation sub-block (:func:`_run_block`) at K = k in
     bytes, which sizes the sub-blocks: ``160 k n_s``, ten complex observations.
 
-    It holds for JT at L = 1 and the genie (tracemalloc reads 120-200 k n_s).
+    It holds for JT at L = 1 and the genie (tracemalloc reads 100-160 k n_s).
     OMP holds more, and so does the L >= 2 search, whose scratch is bounded
     per pass (``estimator._SCAN_BLOCK``), not per trial.
     """
@@ -488,14 +483,14 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     ``snr_db`` is the SNR of every trial, or one SNR per index, so a block
     may hold trials of several grid cells of one K.  ``staged`` is their
     truth stage (:func:`_stage_truths`), which is run here when it is None.
-    Per trial run only the seating of its pilot and noise generators from
-    their staged words and their draws, its y = Upsilon upsilon + n and
-    (OMP) its greedy search.  The rest runs on the block's stacks with the
-    per-matrix LAPACK and BLAS calls of a single trial, so a record does not
-    depend on its block.  Every trial starts as the failed record: the zero
-    estimate (squared error ||upsilon||^2), CRLB nan and no subsets
-    examined.  A zero truth, a rank-deficient support or fit and a group
-    over the search budget keep it; the estimators overwrite the rest.
+    Per trial run only its pilot and noise draws and (OMP) its greedy
+    search; the rest runs on stacks with a single trial's per-matrix LAPACK
+    and BLAS calls, so a record does not depend on its block.  The CRLB
+    sigma^2 tr(G_I^-1) and the fits G_I^-1 c_I come from G = kron(conj(X)
+    X^T, I) and c = Upsilon^H y (``numerics.gram_solve``).  Every trial
+    starts as the failed record (squared error ||upsilon||^2, CRLB nan, no
+    subsets examined); a zero truth, a rank-deficient support and a group
+    over the search budget keep it.
     """
     g = cfg.geometry
     n_s, n_cols = g.n_s, g.n_d * g.n_s
@@ -520,45 +515,46 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     for l in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == l)  # of the live stacks
         support = np.array([supports[t] for t in live[rows]])
-        subs = sn.kron_columns(pilots[rows], n_s, support)
-        bound, ranks = est.crlb_stack(subs, noise_var[rows])
-        full = ranks >= l
-        rows, support, bound, subs = rows[full], support[full], bound[full], subs[full]
+        outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
+
+        def fit(r, cols, solve=True):  # nm.gram_solve on columns cols of the group's trials r
+            return nm.gram_solve(
+                nm.kron_gram(outer[r], n_s, cols),
+                lambda b: sn.kron_columns(pilots[rows[r[b]]], n_s, cols[b]),
+                corr[r[:, None], cols] if solve else None, y[rows[r]],
+            )
+
+        # the CRLB (and the genie's fit); the group, as fit reads it, keeps the full-rank rows
+        trace, ranks, coef = fit(np.arange(rows.size), support, cfg.estimator == "genie")
+        keep = ranks >= l
+        rows, support, outer, corr = rows[keep], support[keep], outer[keep], corr[keep]
+        at, bound = live[rows], (noise_var[rows] * trace[keep]).tolist()
         if not rows.size:
             continue
-        at = live[rows]  # their block positions
         if cfg.estimator == "omp":
             mats = sn.kron_columns(pilots[rows], n_s, np.tile(np.arange(n_cols), (rows.size, 1)))
-            for t, i, mat, crlb in zip(at, rows, mats, bound.tolist()):
-                fit = est.omp_estimate(y[i], mat, l)
-                estimates[t] = fit.upsilon_hat
-                crlbs[t], failed[t], examined[t] = crlb, fit.degenerate, fit.subsets_examined
+            for t, i, mat, crlb in zip(at, rows, mats, bound):
+                res = est.omp_estimate(y[i], mat, l)
+                estimates[t] = res.upsilon_hat
+                crlbs[t], failed[t], examined[t] = crlb, res.degenerate, res.subsets_examined
             continue
         if cfg.estimator == "genie":
-            found, counts = support, [0] * rows.size
+            found, counts, coef = support, [0] * rows.size, coef[keep]
         else:
-            outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
             try:
                 found, _stats, counts = zip(*est.jt_search(
                     y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l,
-                    lambda r, subsets: sn.kron_columns(pilots[rows[r]], n_s, subsets),
+                    lambda r, cols: sn.kron_columns(pilots[rows[r]], n_s, cols),
                 ))
             except SearchBudgetExceededError:
                 continue
-        # one stacked fit of every found support; a rank-deficient fit keeps the failed record
-        hit = [r for r, sup in enumerate(found) if len(sup)]
-        fitted = np.ones(rows.size, dtype=bool)
-        if hit:
-            cols = np.array([found[r] for r in hit])
-            if cfg.estimator == "jt":  # the genie fits the columns of its CRLB
-                subs = sn.kron_columns(pilots[rows[hit]], n_s, cols)
-            coef, fit_ranks = least_squares_stack(subs, y[rows[hit]])
-            good = fit_ranks >= l
-            fitted[hit] = good
-            estimates[at[hit][good, None], cols[good]] = coef[good]
-        for t, crlb, sup, count, ok in zip(at, bound.tolist(), found, counts, fitted.tolist()):
-            if ok:
-                crlbs[t], failed[t], examined[t] = crlb, not len(sup), count
+        hit = np.flatnonzero([len(sup) for sup in found])
+        cols = np.array([found[r] for r in hit], dtype=np.intp).reshape(-1, l)
+        if cfg.estimator == "jt":  # a found support has full SVD rank: the search takes no other
+            coef = fit(hit, cols)[2]
+        estimates[at[hit, None], cols] = coef
+        for t, crlb, sup, count in zip(at, bound, found, counts):
+            crlbs[t], failed[t], examined[t] = crlb, not len(sup), count
 
     errors = est.squared_errors(estimates, truths).tolist()
     snrs = np.broadcast_to(snr, (n,)).tolist()

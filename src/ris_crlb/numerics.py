@@ -5,7 +5,6 @@ Everything here is a pure function of its inputs; matrices are plain
 """
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatchError, RankDeficientError
 
@@ -77,24 +76,49 @@ def svd_rank(s, shape):
     return int(rank) if s.ndim == 1 else rank
 
 
+# the widest spread lambda_max / lambda_min (lambda = s^2) of G = A^H A trusted for A's SVD:
+# rounding moves G by about m eps lambda_max, so below it lambda and G^-1 c keep about
+# cond m eps relative accuracy, and lambda_min is far above the svd_rank cutoff
+GRAM_COND = 1e6
+
+
+def kron_gram(outer, reps, cols):
+    """Blocks G_J of G = kron(outer, I_reps) for ``outer`` (R, p, p): entry (a, b) is
+    (i_a == i_b) outer[j_a, j_b], (j, i) = divmod(col, reps).  ``cols`` (R, ..., l) gives
+    the (R, ..., l, l) stack; a leading axis of 1 gives every matrix the same sets."""
+    j, i = np.divmod(cols, reps)
+    r = np.arange(len(outer)).reshape((-1,) + (1,) * cols.ndim)
+    blocks = outer[r, j[..., :, None], j[..., None, :]]
+    return np.where(i[..., :, None] == i[..., None, :], blocks, 0)
+
+
+def gram_solve(g, columns, c=None, y=None):
+    """tr(G^-1), numeric rank and, given c = A^H y, the fit G^-1 c of each A (m, l) of a
+    stack from its Gram matrix G = A^H A (``g``, (T, l, l)), by stacked ``eigvalsh``
+    (lambda = s^2) and ``solve``.  Rows with lambda_max >= GRAM_COND lambda_min (a
+    singular G too; ``solve`` sees I there) take s, the :func:`svd_rank` and the lstsq
+    fit of their columns ``columns(rows)`` and ``y[rows]``, so every rank is the SVD's.
+    The trace and fit are meaningless where the rank falls short of l."""
+    lam = np.linalg.eigvalsh(g)
+    rank, band = np.full(len(g), g.shape[-1]), ~(lam[:, 0] * GRAM_COND > lam[:, -1])
+    x = None if c is None else np.linalg.solve(
+        np.where(band[:, None, None], np.eye(g.shape[-1]), g), c[..., None]
+    )[..., 0]
+    if band.any():
+        a = columns(np.flatnonzero(band))
+        s = np.linalg.svd(a, compute_uv=False)  # m < l: the missing s are 0
+        lam[band] = np.pad(s[:, ::-1] ** 2, ((0, 0), (lam.shape[1] - s.shape[1], 0)))
+        rank[band] = svd_rank(s, a.shape)
+        if c is not None:
+            x[band] = [np.linalg.lstsq(ab, yb, rcond=None)[0] for ab, yb in zip(a, y[band])]
+    with np.errstate(divide="ignore"):
+        return np.sum(1.0 / lam, axis=-1), rank, x
+
+
 def numeric_rank(a):
     """Number of singular values above the standard SVD-based cutoff of :func:`svd_rank`."""
     a = as_matrix(a)
     return svd_rank(np.linalg.svd(a, compute_uv=False), a.shape)
-
-
-def _raise_lstsq(_err, _flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def least_squares_stack(a, y):
-    """Solutions (..., n) and numeric ranks of min ||y - a v|| for a stack of
-    complex a (..., m, n) and y (..., m): per matrix, the gufunc, cutoff
-    eps * max(m, n) and error state that ``np.linalg.lstsq(a, y, rcond=None)`` uses."""
-    m, n = a.shape[-2:]
-    with np.errstate(all="ignore", invalid="call", call=_raise_lstsq):
-        x, _, rank, _ = _umath_linalg.lstsq(a, y[..., None], np.finfo(np.float64).eps * max(m, n))
-    return x[..., 0], rank
 
 
 def least_squares(a, y):
@@ -110,7 +134,7 @@ def least_squares(a, y):
         raise DimensionMismatchError(
             f"y has length {y.shape[0]}, expected {a.shape[0]}"
         )
-    sol, rank = least_squares_stack(a, y)
+    sol, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < a.shape[1]:
         raise RankDeficientError(
             f"matrix has numeric rank {rank} < {a.shape[1]} columns"

@@ -23,6 +23,14 @@ def default_scale_model(k=20, seed=0, noise_var=None):
     return sn.measurement_model(pilots, 5, noise_var=noise_var)
 
 
+def assert_search_matches(got, want, scale):
+    """(support, statistic, subsets_examined) triples equal, the statistics to 1e-13 * ``scale``
+    (||y||^2 / m + sigma^2 of the problem): a Gram-domain accept reports the Gram-domain
+    statistic, which is within the recheck margin of the SVD one."""
+    assert (got[0], got[2]) == (want[0], want[2])
+    assert got[1] == want[1] or abs(got[1] - want[1]) <= 1e-13 * scale
+
+
 def literal_search(y, mat, cfg, noise_var):
     """Reference search: the SVD statistic of every subset, in lexicographic order.
 
@@ -262,9 +270,11 @@ class TestSearchEquivalence:
             cfg = est.TypicalityConfig(delta=delta, sparsity=l, search_order=order)
 
             res = est.jt_estimate(y, mat, cfg, noise_var)
-            assert (res.support, res.statistic, res.subsets_examined) == literal_search(
-                y, mat, cfg, noise_var
-            ), trial
+            want = literal_search(y, mat, cfg, noise_var)
+            got = (res.support, res.statistic, res.subsets_examined)
+            if order == est.BEST_STATISTIC:  # every statistic it reports is an SVD one
+                assert got == want, trial
+            assert_search_matches(got, want, np.vdot(y, y).real / len(y) + noise_var)
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
     def test_winner_beyond_first_block(self, order):
@@ -318,9 +328,41 @@ class TestJtSearchStack:
             literal_search(y[t], sn.measurement_matrix(pilots[t], n_s), cfg, noise_var[t])
             for t in range(t_count)
         ]
-        assert got == want
+        if order == est.BEST_STATISTIC:
+            assert got == want
+        for t in range(t_count):
+            scale = np.vdot(y[t], y[t]).real / len(y[t]) + noise_var[t]
+            assert_search_matches(got[t], want[t], scale)
         assert len({w[2] for w in want}) > 1 or order == est.BEST_STATISTIC
         assert len({w[0] for w in want}) > 1
+
+
+    @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
+    def test_svd_runs_only_where_the_margin_cannot_decide(self, order, monkeypatch):
+        # default scale, L = 1: the true column is typical and every other one atypical by
+        # far more than the margin, so lexicographic_first accepts without an SVD, while
+        # best_statistic ranks by SVD statistics and rechecks every pair it keeps
+        rng = np.random.default_rng(960)
+        t_count, n_s, k = 12, 5, 20
+        pilots = np.stack([sn.gen_pilots(n_d=5, k=k, seed=96_000 + t) for t in range(t_count)])
+        truth = np.zeros((t_count, 25), dtype=complex)
+        truth[np.arange(t_count), rng.choice(25, t_count)] = 1.0
+        noise_var = np.full(t_count, 0.01)
+        y = sn.kron_forward(pilots, n_s, truth) + 0.1 / math.sqrt(2) * crandn(rng, t_count, k * n_s)
+        checked, inner = [], est._svd_statistics
+
+        def spy(y, subs, yy, noise_var, l):
+            checked.append(len(subs))
+            return inner(y, subs, yy, noise_var, l)
+
+        monkeypatch.setattr(est, "_svd_statistics", spy)
+        outer, corr = sn.kron_normal(pilots, n_s, y)
+        got = est.jt_search(
+            y, outer, n_s, corr, noise_var, est.TypicalityConfig(None, 1, order), 1,
+            lambda rows, subsets: sn.kron_columns(pilots[rows], n_s, subsets),
+        )
+        assert [g[0] for g in got] == [(int(np.flatnonzero(v)[0]),) for v in truth]
+        assert sum(checked) == (0 if order == est.LEXICOGRAPHIC_FIRST else t_count)
 
 
 class TestGramScreen:

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 
 import frozen_channel as fc
 import numpy as np
@@ -20,6 +20,7 @@ from ris_crlb import channel as ch
 from ris_crlb import cli
 from ris_crlb import estimator as est
 from ris_crlb import harness as hn
+from ris_crlb import numerics as nm
 from ris_crlb import sensing as sn
 from ris_crlb.errors import ConfigError, DimensionMismatchError, RisCrlbError
 
@@ -59,8 +60,10 @@ class TestExperimentConfig:
 def reference_trial(cfg, k, snr_db, trial_index):
     """One trial composed from the public functions, one call per step.
 
-    The block core must reproduce this record bit for bit: it is the
-    per-trial loop the sweep ran before trials were computed in blocks.
+    It is the per-trial loop the sweep ran before trials were computed in
+    blocks, with the CRLB from the SVD of Upsilon_I and the fit from lstsq.
+    The block core must reproduce this record to :data:`RTOL`
+    (:func:`assert_records_match`).
     """
     seed = int(hn.trial_seeds(cfg.master_seed, k, snr_db, [trial_index])[0, 0])
     g = cfg.geometry
@@ -117,6 +120,22 @@ def record_bits(records):
     return [
         tuple(v.hex() if isinstance(v, float) else v for v in astuple(r)) for r in records
     ]
+
+
+# the block core takes the CRLB and the fit from the Gram matrix G_I (nm.gram_solve),
+# the reference from the SVD and lstsq of Upsilon_I: the largest relative differences
+# over BLOCK_CASES are 1.3e-15 (CRLB) and 2.7e-12 (squared error)
+RTOL = {"squared_error": 1e-10, "crlb_value": 1e-13}
+
+
+def assert_records_match(got, want):
+    """Every field of each record equal, the floats of RTOL to their tolerance and nan
+    where the other is."""
+    exact = [{f: v for f, v in asdict(r).items() if f not in RTOL} for r in got + want]
+    assert exact[:len(got)] == exact[len(got):]
+    for name, rtol in RTOL.items():
+        values = [[getattr(r, name) for r in records] for records in (got, want)]
+        np.testing.assert_allclose(*values, rtol=rtol, err_msg=name)
 
 
 # (name, config overrides); each case runs 2 K x 2 SNR x 7 trials
@@ -184,7 +203,8 @@ class TestBlockCore:
         want = [
             reference_trial(cfg, k, s, t) for k, s in cells for t in range(cfg.trials)
         ]
-        # blocks of 1 and 2 trials, and a whole cell per block
+        # blocks of 1 and 2 trials, and a whole cell per block: the same bits
+        bits = []
         for size in (1, 2, cfg.trials):
             got = [
                 rec
@@ -192,12 +212,14 @@ class TestBlockCore:
                 for start in range(0, cfg.trials, size)
                 for rec in hn._run_block(cfg, k, s, range(start, min(start + size, cfg.trials)))
             ]
-            assert record_bits(got) == record_bits(want), size
+            assert_records_match(got, want)
+            bits.append(record_bits(got))
+            assert bits[-1] == bits[0], size
         # every cell of one K in one block, with one SNR per trial
         snrs = np.repeat(cfg.snr_db_values, cfg.trials)
         indices = list(range(cfg.trials)) * len(cfg.snr_db_values)
         got = [rec for k in cfg.k_values for rec in hn._run_block(cfg, k, snrs, indices)]
-        assert record_bits(got) == record_bits(want)
+        assert record_bits(got) == bits[0]
         # the sweep with a byte budget of 3 trials per block at the largest k:
         # 7 trials per cell, so some of its blocks span two SNR cells
         k_max = max(cfg.k_values)
@@ -210,7 +232,7 @@ class TestBlockCore:
 
         monkeypatch.setattr(hn, "_run_block", spy)
         res = hn.run_sweep(cfg, keep_trials=True)
-        assert record_bits(res.trial_records) == record_bits(want)
+        assert record_bits(res.trial_records) == bits[0]
         assert (k_max, set(cfg.snr_db_values)) in blocks
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -218,6 +240,7 @@ class TestBlockCore:
         cfg = block_case(name)
         cells = [(k, s) for k in cfg.k_values for s in cfg.snr_db_values]
         want = [reference_trial(cfg, k, s, t) for k, s in cells for t in range(cfg.trials)]
+        bits = record_bits(hn.run_sweep(cfg, keep_trials=True).trial_records)
         # sub-blocks of 3 trials and truth chunks of 2 sub-blocks at the largest k: with
         # 7 trials per cell, both fall across cell boundaries
         k_max = max(cfg.k_values)
@@ -238,22 +261,31 @@ class TestBlockCore:
         monkeypatch.setattr(hn, "_stage_truths", stage_spy)
         monkeypatch.setattr(hn, "_run_block", estimate_spy)
         res = hn.run_sweep(cfg, keep_trials=True)
-        assert record_bits(res.trial_records) == record_bits(want)
+        assert_records_match(res.trial_records, want)
+        assert record_bits(res.trial_records) == bits
         assert [c[1:] for c in chunks if c[0] == k_max] == [(6, 1), (6, 2), (2, 1)]
         assert [n for k, n in blocks if k == k_max] == [3, 3, 3, 3, 2]
 
     @pytest.mark.parametrize(
         "name", ["jt-rank-deficient", "genie-rank-deficient", "jt-over-budget"]
     )
-    def test_failure_cases_are_exercised(self, name):
+    def test_failure_cases_are_exercised(self, name, monkeypatch):
         cfg = block_case(name)
+        band, inner = [], nm.gram_solve
+
+        def spy(g, columns, c=None, y=None):  # records the rows sent to the SVD
+            return inner(g, lambda rows: band.append(len(rows)) or columns(rows), c, y)
+
+        monkeypatch.setattr(nm, "gram_solve", spy)
         recs = hn.run_sweep(cfg, keep_trials=True).trial_records
         errored = [r for r in recs if r.failed and math.isnan(r.crlb_value)]
         assert errored and all(r.squared_error == r.truth_energy for r in errored)
         if name == "jt-over-budget":
             assert len(errored) == len(recs)
         else:
-            assert len(errored) < len(recs)
+            # the rank-deficient supports are in the Gram band, so the SVD decides
+            # them (TestBlockCore pins the failed records to the reference's)
+            assert len(errored) < len(recs) and band
 
     def test_block_size_follows_byte_budget(self, monkeypatch):
         # a worker cuts the trials of its cells of each K into blocks by the
@@ -350,12 +382,12 @@ class TestTruthStage:
 
 
 class TestBlockFailurePath:
-    """The block core's column stacks for OMP, and which errors become failed records."""
+    """The block core's column stacks, and which errors become failed records."""
 
     @pytest.mark.parametrize("size", [1, 7, 25])
     # off-grid 2 x 2 paths: colliding bins give one block supports of several sizes
     @pytest.mark.parametrize("name", ["omp-l2", "genie-off-grid-2x2"])
-    def test_omp_builds_two_column_stacks_per_group(self, monkeypatch, name, size):
+    def test_omp_builds_one_column_stack_per_group(self, monkeypatch, name, size):
         cfg = replace(block_case(name), estimator="omp")
         calls = []
         inner = sn.kron_columns
@@ -366,9 +398,26 @@ class TestBlockFailurePath:
 
         monkeypatch.setattr(sn, "kron_columns", spy)
         sizes = [r.sparsity for r in hn._run_block(cfg, 20, 20.0, range(size))]
-        # per group: the true supports' columns for the CRLB, then all 25 for OMP
+        # per group all 25 columns for OMP; its CRLB comes from the Gram matrix
         groups = [(sizes.count(l), l) for l in sorted(set(sizes))]
-        assert calls == [shape for n, l in groups for shape in ((n, l), (n, 25))]
+        assert calls == [(n, 25) for n, l in groups]
+
+    def test_default_sweep_builds_no_support_columns(self, monkeypatch):
+        callers, inner = [], sn.kron_columns
+
+        def spy(pilots, n_s, cols):  # the caller of the block core's columns callback
+            callers.append(sys._getframe(2).f_code.co_name)
+            return inner(pilots, n_s, cols)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("an SVD CRLB or an lstsq fit")
+
+        monkeypatch.setattr(sn, "kron_columns", spy)
+        monkeypatch.setattr(est, "crlb", banned)
+        monkeypatch.setattr(np.linalg, "lstsq", banned)
+        hn.run_sweep(hn.default_config(trials=100))
+        # only the search's SVD recheck of a pair within its margin of delta builds columns
+        assert set(callers) <= {"jt_search"}
 
     def test_overflowed_statistic_is_not_typical(self):
         # ||y||^2 overflows to inf, so every statistic is nan: no subset is typical
@@ -1486,13 +1535,13 @@ class TestCli:
         assert "FAIL" not in out
 
     def test_selftest_genie_check_catches_a_broken_fit(self, capsys, monkeypatch):
-        inner = hn.least_squares_stack
+        inner = nm.gram_solve
 
-        def scaled(a, y):
-            coef, rank = inner(a, y)
-            return 1.5 * coef, rank
+        def scaled(g, columns, c=None, y=None):
+            trace, rank, coef = inner(g, columns, c, y)
+            return trace, rank, None if coef is None else 1.5 * coef
 
-        monkeypatch.setattr(hn, "least_squares_stack", scaled)
+        monkeypatch.setattr(nm, "gram_solve", scaled)
         assert cli.main(["selftest"]) == 1
         out = capsys.readouterr().out
         # the noiseless jt check fits its supports through the same call
@@ -1509,8 +1558,9 @@ class TestCli:
         monkeypatch.setattr(sn, "kron_normal", conjugated)
         assert cli.main(["selftest"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  noiseless jt recovery" in out
-        assert out.count("FAIL") == 1
+        # the genie fits G_I^-1 c_I from the same correlations
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  noiseless jt recovery", "FAIL  genie attains crlb"]
 
     @pytest.mark.parametrize(
         "kv",

@@ -5,10 +5,12 @@ import pytest
 
 from ris_crlb.errors import DimensionMismatchError, RankDeficientError
 from ris_crlb.numerics import (
+    GRAM_COND,
     dft_matrix,
+    gram_solve,
     kron,
+    kron_gram,
     least_squares,
-    least_squares_stack,
     numeric_rank,
     projector_complement,
     svd_rank,
@@ -114,24 +116,6 @@ class TestLeastSquares:
             least_squares(np.eye(3), np.ones(4))
 
 
-class TestLeastSquaresStack:
-    @pytest.mark.parametrize("m", [5, 6, 40, 400])
-    @pytest.mark.parametrize("l", [1, 2, 3])
-    def test_each_matrix_matches_lstsq_bit_for_bit(self, l, m):
-        rng = np.random.default_rng(100 * l + m)
-        a = crandn(rng, 5, m, l)
-        a[1, :, -1] = a[1, :, 0]  # a repeated column (rank 1 when l > 1)
-        a[2, :, 0] = 0.0  # a zero column
-        a[3, :, 0] *= 1e-12  # a column near the rank cutoff
-        y = crandn(rng, 5, m)
-        sol, rank = least_squares_stack(a, y)
-        for i in range(len(a)):
-            want, _, want_rank, _ = np.linalg.lstsq(a[i], y[i], rcond=None)
-            assert sol[i].tobytes() == want.tobytes(), i
-            assert rank[i] == want_rank, i
-        assert rank[2] == l - 1 and (l == 1 or rank[1] == l - 1)
-
-
 class TestProjectorComplement:
     def test_axis_projector(self):
         a = np.array([[1.0], [0.0]])
@@ -188,3 +172,76 @@ class TestNumericRank:
         ranks = svd_rank(s, stack.shape)
         assert ranks.tolist() == [numeric_rank(a) for a in stack] == [3, 2, 0, 1, 3, 3]
         assert svd_rank(s[0], stack.shape[1:]) == 3
+
+
+class TestKronGram:
+    def test_blocks_of_the_materialised_kronecker_gram(self):
+        rng = np.random.default_rng(12)
+        outer = crandn(rng, 4, 3, 3)
+        subsets = np.array([[0, 1], [2, 5], [4, 7], [3, 8]])
+        shared = kron_gram(outer, 3, subsets[None])  # every subset for every matrix
+        own = kron_gram(outer, 3, subsets)  # one subset per matrix
+        assert shared.shape == (4, 4, 2, 2) and own.shape == (4, 2, 2)
+        for r in range(4):
+            full = np.kron(outer[r], np.eye(3))
+            for b, cols in enumerate(subsets):
+                block = full[np.ix_(cols, cols)]
+                assert np.array_equal(shared[r, b], block)
+                if b == r:
+                    assert np.array_equal(own[r], block)
+
+
+class TestGramSolve:
+    """The Gram matrix decides rank, trace and fit only outside the band that the SVD decides."""
+
+    @staticmethod
+    def _problem(ratio, m=12, seed=13):
+        # A (m, 2) with singular values 1 and sqrt(ratio), so lambda_min / lambda_max = ratio
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(crandn(rng, m, 2))
+        v, _ = np.linalg.qr(crandn(rng, 2, 2))
+        a = (u * np.sqrt([1.0, ratio])) @ v.conj().T
+        return a, crandn(rng, m)
+
+    # just outside and just inside the band; far inside, but of full SVD rank; rank 1
+    CASES = [1.01 / GRAM_COND, 0.99 / GRAM_COND, 1e-20, 0.0]
+
+    @pytest.mark.parametrize("ratio", CASES)
+    def test_svd_decides_the_band(self, ratio):
+        a, y = self._problem(ratio)
+        g, c = a.conj().T @ a, a.conj().T @ y
+        calls = []
+
+        def columns(rows):
+            calls.append(rows.tolist())
+            return a[None][rows]
+
+        trace, rank, x = gram_solve(g[None], columns, c[None], y[None])
+        lam = np.linalg.eigvalsh(g)
+        assert (lam[0] * GRAM_COND > lam[-1]) == (ratio > 1 / GRAM_COND)
+        assert calls == ([] if ratio > 1 / GRAM_COND else [[0]])
+        s = np.linalg.svd(a, compute_uv=False)
+        assert rank[0] == svd_rank(s, a.shape) == (2 if ratio else 1)
+        if ratio >= 0.99 / GRAM_COND:
+            np.testing.assert_allclose(trace[0], np.sum(1.0 / s**2), rtol=1e-8)
+            np.testing.assert_allclose(x[0], np.linalg.lstsq(a, y, rcond=None)[0], rtol=1e-8)
+        if ratio == 1e-20:  # rounding swamps lambda_min in the Gram, not s_min in the SVD
+            assert abs(lam[0] - ratio) > 1e3 * ratio
+            np.testing.assert_allclose(trace[0], np.sum(1.0 / s**2), rtol=1e-12)
+
+    def test_rows_of_a_stack_are_solved_alone(self):
+        problems = [self._problem(ratio, seed=20 + i) for i, ratio in enumerate(self.CASES)]
+        a = np.stack([p[0] for p in problems])
+        y = np.stack([p[1] for p in problems])
+        g, c = a.conj().swapaxes(-1, -2) @ a, (a.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+        with np.errstate(all="ignore"):
+            stack = gram_solve(g, lambda rows: a[rows], c, y)
+            for t in range(len(a)):
+                one = slice(t, t + 1)
+                alone = gram_solve(g[one], lambda rows: a[one][rows], c[one], y[one])
+                assert all(v[t:t + 1].tobytes() == w.tobytes() for v, w in zip(stack, alone))
+
+    def test_fewer_rows_than_columns_is_rank_deficient(self):
+        a = crandn(np.random.default_rng(14), 2, 3)
+        trace, rank, x = gram_solve((a.conj().T @ a)[None], lambda rows: a[None][rows])
+        assert rank.tolist() == [2] and x is None
