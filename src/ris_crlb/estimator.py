@@ -21,12 +21,15 @@ SVD statistic's.
 Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
 mean-squared-error upper bound adds two exponentially small penalty terms
-for missing the true support and for accepting a wrong one.
+for missing the true support and for accepting a wrong one.  The orthogonal
+matching pursuit baseline works from the same G and c: its residual
+correlations are c - G v, and its refits and ranks are the caller's
+``numerics.gram_solve``.
 """
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -90,9 +93,7 @@ class EstimateResult:
     """Outcome of one recovery attempt.
 
     ``failed`` marks the no-typical-set event in which the estimator falls
-    back to the zero vector (support empty, statistic inf).  ``degenerate``
-    is set only by the greedy baseline when its selected columns became
-    dependent and it stopped early.
+    back to the zero vector (support empty, statistic inf).
     """
 
     support: tuple
@@ -100,7 +101,6 @@ class EstimateResult:
     statistic: float
     subsets_examined: int
     failed: bool
-    degenerate: bool = field(default=False)
 
 
 def default_delta(noise_var, kns, sparsity):
@@ -403,46 +403,42 @@ def wrong_support_term(energy, n, noise_var, delta, kns, l):
     return prefactor * total
 
 
-def omp_estimate(y, upsilon_mat, l):
-    """Orthogonal matching pursuit baseline.
+def omp_estimate(outer, reps, corr, l, fit):
+    """Orthogonal matching pursuit baseline for a stack of T problems, in the Gram domain.
 
-    Each iteration picks the unselected column with the largest normalized
-    residual correlation (ties break to the lowest index), then refits by
-    least squares on the selected set.  If the selected columns ever become
-    dependent the partial estimate is returned with ``degenerate`` set.
-    Unchecked: the block core passes a complex y, upsilon_mat and 1 <= l <= n.
+    Problem t has the Gram matrix kron(outer[t], I_reps) of its n columns and
+    ``corr[t]`` = Upsilon_t^H y_t, as in :func:`jt_search`.  Each of ``l`` steps
+    picks the unselected column with the largest normalized residual correlation
+    |c - G v| / sqrt(diag G) of the estimate v, where G v = outer V with V =
+    v.reshape(p, reps) and the column norms are sqrt(outer[j, j]), each ``reps``
+    times; then it refits on the selected set: ``fit(rows, cols)`` returns
+    ``numerics.gram_solve``'s (trace, rank, G_S^-1 c_S) for problems ``rows`` and
+    their (len(rows), s) column sets ``cols``.  A problem stops, degenerate, at
+    the first step whose rank does not grow.  Ties break to the lowest index,
+    but only exact float ties: at K = 1 the n_d columns of one identity
+    position score alike in exact arithmetic, so rounding picks among them.
+    Returns the (T, l) columns in the order taken (-1 past a stop), the (T, n)
+    estimates and the (T,) numbers of columns taken.
     """
-    n_cols = upsilon_mat.shape[1]
-    col_norms = np.linalg.norm(upsilon_mat, axis=0)
-    safe_norms = np.where(col_norms > 0, col_norms, 1.0)
-    selected = []
-    coef = np.zeros(0, dtype=np.complex128)
-    residual = y.copy()
-    degenerate = False
-    for _ in range(l):
-        corr = np.abs(upsilon_mat.conj().T @ residual) / safe_norms
-        corr[selected] = -1.0
-        pick = int(np.argmax(corr))
-        trial_coef, _, rank, _ = np.linalg.lstsq(upsilon_mat[:, selected + [pick]], y, rcond=None)
-        if rank <= len(selected):
-            degenerate = True
+    t_count, n_cols = corr.shape
+    norms = np.repeat(np.sqrt(np.diagonal(outer, axis1=1, axis2=2).real), reps, axis=1)
+    norms[norms == 0] = 1.0
+    taken = np.full((t_count, l), -1, dtype=np.intp)
+    estimate = np.zeros((t_count, n_cols), dtype=np.complex128)
+    rows = np.arange(t_count)
+    for step in range(l):
+        gv = np.matmul(outer[rows], estimate[rows].reshape(rows.size, -1, reps))
+        score = np.abs(corr[rows] - gv.reshape(rows.size, n_cols)) / norms[rows]
+        np.put_along_axis(score, taken[rows, :step], -1.0, axis=1)
+        cols = np.concatenate([taken[rows, :step], np.argmax(score, axis=1)[:, None]], axis=1)
+        _, rank, coef = fit(rows, cols)
+        grew = rank > step
+        rows, cols = rows[grew], cols[grew]
+        if not rows.size:
             break
-        selected.append(pick)
-        coef = trial_coef
-        residual = y - upsilon_mat[:, selected] @ coef
-
-    estimate = np.zeros(n_cols, dtype=np.complex128)
-    if selected:
-        estimate[selected] = coef
-    statistic = float(np.sum(np.abs(residual) ** 2)) / y.shape[0]
-    return EstimateResult(
-        support=tuple(sorted(selected)),
-        upsilon_hat=estimate,
-        statistic=statistic,
-        subsets_examined=len(selected),
-        failed=False,
-        degenerate=degenerate,
-    )
+        taken[rows, step] = cols[:, step]
+        estimate[rows[:, None], cols] = coef[grew]
+    return taken, estimate, np.count_nonzero(taken >= 0, axis=1)
 
 
 def squared_errors(estimates, truths):

@@ -465,9 +465,9 @@ def _sub_block_bytes(cfg, k):
     """Stated per-trial peak of an estimation sub-block (:func:`_run_block`) at K = k in
     bytes, which sizes the sub-blocks: ``160 k n_s``, ten complex observations.
 
-    It holds for JT at L = 1 and the genie (tracemalloc reads 100-160 k n_s).
-    OMP holds more, and so does the L >= 2 search, whose scratch is bounded
-    per pass (``estimator._SCAN_BLOCK``), not per trial.
+    It holds for JT at L = 1, the genie and OMP (tracemalloc reads 100-160 k n_s).
+    The L >= 2 search holds more: its scratch is bounded per pass
+    (``estimator._SCAN_BLOCK``), not per trial.
     """
     return 160 * k * cfg.geometry.n_s
 
@@ -483,17 +483,19 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     ``snr_db`` is the SNR of every trial, or one SNR per index, so a block
     may hold trials of several grid cells of one K.  ``staged`` is their
     truth stage (:func:`_stage_truths`), which is run here when it is None.
-    Per trial run only its pilot and noise draws and (OMP) its greedy
-    search; the rest runs on stacks with a single trial's per-matrix LAPACK
-    and BLAS calls, so a record does not depend on its block.  The CRLB
-    sigma^2 tr(G_I^-1) and the fits G_I^-1 c_I come from G = kron(conj(X)
-    X^T, I) and c = Upsilon^H y (``numerics.gram_solve``).  Every trial
+    Per trial run only its pilot and noise draws; the rest runs on stacks
+    with a single trial's per-matrix LAPACK and BLAS calls, so a record does
+    not depend on its block.  The CRLB sigma^2 tr(G_I^-1), the JT search, OMP's
+    greedy steps and every fit G_S^-1 c_S come from G = kron(conj(X) X^T, I)
+    and c = Upsilon^H y (``numerics.gram_solve``); Upsilon's columns are built
+    only for the search's SVD rechecks and the rank band.  An OMP trial is
+    failed where it took fewer than l columns, which it counts as its
+    subsets examined.  Every trial
     starts as the failed record (squared error ||upsilon||^2, CRLB nan, no
     subsets examined); a zero truth, a rank-deficient support and a group
     over the search budget keep it.
     """
-    g = cfg.geometry
-    n_s, n_cols = g.n_s, g.n_d * g.n_s
+    n_s = cfg.geometry.n_s
     if staged is None:
         staged = _stage_truths(cfg, k, snr_db, indices)
     seeds, pilot_words, noise_words, truths, supports, energies = staged
@@ -531,15 +533,12 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
         at, bound = live[rows], (noise_var[rows] * trace[keep]).tolist()
         if not rows.size:
             continue
-        if cfg.estimator == "omp":
-            mats = sn.kron_columns(pilots[rows], n_s, np.tile(np.arange(n_cols), (rows.size, 1)))
-            for t, i, mat, crlb in zip(at, rows, mats, bound):
-                res = est.omp_estimate(y[i], mat, l)
-                estimates[t] = res.upsilon_hat
-                crlbs[t], failed[t], examined[t] = crlb, res.degenerate, res.subsets_examined
-            continue
+        fails, counts = [False] * rows.size, [0] * rows.size
         if cfg.estimator == "genie":
-            found, counts, coef = support, [0] * rows.size, coef[keep]
+            estimates[at[:, None], support] = coef[keep]
+        elif cfg.estimator == "omp":
+            _, estimates[at], counts = est.omp_estimate(outer, n_s, corr, l, fit)
+            fails, counts = (counts < l).tolist(), counts.tolist()
         else:
             try:
                 found, _stats, counts = zip(*est.jt_search(
@@ -548,13 +547,13 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
                 ))
             except SearchBudgetExceededError:
                 continue
-        hit = np.flatnonzero([len(sup) for sup in found])
-        cols = np.array([found[r] for r in hit], dtype=np.intp).reshape(-1, l)
-        if cfg.estimator == "jt":  # a found support has full SVD rank: the search takes no other
-            coef = fit(hit, cols)[2]
-        estimates[at[hit, None], cols] = coef
-        for t, crlb, sup, count in zip(at, bound, found, counts):
-            crlbs[t], failed[t], examined[t] = crlb, not len(sup), count
+            fails = [not sup for sup in found]
+            hit = np.flatnonzero(np.logical_not(fails))
+            cols = np.array([found[r] for r in hit], dtype=np.intp).reshape(-1, l)
+            # a found support has full SVD rank: the search takes no other
+            estimates[at[hit, None], cols] = fit(hit, cols)[2]
+        for t, crlb, fail, count in zip(at, bound, fails, counts):
+            crlbs[t], failed[t], examined[t] = crlb, fail, count
 
     errors = est.squared_errors(estimates, truths).tolist()
     snrs = np.broadcast_to(snr, (n,)).tolist()

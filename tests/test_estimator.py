@@ -5,11 +5,13 @@ import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
+import frozen_omp
 import numpy as np
 import pytest
 
 from ris_crlb import estimator as est
 from ris_crlb import harness as hn
+from ris_crlb import numerics as nm
 from ris_crlb import sensing as sn
 from ris_crlb.errors import RankDeficientError, SearchBudgetExceededError
 
@@ -686,37 +688,116 @@ class TestMseUpperBound:
         assert vals[-1] < 1e-12
 
 
+def omp_run(y, outer, reps, corr, l, columns):
+    """``est.omp_estimate`` with the block core's fit: ``nm.gram_solve`` of G_S and c_S,
+    the columns ``columns(rows, cols)`` and y in its rank band."""
+
+    def fit(r, cols):
+        return nm.gram_solve(
+            nm.kron_gram(outer[r], reps, cols), lambda b: columns(r[b], cols[b]),
+            corr[r[:, None], cols], y[r],
+        )
+
+    return est.omp_estimate(outer, reps, corr, l, fit)
+
+
+def omp_matrices(mats, y, l):
+    """OMP on a (T, m, n) stack of matrices U: reps = 1, outer = U^H U, corr = U^H y."""
+    herm = mats.conj().swapaxes(-1, -2)
+    return omp_run(
+        y, herm @ mats, 1, (herm @ y[..., None])[..., 0], l,
+        lambda rows, cols: np.take_along_axis(mats[rows], cols[:, None, :], axis=2),
+    )
+
+
+def omp_pilots(pilots, n_s, y, l):
+    """OMP on the pilot model of a (T, n_d, k) pilot stack: reps = n_s."""
+    outer, corr = sn.kron_normal(pilots, n_s, y)
+    return omp_run(
+        y, outer, n_s, corr, l, lambda rows, cols: sn.kron_columns(pilots[rows], n_s, cols)
+    )
+
+
+def omp_support(taken, count):
+    """The sorted columns a row of :func:`est.omp_estimate` took."""
+    return tuple(sorted(taken[:count].tolist()))
+
+
 class TestOmpEstimate:
     def test_noiseless_single_column(self):
         model = default_scale_model(seed=23)
         truth = np.zeros(25, dtype=complex)
         truth[19] = 2.0 - 1.0j
-        res = est.omp_estimate(model.upsilon_mat @ truth, model.upsilon_mat, 1)
-        assert res.support == (19,)
-        assert est.squared_errors(res.upsilon_hat, truth) < 1e-18
-        assert not res.degenerate
+        y = model.upsilon_mat @ truth
+        (taken,), (hat,), (count,) = omp_pilots(model.pilots[None], 5, y[None], 1)
+        assert omp_support(taken, count) == (19,)
+        assert est.squared_errors(hat, truth) < 1e-18
+        assert count == 1  # not degenerate
 
     def test_zero_observation_lowest_index_tiebreak(self):
         model = default_scale_model(seed=24)
-        res = est.omp_estimate(np.zeros(100, dtype=complex), model.upsilon_mat, 2)
-        assert res.support == (0, 1)
-        assert np.all(res.upsilon_hat == 0)
+        (taken,), (hat,), (count,) = omp_pilots(
+            model.pilots[None], 5, np.zeros((1, 100), dtype=complex), 2
+        )
+        assert omp_support(taken, count) == (0, 1)
+        assert np.all(hat == 0)
 
     def test_full_support_is_global_ls(self):
         model = default_scale_model(seed=25)
         rng = np.random.default_rng(26)
         y = crandn(rng, 100)
-        res = est.omp_estimate(y, model.upsilon_mat, 25)
+        _, (hat,), _ = omp_pilots(model.pilots[None], 5, y[None], 25)
         full_ls, _, _, _ = np.linalg.lstsq(model.upsilon_mat, y, rcond=None)
-        np.testing.assert_allclose(res.upsilon_hat, full_ls, atol=1e-8)
+        np.testing.assert_allclose(hat, full_ls, atol=1e-8)
 
     def test_degenerate_duplicate_columns(self):
         rng = np.random.default_rng(27)
         col = crandn(rng, 10, 1)
         mat = np.concatenate([col, col], axis=1)
-        res = est.omp_estimate(col[:, 0] * 3.0, mat, 2)
-        assert res.degenerate
-        assert len(res.support) == 1
+        (taken,), _, (count,) = omp_matrices(mat[None], col[None, :, 0] * 3.0, 2)
+        assert count < 2  # degenerate
+        assert len(omp_support(taken, count)) == 1
+
+    @pytest.mark.parametrize("model", ["matrices", "pilots-k1"])
+    def test_rows_of_a_stack_equal_their_single_runs(self, model):
+        # degenerate problems in one stack with live ones: a rank-2 matrix and one of
+        # duplicated columns (rank 4) among full-rank ones, L = 5; and K = 1, L = 6, where
+        # the rank stops at n_s = 5 and the n_d columns of an identity position tie
+        rng = np.random.default_rng(28)
+        if model == "matrices":
+            mats = crandn(rng, 6, 12, 8)
+            mats[1] = crandn(rng, 12, 2) @ crandn(rng, 2, 8)
+            mats[4, :, 4:] = mats[4, :, :4]
+            y = crandn(rng, 6, 12)
+            run, want = (lambda r: omp_matrices(mats[r], y[r], 5)), [5, 2, 5, 5, 4, 5]
+        else:
+            pilots = np.stack([sn.gen_pilots(n_d=5, k=1, seed=280 + t) for t in range(6)])
+            y = crandn(rng, 6, 5)
+            run, want = (lambda r: omp_pilots(pilots[r], 5, y[r], 6)), [5] * 6
+        stacked = run(np.arange(6))
+        assert stacked[2].tolist() == want
+        for t in range(6):
+            single = run(np.array([t]))
+            for got, alone in zip(stacked, single):
+                assert got[t].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("l", [1, 3, 6])
+    def test_matches_the_frozen_per_trial_omp(self, l):
+        # random reps = 1 problems, sparse truths in noise; one of rank 2 stops at L = 3, 6
+        rng = np.random.default_rng(29 + l)
+        mats = crandn(rng, 10, 30, 12)
+        mats[3] = crandn(rng, 30, 2) @ crandn(rng, 2, 12)
+        truth = np.zeros((10, 12), dtype=complex)
+        for t in range(10):
+            truth[t, rng.choice(12, l, replace=False)] = crandn(rng, l)
+        y = (mats @ truth[..., None])[..., 0] + 0.1 * crandn(rng, 10, 30)
+        taken, hat, count = omp_matrices(mats, y, l)
+        for t in range(10):
+            ref = frozen_omp.omp_estimate(y[t], mats[t], l)
+            assert omp_support(taken[t], count[t]) == ref.support
+            assert (count[t] == ref.subsets_examined, count[t] < l) == (True, ref.degenerate)
+            np.testing.assert_allclose(hat[t], ref.upsilon_hat, rtol=1e-10)
+        assert (count < l).tolist() == [l > 2 and t == 3 for t in range(10)]
 
 
 class TestSquaredError:

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import asdict, astuple, replace
 
 import frozen_channel as fc
+import frozen_omp
 import numpy as np
 import pytest
 
@@ -61,7 +62,8 @@ def reference_trial(cfg, k, snr_db, trial_index):
     """One trial composed from the public functions, one call per step.
 
     It is the per-trial loop the sweep ran before trials were computed in
-    blocks, with the CRLB from the SVD of Upsilon_I and the fit from lstsq.
+    blocks, with the CRLB from the SVD of Upsilon_I, the fit from lstsq and
+    OMP from its frozen per-trial copy (``frozen_omp``).
     The block core must reproduce this record to :data:`RTOL`
     (:func:`assert_records_match`).
     """
@@ -102,7 +104,7 @@ def reference_trial(cfg, k, snr_db, trial_index):
             estimate = est.genie_ls(y, model.upsilon_mat, support)
             failed, examined = False, 0
         else:
-            res = est.omp_estimate(y, model.upsilon_mat, len(support))
+            res = frozen_omp.omp_estimate(y, model.upsilon_mat, len(support))
             estimate, failed, examined = res.upsilon_hat, res.degenerate, res.subsets_examined
         sq_err = float(est.squared_errors(estimate, truth))
     except RisCrlbError:
@@ -339,7 +341,9 @@ class TestTruthStage:
         + [pytest.param(1000, 20, id="1000-20x20")],
     )
     @pytest.mark.parametrize(
-        "estimator, mode", [("jt", "synthetic"), ("genie", "synthetic"), ("genie", "physical_off_grid")]
+        "estimator, mode",
+        [("jt", "synthetic"), ("genie", "synthetic"), ("genie", "physical_off_grid"),
+         ("omp", "synthetic")],
     )
     def test_sub_block_peak_per_trial_is_the_stated_footprint(self, estimator, mode, k, n):
         # one sub-block at the sweep's size, its truths staged beforehand
@@ -385,22 +389,32 @@ class TestBlockFailurePath:
     """The block core's column stacks, and which errors become failed records."""
 
     @pytest.mark.parametrize("size", [1, 7, 25])
-    # off-grid 2 x 2 paths: colliding bins give one block supports of several sizes
-    @pytest.mark.parametrize("name", ["omp-l2", "genie-off-grid-2x2"])
-    def test_omp_builds_one_column_stack_per_group(self, monkeypatch, name, size):
-        cfg = replace(block_case(name), estimator="omp")
-        calls = []
-        inner = sn.kron_columns
+    # off-grid 2 x 2 paths: colliding bins give one block supports of several sizes;
+    # K = 1, 2 at L = 2: rank-deficient true supports reach the rank band
+    @pytest.mark.parametrize("name", ["omp-l2", "genie-off-grid-2x2", "genie-rank-deficient"])
+    def test_omp_builds_columns_only_in_the_rank_band(self, monkeypatch, name, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k <= n_d
+            cfg = replace(block_case(name), estimator="omp", trials=size)
+        in_band = []
 
-        def spy(pilots, n_s, cols):
-            calls.append(np.shape(cols))
-            return inner(pilots, n_s, cols)
+        def spied(inner):
+            def spy(*args, **kwargs):
+                frame, names = sys._getframe(1), set()
+                while frame:
+                    names.add(frame.f_code.co_name)
+                    frame = frame.f_back
+                in_band.append("gram_solve" in names)
+                return inner(*args, **kwargs)
 
-        monkeypatch.setattr(sn, "kron_columns", spy)
-        sizes = [r.sparsity for r in hn._run_block(cfg, 20, 20.0, range(size))]
-        # per group all 25 columns for OMP; its CRLB comes from the Gram matrix
-        groups = [(sizes.count(l), l) for l in sorted(set(sizes))]
-        assert calls == [(n, 25) for n, l in groups]
+            return spy
+
+        monkeypatch.setattr(sn, "kron_columns", spied(sn.kron_columns))
+        monkeypatch.setattr(np.linalg, "lstsq", spied(np.linalg.lstsq))
+        hn.run_sweep(cfg)
+        # no full-column Upsilon stack and no per-trial lstsq: only the band's SVD and fits
+        assert all(in_band)
+        assert in_band or name != "genie-rank-deficient" or size == 1
 
     def test_default_sweep_builds_no_support_columns(self, monkeypatch):
         callers, inner = [], sn.kron_columns
