@@ -13,9 +13,5 @@ class DimensionMismatchError(RisCrlbError):
     """Operand shapes are incompatible."""
 
 
-class SearchBudgetExceededError(RisCrlbError):
-    """A combinatorial enumeration would exceed its configured cap."""
-
-
 class ConfigError(RisCrlbError):
     """Invalid experiment configuration; the message names the offending field."""

@@ -34,14 +34,12 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RankDeficientError, SearchBudgetExceededError
+from .errors import DimensionMismatchError, RankDeficientError
 from .numerics import GRAM_COND, as_matrix, as_vector, kron_gram, least_squares, svd_rank
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
 
-# hard ceiling on enumerated subsets when no explicit cap is configured
-_DEFAULT_ENUM_CAP = 10_000_000
 # (problem, subset) pairs scored per batched pass of the search; bounds its
 # working memory (a few hundred bytes per pair at small L) whatever C(n, L) is
 _SCAN_BLOCK = 4096
@@ -62,22 +60,17 @@ class TypicalityConfig:
     delta: float | None
     sparsity: int
     search_order: str = LEXICOGRAPHIC_FIRST
-    max_subsets: int | None = None
+    max_subsets: int = 10_000_000
 
     def __post_init__(self):
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
-        if self.max_subsets is not None and self.max_subsets < 1:
+        if self.max_subsets < 1:
             raise ValueError(f"max_subsets must be >= 1, got {self.max_subsets!r}")
         if self.search_order not in (LEXICOGRAPHIC_FIRST, BEST_STATISTIC):
             raise ValueError(f"unknown search order {self.search_order!r}")
-
-    @property
-    def subset_cap(self):
-        """Most l-subsets a search may enumerate: ``max_subsets``, else _DEFAULT_ENUM_CAP."""
-        return self.max_subsets if self.max_subsets is not None else _DEFAULT_ENUM_CAP
 
     def threshold(self, noise_var, kns, l):
         """The override ``delta`` as it is, else :func:`default_delta` of ``noise_var``
@@ -204,7 +197,8 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     """The subset search of :func:`jt_estimate` for a stack of T problems.
 
     The candidates are the ``l``-subsets; ``cfg`` gives the threshold
-    (:meth:`TypicalityConfig.threshold`), the order and the budget.  Problem
+    (:meth:`TypicalityConfig.threshold`) and the order; it enumerates all
+    C(n, l), and its callers keep that within ``max_subsets``.  Problem
     t observes ``y[t]`` (length m) through Upsilon_t, of n columns and Gram
     matrix kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; n_s
     for the pilot model), with ``corr[t]`` = Upsilon_t^H y[t] and
@@ -220,8 +214,6 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     """
     t_count, n_cols = corr.shape
     total = math.comb(n_cols, l)
-    if total > cfg.subset_cap:
-        raise SearchBudgetExceededError(f"{total} subsets exceed cap {cfg.subset_cap}")
     m = y.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
     delta = np.full(t_count, cfg.threshold(noise_var, m, l))
@@ -295,6 +287,8 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
         raise ValueError(f"sparsity {cfg.sparsity} exceeds {upsilon_mat.shape[1]} columns")
     if cfg.delta is None and y.shape[0] <= cfg.sparsity:
         raise ValueError(f"the default delta needs m = {y.shape[0]} > sparsity = {cfg.sparsity}")
+    if (total := math.comb(upsilon_mat.shape[1], cfg.sparsity)) > cfg.max_subsets:
+        raise ValueError(f"{total} subsets exceed max_subsets = {cfg.max_subsets}")
     herm = upsilon_mat.conj().T
     ((subset, stat, examined),) = jt_search(
         y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg, cfg.sparsity,

@@ -35,7 +35,7 @@ from . import channel as ch
 from . import estimator as est
 from . import numerics as nm
 from . import sensing as sn
-from .errors import ConfigError, SearchBudgetExceededError
+from .errors import ConfigError
 
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
@@ -86,6 +86,20 @@ class ExperimentConfig:
             return self.typicality.sparsity * self.magnitude**2
         return math.inf
 
+    @property
+    def support_sizes(self):
+        """The sizes a truth's support can have: ``(sparsity,)`` in synthetic mode; in a
+        physical mode ``a * b`` for the 1 <= a <= min(paths_bs_ris, n_s) distinct BS-side
+        and 1 <= b <= min(paths_ris_ms, n_d) distinct MS-side bins the paths can hit."""
+        if self.mode == "synthetic":
+            return (self.typicality.sparsity,)
+        g = self.geometry
+        return tuple(sorted({
+            a * b
+            for a in range(1, min(self.hop_bs_ris.n_paths, g.n_s) + 1)
+            for b in range(1, min(self.hop_ris_ms.n_paths, g.n_d) + 1)
+        }))
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -123,11 +137,8 @@ class ExperimentConfig:
                 f"sparsity = {l} exceeds the n_d * n_s = {self.geometry.n_d * n_s} "
                 "entries of the synthetic truth"
             )
-        # the most nonzero entries a truth can have; physical: one per path pair
-        largest = l if self.mode == "synthetic" else (
-            self.hop_bs_ris.n_paths * self.hop_ris_ms.n_paths
-        )
         if self.estimator == "jt" and self.typicality.delta is None:
+            largest = max(self.support_sizes)
             short = [k for k in self.k_values if k * n_s <= largest]
             if short:
                 raise ConfigError(
@@ -492,8 +503,8 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     failed where it took fewer than l columns, which it counts as its
     subsets examined.  Every trial
     starts as the failed record (squared error ||upsilon||^2, CRLB nan, no
-    subsets examined); a zero truth, a rank-deficient support and a group
-    over the search budget keep it.
+    subsets examined); a zero truth and a rank-deficient support keep it.
+    The search budget is checked before any trial (:func:`run_sweep`).
     """
     n_s = cfg.geometry.n_s
     if staged is None:
@@ -540,13 +551,10 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
             _, estimates[at], counts = est.omp_estimate(outer, n_s, corr, l, fit)
             fails, counts = (counts < l).tolist(), counts.tolist()
         else:
-            try:
-                found, _stats, counts = zip(*est.jt_search(
-                    y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l,
-                    lambda r, cols: sn.kron_columns(pilots[rows[r]], n_s, cols),
-                ))
-            except SearchBudgetExceededError:
-                continue
+            found, _stats, counts = zip(*est.jt_search(
+                y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l,
+                lambda r, cols: sn.kron_columns(pilots[rows[r]], n_s, cols),
+            ))
             fails = [not sup for sup in found]
             hit = np.flatnonzero(np.logical_not(fails))
             cols = np.array([found[r] for r in hit], dtype=np.intp).reshape(-1, l)
@@ -656,11 +664,12 @@ def run_sweep(cfg, threads=1, keep_trials=False):
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    l, cap = cfg.typicality.sparsity, cfg.typicality.subset_cap
-    n = cfg.geometry.n_d * cfg.geometry.n_s
-    if cfg.estimator == "jt" and cfg.mode == "synthetic" and math.comb(n, l) > cap:
-        # a synthetic truth's support size is known, so its search budget is checked here
-        raise ConfigError(f"C({n}, {l}) = {math.comb(n, l)} subsets exceed max_subsets = {cap}")
+    if cfg.estimator == "jt":
+        # the search enumerates all C(n, l) supports of each size l a truth can have
+        n, cap = cfg.geometry.n_d * cfg.geometry.n_s, cfg.typicality.max_subsets
+        total, l = max((math.comb(n, l), l) for l in cfg.support_sizes)
+        if total > cap:
+            raise ConfigError(f"C({n}, {l}) = {total} subsets exceed max_subsets = {cap}")
     cells = [(k, snr_db) for k in cfg.k_values for snr_db in cfg.snr_db_values]
     workers = min(threads, len(cells)) if hasattr(os, "fork") else 1
     by_k = sorted(range(len(cells)), key=lambda c: -cells[c][0])
@@ -717,19 +726,12 @@ def export_angular_map(cfg, seed):
     return np.abs(real.angular[0]), cells
 
 
-def _fmt(x):
-    """17-significant-digit float formatting (round-trips float64)."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
-
-
 def sweep_csv_lines(result):
     lines = [CSV_HEADER]
     for r in result.rows:
         lines.append(
-            f"{r.k},{_fmt(r.snr_db)},{_fmt(r.mse)},{_fmt(r.crlb)},"
-            f"{_fmt(r.upper_bound)},{_fmt(r.fail_rate)},{r.trials}"
+            f"{r.k},{r.snr_db:.17g},{r.mse:.17g},{r.crlb:.17g},"
+            f"{r.upper_bound:.17g},{r.fail_rate:.17g},{r.trials}"
         )
     return lines
 
@@ -743,8 +745,8 @@ def write_trials_csv(records, path):
     lines = [TRIALS_CSV_HEADER]
     for r in records:
         lines.append(
-            f"{r.k},{_fmt(r.snr_db)},{r.trial_index},{r.seed},"
-            f"{_fmt(r.squared_error)},{_fmt(r.crlb_value)},"
+            f"{r.k},{r.snr_db:.17g},{r.trial_index},{r.seed},"
+            f"{r.squared_error:.17g},{r.crlb_value:.17g},"
             f"{int(r.failed)},{r.subsets_examined}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -51,6 +51,26 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="estimator"):
             hn.default_config(estimator="oracle")
 
+    @pytest.mark.parametrize(
+        "overrides, sizes",
+        [
+            (dict(typicality=est.TypicalityConfig(None, 3)), (3,)),
+            (dict(mode="physical_on_grid"), (1,)),
+            (dict(mode="physical_on_grid", hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2)),
+             (1, 2, 4)),
+            # 3 BS-side paths hit at most n_s = 2 distinct bins, 3 MS-side paths up to 3
+            (dict(
+                mode="physical_off_grid", geometry=ch.Geometry(n_s=2, n_d=5, n_r_h=2, n_r_w=5),
+                hop_bs_ris=hn.HopSpec(3), hop_ris_ms=hn.HopSpec(3),
+            ), (1, 2, 3, 4, 6)),
+        ],
+    )
+    def test_support_sizes(self, overrides, sizes):
+        cfg = hn.default_config(**overrides)
+        assert cfg.support_sizes == sizes
+        staged = hn._stage_truths(cfg, cfg.k_values[0], 20.0, range(200))
+        assert {len(s) for s in staged.supports} <= set(sizes)
+
     def test_rejects_empty_sweep_axes(self):
         with pytest.raises(ConfigError, match="k_values"):
             hn.default_config(k_values=())
@@ -173,11 +193,6 @@ BLOCK_CASES = {
     "genie-rank-deficient": dict(
         estimator="genie", typicality=est.TypicalityConfig(None, 2), k_values=(1, 2)
     ),
-    # physical: every support (here of size 1) exceeds the cap, so every trial fails;
-    # a synthetic sweep over the cap is rejected before any trial
-    "jt-over-budget": dict(
-        mode="physical_on_grid", typicality=est.TypicalityConfig(None, 1, max_subsets=10)
-    ),
     # n_s != n_d, a 3 x 2 panel, a wider spacing and set path losses
     "genie-on-grid-uneven": dict(
         mode="physical_on_grid", estimator="genie",
@@ -268,9 +283,7 @@ class TestBlockCore:
         assert [c[1:] for c in chunks if c[0] == k_max] == [(6, 1), (6, 2), (2, 1)]
         assert [n for k, n in blocks if k == k_max] == [3, 3, 3, 3, 2]
 
-    @pytest.mark.parametrize(
-        "name", ["jt-rank-deficient", "genie-rank-deficient", "jt-over-budget"]
-    )
+    @pytest.mark.parametrize("name", ["jt-rank-deficient", "genie-rank-deficient"])
     def test_failure_cases_are_exercised(self, name, monkeypatch):
         cfg = block_case(name)
         band, inner = [], nm.gram_solve
@@ -282,12 +295,9 @@ class TestBlockCore:
         recs = hn.run_sweep(cfg, keep_trials=True).trial_records
         errored = [r for r in recs if r.failed and math.isnan(r.crlb_value)]
         assert errored and all(r.squared_error == r.truth_energy for r in errored)
-        if name == "jt-over-budget":
-            assert len(errored) == len(recs)
-        else:
-            # the rank-deficient supports are in the Gram band, so the SVD decides
-            # them (TestBlockCore pins the failed records to the reference's)
-            assert len(errored) < len(recs) and band
+        # the rank-deficient supports are in the Gram band, so the SVD decides
+        # them (TestBlockCore pins the failed records to the reference's)
+        assert len(errored) < len(recs) and band
 
     def test_block_size_follows_byte_budget(self, monkeypatch):
         # a worker cuts the trials of its cells of each K into blocks by the
@@ -1082,6 +1092,18 @@ _BOUNDARY_FLAGS = [
 ] + [(flag, str(10**30)) for flag in ("--delta", "--seed", "--threads")]
 
 
+# configs whose JT search would enumerate more than max_subsets supports of a
+# size their truths can have; C(25, l) is 25 at l = 1 and 12,650 at l = 4
+_OVER_BUDGET = [
+    {"max_subsets": 10},
+    {"mode": "physical_on_grid", "max_subsets": 10},
+    # 2 x 2 paths: supports of 1, 2 or 4 bins
+    {"mode": "physical_on_grid", "paths_bs_ris": 2, "paths_ris_ms": 2, "max_subsets": 5000},
+    {"mode": "physical_off_grid", "paths_bs_ris": 2, "paths_ris_ms": 2, "max_subsets": 1000},
+]
+_OVER_BUDGET_IDS = ["synthetic", "on-grid-1x1", "on-grid-2x2", "off-grid-2x2"]
+
+
 class TestCli:
     def _write_cfg(self, tmp_path, **kv):
         base = {"k_values": "8", "snr_db_values": "20", "trials": "5"}
@@ -1299,6 +1321,11 @@ class TestCli:
             {"mode": "physical_on_grid", "paths_bs_ris": 5, "k_values": 1},
             # 5 x 2 off-grid paths predict up to 10 bins: 2 * 5 <= 10
             {"mode": "physical_off_grid", "paths_bs_ris": 5, "paths_ris_ms": 2, "k_values": 2},
+            # 3 x 3 off-grid paths hit at most n_s = 2 BS-side bins, so up to 6 bins: 3 * 2 <= 6
+            {
+                "mode": "physical_off_grid", "n_s": 2, "paths_bs_ris": 3, "paths_ris_ms": 3,
+                "k_values": 3,
+            },
         ],
     )
     def test_physical_jt_default_delta_rejected_before_any_trial(self, tmp_path, capsys, kv):
@@ -1310,16 +1337,26 @@ class TestCli:
         assert err.startswith("error: k_values") and "largest support" in err
         assert not out.exists()
 
-    def test_physical_jt_below_kns_bound_still_runs(self, tmp_path):
-        # 2 x 2 on-grid paths fill at most 4 bins, below k * n_s = 5 at k = 1
-        cfg = self._write_cfg(
-            tmp_path, mode="physical_on_grid", paths_bs_ris=2, paths_ris_ms=2, k_values=1
-        )
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            # 2 x 2 on-grid paths fill at most 4 bins, below k * n_s = 5 at k = 1
+            {"mode": "physical_on_grid", "paths_bs_ris": 2, "paths_ris_ms": 2, "k_values": 1},
+            # 3 x 3 off-grid paths on n_s = 2 fill at most 2 * 3 = 6 bins, below k * n_s = 8
+            {
+                "mode": "physical_off_grid", "n_s": 2, "paths_bs_ris": 3, "paths_ris_ms": 3,
+                "k_values": 4,
+            },
+        ],
+        ids=lambda kv: kv["mode"],
+    )
+    def test_physical_jt_below_kns_bound_still_runs(self, tmp_path, kv):
+        cfg = self._write_cfg(tmp_path, **kv)
         out = tmp_path / "res.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # k <= n_d
             assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[1].startswith("1,20,")
+        assert out.read_text().splitlines()[1].startswith(f"{kv['k_values']},20,")
 
     def test_crlb_table_nan_terms_below_kns_bound(self, tmp_path, capsys):
         # k * n_s = 5 <= sparsity = 5: no default delta and no penalty terms
@@ -1447,20 +1484,27 @@ class TestCli:
         assert err.startswith("error: ") and "delta" in err
         assert not out.exists()
 
-    def test_synthetic_search_over_budget_rejected_before_any_trial(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    @pytest.mark.parametrize("kv", _OVER_BUDGET, ids=_OVER_BUDGET_IDS)
+    def test_search_over_budget_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, kv):
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(hn, "_run_block", no_trial)
-        # C(25, 1) = 25 candidate supports against a cap of 10
-        cfg = self._write_cfg(tmp_path, max_subsets=10)
+        cfg = self._write_cfg(tmp_path, **kv)
         out = tmp_path / "res.csv"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "max_subsets" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("estimator", ["genie", "omp"])
+    @pytest.mark.parametrize("kv", _OVER_BUDGET, ids=_OVER_BUDGET_IDS)
+    def test_search_budget_binds_only_jt(self, tmp_path, kv, estimator):
+        cfg = self._write_cfg(tmp_path, **kv)
+        out = tmp_path / "res.csv"
+        argv = ["sweep", "--config", cfg, "--estimator", estimator, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("preset", [None, "3"])
     def test_cli_import_pins_blas_unless_set(self, preset):
