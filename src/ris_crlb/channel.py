@@ -185,19 +185,6 @@ def snap_angles(bin_index, n, spacing_ratio=0.5):
     return float(np.arcsin(x)), azim
 
 
-def synth_sparse_stack(dim, sparsity, rngs, magnitude=1.0):
-    """Exactly sparse complex vectors with uniform-random supports and phases.
-
-    One vector per generator, as a (T, dim) stack, and the list of their
-    sorted support tuples.  Every nonzero entry has the given magnitude and
-    an independent uniform phase; everything off the support is exactly zero.
-    """
-    # each generator draws its support, then its phases
-    idx = np.array([rng.choice(dim, size=sparsity, replace=False) for rng in rngs])
-    phases = np.array([rng.random(sparsity) for rng in rngs])
-    return sparse_stack(dim, idx, phases, magnitude)
-
-
 def sparse_stack(dim, idx, phases, magnitude=1.0):
     """The (T, dim) stack with ``magnitude * exp(2j pi phases)`` at the (T, L) positions
     ``idx`` and zeros elsewhere, and the list of its sorted support tuples."""
@@ -231,20 +218,6 @@ def check_on_grid(geometry, n_paths, side):
         snap_angles(b, n_grid, geometry.spacing_ratio)
 
 
-def draw_paths(geometry, n_paths, side, rng, on_grid):
-    """Raw randoms of one random hop, in the order they are drawn.
-
-    Returns the distinct on-grid endpoint bins (empty off-grid) and the
-    (n_paths, 5) doubles, per path the endpoint angle pair, the RIS angle
-    pair and the gain phase; on-grid the bins replace the endpoint pair, and
-    the doubles are (n_paths, 3).  :func:`hop_paths` maps them to angles.
-    A sweep reads the same draws from raw words (``harness.physical_stack``).
-    """
-    n_grid = _grid_size(geometry, side, n_paths if on_grid else 1)
-    bins = rng.choice(n_grid, size=n_paths, replace=False) if on_grid else np.empty(0, int)
-    return bins, rng.random(n_paths * (3 if on_grid else 5)).reshape(n_paths, -1)
-
-
 def _angle_pairs(d):
     """(elevation, azimuth) pairs from pairs of ``rng.random`` doubles, with the bits
     ``rng.uniform(0, pi)`` and ``rng.uniform(-pi, pi)`` give them: low + (high - low) * d."""
@@ -253,7 +226,7 @@ def _angle_pairs(d):
 
 
 def hop_paths(geometry, side, bins, draws, on_grid):
-    """Path angles and gains of a stack of hops from their :func:`draw_paths` draws.
+    """Path angles and gains of a stack of hops from their :func:`draw_hop` draws.
 
     ``bins`` and ``draws`` carry the same leading axes.  Returns ``angles``
     (..., P, 4) in :func:`hop_matrix` order and ``gains`` (..., P).
@@ -276,17 +249,19 @@ def hop_paths(geometry, side, bins, draws, on_grid):
 def draw_hop(geometry, n_paths, side, rng, on_grid):
     """Random hop with the endpoint-side departure/arrival angles drawn per mode.
 
-    The one-hop case of :func:`draw_paths` and :func:`hop_paths`.  Returns
-    ``(angles, gains, None)`` as :func:`hop_matrix` takes them; the None path
-    loss is the default one, which cancels the sqrt(N*N/loss) leading scale.
+    Draws the distinct on-grid endpoint bins (none off-grid), then per path
+    ``rng.random`` doubles: the endpoint angle pair (off-grid only), the RIS
+    angle pair and the gain phase, which :func:`hop_paths` maps to angles.  A
+    sweep reads the same draws from raw words (``harness.physical_stack``).
+    Returns ``(angles, gains, None)`` as :func:`hop_matrix` takes them; the
+    None path loss is the default one, which cancels the sqrt(N*N/loss)
+    leading scale.
     """
-    bins, draws = draw_paths(geometry, n_paths, side, rng, on_grid)
+    bins = None
+    if on_grid:
+        bins = rng.choice(_grid_size(geometry, side, n_paths), n_paths, replace=False)
+    draws = rng.random(n_paths * (3 if on_grid else 5)).reshape(n_paths, -1)
     return hop_paths(geometry, side, bins, draws, on_grid) + (None,)
-
-
-def draw_phases(geometry, rng):
-    """RIS phases of one realization, uniform in [0, 2 pi)."""
-    return rng.uniform(0.0, 2.0 * np.pi, geometry.n_r)
 
 
 def _indices(mask):
@@ -333,19 +308,26 @@ def realize_stack(geometry, paths_bs_ris, paths_ris_ms, ris_phases, on_grid):
 
 
 def realize_physical(geometry, hop_bs_ris, hop_ris_ms, rng, on_grid=True):
-    """Draw RIS phases, compose the cascade, and transform to the angular domain.
+    """Draw RIS phases, uniform in [0, 2 pi), compose the cascade, and transform to
+    the angular domain.
 
     The one-realization case of :func:`realize_stack`, with the hops as
     :func:`draw_hop` returns them.
     """
-    phases = draw_phases(geometry, rng)
+    phases = rng.uniform(0.0, 2.0 * np.pi, geometry.n_r)
     return realize_stack(geometry, hop_bs_ris, hop_ris_ms, phases, on_grid)
 
 
 def realize_synthetic(geometry, sparsity, rng, magnitude=1.0):
-    """Exactly sparse ground truth drawn directly in the angular domain."""
+    """Exactly sparse ground truth drawn directly in the angular domain.
+
+    A support of ``sparsity`` distinct uniform-random entries, then their
+    uniform phases; every nonzero entry has the given magnitude and everything
+    off the support is exactly zero.
+    """
     dim = geometry.n_d * geometry.n_s
-    (upsilon,), (support,) = synth_sparse_stack(dim, sparsity, [rng], magnitude)
+    idx = rng.choice(dim, size=sparsity, replace=False)
+    (upsilon,), (support,) = sparse_stack(dim, idx[None], rng.random(sparsity)[None], magnitude)
     h_tilde_herm = unvec(upsilon, geometry.n_s, geometry.n_d)
     return ChannelRealization(
         cascade=inverse_angular_transform(upsilon, geometry),

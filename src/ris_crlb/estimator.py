@@ -203,9 +203,9 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     matrix kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; n_s
     for the pilot model), with ``corr[t]`` = Upsilon_t^H y[t] and
     ``noise_var[t]``.  ``columns(rows, subsets)`` returns the (len(rows), m,
-    l) stack of the columns ``subsets[i]`` of Upsilon_{rows[i]}.  Returns a
-    (support, statistic, subsets_examined) triple per problem, support ()
-    and statistic inf where no subset is typical.
+    l) stack of the columns ``subsets[i]`` of Upsilon_{rows[i]}.  Returns the
+    (T, l) supports, a row of -1 where no subset is typical, the (T,)
+    statistics, inf there, and the (T,) numbers of subsets examined.
 
     Every (problem, subset) pair of a block of subsets is scored in the Gram
     domain at once, and the pairs the margin leaves open go to one stacked
@@ -213,7 +213,6 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     in order: each problem sees the decisions of checking them one by one.
     """
     t_count, n_cols = corr.shape
-    total = math.comb(n_cols, l)
     m = y.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
     delta = np.full(t_count, cfg.threshold(noise_var, m, l))
@@ -222,8 +221,8 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
 
     found = np.zeros(t_count, dtype=bool)
     stat = np.full(t_count, math.inf)
-    support = [()] * t_count
-    examined = [total] * t_count
+    support = np.full((t_count, l), -1, dtype=np.intp)
+    examined = np.full(t_count, math.comb(n_cols, l))
     rows = np.arange(t_count)
     for start, subsets in _subset_blocks(n_cols, l, max(_SCAN_BLOCK // t_count, 1)):
         gstat, margin = _gram_statistics(
@@ -255,17 +254,16 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
             accept = (rank >= l) & (s < delta[p_rows])
             if not first:
                 accept &= ~found[p_rows] | (s < stat[p_rows])
-            for i in np.flatnonzero(accept):
-                row = p_rows[i]
-                found[row], stat[row] = True, s[i]
-                support[row] = tuple(int(j) for j in subsets[p_pos[i]])
-                if first:
-                    examined[row] = start + int(p_pos[i]) + 1
+            # a round holds at most one pair per problem
+            a_rows, a_pos = p_rows[accept], p_pos[accept]
+            found[a_rows], stat[a_rows], support[a_rows] = True, s[accept], subsets[a_pos]
+            if first:
+                examined[a_rows] = start + a_pos + 1
         if first:
             rows = np.flatnonzero(~found)
             if rows.size == 0:
                 break
-    return [(support[t], float(stat[t]), examined[t]) for t in range(t_count)]
+    return support, stat, examined
 
 
 def jt_estimate(y, upsilon_mat, cfg, noise_var):
@@ -290,18 +288,19 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
     if (total := math.comb(upsilon_mat.shape[1], cfg.sparsity)) > cfg.max_subsets:
         raise ValueError(f"{total} subsets exceed max_subsets = {cfg.max_subsets}")
     herm = upsilon_mat.conj().T
-    ((subset, stat, examined),) = jt_search(
+    (support,), (stat,), (examined,) = jt_search(
         y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg, cfg.sparsity,
         lambda rows, subsets: np.moveaxis(upsilon_mat[:, subsets], 0, 1),
     )
+    subset = tuple(support.tolist()) if support[0] >= 0 else ()
     estimate = np.zeros(upsilon_mat.shape[1], dtype=np.complex128)
     if subset:
         estimate[list(subset)] = least_squares(upsilon_mat[:, subset], y)
     return EstimateResult(
         support=subset,
         upsilon_hat=estimate,
-        statistic=stat,
-        subsets_examined=examined,
+        statistic=float(stat),
+        subsets_examined=int(examined),
         failed=not subset,
     )
 

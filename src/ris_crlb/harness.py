@@ -137,6 +137,12 @@ class ExperimentConfig:
                 f"sparsity = {l} exceeds the n_d * n_s = {self.geometry.n_d * n_s} "
                 "entries of the synthetic truth"
             )
+        if self.mode == "synthetic" and self.geometry.n_d * n_s > 2**32:
+            # a support is drawn by numpy's 32-bit bounded draws (_choice)
+            raise ConfigError(
+                f"n_d * n_s = {self.geometry.n_d * n_s} exceeds the 2**32 entries "
+                "a synthetic truth can draw its support from"
+            )
         if self.estimator == "jt" and self.typicality.delta is None:
             largest = max(self.support_sizes)
             short = [k for k in self.k_values if k * n_s <= largest]
@@ -404,7 +410,7 @@ def physical_stack(cfg, bits):
     """
     g, on_grid = cfg.geometry, cfg.mode == "physical_on_grid"
     hops = ((cfg.hop_bs_ris, ch.BS_TO_RIS, g.n_s), (cfg.hop_ris_ms, ch.RIS_TO_MS, g.n_d))
-    per_path = 3 if on_grid else 5  # doubles per path, as ch.draw_paths draws them
+    per_path = 3 if on_grid else 5  # doubles per path, as ch.draw_hop draws them
     steps = [
         (n_grid, spec.n_paths if on_grid else 0, spec.n_paths * per_path)
         for spec, _side, n_grid in hops
@@ -499,9 +505,11 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     not depend on its block.  The CRLB sigma^2 tr(G_I^-1), the JT search, OMP's
     greedy steps and every fit G_S^-1 c_S come from G = kron(conj(X) X^T, I)
     and c = Upsilon^H y (``numerics.gram_solve``); Upsilon's columns are built
-    only for the search's SVD rechecks and the rank band.  An OMP trial is
-    failed where it took fewer than l columns, which it counts as its
-    subsets examined.  Every trial
+    only for the search's SVD rechecks and the rank band.  One ``gram_solve``
+    per sparsity group gives the CRLB and the fit of the true support I,
+    which the genie takes, and JT too where it found I; JT fits only the
+    other supports it found.  An OMP trial is failed where it took fewer than
+    l columns, which it counts as its subsets examined.  Every trial
     starts as the failed record (squared error ||upsilon||^2, CRLB nan, no
     subsets examined); a zero truth and a rank-deficient support keep it.
     The search budget is checked before any trial (:func:`run_sweep`).
@@ -512,7 +520,7 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     seeds, pilot_words, noise_words, truths, supports, energies = staged
     estimates = np.zeros(truths.shape, dtype=np.complex128)
     n = len(supports)
-    crlbs, failed, examined = [math.nan] * n, [True] * n, [0] * n
+    crlbs, failed, examined = np.full(n, math.nan), np.ones(n, dtype=bool), np.zeros(n, np.int64)
 
     # a zero channel is not estimated
     live = np.array(
@@ -530,45 +538,48 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
         support = np.array([supports[t] for t in live[rows]])
         outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
 
-        def fit(r, cols, solve=True):  # nm.gram_solve on columns cols of the group's trials r
+        def fit(r, cols):  # nm.gram_solve on columns cols of the group's trials r
             return nm.gram_solve(
                 nm.kron_gram(outer[r], n_s, cols),
                 lambda b: sn.kron_columns(pilots[rows[r[b]]], n_s, cols[b]),
-                corr[r[:, None], cols] if solve else None, y[rows[r]],
+                corr[r[:, None], cols], y[rows[r]],
             )
 
-        # the CRLB (and the genie's fit); the group, as fit reads it, keeps the full-rank rows
-        trace, ranks, coef = fit(np.arange(rows.size), support, cfg.estimator == "genie")
+        # the CRLB and the fit of the true support; the group, as fit reads it, keeps the
+        # full-rank rows
+        trace, ranks, coef = fit(np.arange(rows.size), support)
         keep = ranks >= l
-        rows, support, outer, corr = rows[keep], support[keep], outer[keep], corr[keep]
-        at, bound = live[rows], (noise_var[rows] * trace[keep]).tolist()
+        rows, support, outer, corr, coef = (v[keep] for v in (rows, support, outer, corr, coef))
         if not rows.size:
             continue
-        fails, counts = [False] * rows.size, [0] * rows.size
-        if cfg.estimator == "genie":
-            estimates[at[:, None], support] = coef[keep]
-        elif cfg.estimator == "omp":
-            _, estimates[at], counts = est.omp_estimate(outer, n_s, corr, l, fit)
-            fails, counts = (counts < l).tolist(), counts.tolist()
-        else:
-            found, _stats, counts = zip(*est.jt_search(
+        at = live[rows]
+        crlbs[at], failed[at] = noise_var[rows] * trace[keep], False
+        if cfg.estimator == "omp":
+            _, estimates[at], examined[at] = est.omp_estimate(outer, n_s, corr, l, fit)
+            failed[at] = examined[at] < l
+            continue
+        if cfg.estimator == "jt":
+            found, _stats, examined[at] = est.jt_search(
                 y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l,
                 lambda r, cols: sn.kron_columns(pilots[rows[r]], n_s, cols),
-            ))
-            fails = [not sup for sup in found]
-            hit = np.flatnonzero(np.logical_not(fails))
-            cols = np.array([found[r] for r in hit], dtype=np.intp).reshape(-1, l)
-            # a found support has full SVD rank: the search takes no other
-            estimates[at[hit, None], cols] = fit(hit, cols)[2]
-        for t, crlb, fail, count in zip(at, bound, fails, counts):
-            crlbs[t], failed[t], examined[t] = crlb, fail, count
+            )
+            failed[at] = found[:, 0] < 0
+            # a found support has full SVD rank (the search takes no other); only one that
+            # is not the true support needs its own fit
+            wrong = np.flatnonzero(~failed[at] & np.any(found != support, axis=1))
+            if wrong.size:
+                coef[wrong] = fit(wrong, found[wrong])[2]
+            support = found
+        hit = ~failed[at]
+        estimates[at[hit, None], support[hit]] = coef[hit]
 
     errors = est.squared_errors(estimates, truths).tolist()
     snrs = np.broadcast_to(snr, (n,)).tolist()
     return [
         TrialRecord(int(k), *fields)
         for fields in zip(
-            snrs, indices, seeds.tolist(), errors, crlbs, failed, examined, energies.tolist(),
+            snrs, indices, seeds.tolist(), errors, crlbs.tolist(), failed.tolist(),
+            examined.tolist(), energies.tolist(),
             map(len, supports),
         )
     ]

@@ -185,9 +185,10 @@ class TestSnapAngles:
 class TestSynthSparseSignal:
     @staticmethod
     def draw(dim, sparsity, rng, magnitude=1.0):
-        """The one-generator stack of ch.synth_sparse_stack, as a vector and its support."""
-        (v,), (support,) = ch.synth_sparse_stack(dim, sparsity, [rng], magnitude)
-        return v, support
+        """ch.realize_synthetic on a geometry of n_d * n_s = dim entries: the vector and its
+        support."""
+        real = ch.realize_synthetic(ch.Geometry(dim, 1, 1, 1), sparsity, rng, magnitude)
+        return real.sparse_vec, real.support
 
     def test_full_support(self):
         rng = np.random.default_rng(8)
@@ -214,25 +215,6 @@ class TestSynthSparseSignal:
     def test_rejects_oversparse(self):
         with pytest.raises(ValueError):
             self.draw(4, 5, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("dim, sparsity, magnitude", [(25, 1, 1.0), (25, 3, 2.5), (6, 6, 0.3)])
-    def test_stack_matches_per_draw_reference(self, dim, sparsity, magnitude):
-        # the one-vector draw and assignment the stacked synthesis replaced
-        def reference(rng):
-            idx = rng.choice(dim, size=sparsity, replace=False)
-            v = np.zeros(dim, dtype=np.complex128)
-            v[idx] = magnitude * np.exp(2j * np.pi * rng.random(sparsity))
-            return v, tuple(sorted(int(i) for i in idx))
-
-        seeds = range(40 * dim, 40 * dim + 300)
-        stack, supports = ch.synth_sparse_stack(
-            dim, sparsity, [np.random.default_rng(s) for s in seeds], magnitude
-        )
-        for t, seed in enumerate(seeds):
-            want, want_support = reference(np.random.default_rng(seed))
-            assert stack[t].tobytes() == want.tobytes()
-            assert supports[t] == want_support
-            assert all(type(i) is int for i in supports[t])
 
 
 class TestRealizations:
@@ -277,7 +259,8 @@ class TestRealizations:
         rng = np.random.default_rng(14)
         hop1 = ch.draw_hop(GEOM, 1, ch.BS_TO_RIS, rng, on_grid=False)
         hop2 = ch.draw_hop(GEOM, 1, ch.RIS_TO_MS, rng, on_grid=False)
-        phases = ch.draw_phases(GEOM, copy.deepcopy(rng))  # the draw realize_physical makes
+        # the draw realize_physical makes
+        phases = copy.deepcopy(rng).uniform(0, 2 * np.pi, GEOM.n_r)
         real = ch.realize_physical(GEOM, hop1, hop2, rng, on_grid=False)
         recomposed = ch.compose_cascade(
             ch.hop_matrix(GEOM, ch.BS_TO_RIS, *hop1), phases,

@@ -33,6 +33,15 @@ def assert_search_matches(got, want, scale):
     assert got[1] == want[1] or abs(got[1] - want[1]) <= 1e-13 * scale
 
 
+def search_triples(support, stat, examined):
+    """jt_search's arrays as one (support, statistic, subsets_examined) triple per problem,
+    as :func:`literal_search` gives them: support () where its row is -1."""
+    return [
+        (tuple(s) if s[0] >= 0 else (), v, e)
+        for s, v, e in zip(support.tolist(), stat.tolist(), examined.tolist())
+    ]
+
+
 def literal_search(y, mat, cfg, noise_var):
     """Reference search: the SVD statistic of every subset, in lexicographic order.
 
@@ -322,10 +331,10 @@ class TestJtSearchStack:
         cfg = est.TypicalityConfig(delta=delta, sparsity=l, search_order=order)
 
         outer, corr = sn.kron_normal(pilots, n_s, y)
-        got = est.jt_search(
+        got = search_triples(*est.jt_search(
             y, outer, n_s, corr, noise_var, cfg, l,
             lambda rows, subsets: sn.kron_columns(pilots[rows], n_s, subsets),
-        )
+        ))
         want = [
             literal_search(y[t], sn.measurement_matrix(pilots[t], n_s), cfg, noise_var[t])
             for t in range(t_count)
@@ -359,10 +368,10 @@ class TestJtSearchStack:
 
         monkeypatch.setattr(est, "_svd_statistics", spy)
         outer, corr = sn.kron_normal(pilots, n_s, y)
-        got = est.jt_search(
+        got = search_triples(*est.jt_search(
             y, outer, n_s, corr, noise_var, est.TypicalityConfig(None, 1, order), 1,
             lambda rows, subsets: sn.kron_columns(pilots[rows], n_s, subsets),
-        )
+        ))
         assert [g[0] for g in got] == [(int(np.flatnonzero(v)[0]),) for v in truth]
         assert sum(checked) == (0 if order == est.LEXICOGRAPHIC_FIRST else t_count)
 

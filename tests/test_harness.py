@@ -283,16 +283,42 @@ class TestBlockCore:
         assert [c[1:] for c in chunks if c[0] == k_max] == [(6, 1), (6, 2), (2, 1)]
         assert [n for k, n in blocks if k == k_max] == [3, 3, 3, 3, 2]
 
-    @pytest.mark.parametrize("name", ["jt-rank-deficient", "genie-rank-deficient"])
+    @pytest.mark.parametrize("name", ["jt-rank-deficient", "genie-rank-deficient", "jt-l2-loose"])
     def test_failure_cases_are_exercised(self, name, monkeypatch):
         cfg = block_case(name)
-        band, inner = [], nm.gram_solve
+        band, blocks = [], []  # per sub-block: [true supports, found supports, solved rows]
+        inner, run_block, search = nm.gram_solve, hn._run_block, est.jt_search
 
-        def spy(g, columns, c=None, y=None):  # records the rows sent to the SVD
+        def spy(g, columns, c=None, y=None):  # records the rows solved and sent to the SVD
+            blocks[-1][2].append(len(g))
             return inner(g, lambda rows: band.append(len(rows)) or columns(rows), c, y)
 
+        def block_spy(cfg, k, snr_db, indices, staged=None):
+            blocks.append([staged.supports, [], []])
+            return run_block(cfg, k, snr_db, indices, staged)
+
+        def search_spy(*args):
+            found = search(*args)
+            blocks[-1][1].extend(map(tuple, found[0].tolist()))
+            return found
+
         monkeypatch.setattr(nm, "gram_solve", spy)
+        monkeypatch.setattr(hn, "_run_block", block_spy)
+        monkeypatch.setattr(est, "jt_search", search_spy)
         recs = hn.run_sweep(cfg, keep_trials=True).trial_records
+        if name == "jt-l2-loose":
+            # the search accepts wrong supports in some sub-blocks (TestBlockCore pins
+            # their records): only those take a second gram_solve, on just those trials
+            assert all(len(found) == len(true) for true, found, _ in blocks)
+            wrong = [
+                sum(f != t and -1 not in f for f, t in zip(found, true))
+                for true, found, _ in blocks
+            ]
+            assert any(wrong) and not all(wrong)
+            assert [solved for *_, solved in blocks] == [
+                [len(true)] + [w] * (w > 0) for (true, _, _), w in zip(blocks, wrong)
+            ]
+            return
         errored = [r for r in recs if r.failed and math.isnan(r.crlb_value)]
         assert errored and all(r.squared_error == r.truth_energy for r in errored)
         # the rank-deficient supports are in the Gram band, so the SVD decides
@@ -442,6 +468,20 @@ class TestBlockFailurePath:
         hn.run_sweep(hn.default_config(trials=100))
         # only the search's SVD recheck of a pair within its margin of delta builds columns
         assert set(callers) <= {"jt_search"}
+
+    def test_default_sweep_solves_each_true_support_once(self, monkeypatch):
+        # the CRLB and the fit of the true support come from one gram_solve per sparsity
+        # group of each sub-block; JT fits only the other supports it finds, none here
+        groups, solves, run_block, inner = [], [], hn._run_block, nm.gram_solve
+
+        def block_spy(cfg, k, snr_db, indices, staged=None):
+            groups.append(len({len(sup) for sup in staged.supports}))
+            return run_block(cfg, k, snr_db, indices, staged)
+
+        monkeypatch.setattr(hn, "_run_block", block_spy)
+        monkeypatch.setattr(nm, "gram_solve", lambda *args: solves.append(1) or inner(*args))
+        hn.run_sweep(hn.default_config(trials=100))
+        assert len(solves) == sum(groups) == len(groups) > 0
 
     def test_overflowed_statistic_is_not_typical(self):
         # ||y||^2 overflows to inf, so every statistic is nan: no subset is typical
@@ -1301,6 +1341,12 @@ class TestCli:
             ({"sparsity": 26}, "sparsity"),
             # the default delta needs k * n_s > sparsity: 1 * 5 <= 5
             ({"k_values": "1, 8", "sparsity": 5, "trials": 60}, "k_values"),
+            # a support drawn from over 2^32 entries: numpy's 32-bit bounded draw
+            # (hn._bounded) could never accept one
+            (
+                {"n_s": 65537, "n_d": 65537, "k_values": 65538, "trials": 1, "estimator": "genie"},
+                "n_d * n_s",
+            ),
         ],
     )
     def test_impossible_synthetic_config_rejected_before_any_trial(
@@ -1308,7 +1354,8 @@ class TestCli:
     ):
         cfg = self._write_cfg(tmp_path, **kv)
         out = tmp_path / "res.csv"
-        rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
+        with deadline(20):
+            rc = cli.main(["sweep", "--config", cfg, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
