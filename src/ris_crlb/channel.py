@@ -55,16 +55,16 @@ class ChannelRealization:
     """One draw of the cascade channel and its sparse angular image.
 
     ``sparse_vec`` is vec of the conjugate-transposed angular matrix, the
-    column-stacked length n_d*n_s vector the sensing model observes.  A
-    stack of draws (:func:`realize_stack`) carries leading axes on every
-    array and holds its supports as lists of tuples.
+    column-stacked length n_d*n_s vector the sensing model observes; a
+    support is a boolean mask over its entries.  A stack of draws
+    (:func:`realize_stack`) carries leading axes on every array.
     """
 
     cascade: np.ndarray           # (n_d, n_s)
     angular: np.ndarray           # (n_d, n_s)
     sparse_vec: np.ndarray        # (n_d*n_s,)
-    support: tuple
-    predicted_support: tuple = ()
+    support: np.ndarray           # (n_d*n_s,) bool
+    predicted_support: np.ndarray  # (n_d*n_s,) bool
 
 
 # Every synthesis step below takes stacks: array arguments may carry leading
@@ -187,10 +187,12 @@ def snap_angles(bin_index, n, spacing_ratio=0.5):
 
 def sparse_stack(dim, idx, phases, magnitude=1.0):
     """The (T, dim) stack with ``magnitude * exp(2j pi phases)`` at the (T, L) positions
-    ``idx`` and zeros elsewhere, and the list of its sorted support tuples."""
+    ``idx`` and zeros elsewhere, and its (T, dim) support masks, True at ``idx``."""
     v = np.zeros((len(idx), dim), dtype=np.complex128)
     np.put_along_axis(v, idx, magnitude * np.exp(2j * np.pi * phases), axis=1)
-    return v, [tuple(s) for s in np.sort(idx, axis=1).tolist()]
+    mask = np.zeros(v.shape, dtype=bool)
+    np.put_along_axis(mask, idx, True, axis=1)
+    return v, mask
 
 
 def _grid_size(geometry, side, n_paths=1):
@@ -264,22 +266,15 @@ def draw_hop(geometry, n_paths, side, rng, on_grid):
     return hop_paths(geometry, side, bins, draws, on_grid) + (None,)
 
 
-def _indices(mask):
-    """True positions along the last axis: a tuple, or nested lists of them for a stack."""
-    if mask.ndim == 1:
-        return tuple(np.flatnonzero(mask).tolist())
-    return [_indices(m) for m in mask]
-
-
 def realize_stack(geometry, paths_bs_ris, paths_ris_ms, ris_phases, on_grid):
     """Compose the cascades of a stack of realizations and transform them.
 
     ``paths_*`` are ``(angles, gains, path_loss)`` as :func:`hop_matrix`
-    takes them and ``ris_phases`` is (..., n_r).  The recorded support is
-    the set of entries above SUPPORT_TOL of the peak magnitude when
-    ``on_grid`` (exact sparsity holds there), otherwise the dominant-bin
-    prediction (off-grid leakage makes thresholding meaningless): one bin
-    pair per (BS path, MS path) combination, collisions collapsing.
+    takes them and ``ris_phases`` is (..., n_r).  The recorded support mask holds
+    the entries above SUPPORT_TOL of the peak magnitude when ``on_grid`` (exact
+    sparsity holds there), otherwise the dominant-bin prediction (off-grid leakage
+    makes thresholding meaningless): one bin pair per (BS path, MS path)
+    combination, collisions collapsing.
     """
     g = geometry
     g1 = hop_matrix(g, BS_TO_RIS, *paths_bs_ris)
@@ -290,14 +285,12 @@ def realize_stack(geometry, paths_bs_ris, paths_ris_ms, ris_phases, on_grid):
     bins_s = dominant_bin(directional_param(aod[..., 0], aod[..., 1], g.spacing_ratio), g.n_s)
     bins_d = dominant_bin(directional_param(aoa[..., 0], aoa[..., 1], g.spacing_ratio), g.n_d)
     cells = bins_d[..., :, None] * g.n_s + bins_s[..., None, :]
-    mask = np.zeros(upsilon.shape, dtype=bool)
-    np.put_along_axis(mask, cells.reshape(cells.shape[:-2] + (-1,)), True, axis=-1)
-    predicted = _indices(mask)
+    predicted = np.zeros(upsilon.shape, dtype=bool)
+    np.put_along_axis(predicted, cells.reshape(cells.shape[:-2] + (-1,)), True, axis=-1)
+    support = predicted
     if on_grid:
         mags = np.abs(upsilon)
-        support = _indices(mags > SUPPORT_TOL * np.max(mags, axis=-1, keepdims=True))
-    else:
-        support = predicted
+        support = mags > SUPPORT_TOL * np.max(mags, axis=-1, keepdims=True)
     return ChannelRealization(
         cascade=h,
         angular=h_tilde_herm.conj().swapaxes(-1, -2),

@@ -143,6 +143,13 @@ class ExperimentConfig:
                 f"n_d * n_s = {self.geometry.n_d * n_s} exceeds the 2**32 entries "
                 "a synthetic truth can draw its support from"
             )
+        if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()):  # a trial must fit in memory
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            k = max(self.k_values)
+            if _sub_block_bytes(self, k) > memory:
+                raise ConfigError(
+                    f"k_values {k}: one trial needs more than the {memory} B of physical memory"
+                )
         if self.estimator == "jt" and self.typicality.delta is None:
             largest = max(self.support_sizes)
             short = [k for k in self.k_values if k * n_s <= largest]
@@ -428,7 +435,7 @@ def physical_stack(cfg, bits):
 
 
 def _draw_truth(cfg, words):
-    """Angular-domain truths (T, n_d*n_s) and supports, one per row of truth seed words:
+    """Angular-domain truths (T, n_d*n_s) and support masks, one per row of truth seed words:
     the draws of ``generators(words)``, per mode, from raw words (:func:`raw_draws`)."""
     bits = bit_generators(words)
     if cfg.mode == "synthetic":
@@ -447,7 +454,7 @@ class _Truths(NamedTuple):
     pilot_words: np.ndarray  # (T, 4) seed words of the pilot substream
     noise_words: np.ndarray  # (T, 4) seed words of the noise substream
     truths: np.ndarray       # (T, n_d*n_s) complex
-    supports: list           # support tuples
+    supports: np.ndarray     # (T, n_d*n_s) bool support masks
     energies: np.ndarray     # (T,) ||upsilon||^2
 
 
@@ -465,8 +472,8 @@ def _stage_truths(cfg, k, snr_db, indices):
 def _truth_bytes(cfg):
     """Stated per-trial peak of :func:`_stage_truths` in bytes, which sizes its chunks.
 
-    Synthetic: the complex truth and the two float temporaries of its
-    energy, 32 B an entry, plus 256 B of seeds, words and support.
+    Synthetic: about 32 B an entry (the complex truth, the two float temporaries
+    of its energy and the support mask) plus 256 B of seeds and words.
     Physical: the truth's 16 B an entry, two complex temporaries of each hop
     matrix (``channel.hop_matrix``) and 48 B per raw word of a double, held
     as a Python int: 5 per path and one per RIS phase.
@@ -480,13 +487,14 @@ def _truth_bytes(cfg):
 
 def _sub_block_bytes(cfg, k):
     """Stated per-trial peak of an estimation sub-block (:func:`_run_block`) at K = k in
-    bytes, which sizes the sub-blocks: ``160 k n_s``, ten complex observations.
+    bytes, which sizes the sub-blocks: ``80 k (n_d + n_s)``, five complex values per
+    pilot entry and per observation entry.
 
-    It holds for JT at L = 1, the genie and OMP (tracemalloc reads 100-160 k n_s).
+    It holds for JT at L = 1, the genie and OMP (tracemalloc reads 0.64-1.01 of it).
     The L >= 2 search holds more: its scratch is bounded per pass
     (``estimator._SCAN_BLOCK``), not per trial.
     """
-    return 160 * k * cfg.geometry.n_s
+    return 80 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
 
 
 def run_trial(cfg, k, snr_db, trial_index):
@@ -505,37 +513,35 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     not depend on its block.  The CRLB sigma^2 tr(G_I^-1), the JT search, OMP's
     greedy steps and every fit G_S^-1 c_S come from G = kron(conj(X) X^T, I)
     and c = Upsilon^H y (``numerics.gram_solve``); Upsilon's columns are built
-    only for the search's SVD rechecks and the rank band.  One ``gram_solve``
-    per sparsity group gives the CRLB and the fit of the true support I,
-    which the genie takes, and JT too where it found I; JT fits only the
-    other supports it found.  An OMP trial is failed where it took fewer than
-    l columns, which it counts as its subsets examined.  Every trial
-    starts as the failed record (squared error ||upsilon||^2, CRLB nan, no
-    subsets examined); a zero truth and a rank-deficient support keep it.
-    The search budget is checked before any trial (:func:`run_sweep`).
+    only for the search's SVD rechecks and the rank band.  A sparsity group
+    holds the trials whose support masks count l entries; one ``gram_solve``
+    per group gives the CRLB and the fit of the true support I, which the
+    genie takes, and JT too where it found I; JT fits only the other supports
+    it found.  An OMP trial is failed where it took fewer than l columns,
+    which it counts as its subsets examined.  Every trial starts as the
+    failed record (squared error ||upsilon||^2, CRLB nan, no subsets
+    examined); a zero truth, an empty support and a rank-deficient support
+    keep it.  The search budget is checked before any trial (:func:`run_sweep`).
     """
     n_s = cfg.geometry.n_s
     if staged is None:
         staged = _stage_truths(cfg, k, snr_db, indices)
     seeds, pilot_words, noise_words, truths, supports, energies = staged
     estimates = np.zeros(truths.shape, dtype=np.complex128)
-    n = len(supports)
+    n, sizes = len(supports), np.count_nonzero(supports, axis=1)
     crlbs, failed, examined = np.full(n, math.nan), np.ones(n, dtype=bool), np.zeros(n, np.int64)
 
-    # a zero channel is not estimated
-    live = np.array(
-        [t for t, sup in enumerate(supports) if sup and energies[t] != 0.0], dtype=np.intp
-    )
+    # a zero channel is not estimated, nor one with no support: a non-finite on-grid truth
+    live = np.flatnonzero((energies != 0.0) & (sizes > 0))
     snr = np.asarray(snr_db, dtype=np.float64)
     noise_var = sn.snr_to_noise_var(snr if snr.ndim == 0 else snr[live], energies[live], n_s)
     pilots, y = sn.observe_block(
         generators(pilot_words[live]), k, n_s, truths[live], noise_var,
         generators(noise_words[live]),
     )
-    sizes = np.array([len(supports[t]) for t in live])
-    for l in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == l)  # of the live stacks
-        support = np.array([supports[t] for t in live[rows]])
+    for l in sorted(set(sizes[live].tolist())):  # np.unique's first call costs ~15 ms
+        rows = np.flatnonzero(sizes[live] == l)  # of the live stacks
+        support = np.nonzero(supports[live[rows]])[1].reshape(-1, l)  # ascending in each row
         outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
 
         def fit(r, cols):  # nm.gram_solve on columns cols of the group's trials r
@@ -579,8 +585,7 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
         TrialRecord(int(k), *fields)
         for fields in zip(
             snrs, indices, seeds.tolist(), errors, crlbs.tolist(), failed.tolist(),
-            examined.tolist(), energies.tolist(),
-            map(len, supports),
+            examined.tolist(), energies.tolist(), sizes.tolist(),
         )
     ]
 
@@ -730,10 +735,8 @@ def export_angular_map(cfg, seed):
     if cfg.mode == "synthetic":
         raise ConfigError("angular map export requires a physical mode")
     real = physical_stack(cfg, bit_generators(seed_words(_mix64(int(seed)))))
-    cells = tuple(
-        (idx // cfg.geometry.n_s, idx % cfg.geometry.n_s)
-        for idx in real.predicted_support[0]
-    )
+    bins = np.flatnonzero(real.predicted_support[0]).tolist()
+    cells = tuple(divmod(idx, cfg.geometry.n_s) for idx in bins)
     return np.abs(real.angular[0]), cells
 
 

@@ -69,7 +69,7 @@ class TestExperimentConfig:
         cfg = hn.default_config(**overrides)
         assert cfg.support_sizes == sizes
         staged = hn._stage_truths(cfg, cfg.k_values[0], 20.0, range(200))
-        assert {len(s) for s in staged.supports} <= set(sizes)
+        assert set(np.count_nonzero(staged.supports, axis=1).tolist()) <= set(sizes)
 
     def test_rejects_empty_sweep_axes(self):
         with pytest.raises(ConfigError, match="k_values"):
@@ -92,7 +92,7 @@ def reference_trial(cfg, k, snr_db, trial_index):
     rng = np.random.default_rng(hn._mix64(seed ^ 1))
     if cfg.mode == "synthetic":
         real = ch.realize_synthetic(g, cfg.typicality.sparsity, rng, cfg.magnitude)
-        truth, support = real.sparse_vec, real.support
+        truth, support = real.sparse_vec, tuple(np.flatnonzero(real.support).tolist())
     else:
         # the frozen per-path synthesis, independent of the stacked code
         real = fc.draw_physical(
@@ -294,7 +294,7 @@ class TestBlockCore:
             return inner(g, lambda rows: band.append(len(rows)) or columns(rows), c, y)
 
         def block_spy(cfg, k, snr_db, indices, staged=None):
-            blocks.append([staged.supports, [], []])
+            blocks.append([[tuple(np.flatnonzero(m).tolist()) for m in staged.supports], [], []])
             return run_block(cfg, k, snr_db, indices, staged)
 
         def search_spy(*args):
@@ -372,19 +372,24 @@ class TestTruthStage:
 
     @pytest.mark.parametrize(
         # K = 4000 and n_d = n_s = 20 sub-blocks hold one trial each, so a
-        # per-block (K n_s, n_d n_s) Upsilon would show in the peak
-        "k, n", [pytest.param(k, 5, id=str(k)) for k in (8, 20, 80, 4000)]
-        + [pytest.param(1000, 20, id="1000-20x20")],
+        # per-block (K n_s, n_d n_s) Upsilon would show in the peak; n_d != n_s:
+        # the pilots grow with n_d K and the observations with n_s K
+        "k, n_d, n_s", [pytest.param(k, 5, 5, id=str(k)) for k in (8, 20, 80, 4000)]
+        + [pytest.param(1000, 20, 20, id="1000-20x20")]
+        + [pytest.param(k, n_d, n_s, id=f"{k}-{n_d}x{n_s}")
+           for k, n_d, n_s in ((200, 40, 1), (400, 200, 1), (100, 1, 40))],
     )
     @pytest.mark.parametrize(
         "estimator, mode",
         [("jt", "synthetic"), ("genie", "synthetic"), ("genie", "physical_off_grid"),
          ("omp", "synthetic")],
     )
-    def test_sub_block_peak_per_trial_is_the_stated_footprint(self, estimator, mode, k, n):
+    def test_sub_block_peak_per_trial_is_the_stated_footprint(
+        self, estimator, mode, k, n_d, n_s
+    ):
         # one sub-block at the sweep's size, its truths staged beforehand
         cfg = hn.default_config(
-            estimator=estimator, mode=mode, k_values=(k,), geometry=ch.Geometry(n, n, 2, 5)
+            estimator=estimator, mode=mode, k_values=(k,), geometry=ch.Geometry(n_s, n_d, 2, 5)
         )
         trials = max(hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k), 1)
         staged = hn._stage_truths(cfg, k, 20.0, range(trials))
@@ -475,7 +480,7 @@ class TestBlockFailurePath:
         groups, solves, run_block, inner = [], [], hn._run_block, nm.gram_solve
 
         def block_spy(cfg, k, snr_db, indices, staged=None):
-            groups.append(len({len(sup) for sup in staged.supports}))
+            groups.append(len(set(np.count_nonzero(staged.supports, axis=1).tolist())))
             return run_block(cfg, k, snr_db, indices, staged)
 
         monkeypatch.setattr(hn, "_run_block", block_spy)
@@ -491,6 +496,33 @@ class TestBlockFailurePath:
         assert len(res.trial_records) == 9
         assert all(r.failed and r.subsets_examined == 25 for r in res.trial_records)
         assert [row.fail_rate for row in res.rows] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "mode, losses, size, energy",
+        [
+            # both path losses underflow every truth to zero; its support mask keeps one bin
+            ("physical_on_grid", (1e300, 1e300), 1, 0.0),
+            ("physical_off_grid", (1e300, 1e300), 1, 0.0),
+            # a path loss of 5e-324 overflows the hop's scale: the truth is nan, so no
+            # entry passes the on-grid threshold and the support mask is empty
+            ("physical_on_grid", (5e-324, None), 0, math.nan),
+        ],
+        ids=["zero-on-grid", "zero-off-grid", "nan-on-grid"],
+    )
+    def test_truth_without_energy_or_support_is_a_failed_record(self, mode, losses, size, energy):
+        cfg = hn.default_config(
+            mode=mode, k_values=(8,), snr_db_values=(20.0,), trials=3,
+            hop_bs_ris=hn.HopSpec(1, losses[0]), hop_ris_ms=hn.HopSpec(1, losses[1]),
+        )
+        with np.errstate(all="ignore"):
+            staged = hn._stage_truths(cfg, 8, 20.0, range(3))
+            recs = hn.run_sweep(cfg, keep_trials=True).trial_records
+        assert np.count_nonzero(staged.supports, axis=1).tolist() == [size] * 3
+        np.testing.assert_array_equal(staged.energies, [energy] * 3)
+        # not estimated: the failed record, whose squared error is ||upsilon||^2
+        assert all(r.failed and math.isnan(r.crlb_value) for r in recs)
+        assert [(r.sparsity, r.subsets_examined) for r in recs] == [(size, 0)] * 3
+        np.testing.assert_array_equal([r.squared_error for r in recs], [energy] * 3)
 
     def test_estimator_error_is_not_a_failed_trial(self, monkeypatch):
         def broken(*args):
@@ -745,8 +777,8 @@ class TestPhysicalDraws:
         rng = np.random.Generator(TestSyntheticDraws.pcg64_at(state))
         ref = fc.draw_physical(cfg.geometry, (paths[0], None), (paths[1], None), rng, True)
         assert real.sparse_vec[0].tobytes() == ref.upsilon.tobytes()
-        assert real.support[0] == ref.support
-        assert real.predicted_support[0] == ref.predicted
+        assert tuple(np.flatnonzero(real.support[0]).tolist()) == ref.support
+        assert tuple(np.flatnonzero(real.predicted_support[0]).tolist()) == ref.predicted
 
 
 class TestRunTrial:
@@ -1185,6 +1217,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read config file") and str(path) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "crlb"])
+    def test_k_over_physical_memory_rejected_before_any_trial(self, tmp_path, capsys, command):
+        # one trial's pilot block alone would take 72.8 TiB
+        cfg = self._write_cfg(tmp_path, k_values=10**12, trials=1)
+        out = tmp_path / "res.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_values") and "physical memory" in err
+        assert not out.exists() and not (tmp_path / "res.json").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "crlb", "angular-map"])
     @pytest.mark.parametrize("target", ["missing/res.csv", "dir.csv", ""])
