@@ -122,12 +122,10 @@ def _cmd_crlb(args):
         seed = int(hn.trial_seeds(cfg.master_seed, k, 0.0, [0])[0, 0])
         pilots = sn.gen_pilots(cfg.geometry.n_d, k, seed)[None]
         outer, _ = sn.kron_normal(pilots, n_s, np.zeros((1, k * n_s)))
-        (trace,), (rank,), _ = nm.gram_solve(
-            nm.kron_gram(outer, n_s, cols), lambda b: sn.kron_columns(pilots[b], n_s, cols[b])
-        )
+        (trace,), (full,), _ = nm.gram_solve(nm.kron_gram(outer, n_s, cols))
         for snr_db in cfg.snr_db_values:
             noise_var, delta, missed, wrong = hn.bound_terms(cfg, k, snr_db, energy, l)
-            crlb = float(noise_var * trace) if rank >= l else np.nan  # as a sweep does
+            crlb = float(noise_var * trace) if full else np.nan  # as a sweep does
             row = (snr_db, noise_var, delta, crlb, missed, wrong, crlb + missed + wrong)
             lines.append(f"{k}," + ",".join(format(v, ".17g") for v in row))
     text = "\n".join(lines) + "\n"
@@ -155,7 +153,7 @@ def _selftest_checks():
         m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         x = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         lhs = nm.vec(m @ x)
-        rhs = sn.kron_columns(x, 4, np.arange(12)) @ nm.vec(m)
+        rhs = sn.measurement_matrix(x, 4) @ nm.vec(m)
         return np.max(np.abs(lhs - rhs)) < 1e-10
 
     def projector_props():
@@ -169,7 +167,7 @@ def _selftest_checks():
 
     def measurement_rank():
         pilots = sn.gen_pilots(5, 20, 11)
-        return nm.numeric_rank(sn.kron_columns(pilots, 5, np.arange(25))) == 25
+        return nm.numeric_rank(sn.measurement_matrix(pilots, 5)) == 25
 
     def cascade_energy():
         cfg = hn.default_config(geometry=geom, mode="physical_off_grid")

@@ -11,20 +11,22 @@ The estimator scans all L-subsets; if none is typical it outputs the zero
 vector.  With c = Upsilon^H y and G = Upsilon^H Upsilon formed once, the
 projected energy ||P_J y||^2 of every candidate is c_J^H G_J^-1 c_J, scored
 a block of subsets at a time by one LDL^H elimination of the stack of G_J.
-A margin bounds its rounding difference from the SVD statistic
-:func:`typicality_statistic`.  A subset above delta by more than the margin
-is dismissed; under ``lexicographic_first`` one below delta by more than it
-is accepted, with this statistic (``best_statistic`` ranks by SVD
-statistics); the SVD statistic decides the rest.  So every decision is the
-SVD statistic's.
+A subset is typical where that statistic is below delta and G_J is full rank
+(``numerics.full_rank``: lambda_max < GRAM_COND lambda_min).  The
+elimination's bound tr(G_J)^L / det(G_J) on that ratio proves full rank for
+almost every subset; only a typical subset it leaves open takes the
+eigenvalues of its G_J.  No SVD and no column of Upsilon is needed.  The SVD
+form of the statistic, :func:`typicality_statistic`, is the reference: it
+differs from the Gram one by rounding, a few L eps cond(G_J) ||y||^2, and its
+rank rule is ``numerics.svd_rank``'s.
 
 Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
 mean-squared-error upper bound adds two exponentially small penalty terms
 for missing the true support and for accepting a wrong one.  The orthogonal
 matching pursuit baseline works from the same G and c: its residual
-correlations are c - G v, and its refits and ranks are the caller's
-``numerics.gram_solve``.
+correlations are c - G v, and its refits and full-rank flags are the
+caller's ``numerics.gram_solve``.
 """
 
 import math
@@ -35,7 +37,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .numerics import GRAM_COND, as_matrix, as_vector, kron_gram, least_squares, svd_rank
+from .numerics import GRAM_COND, as_matrix, as_vector, full_rank, kron_gram, least_squares, svd_rank
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
@@ -43,8 +45,6 @@ BEST_STATISTIC = "best_statistic"
 # (problem, subset) pairs scored per batched pass of the search; bounds its
 # working memory (a few hundred bytes per pair at small L) whatever C(n, L) is
 _SCAN_BLOCK = 4096
-# safety factor of the recheck margin over the first-order rounding bound
-_RECHECK_ULPS = 1024.0
 
 
 @dataclass(frozen=True)
@@ -111,34 +111,20 @@ def typicality_statistic(y, sub, noise_var, l):
 
     Returns |(1/m)||P^perp y||^2 - ((m - l)/m) sigma^2| with m = len(y),
     projecting through an SVD basis of the column span.  Raises
-    RankDeficientError when rank(sub) < l; the caller treats such candidate
-    sets as non-typical.  This is the reference statistic whose decisions
-    the search in :func:`jt_estimate` reproduces.
+    RankDeficientError when the :func:`numerics.svd_rank` of ``sub`` is below
+    l.  This is the SVD reference of the Gram-domain statistic that the
+    search in :func:`jt_estimate` decides by (see the module docstring).
     """
     y = as_vector(y, "y")
     sub = as_matrix(sub, "sub")
-    if sub.shape != (y.shape[0], l):
-        raise DimensionMismatchError(
-            f"sub has shape {sub.shape}, expected {(y.shape[0], l)}"
-        )
-    stat, rank = _svd_statistics(y, sub, np.vdot(y, y).real, noise_var, l)
-    if rank < l:
+    m = y.shape[0]
+    if sub.shape != (m, l):
+        raise DimensionMismatchError(f"sub has shape {sub.shape}, expected {(m, l)}")
+    basis, s, _ = np.linalg.svd(sub, full_matrices=False)
+    if (rank := svd_rank(s, sub.shape)) < l:
         raise RankDeficientError(f"submatrix rank {rank} < {l}")
-    return float(stat)
-
-
-def _svd_statistics(y, subs, yy, noise_var, l):
-    """Statistic of :func:`typicality_statistic` and rank of each pair of a stack.
-
-    ``y`` is (..., m) and ``subs`` (..., m, l); ``yy`` = ||y||^2 and
-    ``noise_var`` broadcast against the stack.  The statistic is meaningless
-    where the rank falls short of l.
-    """
-    basis, s, _ = np.linalg.svd(subs, full_matrices=False)
-    m = subs.shape[-2]
-    proj = np.matmul(basis.conj().swapaxes(-1, -2), y[..., None])[..., 0]
-    residual = np.maximum(yy - np.sum(np.abs(proj) ** 2, axis=-1), 0.0)
-    return np.abs(residual / m - (m - l) / m * noise_var), svd_rank(s, subs.shape)
+    residual = max(np.vdot(y, y).real - np.sum(np.abs(basis.conj().T @ y) ** 2), 0.0)
+    return float(abs(residual / m - (m - l) / m * noise_var))
 
 
 def _subset_blocks(n_cols, l, size):
@@ -165,16 +151,10 @@ def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
     (R, b).  An LDL^H elimination of the stack of G_J (:func:`kron_gram`),
     each pivot step on all pairs at once, with c_J forward substituted to
     c', gives ||P_J y||^2 = sum_p |c'_p|^2 / d_p.  Returns the statistics
-    and a margin per pair that their distance from
-    :func:`typicality_statistic` stays below.  Unpivoted LDL^H is backward
-    stable on a Hermitian positive definite G_J (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 10.1), so its energy, like the
-    m-term sums forming G, c and the SVD projection, misses the exact one by
-    a few l * eps * cond(G_J) * ||y||^2.  The margin is _RECHECK_ULPS * eps *
-    cond * (||y||^2 + sigma^2) with cond = tr(G_J)^l / det, det = prod_p d_p:
-    as w_max <= tr and w_min >= det / w_max^(l-1), cond >= w_max / w_min
-    (= 1 at l = 1).  The margin is inf, and the SVD decides, unless every
-    pivot is > 0 (not just det) and cond < GRAM_COND.
+    and whether the elimination proves G_J full rank (``numerics.full_rank``):
+    every pivot is > 0 (not just det = prod_p d_p) and tr(G_J)^l / det <
+    GRAM_COND, which bounds w_max / w_min from above, as w_max <= tr and
+    w_min >= det / w_max^(l-1) (the bound is 1 at l = 1).
     """
     l = subsets.shape[1]
     g = kron_gram(outer, reps, subsets[None])
@@ -187,13 +167,11 @@ def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
             g[..., p + 1:, p + 1:] -= f[..., :, None] * g[..., None, p, p + 1:]
             c[..., p + 1:] -= f * c[..., p, None]
             energy, cond, ok = energy + np.abs(c[..., p]) ** 2 / d, cond / d, ok & (d > 0)
-        yy, noise_var = yy[:, None], noise_var[:, None]
-        stat = np.abs(np.maximum(yy - energy, 0.0) / m - (m - l) / m * noise_var)
-        margin = _RECHECK_ULPS * np.finfo(np.float64).eps * cond * (yy + np.abs(noise_var))
-    return stat, np.where(ok & (cond < GRAM_COND), margin, np.inf)
+        stat = np.abs(np.maximum(yy[:, None] - energy, 0.0) / m - (m - l) / m * noise_var[:, None])
+    return stat, ok & (cond < GRAM_COND)
 
 
-def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
+def jt_search(y, outer, reps, corr, noise_var, cfg, l):
     """The subset search of :func:`jt_estimate` for a stack of T problems.
 
     The candidates are the ``l``-subsets; ``cfg`` gives the threshold
@@ -202,15 +180,14 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     t observes ``y[t]`` (length m) through Upsilon_t, of n columns and Gram
     matrix kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; n_s
     for the pilot model), with ``corr[t]`` = Upsilon_t^H y[t] and
-    ``noise_var[t]``.  ``columns(rows, subsets)`` returns the (len(rows), m,
-    l) stack of the columns ``subsets[i]`` of Upsilon_{rows[i]}.  Returns the
-    (T, l) supports, a row of -1 where no subset is typical, the (T,)
-    statistics, inf there, and the (T,) numbers of subsets examined.
+    ``noise_var[t]``.  Returns the (T, l) supports, a row of -1 where no
+    subset is typical, the (T,) Gram statistics, inf there, and the (T,)
+    numbers of subsets examined.
 
-    Every (problem, subset) pair of a block of subsets is scored in the Gram
-    domain at once, and the pairs the margin leaves open go to one stacked
-    SVD per round, round r taking each open problem's r-th remaining subset
-    in order: each problem sees the decisions of checking them one by one.
+    Every (problem, subset) pair of a block of subsets is scored at once
+    (:func:`_gram_statistics`).  Each problem takes its first typical pair of
+    the block (``lexicographic_first``), or its least statistic if below the
+    best of earlier blocks, so the first one on ties (``best_statistic``).
     """
     t_count, n_cols = corr.shape
     m = y.shape[-1]
@@ -219,48 +196,28 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l, columns):
     first = cfg.search_order == LEXICOGRAPHIC_FIRST
     yy = np.array([np.vdot(v, v).real for v in y])
 
-    found = np.zeros(t_count, dtype=bool)
     stat = np.full(t_count, math.inf)
     support = np.full((t_count, l), -1, dtype=np.intp)
     examined = np.full(t_count, math.comb(n_cols, l))
     rows = np.arange(t_count)
     for start, subsets in _subset_blocks(n_cols, l, max(_SCAN_BLOCK // t_count, 1)):
-        gstat, margin = _gram_statistics(
+        s, proven = _gram_statistics(
             outer[rows], reps, corr[rows], yy[rows], noise_var[rows], subsets, m
         )
-        # dismiss a pair only when its SVD statistic is >= delta by the
-        # first-order rounding bound (times _RECHECK_ULPS); NaN compares
-        # false and keeps the pair
-        ri, ci = np.nonzero(~(gstat - margin >= delta[rows, None]))
-        rounds = np.arange(ri.size) - np.searchsorted(ri, ri)
-        for r in range(int(rounds.max(initial=-1)) + 1):
-            pick = rounds == r
-            if first:
-                pick &= ~found[rows[ri]]
-            pick = np.flatnonzero(pick)
-            if pick.size == 0:
-                break
-            p_rows, p_pos = rows[ri[pick]], ci[pick]
-            s, rank = gstat[ri[pick], p_pos], np.full(pick.size, l)
-            # lexicographic_first takes a pair typical by more than its margin as it is;
-            # best_statistic orders pairs by their SVD statistics, so it rechecks them all
-            svd = np.flatnonzero(~(first & (s + margin[ri[pick], p_pos] < delta[p_rows])))
-            if svd.size:
-                s[svd], rank[svd] = _svd_statistics(
-                    y[p_rows[svd]], columns(p_rows[svd], subsets[p_pos[svd]]),
-                    yy[p_rows[svd]], noise_var[p_rows[svd]], l,
-                )
-            # a NaN statistic (an overflowed ||y||^2) is not typical
-            accept = (rank >= l) & (s < delta[p_rows])
-            if not first:
-                accept &= ~found[p_rows] | (s < stat[p_rows])
-            # a round holds at most one pair per problem
-            a_rows, a_pos = p_rows[accept], p_pos[accept]
-            found[a_rows], stat[a_rows], support[a_rows] = True, s[accept], subsets[a_pos]
-            if first:
-                examined[a_rows] = start + a_pos + 1
+        typical = s < delta[rows, None]  # NaN, from an overflowed ||y||^2, is not typical
+        ri, ci = np.nonzero(typical & ~proven)
+        if ri.size:  # eigvalsh decides the pairs whose full rank the screen leaves open
+            lam = np.linalg.eigvalsh(kron_gram(outer[rows[ri]], reps, subsets[ci]))
+            typical[ri, ci] = full_rank(lam)
+        s = np.where(typical, s, math.inf)
+        pos = np.argmax(typical, axis=1) if first else np.argmin(s, axis=1)
+        best = s[np.arange(rows.size), pos]
+        take = best < stat[rows]
+        at = rows[take]
+        stat[at], support[at] = best[take], subsets[pos[take]]
         if first:
-            rows = np.flatnonzero(~found)
+            examined[at] = start + pos[take] + 1
+            rows = rows[~take]
             if rows.size == 0:
                 break
     return support, stat, examined
@@ -271,13 +228,14 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
 
     Subsets are enumerated in lexicographic order.  ``lexicographic_first``
     returns the first typical set, ``best_statistic`` the typical set with
-    the smallest deviation (the first one on ties).  Rank-deficient
-    candidates are skipped.  ``subsets_examined`` is the winner's
+    the smallest deviation (the first one on ties).  Candidates that are not
+    full rank are skipped.  ``subsets_examined`` is the winner's
     lexicographic position plus one under ``lexicographic_first`` and
     C(n, L) otherwise.  The estimate restricted to the winning support is
     its least-squares fit; with no typical set the zero vector is returned
     with ``failed`` set.  The one-problem case of :func:`jt_search`, so
-    every decision is the SVD statistic's (see the module docstring).
+    every decision is the Gram statistic's and rank rule's (see the module
+    docstring).
     """
     y = as_vector(y, "y")
     upsilon_mat = as_matrix(upsilon_mat, "upsilon_mat")
@@ -289,8 +247,7 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
         raise ValueError(f"{total} subsets exceed max_subsets = {cfg.max_subsets}")
     herm = upsilon_mat.conj().T
     (support,), (stat,), (examined,) = jt_search(
-        y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg, cfg.sparsity,
-        lambda rows, subsets: np.moveaxis(upsilon_mat[:, subsets], 0, 1),
+        y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg, cfg.sparsity
     )
     subset = tuple(support.tolist()) if support[0] >= 0 else ()
     estimate = np.zeros(upsilon_mat.shape[1], dtype=np.complex128)
@@ -405,9 +362,9 @@ def omp_estimate(outer, reps, corr, l, fit):
     |c - G v| / sqrt(diag G) of the estimate v, where G v = outer V with V =
     v.reshape(p, reps) and the column norms are sqrt(outer[j, j]), each ``reps``
     times; then it refits on the selected set: ``fit(rows, cols)`` returns
-    ``numerics.gram_solve``'s (trace, rank, G_S^-1 c_S) for problems ``rows`` and
-    their (len(rows), s) column sets ``cols``.  A problem stops, degenerate, at
-    the first step whose rank does not grow.  Ties break to the lowest index,
+    ``numerics.gram_solve``'s (trace, full rank, G_S^-1 c_S) for problems ``rows``
+    and their (len(rows), s) column sets ``cols``.  A problem stops, degenerate, at
+    the first step whose column set is not full rank.  Ties break to the lowest index,
     but only exact float ties: at K = 1 the n_d columns of one identity
     position score alike in exact arithmetic, so rounding picks among them.
     Returns the (T, l) columns in the order taken (-1 past a stop), the (T, n)
@@ -424,8 +381,7 @@ def omp_estimate(outer, reps, corr, l, fit):
         score = np.abs(corr[rows] - gv.reshape(rows.size, n_cols)) / norms[rows]
         np.put_along_axis(score, taken[rows, :step], -1.0, axis=1)
         cols = np.concatenate([taken[rows, :step], np.argmax(score, axis=1)[:, None]], axis=1)
-        _, rank, coef = fit(rows, cols)
-        grew = rank > step
+        _, grew, coef = fit(rows, cols)
         rows, cols = rows[grew], cols[grew]
         if not rows.size:
             break

