@@ -9,14 +9,21 @@ noise-only level:
 
 The estimator scans all L-subsets; if none is typical it outputs the zero
 vector.  With c = Upsilon^H y and G = Upsilon^H Upsilon formed once, the
-projected energy ||P_J y||^2 of every candidate is c_J^H G_J^-1 c_J, scored
-a block of subsets at a time by one LDL^H elimination of the stack of G_J.
-A subset is typical where that statistic is below delta and G_J is full rank
-(``numerics.full_rank``: lambda_max < GRAM_COND lambda_min).  The
-elimination's bound tr(G_J)^L / det(G_J) on that ratio proves full rank for
-almost every subset; only a typical subset it leaves open takes the
-eigenvalues of its G_J.  No SVD and no column of Upsilon is needed.  The SVD
-form of the statistic, :func:`typicality_statistic`, is the reference: it
+projected energy ||P_J y||^2 of every candidate is c_J^H G_J^-1 c_J.  In
+G = kron(conj(X) X^T, I_ns) a column (j, i) = divmod(col, n_s) is orthogonal
+to those of other i, so G_J is block-diagonal over J's blocks, its columns of
+one i.  Each problem's tables therefore eliminate, as LDL^H, the outer_S of
+every set S of pilot rows that a block can hold, once, with the right-hand
+sides c_{S,i}; a subset's energy is the sum of its columns' pivot terms
+|c'|^2 / d in column order.  That is the arithmetic of an LDL^H of the whole
+G_J, bit for bit: its eliminations across blocks subtract exact zeros, except
+after a pivot that is 0 or nan, whose nan in the later columns of other blocks
+the tables reproduce.  A subset is typical where that statistic is below
+delta and G_J is full rank (``numerics.full_rank``: lambda_max < GRAM_COND
+lambda_min).  The pivots' bound tr(G_J)^L / det(G_J) on that ratio proves
+full rank for almost every subset; only a typical subset it leaves open takes
+the eigenvalues of its G_J.  No SVD and no column of Upsilon is needed.  The
+SVD form of the statistic, :func:`typicality_statistic`, is the reference: it
 differs from the Gram one by rounding, a few L eps cond(G_J) ||y||^2, and its
 rank rule is ``numerics.svd_rank``'s.
 
@@ -29,10 +36,10 @@ correlations are c - G v, and its refits and full-rank flags are the
 caller's ``numerics.gram_solve``.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -42,8 +49,7 @@ from .numerics import GRAM_COND, as_matrix, as_vector, full_rank, kron_gram, lea
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
 
-# (problem, subset) pairs scored per batched pass of the search; bounds its
-# working memory (a few hundred bytes per pair at small L) whatever C(n, L) is
+# (problem, subset) pairs scored per pass of the search, which bounds its scratch
 _SCAN_BLOCK = 4096
 
 
@@ -127,48 +133,98 @@ def typicality_statistic(y, sub, noise_var, l):
     return float(abs(residual / m - (m - l) / m * noise_var))
 
 
-def _subset_blocks(n_cols, l, size):
-    """All l-subsets of range(n_cols) in lexicographic order, in blocks.
+@functools.lru_cache(maxsize=8)
+def _layout(n_d, reps, l):
+    """The search's shape data: C(n, l), n = n_d reps; C(a, k) (l + 1, n), capped at C(n, l);
+    at reps > 1 the colex s-subsets of range(n_d) of each block size s and each size's start
+    in the flat tables (by s; last, their length); where l C(n, l) <= 16 _SCAN_BLOCK (1.5
+    MiB at most), all subsets and at reps > 1 their :func:`_gather` index."""
+    n, total = n_d * reps, math.comb(n_d * reps, l)
+    comb = np.array([[min(math.comb(a, k), total) for a in range(n)] for k in range(l + 1)])
+    sizes = range(max(l - n_d * (reps - 1), 1), min(l, n_d) + 1) if reps > 1 else range(0)
+    sets = [_unrank(comb, np.arange(math.comb(n_d, s)), s) for s in sizes]
+    starts = np.cumsum([0] * (sizes.start + 1) + [v.size for v in sets])
+    cached = _lex(comb, total, 0, total) if l * total <= 16 * _SCAN_BLOCK else None
+    index = _gather(comb, starts, cached, reps) if cached is not None and reps > 1 else None
+    for v in [comb, starts, *sets] + ([] if cached is None else [cached, *(index or ())]):
+        v.flags.writeable = False  # every call shares them
+    return total, comb, sets, starts, cached, index
 
-    Yields (position of the block's first subset, (b, l) index array) with
-    b <= size.
-    """
-    subsets = combinations(range(n_cols), l)
-    start = 0
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(subsets, size)), dtype=np.intp)
-        if flat.size == 0:
-            return
-        yield start, flat.reshape(-1, l)
-        start += flat.size // l
+
+def _unrank(comb, ranks, s):
+    """The (b, s) ascending s-subsets of colex ranks ``ranks``: rank = sum_k C(a_k, k + 1)."""
+    out = np.empty((len(ranks), s), dtype=np.intp)
+    for k in range(s, 0, -1):
+        out[:, k - 1] = np.searchsorted(comb[k], ranks, side="right") - 1
+        ranks = ranks - comb[k, out[:, k - 1]]
+    return out
 
 
-def _gram_statistics(outer, reps, corr, yy, noise_var, subsets, m):
-    """Typicality statistic of each (problem, subset) pair from G and c.
+def _lex(comb, total, start, stop):
+    """The l-subsets of range(n) at lexicographic positions start..stop - 1: the mirror
+    images x -> n - 1 - x of those at colex positions total - 1 - position."""
+    colex = _unrank(comb, total - 1 - np.arange(start, stop), len(comb) - 1)
+    return comb.shape[1] - 1 - colex[:, ::-1]
 
-    G = kron(outer, I_reps), ``outer`` (R, p, p); ``corr`` is (R, p*reps),
-    ``yy`` and ``noise_var`` (R,) and ``subsets`` (b, l); the results are
-    (R, b).  An LDL^H elimination of the stack of G_J (:func:`kron_gram`),
-    each pivot step on all pairs at once, with c_J forward substituted to
-    c', gives ||P_J y||^2 = sum_p |c'_p|^2 / d_p.  Returns the statistics
-    and whether the elimination proves G_J full rank (``numerics.full_rank``):
-    every pivot is > 0 (not just det = prod_p d_p) and tr(G_J)^l / det <
-    GRAM_COND, which bounds w_max / w_min from above, as w_max <= tr and
-    w_min >= det / w_max^(l-1) (the bound is 1 at l = 1).
-    """
-    l = subsets.shape[1]
-    g = kron_gram(outer, reps, subsets[None])
-    c, cond = corr[:, subsets], np.einsum("...ii->...", g).real ** l
-    energy, ok = 0.0, True
+
+def _gather(comb, starts, subsets, reps):
+    """The flat pivot and term indices of each column of the (b, l) ``subsets``: column
+    (j, i) = divmod(col, reps) is the k-th of the s in its block, whose pilot rows S have
+    colex rank sum_k C(S_k, k + 1), and reads the terms' nan half (:func:`_tables`) where a
+    column of another block follows.  At reps = 1 the tables are the subsets' own."""
+    if reps == 1:
+        return [np.arange(subsets.size).reshape(subsets.shape)] * 2
+    j, i = np.divmod(subsets, reps)
+    same, before = i[:, :, None] == i[:, None, :], np.tri(subsets.shape[1], k=-1, dtype=bool)
+    k, s = (same & before).sum(axis=2), same.sum(axis=2)
+    piv = starts[s] + (same * comb[k + 1, j][:, None, :]).sum(axis=2) * s + k
+    return piv, (piv + starts[-1] * (~same & before.T).any(axis=2)) * reps + i
+
+
+def _tables(outer, reps, corr, sets, l):
+    """The block tables of R problems for the (E, s) pilot-row sets of ``sets``: each
+    outer_S eliminated as LDL^H with the reps right-hand sides c_{S,i} = corr[j reps + i
+    for j in S].  Returns each entry's outer[j, j] and pivot d, (R, sum E s), and its
+    terms |c'_i|^2 / d, (R, sum E s reps), flat; at reps, l > 1 the terms twice, the second
+    time nan where d is 0 or nan."""
+    r, diag, out = len(outer), np.diagonal(outer, axis1=1, axis2=2).real, []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p in range(l):
-            d = g[..., p, p].real
-            f = g[..., p + 1:, p] / d[..., None]
-            g[..., p + 1:, p + 1:] -= f[..., :, None] * g[..., None, p, p + 1:]
-            c[..., p + 1:] -= f * c[..., p, None]
-            energy, cond, ok = energy + np.abs(c[..., p]) ** 2 / d, cond / d, ok & (d > 0)
-        stat = np.abs(np.maximum(yy[:, None] - energy, 0.0) / m - (m - l) / m * noise_var[:, None])
-    return stat, ok & (cond < GRAM_COND)
+        for rows in sets:
+            g = outer[:, rows[:, :, None], rows[:, None, :]]
+            c = corr.reshape(r, -1, reps)[:, rows]
+            piv, term = np.empty(g.shape[:-1]), np.empty(c.shape)
+            for p in range(rows.shape[1]):
+                if p:  # eliminate pivot p - 1 from the rows below it
+                    f = g[..., p:, p - 1] / d[..., None]
+                    g[..., p:, p:] -= f[..., :, None] * g[..., None, p - 1, p:]
+                    c[..., p:, :] -= f[..., None] * c[..., p - 1, None, :]
+                d = piv[..., p] = g[..., p, p].real
+                term[..., p, :] = np.abs(c[..., p, :]) ** 2 / d[..., None]
+            out.append([v.reshape(r, -1) for v in (diag[:, rows], piv, term)])
+    diag, piv, term = out[0] if len(out) == 1 else [np.concatenate(v, axis=1) for v in zip(*out)]
+    if reps > 1 and l > 1:
+        bad = np.repeat(~((piv > 0) | (piv < 0)), reps, axis=1)
+        term = np.concatenate([term, np.where(bad, np.nan, term)], axis=1)
+    return diag, piv, term
+
+
+def _statistics(term, at, tidx, yy, noise_var, m):
+    """The (R, b) statistics of problems ``at`` and the subsets of term index ``tidx``
+    (b, l): ||P_J y||^2 is the sum of J's terms in column order."""
+    energy, l = functools.reduce(np.add, (term[at[:, None], t] for t in tidx.T)), tidx.shape[1]
+    with np.errstate(invalid="ignore"):
+        return np.abs(np.maximum(yy[:, None] - energy, 0.0) / m - (m - l) / m * noise_var[:, None])
+
+
+def _proven(diag, piv, at, pidx):
+    """Whether the pivots prove G_J full rank (``numerics.full_rank``) for problems ``at``
+    (q,) and subset pivots ``pidx`` (q, l): every pivot is > 0 (not just their product,
+    det) and tr(G_J)^l / det < GRAM_COND, which bounds w_max / w_min from above, as
+    w_max <= tr and w_min >= det / w_max^(l-1) (the bound is 1 at l = 1)."""
+    d, tr = piv[at[:, None], pidx], functools.reduce(np.add, diag[at[:, None], pidx].T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = functools.reduce(np.divide, d.T, tr ** pidx.shape[1])
+    return (d > 0).all(axis=1) & (cond < GRAM_COND)
 
 
 def jt_search(y, outer, reps, corr, noise_var, cfg, l):
@@ -184,10 +240,13 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l):
     subset is typical, the (T,) Gram statistics, inf there, and the (T,)
     numbers of subsets examined.
 
-    Every (problem, subset) pair of a block of subsets is scored at once
-    (:func:`_gram_statistics`).  Each problem takes its first typical pair of
-    the block (``lexicographic_first``), or its least statistic if below the
-    best of earlier blocks, so the first one on ties (``best_statistic``).
+    Subsets are scored from each problem's block tables (see the module
+    docstring), built once, or in step with the passes at reps = 1, where a
+    support is one block.  A pass scores at most _SCAN_BLOCK (problem, subset)
+    pairs; only its typical pairs take the full-rank proof, and the eigenvalues
+    of G_J where that fails.  Each problem takes its first typical pair of the
+    pass (``lexicographic_first``), or its least statistic if below the best
+    of earlier passes, so the first one on ties (``best_statistic``).
     """
     t_count, n_cols = corr.shape
     m = y.shape[-1]
@@ -195,17 +254,27 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l):
     delta = np.full(t_count, cfg.threshold(noise_var, m, l))
     first = cfg.search_order == LEXICOGRAPHIC_FIRST
     yy = np.array([np.vdot(v, v).real for v in y])
+    total, comb, sets, starts, cached, idx = _layout(n_cols // reps, reps, l)
 
     stat = np.full(t_count, math.inf)
     support = np.full((t_count, l), -1, dtype=np.intp)
-    examined = np.full(t_count, math.comb(n_cols, l))
+    examined = np.full(t_count, total)
     rows = np.arange(t_count)
-    for start, subsets in _subset_blocks(n_cols, l, max(_SCAN_BLOCK // t_count, 1)):
-        s, proven = _gram_statistics(
-            outer[rows], reps, corr[rows], yy[rows], noise_var[rows], subsets, m
-        )
+    size = max(_SCAN_BLOCK // t_count, 1)
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        subsets = _lex(comb, total, start, stop) if cached is None else cached[start:stop]
+        if start == 0:  # all problems' tables, or at reps = 1 the pass's own subsets'
+            diag, piv, term = _tables(outer, reps, corr, sets or [subsets], l)
+        elif reps == 1:
+            diag, piv, term = _tables(outer[rows], 1, corr[rows], [subsets], l)
+        at = rows if reps > 1 else np.arange(rows.size)
+        pidx, tidx = (v[start:stop] for v in idx) if idx else _gather(comb, starts, subsets, reps)
+        s = _statistics(term, at, tidx, yy[rows], noise_var[rows], m)
         typical = s < delta[rows, None]  # NaN, from an overflowed ||y||^2, is not typical
-        ri, ci = np.nonzero(typical & ~proven)
+        ri, ci = np.nonzero(typical)
+        open_ = ~_proven(diag, piv, at[ri], pidx[ci])
+        ri, ci = ri[open_], ci[open_]
         if ri.size:  # eigvalsh decides the pairs whose full rank the screen leaves open
             lam = np.linalg.eigvalsh(kron_gram(outer[rows[ri]], reps, subsets[ci]))
             typical[ri, ci] = full_rank(lam)

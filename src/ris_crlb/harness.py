@@ -486,15 +486,18 @@ def _truth_bytes(cfg):
 
     Synthetic: about 32 B an entry (the complex truth, the two float temporaries
     of its energy and the support mask) plus 256 B of seeds and words.
-    Physical: the truth's 16 B an entry, two complex temporaries of each hop
-    matrix (``channel.hop_matrix``) and 48 B per raw word of a double, held
-    as a Python int: 5 per path and one per RIS phase.
+    Physical, the larger of two phases: while the hops are drawn, the truth's 16 B
+    an entry, two complex temporaries of each hop matrix (``channel.hop_matrix``)
+    and 48 B per raw word of a double, held as a Python int: 5 per path and one per
+    RIS phase; after, the hop matrices and five complex values an entry of the
+    cascade and its angular image.
     """
     g = cfg.geometry
     if cfg.mode == "synthetic":
         return 32 * g.n_d * g.n_s + 256
     paths = cfg.hop_bs_ris.n_paths + cfg.hop_ris_ms.n_paths
-    return 16 * g.n_d * g.n_s + 32 * g.n_r * (g.n_s + g.n_d) + 48 * (5 * paths + g.n_r)
+    drawn = 16 * g.n_d * g.n_s + 32 * g.n_r * (g.n_s + g.n_d) + 48 * (5 * paths + g.n_r)
+    return max(drawn, 80 * g.n_d * g.n_s + 16 * g.n_r * (g.n_s + g.n_d))
 
 
 def _sub_block_bytes(cfg, k):
@@ -503,8 +506,10 @@ def _sub_block_bytes(cfg, k):
     pilot entry and per observation entry.
 
     It holds for JT at L = 1, the genie and OMP (tracemalloc reads 0.64-1.01 of it).
-    The L >= 2 search holds more: its scratch is bounded per pass
-    (``estimator._SCAN_BLOCK``), not per trial.
+    The L >= 2 search holds more: each problem's tables, about 48 (n_s + 1) E B as
+    they are built, E = sum_s s C(n_d, s) over the block sizes s that occur (none at
+    n_s = 1), and a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset) pairs,
+    16 B each, or 32 L (L + 2) B at n_s = 1, where each pair's table is its own.
     """
     return 80 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
 

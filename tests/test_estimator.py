@@ -5,6 +5,7 @@ import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
+import frozen_gram
 import frozen_kron
 import frozen_omp
 import numpy as np
@@ -83,6 +84,20 @@ def assert_oracle_contract(got, y, mat, cfg, noise_var):
             assert not surely or support and svd_stat <= other + tol + other_tol
     want = literal_search(y, mat, cfg, noise_var)
     return (support, examined) == (want[0], want[2])
+
+
+def table_screen(outer, reps, corr, yy, noise_var, subsets, m):
+    """The search's screen of every (problem, subset) pair of ``outer`` (R, p, p) and
+    ``subsets`` (b, l), composed as :func:`estimator.jt_search` composes it: the (R, b)
+    statistics and full-rank proofs from the block tables, at reps = 1 those of the
+    subsets themselves."""
+    total, comb, sets, starts, _, _ = est._layout(outer.shape[1], reps, subsets.shape[1])
+    diag, piv, term = est._tables(outer, reps, corr, sets or [subsets], subsets.shape[1])
+    pidx, tidx = est._gather(comb, starts, subsets, reps)
+    at = np.arange(len(outer))
+    stat = est._statistics(term, at, tidx, yy, noise_var, m)
+    ri, ci = np.indices(stat.shape).reshape(2, -1)
+    return stat, est._proven(diag, piv, at[ri], pidx[ci]).reshape(stat.shape)
 
 
 def search_triples(support, stat, examined):
@@ -441,13 +456,44 @@ class TestJtSearchStack:
 
 
 class TestGramScreen:
-    """The LDL^H screen of _gram_statistics against eigh and the SVD statistic."""
+    """The table screen of jt_search against the frozen LDL^H screen, eigh and the SVD
+    statistic."""
 
     @staticmethod
     def _proven(outer, reps, subsets):
         r, p = outer.shape[:2]
         corr = np.ones((r, p * reps), dtype=complex)
-        return est._gram_statistics(outer, reps, corr, np.ones(r), np.zeros(r), subsets, 100)[1]
+        return table_screen(outer, reps, corr, np.ones(r), np.zeros(r), subsets, 100)[1]
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_d, n_s", [(5, 5), (6, 4), (4, 6), (10, 1), (8, 5)])
+    def test_same_bits_as_frozen_ldl(self, n_d, n_s, l):
+        # the tables' statistics and proofs against the LDL^H of each whole G_J, bit for
+        # bit.  At K = 1 and 2 a block's later pivots are often exactly 0, after which that
+        # LDL^H puts nan in every later column of another block; near-collinear pilot rows
+        # 0 and 1 make ill-conditioned G_J that the proof must leave open
+        rng = np.random.default_rng(1400 + 10 * n_d + n_s + 100 * l)
+        n, t_count = n_d * n_s, 6
+        subsets = np.array(list(combinations(range(n), l)))
+        if len(subsets) > 3000:  # a sample of them, in lexicographic order
+            subsets = subsets[np.sort(rng.choice(len(subsets), 3000, replace=False))]
+        nans = 0
+        for k in (1, 2, n_d, 3 * n_d):
+            pilots = crandn(rng, t_count, n_d, k) / math.sqrt(2)
+            gap = 10.0 ** rng.uniform(-8, 0, (t_count, 1))
+            pilots[:, 1] = pilots[:, 0] + gap * crandn(rng, t_count, k)
+            y = crandn(rng, t_count, k * n_s)
+            outer, corr = sn.kron_normal(pilots, n_s, y)
+            yy, noise_var = np.sum(np.abs(y) ** 2, axis=-1), rng.uniform(0.01, 1.0, t_count)
+            want = frozen_gram._gram_statistics(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = table_screen(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
+            assert np.array_equal(got[1], want[1]), k
+            assert got[0].tobytes() == want[0].tobytes(), k
+            nans += np.count_nonzero(np.isnan(want[0]))
+        # exact zero pivots, and so nan statistics, occur from L = 2 on
+        assert (nans > 0) == (l > 1), nans
 
     @pytest.mark.parametrize("cutoff", [1e3, nm.GRAM_COND])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -518,9 +564,7 @@ class TestGramScreen:
             )
             outer, corr = sn.kron_normal(pilots, n_s, y)
             yy = np.sum(np.abs(y) ** 2, axis=-1)
-            stat, proven = est._gram_statistics(
-                outer, n_s, corr, yy, noise_var, subsets, k * n_s
-            )
+            stat, proven = table_screen(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
             for t, b in zip(*np.nonzero(proven)):
                 cols = frozen_kron.kron_columns(pilots[t], n_s, subsets[b])
                 ref = est.typicality_statistic(y[t], cols, noise_var[t], l)

@@ -354,13 +354,16 @@ class TestBlockCore:
 class TestTruthStage:
     @pytest.mark.parametrize("mode", hn.MODES)
     @pytest.mark.parametrize(
-        "geometry", [ch.Geometry(5, 5, 2, 5), ch.Geometry(4, 6, 3, 2, spacing_ratio=0.7)]
+        # at n_d = n_s = 40 the cascade and its angular image outgrow the draws
+        "geometry",
+        [ch.Geometry(5, 5, 2, 5), ch.Geometry(4, 6, 3, 2, spacing_ratio=0.7),
+         ch.Geometry(40, 40, 2, 5)],
     )
     def test_peak_per_trial_is_the_stated_footprint(self, geometry, mode):
         # two paths per hop, so a physical stage holds several paths per trial
         cfg = hn.default_config(
             geometry=geometry, mode=mode, hop_bs_ris=hn.HopSpec(2), hop_ris_ms=hn.HopSpec(2),
-            typicality=est.TypicalityConfig(None, 2),
+            typicality=est.TypicalityConfig(None, 2), k_values=(80,),
         )
         trials = 200
         hn._stage_truths(cfg, 20, 20.0, range(trials))  # first-use imports and caches
@@ -403,6 +406,32 @@ class TestTruthStage:
         finally:
             tracemalloc.stop()
         assert 0.5 <= peak / hn._sub_block_bytes(cfg, k) <= 2.0, peak
+
+    @pytest.mark.parametrize(
+        # the L >= 2 search: block tables (5 x 5, 8 x 5) or, at n_s = 1, per-pass tables
+        "n_d, n_s, l, k", [(5, 5, 2, 20), (8, 5, 3, 20), (40, 1, 3, 60)],
+        ids=["5x5-L2", "8x5-L3", "40x1-L3"],
+    )
+    def test_search_sub_block_peak_per_trial_is_the_stated_footprint(self, n_d, n_s, l, k):
+        # the footprint that _sub_block_bytes states for the L >= 2 search on top of its own
+        cfg = hn.default_config(
+            k_values=(k,), geometry=ch.Geometry(n_s, n_d, 2, 5),
+            typicality=est.TypicalityConfig(None, l),
+        )
+        trials = max(hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k), 1)
+        staged = hn._stage_truths(cfg, k, 20.0, range(trials))
+        hn._run_block(cfg, k, 20.0, range(trials), staged)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            hn._run_block(cfg, k, 20.0, range(trials), staged)
+            peak = tracemalloc.get_traced_memory()[1] / trials
+        finally:
+            tracemalloc.stop()
+        sizes = range(max(l - n_d * (n_s - 1), 1), min(l, n_d) + 1) if n_s > 1 else ()
+        tables = 48 * (n_s + 1) * sum(s * math.comb(n_d, s) for s in sizes)
+        pair = 32 * l * (l + 2) if n_s == 1 else 16
+        stated = hn._sub_block_bytes(cfg, k) + tables + est._SCAN_BLOCK * pair / trials
+        assert 0.5 <= peak / stated <= 2.0, (peak, stated)
 
     @pytest.mark.parametrize(
         # the benchmark's sweeps: 25 trials per cell, 3 SNR cells per K
