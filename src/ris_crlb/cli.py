@@ -93,8 +93,7 @@ def _cmd_sweep(args):
 
 def _cmd_angular_map(args):
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    magnitudes, cells = hn.export_angular_map(cfg, seed)
+    magnitudes, cells = hn.export_angular_map(cfg, cfg.master_seed)
     n_d, n_s = magnitudes.shape
     lines = [
         f"# angular-domain channel magnitudes, mode={cfg.mode}",

@@ -19,13 +19,13 @@ sides c_{S,i}; a subset's energy is the sum of its columns' pivot terms
 G_J, bit for bit: its eliminations across blocks subtract exact zeros, except
 after a pivot that is 0 or nan, whose nan in the later columns of other blocks
 the tables reproduce.  A subset is typical where that statistic is below
-delta and G_J is full rank (``numerics.full_rank``: lambda_max < GRAM_COND
-lambda_min).  The pivots' bound tr(G_J)^L / det(G_J) on that ratio proves
-full rank for almost every subset; only a typical subset it leaves open takes
-the eigenvalues of its G_J.  No SVD and no column of Upsilon is needed.  The
-SVD form of the statistic, :func:`typicality_statistic`, is the reference: it
-differs from the Gram one by rounding, a few L eps cond(G_J) ||y||^2, and its
-rank rule is ``numerics.svd_rank``'s.
+delta and G_J is full rank by ``numerics.full_rank`` of its eigenvalues
+(lambda_max < GRAM_COND lambda_min), the rank rule of every fit
+(``numerics.gram_solve``); only a subset below delta takes them.  No SVD and
+no column of Upsilon is needed.  The SVD form of the statistic,
+:func:`typicality_statistic`, is the reference: it differs from the Gram one
+by rounding, a few L eps cond(G_J) ||y||^2, and its rank rule is
+``numerics.svd_rank``'s.
 
 Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .numerics import GRAM_COND, as_matrix, as_vector, full_rank, kron_gram, least_squares, svd_rank
+from .numerics import as_matrix, as_vector, full_rank, kron_gram, least_squares, svd_rank
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
@@ -138,7 +138,7 @@ def _layout(n_d, reps, l):
     """The search's shape data: C(n, l), n = n_d reps; C(a, k) (l + 1, n), capped at C(n, l);
     at reps > 1 the colex s-subsets of range(n_d) of each block size s and each size's start
     in the flat tables (by s; last, their length); where l C(n, l) <= 16 _SCAN_BLOCK (1.5
-    MiB at most), all subsets and at reps > 1 their :func:`_gather` index."""
+    MiB at most), all subsets and at reps > 1 their :func:`_gather` term index."""
     n, total = n_d * reps, math.comb(n_d * reps, l)
     comb = np.array([[min(math.comb(a, k), total) for a in range(n)] for k in range(l + 1)])
     sizes = range(max(l - n_d * (reps - 1), 1), min(l, n_d) + 1) if reps > 1 else range(0)
@@ -146,7 +146,7 @@ def _layout(n_d, reps, l):
     starts = np.cumsum([0] * (sizes.start + 1) + [v.size for v in sets])
     cached = _lex(comb, total, 0, total) if l * total <= 16 * _SCAN_BLOCK else None
     index = _gather(comb, starts, cached, reps) if cached is not None and reps > 1 else None
-    for v in [comb, starts, *sets] + ([] if cached is None else [cached, *(index or ())]):
+    for v in [comb, starts, *sets] + [v for v in (cached, index) if v is not None]:
         v.flags.writeable = False  # every call shares them
     return total, comb, sets, starts, cached, index
 
@@ -168,26 +168,25 @@ def _lex(comb, total, start, stop):
 
 
 def _gather(comb, starts, subsets, reps):
-    """The flat pivot and term indices of each column of the (b, l) ``subsets``: column
-    (j, i) = divmod(col, reps) is the k-th of the s in its block, whose pilot rows S have
-    colex rank sum_k C(S_k, k + 1), and reads the terms' nan half (:func:`_tables`) where a
+    """The flat term index of each column of the (b, l) ``subsets``: column (j, i) =
+    divmod(col, reps) is the k-th of the s in its block, whose pilot rows S have colex
+    rank sum_k C(S_k, k + 1), and reads the terms' nan half (:func:`_tables`) where a
     column of another block follows.  At reps = 1 the tables are the subsets' own."""
     if reps == 1:
-        return [np.arange(subsets.size).reshape(subsets.shape)] * 2
+        return np.arange(subsets.size).reshape(subsets.shape)
     j, i = np.divmod(subsets, reps)
     same, before = i[:, :, None] == i[:, None, :], np.tri(subsets.shape[1], k=-1, dtype=bool)
     k, s = (same & before).sum(axis=2), same.sum(axis=2)
-    piv = starts[s] + (same * comb[k + 1, j][:, None, :]).sum(axis=2) * s + k
-    return piv, (piv + starts[-1] * (~same & before.T).any(axis=2)) * reps + i
+    entry = starts[s] + (same * comb[k + 1, j][:, None, :]).sum(axis=2) * s + k
+    return (entry + starts[-1] * (~same & before.T).any(axis=2)) * reps + i
 
 
 def _tables(outer, reps, corr, sets, l):
     """The block tables of R problems for the (E, s) pilot-row sets of ``sets``: each
     outer_S eliminated as LDL^H with the reps right-hand sides c_{S,i} = corr[j reps + i
-    for j in S].  Returns each entry's outer[j, j] and pivot d, (R, sum E s), and its
-    terms |c'_i|^2 / d, (R, sum E s reps), flat; at reps, l > 1 the terms twice, the second
-    time nan where d is 0 or nan."""
-    r, diag, out = len(outer), np.diagonal(outer, axis1=1, axis2=2).real, []
+    for j in S].  Returns each entry's terms |c'_i|^2 / d of its pivot d, (R, sum E s
+    reps), flat; at reps, l > 1 twice, the second time nan where d is 0 or nan."""
+    r, out = len(outer), []
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in sets:
             g = outer[:, rows[:, :, None], rows[:, None, :]]
@@ -200,12 +199,12 @@ def _tables(outer, reps, corr, sets, l):
                     c[..., p:, :] -= f[..., None] * c[..., p - 1, None, :]
                 d = piv[..., p] = g[..., p, p].real
                 term[..., p, :] = np.abs(c[..., p, :]) ** 2 / d[..., None]
-            out.append([v.reshape(r, -1) for v in (diag[:, rows], piv, term)])
-    diag, piv, term = out[0] if len(out) == 1 else [np.concatenate(v, axis=1) for v in zip(*out)]
+            out.append([v.reshape(r, -1) for v in (piv, term)])
+    piv, term = out[0] if len(out) == 1 else [np.concatenate(v, axis=1) for v in zip(*out)]
     if reps > 1 and l > 1:
         bad = np.repeat(~((piv > 0) | (piv < 0)), reps, axis=1)
         term = np.concatenate([term, np.where(bad, np.nan, term)], axis=1)
-    return diag, piv, term
+    return term
 
 
 def _statistics(term, at, tidx, yy, noise_var, m):
@@ -214,17 +213,6 @@ def _statistics(term, at, tidx, yy, noise_var, m):
     energy, l = functools.reduce(np.add, (term[at[:, None], t] for t in tidx.T)), tidx.shape[1]
     with np.errstate(invalid="ignore"):
         return np.abs(np.maximum(yy[:, None] - energy, 0.0) / m - (m - l) / m * noise_var[:, None])
-
-
-def _proven(diag, piv, at, pidx):
-    """Whether the pivots prove G_J full rank (``numerics.full_rank``) for problems ``at``
-    (q,) and subset pivots ``pidx`` (q, l): every pivot is > 0 (not just their product,
-    det) and tr(G_J)^l / det < GRAM_COND, which bounds w_max / w_min from above, as
-    w_max <= tr and w_min >= det / w_max^(l-1) (the bound is 1 at l = 1)."""
-    d, tr = piv[at[:, None], pidx], functools.reduce(np.add, diag[at[:, None], pidx].T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = functools.reduce(np.divide, d.T, tr ** pidx.shape[1])
-    return (d > 0).all(axis=1) & (cond < GRAM_COND)
 
 
 def jt_search(y, outer, reps, corr, noise_var, cfg, l):
@@ -243,10 +231,11 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l):
     Subsets are scored from each problem's block tables (see the module
     docstring), built once, or in step with the passes at reps = 1, where a
     support is one block.  A pass scores at most _SCAN_BLOCK (problem, subset)
-    pairs; only its typical pairs take the full-rank proof, and the eigenvalues
-    of G_J where that fails.  Each problem takes its first typical pair of the
-    pass (``lexicographic_first``), or its least statistic if below the best
-    of earlier passes, so the first one on ties (``best_statistic``).
+    pairs; its pairs below delta take the eigenvalues of their G_J, in one
+    stacked call, and ``numerics.full_rank`` decides their rank.  Each problem
+    takes its first typical pair of the pass (``lexicographic_first``), or its
+    least statistic if below the best of earlier passes, so the first one on
+    ties (``best_statistic``).
     """
     t_count, n_cols = corr.shape
     m = y.shape[-1]
@@ -265,17 +254,15 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l):
         stop = min(start + size, total)
         subsets = _lex(comb, total, start, stop) if cached is None else cached[start:stop]
         if start == 0:  # all problems' tables, or at reps = 1 the pass's own subsets'
-            diag, piv, term = _tables(outer, reps, corr, sets or [subsets], l)
+            term = _tables(outer, reps, corr, sets or [subsets], l)
         elif reps == 1:
-            diag, piv, term = _tables(outer[rows], 1, corr[rows], [subsets], l)
+            term = _tables(outer[rows], 1, corr[rows], [subsets], l)
         at = rows if reps > 1 else np.arange(rows.size)
-        pidx, tidx = (v[start:stop] for v in idx) if idx else _gather(comb, starts, subsets, reps)
+        tidx = idx[start:stop] if idx is not None else _gather(comb, starts, subsets, reps)
         s = _statistics(term, at, tidx, yy[rows], noise_var[rows], m)
         typical = s < delta[rows, None]  # NaN, from an overflowed ||y||^2, is not typical
         ri, ci = np.nonzero(typical)
-        open_ = ~_proven(diag, piv, at[ri], pidx[ci])
-        ri, ci = ri[open_], ci[open_]
-        if ri.size:  # eigvalsh decides the pairs whose full rank the screen leaves open
+        if ri.size:  # eigvalsh decides the rank of the pairs below delta
             lam = np.linalg.eigvalsh(kron_gram(outer[rows[ri]], reps, subsets[ci]))
             typical[ri, ci] = full_rank(lam)
         s = np.where(typical, s, math.inf)

@@ -20,6 +20,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import os
 import pickle
 import sys
@@ -506,10 +507,10 @@ def _sub_block_bytes(cfg, k):
     pilot entry and per observation entry.
 
     It holds for JT at L = 1, the genie and OMP (tracemalloc reads 0.64-1.01 of it).
-    The L >= 2 search holds more: each problem's tables, about 48 (n_s + 1) E B as
-    they are built, E = sum_s s C(n_d, s) over the block sizes s that occur (none at
-    n_s = 1), and a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset) pairs,
-    16 B each, or 32 L (L + 2) B at n_s = 1, where each pair's table is its own.
+    The L >= 2 search holds more: each problem's tables of pivots and terms, about
+    48 (n_s + 1) E B as built, E = sum_s s C(n_d, s) over the block sizes s that occur
+    (none at n_s = 1); a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset)
+    pairs, 16 B each or 32 L (L + 2) B at n_s = 1, and 16 L^2 B per G_J below delta.
     """
     return 80 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
 
@@ -657,13 +658,18 @@ def _run_share(cfg, cells, keep_trials):
     return out
 
 
+def _mean(values):
+    """The mean of a list of floats, nan if empty, summed left to right as Python 3.11's
+    ``sum`` does (3.12's compensates), so no aggregate depends on the Python version."""
+    return functools.reduce(operator.add, values, 0.0) / len(values) if values else math.nan
+
+
 def _aggregate(cfg, k, snr_db, records, wall_time):
     """SweepRow of one grid cell's records; ``wall_time`` is their blocks' share."""
     t0 = time.perf_counter()
     n = len(records)
-    mse = sum(r.squared_error for r in records) / n
-    crlb_vals = [r.crlb_value for r in records if not math.isnan(r.crlb_value)]
-    mean_crlb = sum(crlb_vals) / len(crlb_vals) if crlb_vals else math.nan
+    mse = _mean([r.squared_error for r in records])
+    mean_crlb = _mean([r.crlb_value for r in records if not math.isnan(r.crlb_value)])
     fail_rate = sum(1 for r in records if r.failed) / n
     # the analytic bound's truth: exact in synthetic mode; a physical cell spreads
     # its mean realized energy in equal shares over its rounded mean sparsity
@@ -671,7 +677,7 @@ def _aggregate(cfg, k, snr_db, records, wall_time):
         l, energy = cfg.typicality.sparsity, cfg.synthetic_energy
     else:
         l = max(int(round(sum(r.sparsity for r in records) / n)), 1)
-        energy = sum(r.truth_energy for r in records) / n
+        energy = _mean([r.truth_energy for r in records])
     _, _, missed, wrong = bound_terms(cfg, k, snr_db, energy, l)
     upper = mean_crlb + missed + wrong
     return SweepRow(

@@ -37,10 +37,6 @@ class MeasurementModel:
         return self.pilots.shape[1]
 
     @property
-    def n_d(self):
-        return self.pilots.shape[0]
-
-    @property
     def n_s(self):
         return self.upsilon_mat.shape[0] // self.k
 

@@ -87,17 +87,13 @@ def assert_oracle_contract(got, y, mat, cfg, noise_var):
 
 
 def table_screen(outer, reps, corr, yy, noise_var, subsets, m):
-    """The search's screen of every (problem, subset) pair of ``outer`` (R, p, p) and
-    ``subsets`` (b, l), composed as :func:`estimator.jt_search` composes it: the (R, b)
-    statistics and full-rank proofs from the block tables, at reps = 1 those of the
-    subsets themselves."""
+    """The search's (R, b) statistics of every (problem, subset) pair of ``outer`` (R, p, p)
+    and ``subsets`` (b, l), composed as :func:`estimator.jt_search` composes them from the
+    block tables, at reps = 1 those of the subsets themselves."""
     total, comb, sets, starts, _, _ = est._layout(outer.shape[1], reps, subsets.shape[1])
-    diag, piv, term = est._tables(outer, reps, corr, sets or [subsets], subsets.shape[1])
-    pidx, tidx = est._gather(comb, starts, subsets, reps)
-    at = np.arange(len(outer))
-    stat = est._statistics(term, at, tidx, yy, noise_var, m)
-    ri, ci = np.indices(stat.shape).reshape(2, -1)
-    return stat, est._proven(diag, piv, at[ri], pidx[ci]).reshape(stat.shape)
+    term = est._tables(outer, reps, corr, sets or [subsets], subsets.shape[1])
+    tidx = est._gather(comb, starts, subsets, reps)
+    return est._statistics(term, np.arange(len(outer)), tidx, yy, noise_var, m)
 
 
 def search_triples(support, stat, examined):
@@ -412,35 +408,50 @@ class TestJtSearchStack:
         assert len({g[0] for g in got}) > 1
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
-    def test_eigvalsh_only_where_the_screen_cannot_prove_full_rank(self, order, monkeypatch):
+    def test_one_eigvalsh_per_pass_of_its_typical_pairs(self, order, monkeypatch):
         # column 5 is column 0 to 1e-6: y = 2 column 0 lies in the span of every subset
         # with column 0, and within about 1e-12 of every one with column 5, so all of them
-        # are typical; the screen proves full rank for all but (0, 5), whose G_J is
-        # singular to about 1e-12
+        # are typical; (0, 5), whose G_J is singular to about 1e-12, is not full rank.  In
+        # passes of 4 subsets, each pass's typical pairs take one stacked eigvalsh
         rng = np.random.default_rng(961)
         mat = crandn(rng, 12, 6)
         mat[:, 5] = mat[:, 0] + 1e-6 * crandn(rng, 12)
         y = 2.0 * mat[:, 0]
         herm = mat.conj().T
+        outer, corr = (herm @ mat)[None], (herm @ y)[None]
         eig, inner = [], np.linalg.eigvalsh
 
         def spy(a):
-            eig.append(a.shape[:-2])
+            eig.append(a.copy())
             return inner(a)
 
         def banned(*args, **kwargs):
             raise AssertionError("an SVD in the search")
 
+        def typical_grams(outer, reps, corr, y, noise_var, delta, subsets):
+            # the G_J of each pair below delta, in the search's (problem, subset) order
+            stat = table_screen(outer, reps, corr, np.sum(np.abs(y) ** 2, axis=-1),
+                                noise_var, subsets, y.shape[-1])
+            ri, ci = np.nonzero(stat < delta)
+            return nm.kron_gram(outer[ri], reps, subsets[ci])
+
+        subsets = np.array(list(combinations(range(6), 2)))
+        want = [typical_grams(outer, 1, corr, y[None], np.zeros(1), 1e-9, subsets[p:p + 4])
+                for p in range(0, len(subsets), 4)]
+        assert [len(w) for w in want] == [4, 1, 2, 2]
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         monkeypatch.setattr(np.linalg, "svd", banned)
         cfg = est.TypicalityConfig(1e-9, 2, order)
-        (support,), (stat,), _ = est.jt_search(
-            y[None], (herm @ mat)[None], 1, (herm @ y)[None], [0.0], cfg, 2
-        )
-        assert eig == [(1,)] and stat < 1e-9
+        with monkeypatch.context() as patch:
+            patch.setattr(est, "_SCAN_BLOCK", 4)
+            (support,), (stat,), _ = est.jt_search(y[None], outer, 1, corr, [0.0], cfg, 2)
+        # lexicographic_first stops after the first pass, which holds a full-rank pair
+        want = want[:1] if order == est.LEXICOGRAPHIC_FIRST else want
+        assert len(eig) == len(want) and all(np.array_equal(a, w) for a, w in zip(eig, want))
+        assert stat < 1e-9
         assert 0 in support.tolist() or 5 in support.tolist()
         assert support.tolist() != [0, 5]
-        # default scale, L = 1: every 1 x 1 G_J with a positive pivot is proven
+        # default scale, L = 1: one pass, whose typical pairs take one eigvalsh
         eig.clear()
         t_count, n_s, k = 12, 5, 20
         pilots = np.stack([sn.gen_pilots(n_d=5, k=k, seed=96_000 + t) for t in range(t_count)])
@@ -448,36 +459,31 @@ class TestJtSearchStack:
         truth[np.arange(t_count), rng.choice(25, t_count)] = 1.0
         y = sn.kron_forward(pilots, n_s, truth) + 0.1 / math.sqrt(2) * crandn(rng, t_count, k * n_s)
         outer, corr = sn.kron_normal(pilots, n_s, y)
-        got = search_triples(*est.jt_search(
-            y, outer, n_s, corr, np.full(t_count, 0.01), est.TypicalityConfig(None, 1, order), 1
-        ))
+        noise_var, cfg = np.full(t_count, 0.01), est.TypicalityConfig(None, 1, order)
+        got = search_triples(*est.jt_search(y, outer, n_s, corr, noise_var, cfg, 1))
         assert [g[0] for g in got] == [(int(np.flatnonzero(v)[0]),) for v in truth]
-        assert eig == []
+        delta = cfg.threshold(noise_var, k * n_s, 1)[:, None]
+        want = typical_grams(outer, n_s, corr, y, noise_var, delta, np.arange(25)[:, None])
+        assert len(eig) == 1 and len(want) >= t_count and np.array_equal(eig[0], want)
 
 
 class TestGramScreen:
     """The table screen of jt_search against the frozen LDL^H screen, eigh and the SVD
     statistic."""
 
-    @staticmethod
-    def _proven(outer, reps, subsets):
-        r, p = outer.shape[:2]
-        corr = np.ones((r, p * reps), dtype=complex)
-        return table_screen(outer, reps, corr, np.ones(r), np.zeros(r), subsets, 100)[1]
+    GEOMETRIES = [(5, 5), (6, 4), (4, 6), (10, 1), (8, 5)]
 
-    @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n_d, n_s", [(5, 5), (6, 4), (4, 6), (10, 1), (8, 5)])
-    def test_same_bits_as_frozen_ldl(self, n_d, n_s, l):
-        # the tables' statistics and proofs against the LDL^H of each whole G_J, bit for
-        # bit.  At K = 1 and 2 a block's later pivots are often exactly 0, after which that
-        # LDL^H puts nan in every later column of another block; near-collinear pilot rows
-        # 0 and 1 make ill-conditioned G_J that the proof must leave open
+    @staticmethod
+    def _frozen_cases(n_d, n_s, l):
+        """(subsets, k, outer, corr, yy, noise_var, frozen LDL^H statistics and proofs) at
+        K = 1, 2, n_d and 3 n_d, near-collinear pilot rows 0 and 1 making ill-conditioned
+        G_J.  At K = 1 and 2 a block's later pivots are often exactly 0, after which that
+        LDL^H puts nan in every later column of another block."""
         rng = np.random.default_rng(1400 + 10 * n_d + n_s + 100 * l)
         n, t_count = n_d * n_s, 6
         subsets = np.array(list(combinations(range(n), l)))
         if len(subsets) > 3000:  # a sample of them, in lexicographic order
             subsets = subsets[np.sort(rng.choice(len(subsets), 3000, replace=False))]
-        nans = 0
         for k in (1, 2, n_d, 3 * n_d):
             pilots = crandn(rng, t_count, n_d, k) / math.sqrt(2)
             gap = 10.0 ** rng.uniform(-8, 0, (t_count, 1))
@@ -485,43 +491,36 @@ class TestGramScreen:
             y = crandn(rng, t_count, k * n_s)
             outer, corr = sn.kron_normal(pilots, n_s, y)
             yy, noise_var = np.sum(np.abs(y) ** 2, axis=-1), rng.uniform(0.01, 1.0, t_count)
-            want = frozen_gram._gram_statistics(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
+            frozen = frozen_gram._gram_statistics(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
+            yield subsets, k, outer, corr, yy, noise_var, *frozen
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_d, n_s", GEOMETRIES)
+    def test_same_bits_as_frozen_ldl(self, n_d, n_s, l):
+        # the tables' statistics against the LDL^H of each whole G_J, bit for bit
+        nans = 0
+        for subsets, k, outer, corr, yy, noise_var, want, _ in self._frozen_cases(n_d, n_s, l):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = table_screen(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
-            assert np.array_equal(got[1], want[1]), k
-            assert got[0].tobytes() == want[0].tobytes(), k
-            nans += np.count_nonzero(np.isnan(want[0]))
+            assert got.tobytes() == want.tobytes(), k
+            nans += np.count_nonzero(np.isnan(want))
         # exact zero pivots, and so nan statistics, occur from L = 2 on
         assert (nans > 0) == (l > 1), nans
 
-    @pytest.mark.parametrize("cutoff", [1e3, nm.GRAM_COND])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    def test_proof_holds_at_every_cutoff(self, l, cutoff, monkeypatch):
-        # the screen proves lambda_max / lambda_min < cutoff by tr(G_J)^l / det: never
-        # for a G_J that eigh puts at or above it
-        monkeypatch.setattr(est, "GRAM_COND", cutoff)
-        rng = np.random.default_rng(1200 + l)
-        r, p, reps, k = 40, 4, 2, 6
-        # pilot rows 0 and 1 up to six decades apart: cond(G_J) of the subsets with
-        # both falls on both sides of each cutoff
-        pilots = crandn(rng, r, p, k)
-        pilots[:, 1] = pilots[:, 0] + 10.0 ** rng.uniform(-6, 0, (r, 1)) * crandn(rng, r, k)
-        outer = pilots.conj() @ pilots.swapaxes(-1, -2)
-        subsets = np.array(list(combinations(range(p * reps), l)))
-        proven = self._proven(outer, reps, subsets)
-
-        j, i = np.divmod(subsets, reps)
-        gram = np.where(
-            i[:, :, None] == i[:, None, :], outer[:, j[:, :, None], j[:, None, :]], 0.0
-        )
-        eig = np.linalg.eigvalsh(gram)
-        ratio = eig[..., -1] / eig[..., 0]
-        assert np.all(ratio[proven] < cutoff)
-        if l == 1:
-            assert np.all(proven)
-        else:
-            assert proven.mean() > 0.5 and np.any(ratio >= cutoff)
+    @pytest.mark.parametrize("n_d, n_s", GEOMETRIES)
+    def test_eigvalsh_full_rank_wherever_the_frozen_proof_held(self, n_d, n_s, l):
+        # the search's rank rule accepts every G_J whose full rank the former pivot bound
+        # tr(G_J)^l / det < GRAM_COND proved, so deciding rank by eigvalsh alone moves no
+        # decision the proof made; the bound exceeds lambda_max / lambda_min by at least 2
+        # at l >= 2, far beyond eigvalsh's rounding
+        proofs = 0
+        for subsets, _, outer, *_, proven in self._frozen_cases(n_d, n_s, l):
+            full = nm.full_rank(np.linalg.eigvalsh(nm.kron_gram(outer, n_s, subsets[None])))
+            assert np.all(full[proven]), np.argwhere(proven & ~full)[:5]
+            proofs += np.count_nonzero(proven)
+        assert proofs > 0
 
     @pytest.mark.parametrize(
         "gram",
@@ -535,12 +534,13 @@ class TestGramScreen:
         ],
         ids=["duplicate", "zero", "third-zero", "one-negative", "two-negative", "all-negative"],
     )
-    def test_singular_or_indefinite_gram_is_never_proven(self, gram):
+    def test_singular_or_indefinite_gram_is_never_full_rank(self, gram):
+        # the search's rank rule on the eigenvalues of G_J
         outer = np.array(gram, dtype=complex)[None]
         subsets = np.arange(outer.shape[1])[None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not self._proven(outer, 1, subsets)[0, 0]
+            assert not nm.full_rank(np.linalg.eigvalsh(nm.kron_gram(outer, 1, subsets)))[0]
 
     def test_statistic_within_tolerance_of_svd_statistic(self):
         rng = np.random.default_rng(1300)
@@ -564,7 +564,11 @@ class TestGramScreen:
             )
             outer, corr = sn.kron_normal(pilots, n_s, y)
             yy = np.sum(np.abs(y) ** 2, axis=-1)
-            stat, proven = table_screen(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
+            stat = table_screen(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
+            # the pairs that the former pivot bound proved well-conditioned
+            _, proven = frozen_gram._gram_statistics(
+                outer, n_s, corr, yy, noise_var, subsets, k * n_s
+            )
             for t, b in zip(*np.nonzero(proven)):
                 cols = frozen_kron.kron_columns(pilots[t], n_s, subsets[b])
                 ref = est.typicality_statistic(y[t], cols, noise_var[t], l)

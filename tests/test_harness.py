@@ -1,6 +1,7 @@
 """Sweep orchestration, seeding, exports, config parsing, and the CLI."""
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -24,6 +25,11 @@ from ris_crlb import harness as hn
 from ris_crlb import numerics as nm
 from ris_crlb import sensing as sn
 from ris_crlb.errors import ConfigError, DimensionMismatchError, RisCrlbError
+
+
+def left_mean(values):
+    """The mean of ``values`` summed left to right, whatever the Python version's ``sum``."""
+    return functools.reduce(lambda a, b: a + b, values, 0.0) / len(values)
 
 
 def small_config(**overrides):
@@ -907,9 +913,23 @@ class TestRunSweep:
                 if r.k == row.k and r.snr_db == row.snr_db
             ]
             assert len(recs) == row.trials
-            assert sum(r.squared_error for r in recs) / len(recs) == row.mse
-            assert sum(r.crlb_value for r in recs) / len(recs) == row.crlb
+            assert left_mean([r.squared_error for r in recs]) == row.mse
+            assert left_mean([r.crlb_value for r in recs]) == row.crlb
             assert sum(1 for r in recs if r.failed) / len(recs) == row.fail_rate
+
+    def test_cell_means_fold_left_to_right(self, monkeypatch):
+        # the left fold of [1e16, 1, 1, 1] is 1e16, its mean 2.5e15; Python 3.12's sum
+        # compensates, as math.fsum does here, to 1e16 + 4 and a mean of 2500000000000001
+        monkeypatch.setattr(hn, "sum", math.fsum, raising=False)
+        errors = [1e16, 1.0, 1.0, 1.0]
+        recs = [hn.TrialRecord(8, 20.0, i, 0, e, e, False, 1, e, 1) for i, e in enumerate(errors)]
+        row = hn._aggregate(small_config(), 8, 20.0, recs, 0.0)
+        assert row.mse == row.crlb == 2.5e15
+        # a physical cell's bound takes the mean truth energy
+        energies = []
+        monkeypatch.setattr(hn, "bound_terms", lambda *args: energies.append(args[3]) or (0.0,) * 4)
+        hn._aggregate(small_config(mode="physical_on_grid"), 8, 20.0, recs, 0.0)
+        assert energies == [2.5e15]
 
 
 @contextlib.contextmanager
@@ -1253,6 +1273,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read config file") and str(path) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "crlb"])
+    def test_config_line_without_equals_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text("k_values 8\n")
+        out = tmp_path / "res.csv"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1: expected 'key = value'")
+        assert captured.out == "" and not out.exists() and not (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize("mode", ["physical_on_grid", "physical_off_grid"])
+    def test_crlb_in_a_physical_mode_rejected(self, tmp_path, capsys, mode):
+        cfg = self._write_cfg(tmp_path, mode=mode)
+        out = tmp_path / "res.csv"
+        assert cli.main(["crlb", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the crlb table is defined for synthetic mode\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "crlb"])
     def test_k_over_physical_memory_rejected_before_any_trial(self, tmp_path, capsys, command):
