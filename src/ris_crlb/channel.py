@@ -12,10 +12,15 @@ Ground truth for recovery experiments comes in three flavours:
 * physical on-grid paths snapped so every directional parameter is a DFT
                    grid value, giving exact sparsity with channel structure
 * physical off-grid unconstrained angles, used for leakage visualization
+
+A sweep draws its truths with no ``Generator``, from the raw words of numpy's
+PCG64 seated and read in uint64 limbs (:func:`pcg64_seat`, :func:`raw_draws`).
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,6 +31,9 @@ RIS_TO_MS = "ris_to_ms"
 
 # magnitudes below this fraction of the peak do not count as support
 SUPPORT_TOL = 1e-8
+
+_MASK, _M32 = (1 << 64) - 1, 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,115 @@ def snap_angles(bin_index, n, spacing_ratio=0.5):
         )
     azim = 0.0 if u >= 0 else np.pi
     return float(np.arcsin(x)), azim
+
+
+def _limbs(values):
+    """(2, n) uint64 hi and lo limbs of n ints below 2^128."""
+    return np.array([[v >> 64 for v in values], [v & _MASK for v in values]], dtype=np.uint64)
+
+
+def _mul128(a, b):
+    """a b mod 2^128 of (2, ...) limb pairs: the low limbs' product by 32-bit limbs."""
+    (a1, a0), (b1, b0) = a, b
+    x0, x1, y0, y1 = a0 & _M32, a0 >> 32, b0 & _M32, b0 >> 32
+    mid = x1 * y0
+    cross = (x0 * y0 >> 32) + (mid & _M32) + (x0 * y1 & _M32)
+    hi = x1 * y1 + (mid >> 32) + (x0 * y1 >> 32) + (cross >> 32) + a1 * b0 + a0 * b1
+    return hi, a0 * b0
+
+
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+@functools.cache
+def _jumps(n):
+    """The (2, 2, n) limbs of M^i and of sum_{j < i} M^j mod 2^128, i < n: n steps of the
+    LCG ``s -> M s + inc`` take s to ``M^n s + (sum_{j < n} M^j) inc`` (Brown, 1994)."""
+    powers = [pow(_PCG_MULT, i, 1 << 128) for i in range(n)]
+    sums = [v % (1 << 128) for v in accumulate(powers[:-1], initial=0)]
+    tables = np.array([_limbs(powers), _limbs(sums)])
+    tables.flags.writeable = False  # every call shares them
+    return tables
+
+
+def pcg64_seat(words):
+    """The (4, T) uint64 state hi, lo and increment hi, lo of the PCG64 of each row
+    ``harness.seed_words(s)``, seated as numpy's ``pcg64_set_seed`` does: state 0 and
+    increment ``initseq << 1 | 1``, a step, ``+= initstate``, a step."""
+    w = np.asarray(words, dtype=np.uint64).reshape(-1, 4).T
+    inc = (w[2] << 1 | w[3] >> 63, w[3] << 1 | 1)
+    state = _add128(_mul128(_add128(inc, w[:2]), _limbs([_PCG_MULT])), inc)
+    return np.array([*state, *inc])
+
+
+def pcg64_words(state, at):
+    """Words ``at`` (int array broadcast against (T, 1)) of each PCG64 of ``state``
+    (:func:`pcg64_seat`): the XSL-RR output of its state after ``at + 1`` steps, reached
+    by one jump, so the words of a stack are read in one pass and need no generator."""
+    at = np.asarray(at) + 1
+    powers, sums = _jumps(1 << int(at.max()).bit_length())[:, :, at]
+    hi, lo = _add128(_mul128(powers, state[:2, :, None]), _mul128(sums, state[2:, :, None]))
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (-rot & 63)
+
+
+def raw_draws(state, steps):
+    """The draws of ``np.random.Generator(PCG64)`` for each PCG64 of ``state``
+    (:func:`pcg64_seat`), from its raw words: no ``Generator`` is made.
+
+    Each generator makes, for each ``(dim, l, n)`` of ``steps`` in turn,
+    ``choice(dim, l, replace=False)`` (none where ``l`` is 0) and then
+    ``random(n)``.  A double is ``(word >> 11) 2^-53`` of a fresh word.  A choice
+    draws numpy's 32-bit halves, the low then the high half of a word; the high
+    half a lane leaves unread waits while doubles take whole words, so the next
+    choice reads it first.  Every lane reads the words of one block, those it
+    reads where nothing is redrawn; each lane keeps a cursor (its next word and
+    its held half), so only the lanes a Lemire draw rejects redraw, from words
+    past the block where they run out (:func:`pcg64_words`).  Returns the (T, l)
+    picks of each choice and the (T, sum of n) doubles.
+    """
+    t, n_words = state.shape[1], sum(l + n for _dim, l, n in steps)
+    lanes, block = np.arange(t), pcg64_words(state, np.arange(n_words))
+    pos, held, half = np.zeros(t, np.int64), np.zeros(t, bool), np.zeros(t, np.uint64)
+
+    def take(rows, n):  # the next n words of lanes rows; their cursors move on
+        at, pos[rows] = pos[rows, None] + np.arange(n), pos[rows] + n
+        out = block[rows[:, None], np.minimum(at, n_words - 1)]
+        if (at >= n_words).any():  # a lane that redrew runs past the block
+            out = np.where(at < n_words, out, pcg64_words(state[:, rows], at))
+        return out
+
+    def bounded(j, rows=lanes):  # numpy's unmasked random_bounded_uint64(0, j), j < 2^32
+        if not j:
+            return np.zeros(t, np.uint64)
+        h = held[rows]
+        fresh, draw = rows[~h], half[rows]
+        words = take(fresh, 1)[:, 0]
+        draw[~h], half[fresh], held[rows] = words & _M32, words >> 32, ~h
+        m = draw * np.uint64(j + 1)
+        bad = np.flatnonzero(m & _M32 < (1 << 32) % (j + 1))  # Lemire's rejection
+        if bad.size:
+            m[bad] = bounded(j, rows[bad])
+        return m >> 32 if rows is lanes else m
+
+    picks, doubles = [], []
+    for dim, l, n in steps:
+        if dim > 10000 and l > dim // 50:  # numpy shuffles the tail of range(dim)
+            chosen, first = np.tile(np.arange(dim), (t, 1)), max(dim - l, 1)
+        else:  # Floyd's selection, taking j where the draw is taken, then a shuffle
+            chosen, first = np.empty((t, l), np.int64), 1
+            for c, j in enumerate(range(dim - l, dim)):
+                v = bounded(j).astype(np.int64)
+                chosen[:, c] = np.where((chosen[:, :c] == v[:, None]).any(axis=1), j, v)
+        for i in range(chosen.shape[1] - 1, first - 1, -1):
+            j = bounded(i).astype(np.intp)
+            chosen[lanes, i], chosen[lanes, j] = chosen[lanes, j], chosen[lanes, i]
+        if l:
+            picks.append(chosen[:, chosen.shape[1] - l:].copy())
+        doubles.append(take(lanes, n))
+    return picks, (np.concatenate(doubles, axis=1) >> np.uint64(11)) * 2.0**-53
 
 
 def sparse_stack(dim, idx, phases, magnitude=1.0):

@@ -170,7 +170,7 @@ def _selftest_checks():
 
     def cascade_energy():
         cfg = hn.default_config(geometry=geom, mode="physical_off_grid")
-        real = hn.physical_stack(cfg, hn.bit_generators(hn.seed_words(7)))
+        real = hn.physical_stack(cfg, ch.pcg64_seat(hn.seed_words(7)))
         cascade, upsilon = real.cascade[0], real.sparse_vec[0]
         return abs(
             np.linalg.norm(cascade) - np.linalg.norm(upsilon)

@@ -6,14 +6,14 @@ mixer, and truth/pilot/noise each get an independent substream of that seed.
 Trials therefore never share generator state and a sweep gives byte-identical
 results whatever the worker count.
 
-A worker runs the trials of one K in two stages, each under the peak
-``_BLOCK_BYTES`` (640 KiB) over a stated per-trial peak: the truth stage
-(``_stage_truths``: seeds, seed words, truths, supports and energies) per
-chunk of a whole number of estimation sub-blocks, and the estimation stage
-(``_run_block``: pilots, observation, CRLB, search and fit) per sub-block.
-A truth seats no ``Generator``: ``raw_draws`` reads its draws from the raw
-words of its PCG64 (numpy does not promise ``Generator`` streams across
-versions: the tests compare both).
+A worker runs its share in two stages, each under the peak ``_BLOCK_BYTES``
+(640 KiB) over a stated per-trial peak: the estimation stage (``_run_block``:
+pilots, observation, CRLB, search and fit) per sub-block of one K, and the
+truth stage (``_stage_truths``: seeds, seed words, truths, supports and
+energies) per chunk of whole sub-blocks, in order across K.  A truth seats
+no ``Generator``: its PCG64 is seated and read in uint64 limbs for a whole
+chunk at once (``channel.pcg64_seat``, ``channel.raw_draws``; numpy does not
+promise ``Generator`` streams across versions: the tests compare both).
 """
 
 import contextlib
@@ -27,7 +27,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, groupby, islice
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -133,6 +133,9 @@ class ExperimentConfig:
                 if math.isfinite(sn.snr_to_noise_var(snr, energy, n_s)):
                     continue
             raise ConfigError(f"snr_db = {snr!r}: the noise variance overflows")
+        if self.mode != "synthetic" and self.typicality.delta is not None:
+            raise ConfigError(f"delta = {self.typicality.delta!r}: mode {self.mode} takes only the "
+                              "default delta, as a truth's energy, so sigma^2, varies per trial")
         if self.mode != "synthetic":
             # a truth's energy is at most n_d n_s (n_r s1 P1 s2 P2)^2, s^2 = N N / path_loss
             # a hop's leading scale squared (channel.hop_matrix; 1 at the default loss)
@@ -151,7 +154,7 @@ class ExperimentConfig:
                 "entries of the synthetic truth"
             )
         if self.mode == "synthetic" and self.geometry.n_d * n_s > 2**32:
-            # a support is drawn by numpy's 32-bit bounded draws (_choice)
+            # a support is drawn by numpy's 32-bit bounded draws (channel.raw_draws)
             raise ConfigError(
                 f"n_d * n_s = {self.geometry.n_d * n_s} exceeds the 2**32 entries "
                 "a synthetic truth can draw its support from"
@@ -263,18 +266,18 @@ def _mix64(z):
 
 
 def trial_seeds(master_seed, k, snr_db, indices):
-    """64-bit seeds of the trials ``indices`` of one K and of their substreams.
+    """64-bit seeds of the trials ``indices`` and of their substreams.
 
-    ``snr_db`` is a float or one SNR per index.  The master seed, k, the
-    IEEE-754 bit pattern of the trial's snr_db (so any float maps to a
-    stable word) and the trial index are mixed in turn, the SNRs and indices
-    in one uint64 pass.  Returns a (4, T) uint64 array: the trial seeds and
-    their substream seeds ``_mix64(seed ^ i)``, i = 1 (truth), 2 (pilots),
-    3 (noise).
+    ``k`` and ``snr_db`` are each one value or one value per index.  The
+    master seed, k, the IEEE-754 bit pattern of the trial's snr_db (so any
+    float maps to a stable word) and the trial index are mixed in turn, the
+    Ks, SNRs and indices in one uint64 pass.  Returns a (4, T) uint64 array:
+    the trial seeds and their substream seeds ``_mix64(seed ^ i)``, i = 1
+    (truth), 2 (pilots), 3 (noise).
     """
-    s = _mix64(_mix64(master_seed & _MASK) ^ (int(k) & _MASK))
+    s = _mix64(_mix64(master_seed & _MASK) ^ np.asarray(k, dtype=np.uint64).reshape(-1))
     snr_bits = np.asarray(snr_db, dtype=np.float64).reshape(-1).view(np.uint64)
-    seeds = _mix64(np.asarray(indices, dtype=np.uint64) ^ _mix64(snr_bits ^ np.uint64(s)))
+    seeds = _mix64(np.asarray(indices, dtype=np.uint64) ^ _mix64(snr_bits ^ s))
     return np.stack([seeds] + [_mix64(seeds ^ np.uint64(i)) for i in (1, 2, 3)])
 
 
@@ -328,103 +331,19 @@ def _words_type():
     return Words
 
 
-def bit_generators(words):
-    """The PCG64 of ``np.random.default_rng(s)`` for each row ``seed_words(s)``, made as
-    it is read: PCG64 seats its state from the four words as it does from ``SeedSequence(s)``."""
-    words_type, pcg = _words_type(), np.random.PCG64
-    return (pcg(words_type(w)) for w in words)
-
-
 def generators(words):
-    """``np.random.default_rng(s)`` for each row ``seed_words(s)``, made as it is read."""
-    return (np.random.Generator(bits) for bits in bit_generators(words))
+    """``np.random.default_rng(s)`` for each row ``seed_words(s)``, made as it is read: its
+    PCG64 seats its state from the four words as it does from ``SeedSequence(s)``."""
+    words_type, pcg = _words_type(), np.random.PCG64
+    return (np.random.Generator(pcg(words_type(w))) for w in words)
 
 
-def _halves(words):
-    """numpy's ``next_uint32`` stream: the low, then the high half of each word.  A high
-    half not yet read waits here while doubles take whole words, as numpy buffers it."""
-    for w in words:
-        yield w & 0xFFFFFFFF
-        yield w >> 32
-
-
-def _bounded(halves, j):
-    """numpy's unmasked ``random_bounded_uint64(0, j)`` for ``j < 2^32``: Lemire's
-    multiply-shift of a 32-bit draw, redrawn while its low word is below
-    ``2^32 mod (j + 1)``."""
-    if not j:
-        return 0
-    n = j + 1
-    m = next(halves) * n
-    if m & 0xFFFFFFFF < n:
-        floor = (1 << 32) % n
-        while m & 0xFFFFFFFF < floor:
-            m = next(halves) * n
-    return m >> 32
-
-
-def _choice(halves, dim, l):
-    """``choice(dim, l, replace=False)`` from numpy's 32-bit draws ``halves``; ``dim <= 2^32``.
-
-    numpy's algorithm: for ``dim > 10000`` and ``l > dim // 50`` it shuffles the
-    tail of ``range(dim)`` (a draw in ``[0, i]`` for ``i = dim - 1`` down to
-    ``max(dim - l, 1)``) and keeps its last ``l`` entries; otherwise Floyd's
-    selection (a draw ``v`` in ``[0, j]`` for ``j = dim - l ... dim - 1``,
-    taking ``j`` when ``v`` is taken) and a shuffle of the picks (``i = l - 1``
-    down to 1).  Every draw is :func:`_bounded`.
-    """
-    if dim > 10000 and l > dim // 50:
-        moved = {}  # the entries of range(dim) the shuffle has swapped
-        for i in range(dim - 1, max(dim - l, 1) - 1, -1):
-            j = _bounded(halves, i)
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return [moved.get(i, i) for i in range(dim - l, dim)]
-    picks, taken = [], set()
-    for j in range(dim - l, dim):
-        v = _bounded(halves, j)
-        v = j if v in taken else v
-        taken.add(v)
-        picks.append(v)
-    for i in range(l - 1, 0, -1):
-        j = _bounded(halves, i)
-        picks[i], picks[j] = picks[j], picks[i]
-    return picks
-
-
-def raw_draws(bits, steps):
-    """The draws of ``np.random.Generator(b)`` for each PCG64 ``b`` of ``bits``, from its
-    raw words: no ``Generator`` is made.
-
-    Each generator makes, for each ``(dim, l, n)`` of ``steps`` in turn,
-    ``choice(dim, l, replace=False)`` (none where ``l`` is 0) and then
-    ``random(n)``.  A double is ``(word >> 11) 2^-53`` of a fresh word; a
-    choice reads 32-bit halves (:func:`_halves`), so the high half a choice
-    leaves unread is the first half the next choice reads.  Returns the (T, l)
-    picks of each choice and the (T, sum of n) doubles.
-    """
-    n_words = sum(l + n for _dim, l, n in steps)  # all a generator reads, unless it redraws
-    choosing, picks, raws = any(l for _dim, l, _n in steps), [], []
-    for b in bits:
-        row = b.random_raw(n_words)  # with no choice, the words of the doubles
-        if choosing:
-            words = chain(row.tolist(), iter(b.random_raw, None))
-            halves, chosen, row = _halves(words), [], []
-            for dim, l, n in steps:
-                if l:
-                    chosen.append(_choice(halves, dim, l))
-                row.extend(islice(words, n))
-            picks.append(chosen)
-        raws.append(row)
-    doubles = (np.array(raws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
-    return [np.array(column, dtype=np.int64) for column in zip(*picks)], doubles
-
-
-def physical_stack(cfg, bits):
-    """Physical realizations, one per PCG64 of ``bits``, as one stack.
+def physical_stack(cfg, state):
+    """Physical realizations, one per PCG64 of ``state`` (``channel.pcg64_seat``), as one stack.
 
     Each trial's generator draws, in this order, its BS-RIS paths, its RIS-MS
     paths and its RIS phases: the draws of ``draw_hop``, ``draw_hop`` and
-    ``realize_physical``, read from its raw words (:func:`raw_draws`).
+    ``realize_physical``, read from its raw words (``channel.raw_draws``).
     ``uniform(0, 2 pi)`` is ``2 pi d`` of a double ``d``.  Everything after
     the draws runs once on the stack (``channel.realize_stack``).
     """
@@ -435,7 +354,7 @@ def physical_stack(cfg, bits):
         (n_grid, spec.n_paths if on_grid else 0, spec.n_paths * per_path)
         for spec, _side, n_grid in hops
     ]
-    bins, doubles = raw_draws(bits, steps + [(0, 0, g.n_r)])
+    bins, doubles = ch.raw_draws(state, steps + [(0, 0, g.n_r)])
     draws = np.split(doubles, np.cumsum([n for _dim, _l, n in steps]), axis=1)
     paths = [
         ch.hop_paths(
@@ -449,14 +368,14 @@ def physical_stack(cfg, bits):
 
 def _draw_truth(cfg, words):
     """Angular-domain truths (T, n_d*n_s) and support masks, one per row of truth seed words:
-    the draws of ``generators(words)``, per mode, from raw words (:func:`raw_draws`)."""
-    bits = bit_generators(words)
+    the draws of ``generators(words)``, per mode, from raw words (``channel.raw_draws``)."""
+    state = ch.pcg64_seat(words)
     if cfg.mode == "synthetic":
         # the draws of ch.realize_synthetic, without the cascade it derives
         dim, l = cfg.geometry.n_d * cfg.geometry.n_s, cfg.typicality.sparsity
-        (picks,), phases = raw_draws(bits, [(dim, l, l)])
+        (picks,), phases = ch.raw_draws(state, [(dim, l, l)])
         return ch.sparse_stack(dim, picks, phases, cfg.magnitude)
-    real = physical_stack(cfg, bits)
+    real = physical_stack(cfg, state)
     return real.sparse_vec, real.support
 
 
@@ -472,7 +391,7 @@ class _Truths(NamedTuple):
 
 
 def _stage_truths(cfg, k, snr_db, indices):
-    """The truth stage of trials ``indices`` at K = k (``snr_db`` as in :func:`_run_block`):
+    """The truth stage of trials ``indices`` (``k`` and ``snr_db`` as in :func:`trial_seeds`):
     their seeds, the seed words of all their substreams hashed in one pass
     (:func:`seed_words`), their truths, supports and energies."""
     seeds = trial_seeds(cfg.master_seed, k, snr_db, indices)
@@ -489,8 +408,9 @@ def _truth_bytes(cfg):
     of its energy and the support mask) plus 256 B of seeds and words.
     Physical, the larger of two phases: while the hops are drawn, the truth's 16 B
     an entry, two complex temporaries of each hop matrix (``channel.hop_matrix``)
-    and 48 B per raw word of a double, held as a Python int: 5 per path and one per
-    RIS phase; after, the hop matrices and five complex values an entry of the
+    and 48 B per double, 5 per path and one per RIS phase: its 8 B and the angles,
+    gains and phases made from it (``raw_draws`` holds about 64 B a word, before
+    the hops); after, the hop matrices and five complex values an entry of the
     cascade and its angular image.
     """
     g = cfg.geometry
@@ -626,35 +546,38 @@ def _run_share(cfg, cells, keep_trials):
     """(SweepRow, records when ``keep_trials``) of each (k, snr_db) cell of ``cells``.
 
     ``cells`` is one worker's share, in grid order.  The trials of its cells
-    of one K run cell after cell, staged in truth chunks of whole estimation
-    sub-blocks (see the module docstring), so a chunk or sub-block may span
-    SNR cells; records do not depend on either.  A row's wall_time is its
-    trials' share of the time of the chunks and sub-blocks they ran in, plus
-    its aggregation.
+    of one K run cell after cell in estimation sub-blocks, and the share's
+    sub-blocks, in order across K, are staged in truth chunks of whole
+    sub-blocks (see the module docstring), so a chunk may span K and SNR
+    cells and a sub-block SNR cells; records depend on neither.  A row's
+    wall_time is its trials' share of the time of the chunks and sub-blocks
+    they ran in, plus its aggregation.
     """
-    out = []
-    for k, group in groupby(cells, key=lambda cell: cell[0]):
-        snrs = [snr_db for _k, snr_db in group]
-        snr_of = [snr_db for snr_db in snrs for _t in range(cfg.trials)]
-        index_of = list(range(cfg.trials)) * len(snrs)
-        size = max(_BLOCK_BYTES // _sub_block_bytes(cfg, k), 1)
-        chunk = size * max(_BLOCK_BYTES // _truth_bytes(cfg) // size, 1)
-        records, shares = [], []
-        for first in range(0, len(index_of), chunk):
-            last = min(first + chunk, len(index_of))
+    ks = [k for k, _snr_db in cells for _t in range(cfg.trials)]
+    snr_of = [snr_db for _k, snr_db in cells for _t in range(cfg.trials)]
+    index_of, blocks = list(range(cfg.trials)) * len(cells), []  # (start, stop) per sub-block
+    for k, run in groupby(range(len(ks)), key=ks.__getitem__):  # the trials of one K
+        run, size = list(run), max(_BLOCK_BYTES // _sub_block_bytes(cfg, k), 1)
+        blocks += [(a, min(a + size, run[-1] + 1)) for a in run[::size]]
+    cap, records, shares, b = max(_BLOCK_BYTES // _truth_bytes(cfg), 1), [], [], 0
+    while b < len(blocks):
+        first, e = blocks[b][0], b + 1
+        while e < len(blocks) and blocks[e][1] - first <= cap:
+            e += 1
+        last, t0 = blocks[e - 1][1], time.perf_counter()
+        staged = _stage_truths(cfg, ks[first:last], snr_of[first:last], index_of[first:last])
+        staging = (time.perf_counter() - t0) / (last - first)
+        for start, stop in blocks[b:e]:
             t0 = time.perf_counter()
-            staged = _stage_truths(cfg, k, snr_of[first:last], index_of[first:last])
-            staging = (time.perf_counter() - t0) / (last - first)
-            for start in range(first, last, size):
-                stop = min(start + size, last)
-                t0 = time.perf_counter()
-                part = _Truths(*(column[start - first:stop - first] for column in staged))
-                records += _run_block(cfg, k, snr_of[start:stop], index_of[start:stop], part)
-                shares += [staging + (time.perf_counter() - t0) / (stop - start)] * (stop - start)
-        for c, snr_db in enumerate(snrs):
-            cell = slice(c * cfg.trials, (c + 1) * cfg.trials)
-            row = _aggregate(cfg, k, snr_db, records[cell], sum(shares[cell]))
-            out.append((row, records[cell] if keep_trials else []))
+            part = _Truths(*(column[start - first:stop - first] for column in staged))
+            records += _run_block(cfg, ks[start], snr_of[start:stop], index_of[start:stop], part)
+            shares += [staging + (time.perf_counter() - t0) / (stop - start)] * (stop - start)
+        b = e
+    out = []
+    for c, (k, snr_db) in enumerate(cells):
+        cell = slice(c * cfg.trials, (c + 1) * cfg.trials)
+        row = _aggregate(cfg, k, snr_db, records[cell], sum(shares[cell]))
+        out.append((row, records[cell] if keep_trials else []))
     return out
 
 
@@ -752,7 +675,7 @@ def export_angular_map(cfg, seed):
     predicted dominant (ms_bin, bs_bin) cells, for heatmap rendering; physical modes only."""
     if cfg.mode == "synthetic":
         raise ConfigError("angular map export requires a physical mode")
-    real = physical_stack(cfg, bit_generators(seed_words(_mix64(int(seed)))))
+    real = physical_stack(cfg, ch.pcg64_seat(seed_words(_mix64(int(seed)))))
     bins = np.flatnonzero(real.predicted_support[0]).tolist()
     cells = tuple(divmod(idx, cfg.geometry.n_s) for idx in bins)
     return np.abs(real.angular[0]), cells

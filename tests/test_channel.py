@@ -316,7 +316,7 @@ class TestStackedSynthesis:
             (GEOM, (None, None), drawn[:1000]), (self.ODD, (7.5, 3.0), drawn[1000:])
         ):
             cfg = self._config(geometry, mode, paths, losses)
-            real = hn.physical_stack(cfg, hn.bit_generators(hn.seed_words(seeds)))
+            real = hn.physical_stack(cfg, ch.pcg64_seat(hn.seed_words(seeds)))
             for t, seed in enumerate(seeds.tolist()):
                 ref = fc.draw_physical(
                     geometry, (paths[0], losses[0]), (paths[1], losses[1]),

@@ -408,6 +408,27 @@ class TestJtSearchStack:
         assert len({g[0] for g in got}) > 1
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
+    def test_singular_only_typical_subset_fails_the_search(self, order):
+        # column 1 is column 0 to 1e-4, so G_{0,1} has lambda_max / lambda_min ~ 4e8 >=
+        # GRAM_COND; y = e0 + e1 lies in their span and ~1 from those of (0, 2) and (1, 2),
+        # so (0, 1) is the one subset below delta, by its finite statistic, and the rank
+        # rule rejects it: no subset is taken
+        mat = np.zeros((6, 3), dtype=complex)
+        mat[0, 0] = mat[0, 1] = mat[2, 2] = 1.0
+        mat[1, 1] = 1e-4
+        y = np.array([1.0, 1.0, 0, 0, 0, 0], dtype=complex)
+        herm = mat.conj().T
+        outer, corr = (herm @ mat)[None], (herm @ y)[None]
+        noise_var = np.array([1e-3])
+        stat = table_screen(outer, 1, corr, np.array([2.0]), noise_var,
+                            np.array([[0, 1], [0, 2], [1, 2]]), 6)
+        assert stat[0, 0] < 0.01 < stat[0, 1:].min()
+        assert not nm.full_rank(np.linalg.eigvalsh(outer[0][:2, :2]))
+        cfg = est.TypicalityConfig(0.01, 2, order)
+        (support,), (best,), (examined,) = est.jt_search(y[None], outer, 1, corr, noise_var, cfg, 2)
+        assert support.tolist() == [-1, -1] and best == math.inf and examined == 3
+
+    @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
     def test_one_eigvalsh_per_pass_of_its_typical_pairs(self, order, monkeypatch):
         # column 5 is column 0 to 1e-6: y = 2 column 0 lies in the span of every subset
         # with column 0, and within about 1e-12 of every one with column 5, so all of them

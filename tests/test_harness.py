@@ -14,6 +14,7 @@ import warnings
 from dataclasses import asdict, astuple, replace
 
 import frozen_channel as fc
+import frozen_draws
 import frozen_omp
 import numpy as np
 import pytest
@@ -264,8 +265,9 @@ class TestBlockCore:
         cells = [(k, s) for k in cfg.k_values for s in cfg.snr_db_values]
         want = [reference_trial(cfg, k, s, t) for k, s in cells for t in range(cfg.trials)]
         bits = record_bits(hn.run_sweep(cfg, keep_trials=True).trial_records)
-        # sub-blocks of 3 trials and truth chunks of 2 sub-blocks at the largest k: with
-        # 7 trials per cell, both fall across cell boundaries
+        # sub-blocks of 3 trials at the largest k and truth chunks of at most 6 trials:
+        # with 7 trials per cell, both fall across cell boundaries, and at k = 1, 2 a
+        # chunk spans both Ks
         k_max = max(cfg.k_values)
         monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * hn._sub_block_bytes(cfg, k_max))
         monkeypatch.setattr(hn, "_truth_bytes", lambda cfg: hn._BLOCK_BYTES // 6)
@@ -273,7 +275,7 @@ class TestBlockCore:
         stage, estimate = hn._stage_truths, hn._run_block
 
         def stage_spy(cfg, k, snr_db, indices):
-            chunks.append((k, len(indices), len(set(snr_db))))
+            chunks.append((tuple(sorted(set(k))), len(indices), len(set(snr_db))))
             return stage(cfg, k, snr_db, indices)
 
         def estimate_spy(cfg, k, snr_db, indices, staged=None):
@@ -286,7 +288,15 @@ class TestBlockCore:
         res = hn.run_sweep(cfg, keep_trials=True)
         assert_records_match(res.trial_records, want)
         assert record_bits(res.trial_records) == bits
-        assert [c[1:] for c in chunks if c[0] == k_max] == [(6, 1), (6, 2), (2, 1)]
+        # (Ks, trials, SNRs) of each chunk: whole sub-blocks of 3 trials at k_max and of
+        # 7 at k = 8 < 20, 4 at k = 6 < 8 and 6 at k = 1 < 2
+        tail = [((k_max,), 6, 1), ((k_max,), 6, 2), ((k_max,), 2, 1)]
+        assert chunks == {
+            (8, 20): [((8,), 7, 1), ((8,), 7, 1)] + tail,
+            (8,): tail,
+            (6, 8): [((6,), 4, 1), ((6,), 4, 2), ((6,), 6, 1)] + tail,
+            (1, 2): [((1,), 6, 1), ((1,), 6, 2), ((1, 2), 5, 2), ((2,), 6, 2), ((2,), 5, 1)],
+        }[cfg.k_values]
         assert [n for k, n in blocks if k == k_max] == [3, 3, 3, 3, 2]
 
     @pytest.mark.parametrize("name", ["jt-rank-deficient", "genie-rank-deficient", "jt-l2-loose"])
@@ -443,17 +453,41 @@ class TestTruthStage:
         # the benchmark's sweeps: 25 trials per cell, 3 SNR cells per K
         "overrides", [{}, {"mode": "physical_off_grid", "estimator": "genie"}]
     )
-    def test_each_default_k_stages_in_one_chunk(self, monkeypatch, overrides):
+    def test_default_sweeps_stage_few_chunks(self, monkeypatch, overrides):
+        # jt-default stages its 600 trials in one chunk; genie-offgrid, of 143 trials at
+        # most, in chunks of whole sub-blocks across K (sub-block sizes as below)
         cfg = hn.default_config(trials=25, **overrides)
         chunks, stage = [], hn._stage_truths
 
         def spy(cfg, k, snr_db, indices):
-            chunks.append((k, len(indices)))
+            chunks.append((tuple(sorted(set(k))), len(indices)))
             return stage(cfg, k, snr_db, indices)
 
         monkeypatch.setattr(hn, "_stage_truths", spy)
         hn.run_sweep(cfg)
-        assert chunks == [(k, 75) for k in cfg.k_values]
+        if cfg.mode == "synthetic":
+            assert chunks == [(cfg.k_values, 600)]
+            return
+        assert hn._BLOCK_BYTES // hn._truth_bytes(cfg) == 143
+        assert chunks == [
+            ((8, 12), 143), ((12, 16, 20), 122), ((20, 28, 40), 130), ((40, 60, 80), 140),
+            ((80,), 65),
+        ]
+
+    def test_chunk_across_k_equals_per_k_stages(self):
+        # one chunk of trials of several Ks and SNRs holds each K's own truth stage
+        for overrides in ({}, {"typicality": est.TypicalityConfig(None, 3)},
+                          {"mode": "physical_on_grid", "hop_bs_ris": hn.HopSpec(3),
+                           "hop_ris_ms": hn.HopSpec(2)}):
+            cfg = hn.default_config(**overrides)
+            ks = [k for k in cfg.k_values for _t in range(30)]
+            snrs = [cfg.snr_db_values[t % 3] for t in range(len(ks))]
+            indices = [t * 7 % 30 for t in range(len(ks))]
+            staged = hn._stage_truths(cfg, ks, snrs, indices)
+            for c, k in enumerate(cfg.k_values):
+                at = slice(30 * c, 30 * c + 30)
+                alone = hn._stage_truths(cfg, k, snrs[at], indices[at])
+                assert all(a.tobytes() == b[at].tobytes() for a, b in zip(alone, staged)), k
 
     def test_default_sub_blocks_keep_their_sizes(self):
         # the trials per L = 1 sub-block at each default K under the 64 KiB budget
@@ -691,11 +725,28 @@ class TestSyntheticDraws:
 
     def test_state_and_words_match_pcg64(self):
         seeds = TestSeedWords().seeds()
-        ours = hn.bit_generators(hn.seed_words(np.array(seeds, dtype=np.uint64)))
-        for seed, own in zip(seeds, ours):
+        state = ch.pcg64_seat(hn.seed_words(np.array(seeds, dtype=np.uint64)))
+        assert state.shape == (4, len(seeds)) and state.dtype == np.uint64
+        hi, lo, inc_hi, inc_lo = state.tolist()
+        words = ch.pcg64_words(state, np.arange(3)).tolist()
+        for t, seed in enumerate(seeds):
             bits = np.random.default_rng(seed).bit_generator
-            assert bits.state["state"] == own.state["state"], seed
-            assert own.random_raw(3).tolist() == bits.random_raw(3).tolist(), seed
+            own = {"state": hi[t] << 64 | lo[t], "inc": inc_hi[t] << 64 | inc_lo[t]}
+            assert bits.state["state"] == own, seed
+            assert words[t] == bits.random_raw(3).tolist(), seed
+
+    def test_words_past_the_block_match_random_raw(self):
+        # a lane that redraws reads past its block, one jump per word: word offsets up to
+        # 300, the same offsets on every lane and one offset per lane
+        seeds = TestSeedWords().seeds()[:300]
+        state = ch.pcg64_seat(hn.seed_words(np.array(seeds, dtype=np.uint64)))
+        at = np.array([0, 1, 2, 63, 64, 127, 128, 200, 255, 256, 299, 300])
+        own = np.arange(len(seeds))[:, None] + 1
+        got, alone = ch.pcg64_words(state, at), ch.pcg64_words(state, own)
+        for t, seed in enumerate(seeds):
+            raw = np.random.default_rng(seed).bit_generator.random_raw(301)
+            assert got[t].tolist() == raw[at].tolist(), seed
+            assert alone[t].tolist() == raw[own[t]].tolist(), seed
 
     @pytest.mark.parametrize(
         "dim, l",
@@ -712,8 +763,8 @@ class TestSyntheticDraws:
         self.check(TestSeedWords().seeds()[:200], 10201, l)
 
     def check(self, seeds, dim, l):
-        bits = hn.bit_generators(hn.seed_words(np.array(seeds, dtype=np.uint64)))
-        (picks,), phases = hn.raw_draws(bits, [(dim, l, l)])
+        state = ch.pcg64_seat(hn.seed_words(np.array(seeds, dtype=np.uint64)))
+        (picks,), phases = ch.raw_draws(state, [(dim, l, l)])
         assert picks.shape == phases.shape == (len(seeds), l)
         assert picks.dtype == np.int64 and phases.dtype == np.float64
         for seed, got, phase in zip(seeds, picks, phases):
@@ -741,18 +792,34 @@ class TestSyntheticDraws:
         }
         return bits
 
-    @staticmethod
-    def spy_bounded(monkeypatch):
-        """(j, halves read) of every bounded draw, as they are made."""
-        draws, inner = [], hn._bounded
+    @classmethod
+    def seat(cls, state):
+        """The (4, 1) limbs of a PCG64 at ``state`` with the test's increment, as
+        ``raw_draws`` takes them."""
+        limbs = [state >> 64, state & hn._MASK, cls.INC >> 64, cls.INC & hn._MASK]
+        return np.array(limbs, dtype=np.uint64)[:, None]
+
+    @classmethod
+    def spy_bounded(cls, monkeypatch, state):
+        """(j, halves read) of every bounded draw, as they are made by the frozen per-lane
+        draws (``frozen_draws``) from the PCG64 at ``state``, for the steps of each
+        ``raw_draws`` call, whose output they must equal."""
+        draws, inner, bounded = [], ch.raw_draws, frozen_draws.bounded
 
         def spy(halves, j):
             taken = []
-            v = inner((taken.append(h) or h for h in halves), j)
+            v = bounded((taken.append(h) or h for h in halves), j)
             draws.append((j, len(taken)))
             return v
 
-        monkeypatch.setattr(hn, "_bounded", spy)
+        def raw_spy(lanes, steps):
+            want, got = frozen_draws.raw_draws([cls.pcg64_at(state)], steps), inner(lanes, steps)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip([*want[0], want[1]],
+                                                                  [*got[0], got[1]]))
+            return got
+
+        monkeypatch.setattr(frozen_draws, "bounded", spy)
+        monkeypatch.setattr(ch, "raw_draws", raw_spy)
         return draws
 
     @pytest.mark.parametrize(
@@ -769,8 +836,8 @@ class TestSyntheticDraws:
         # j + 1 is a power of two, so the draw is made again from the next half
         word = 0x9E3779B9 << 32 if not high else 0x7F4A7C15
         state = self.crafted(word, steps)
-        draws = self.spy_bounded(monkeypatch)
-        (picks,), phases = hn.raw_draws([self.pcg64_at(state)], [(dim, l, l)])
+        draws = self.spy_bounded(monkeypatch, state)
+        (picks,), phases = ch.raw_draws(self.seat(state), [(dim, l, l)])
         picks, phases = picks[0].tolist(), phases[0]
         assert (bound, 2) in draws
         rng = np.random.Generator(self.pcg64_at(state))
@@ -780,13 +847,36 @@ class TestSyntheticDraws:
     def test_redraws_past_the_words_read_up_front(self, monkeypatch):
         # a zero first word rejects both its halves: the third half comes from the
         # second word, so the double is a word beyond the two read in one call
-        draws = self.spy_bounded(monkeypatch)
         state = self.crafted(0, 1)
-        (picks,), phases = hn.raw_draws([self.pcg64_at(state)], [(25, 1, 1)])
+        draws = self.spy_bounded(monkeypatch, state)
+        (picks,), phases = ch.raw_draws(self.seat(state), [(25, 1, 1)])
         assert draws == [(24, 3)]
         rng = np.random.Generator(self.pcg64_at(state))
         assert picks.tolist() == [rng.choice(25, size=1, replace=False).tolist()]
         assert phases.tobytes() == rng.random(1).tobytes()
+
+    @pytest.mark.parametrize("dim, l", [(25, 1), (7, 2), (25, 3), (100, 3)])
+    def test_rejecting_lanes_redraw_alone(self, dim, l):
+        # the crafted rejecting states of the cases above between seeded lanes, in one
+        # stack: each lane's draws are its own generator's
+        crafted = [self.crafted(0, 1)] + [
+            self.crafted(word, steps)
+            for word in (0x9E3779B9 << 32, 0x7F4A7C15) for steps in (1, 2)
+        ]
+        seeds = TestSeedWords().seeds()[:40]
+        seated = ch.pcg64_seat(hn.seed_words(np.array(seeds, dtype=np.uint64)))
+        state = np.concatenate([seated[:, :20]] + [self.seat(s) for s in crafted]
+                               + [seated[:, 20:]], axis=1)
+        rngs = [np.random.default_rng(s) for s in seeds[:20]]
+        rngs += [np.random.Generator(self.pcg64_at(s)) for s in crafted]
+        rngs += [np.random.default_rng(s) for s in seeds[20:]]
+        steps = [(dim, l, l), (dim, l, 2)]
+        picks, phases = ch.raw_draws(state, steps)
+        for t, rng in enumerate(rngs):
+            for step, (d, n, m) in enumerate(steps):
+                assert picks[step][t].tolist() == rng.choice(d, size=n, replace=False).tolist()
+                start = sum(v for *_, v in steps[:step])
+                assert phases[t, start:start + m].tobytes() == rng.random(m).tobytes(), t
 
 
 class TestPhysicalDraws:
@@ -813,8 +903,8 @@ class TestPhysicalDraws:
         )
         word = 0x9E3779B9 << 32 if not high else 0x7F4A7C15
         state = TestSyntheticDraws.crafted(word, steps)
-        draws = TestSyntheticDraws.spy_bounded(monkeypatch)
-        real = hn.physical_stack(cfg, [TestSyntheticDraws.pcg64_at(state)])
+        draws = TestSyntheticDraws.spy_bounded(monkeypatch, state)
+        real = hn.physical_stack(cfg, TestSyntheticDraws.seat(state))
         assert (bound, 2) in draws
         rng = np.random.Generator(TestSyntheticDraws.pcg64_at(state))
         ref = fc.draw_physical(cfg.geometry, (paths[0], None), (paths[1], None), rng, True)
@@ -1107,7 +1197,6 @@ class TestConfigParsing:
         master_seed = 99
         estimator = omp
         sparsity = 2
-        delta = 0.125
         search_order = best_statistic
         max_subsets = 500
         magnitude = 2.0
@@ -1125,11 +1214,17 @@ class TestConfigParsing:
         assert cfg.master_seed == 99
         assert cfg.estimator == "omp"
         assert cfg.typicality == est.TypicalityConfig(
-            delta=0.125, sparsity=2, search_order="best_statistic", max_subsets=500
+            delta=None, sparsity=2, search_order="best_statistic", max_subsets=500
         )
         assert cfg.magnitude == 2.0
         assert cfg.hop_bs_ris == hn.HopSpec(2, 7.5)
         assert cfg.hop_ris_ms == hn.HopSpec(2, 3.0)
+
+    def test_synthetic_roundtrip_keeps_delta(self):
+        # a fixed delta is a synthetic-mode key (physical modes reject it)
+        cfg = hn.parse_config_text("delta = 0.125\nsparsity = 2\n")
+        assert cfg.mode == "synthetic"
+        assert cfg.typicality == est.TypicalityConfig(delta=0.125, sparsity=2)
 
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="bogus_field"):
@@ -1247,6 +1342,22 @@ class TestCli:
         assert rc == 0
         assert out.exists()
         assert (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize("mode", ["physical_on_grid", "physical_off_grid"])
+    def test_physical_delta_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys, mode):
+        # a fixed delta is absolute, but a physical truth's energy and sigma^2 vary per
+        # trial: on-grid 2 x 2 at delta = 0.05 once ran with fail_rate 0.33
+        cfg = self._write_cfg(
+            tmp_path, mode=mode, paths_bs_ris=2, paths_ris_ms=2, k_values="200, 800",
+            trials=30, delta=0.05,
+        )
+        monkeypatch.setattr(hn, "_stage_truths", lambda *args: pytest.fail("a trial ran"))
+        out = tmp_path / "res.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "delta = 0.05" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "res.json").exists()
+        with pytest.raises(ConfigError, match="only the default delta"):
+            hn.default_config(mode=mode, typicality=est.TypicalityConfig(0.05, 1))
 
     def test_sweep_per_trial(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
@@ -1477,7 +1588,7 @@ class TestCli:
             # the default delta needs k * n_s > sparsity: 1 * 5 <= 5
             ({"k_values": "1, 8", "sparsity": 5, "trials": 60}, "k_values"),
             # a support drawn from over 2^32 entries: numpy's 32-bit bounded draw
-            # (hn._bounded) could never accept one
+            # (in ch.raw_draws) could never accept one
             (
                 {"n_s": 65537, "n_d": 65537, "k_values": 65538, "trials": 1, "estimator": "genie"},
                 "n_d * n_s",
