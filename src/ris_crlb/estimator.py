@@ -20,12 +20,12 @@ G_J, bit for bit: its eliminations across blocks subtract exact zeros, except
 after a pivot that is 0 or nan, whose nan in the later columns of other blocks
 the tables reproduce.  A subset is typical where that statistic is below
 delta and G_J is full rank by ``numerics.full_rank`` of its eigenvalues
-(lambda_max < GRAM_COND lambda_min), the rank rule of every fit
-(``numerics.gram_solve``); only a subset below delta takes them.  No SVD and
-no column of Upsilon is needed.  The SVD form of the statistic,
-:func:`typicality_statistic`, is the reference: it differs from the Gram one
-by rounding, a few L eps cond(G_J) ||y||^2, and its rank rule is
-``numerics.svd_rank``'s.
+(lambda_max < GRAM_COND lambda_min), the one rank rule of the package and of
+every fit (``numerics.gram_solve``); only a subset below delta takes them.  No
+SVD and no column of Upsilon is needed.  The one-problem functions,
+:func:`typicality_statistic`, :func:`genie_ls` and :func:`crlb`, are the
+single-problem case of the same tables and solver, so each raises
+``RankDeficientError`` exactly where a sweep's trial fails.
 
 Known-support least squares (the genie) attains the CRLB
 sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
@@ -44,7 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .numerics import as_matrix, as_vector, full_rank, kron_gram, least_squares, svd_rank
+from .numerics import (
+    as_matrix, as_vector, full_rank, gram_solve, kron_gram, least_squares, solve_one,
+)
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
 BEST_STATISTIC = "best_statistic"
@@ -115,22 +117,21 @@ def default_delta(noise_var, kns, sparsity):
 def typicality_statistic(y, sub, noise_var, l):
     """Absolute deviation of the projected residual energy from the noise level.
 
-    Returns |(1/m)||P^perp y||^2 - ((m - l)/m) sigma^2| with m = len(y),
-    projecting through an SVD basis of the column span.  Raises
-    RankDeficientError when the :func:`numerics.svd_rank` of ``sub`` is below
-    l.  This is the SVD reference of the Gram-domain statistic that the
-    search in :func:`jt_estimate` decides by (see the module docstring).
+    Returns |(1/m)||P^perp y||^2 - ((m - l)/m) sigma^2| with m = len(y): the
+    search's statistic (:func:`_tables`, :func:`_statistics`) of the one subset
+    of all l columns of ``sub``.  Raises RankDeficientError where
+    ``numerics.full_rank`` rejects sub^H sub, as the search skips that subset.
     """
     y = as_vector(y, "y")
     sub = as_matrix(sub, "sub")
     m = y.shape[0]
     if sub.shape != (m, l):
         raise DimensionMismatchError(f"sub has shape {sub.shape}, expected {(m, l)}")
-    basis, s, _ = np.linalg.svd(sub, full_matrices=False)
-    if (rank := svd_rank(s, sub.shape)) < l:
-        raise RankDeficientError(f"submatrix rank {rank} < {l}")
-    residual = max(np.vdot(y, y).real - np.sum(np.abs(basis.conj().T @ y) ** 2), 0.0)
-    return float(abs(residual / m - (m - l) / m * noise_var))
+    solve_one(sub)  # raises where sub^H sub is not full rank
+    herm, cols = sub.conj().T, np.arange(l)[None]
+    term = _tables((herm @ sub)[None], 1, (herm @ y)[None], [cols], l)
+    yy, noise_var = np.array([np.vdot(y, y).real]), np.array([noise_var], dtype=np.float64)
+    return float(_statistics(term, np.arange(1), cols, yy, noise_var, m)[0, 0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -302,13 +303,15 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
     if (total := math.comb(upsilon_mat.shape[1], cfg.sparsity)) > cfg.max_subsets:
         raise ValueError(f"{total} subsets exceed max_subsets = {cfg.max_subsets}")
     herm = upsilon_mat.conj().T
+    outer, corr = (herm @ upsilon_mat)[None], (herm @ y)[None]
     (support,), (stat,), (examined,) = jt_search(
-        y[None], (herm @ upsilon_mat)[None], 1, (herm @ y)[None], [noise_var], cfg, cfg.sparsity
+        y[None], outer, 1, corr, [noise_var], cfg, cfg.sparsity
     )
     subset = tuple(support.tolist()) if support[0] >= 0 else ()
     estimate = np.zeros(upsilon_mat.shape[1], dtype=np.complex128)
-    if subset:
-        estimate[list(subset)] = least_squares(upsilon_mat[:, subset], y)
+    if subset:  # fitted on the search's own G_J, which its rule found full rank
+        _, _, fit = gram_solve(kron_gram(outer, 1, support[None]), corr[:, support])
+        estimate[support] = fit[0]
     return EstimateResult(
         support=subset,
         upsilon_hat=estimate,
@@ -329,16 +332,10 @@ def genie_ls(y, upsilon_mat, support):
 
 
 def crlb(upsilon_mat, support, noise_var):
-    """Estimation-error floor sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1].
-
-    From the singular values of the support submatrix: the SVD reference of
-    the sweep's Gram-domain CRLB (``numerics.gram_solve``).
-    """
+    """Estimation-error floor sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1], by
+    ``numerics.gram_solve`` of the support's Gram matrix, as a sweep takes it."""
     sub = as_matrix(upsilon_mat, "upsilon_mat")[:, list(support)]
-    s = np.linalg.svd(sub, compute_uv=False)
-    if svd_rank(s, sub.shape) < sub.shape[1]:
-        raise RankDeficientError("support submatrix is rank deficient")
-    return float(noise_var * np.sum(1.0 / s**2))
+    return float(noise_var * solve_one(sub)[0])
 
 
 def missed_detection_term(truth_energy, noise_var, delta, kns, l):

@@ -1,9 +1,10 @@
 """Complex dense linear algebra kernel shared by the other modules.
 
 Everything here is a pure function of its inputs; matrices are plain
-``numpy.ndarray`` of complex128 and are never mutated.  A sweep decides rank by
-:func:`full_rank` of Gram matrices; the one-problem reference paths keep the
-SVD's cutoff, :func:`svd_rank`.
+``numpy.ndarray`` of complex128 and are never mutated.  Rank has one rule,
+:func:`full_rank` of a Gram matrix, and fits and traces one solver,
+:func:`gram_solve`: the one-problem functions are its single-problem case, so
+they fail exactly where a sweep's trial would.  Nothing here runs an SVD.
 """
 
 import numpy as np
@@ -65,19 +66,6 @@ def unvec(v, rows, cols):
     return v.reshape((rows, cols), order="F")
 
 
-def svd_rank(s, shape):
-    """Numeric rank of a matrix of ``shape`` from its descending singular values.
-
-    Counts the singular values above max(rows, cols) * eps * largest singular
-    value, the standard SVD-based cutoff.  For a stack of matrices, ``s`` is
-    (..., min(rows, cols)) and ``shape`` ends in (rows, cols); the ranks come
-    back as an array of the stack's shape.
-    """
-    tol = max(shape[-2:]) * np.finfo(np.float64).eps * (s[..., :1] if s.shape[-1] else 0.0)
-    rank = np.count_nonzero(s > tol, axis=-1)
-    return int(rank) if s.ndim == 1 else rank
-
-
 # the widest spread lambda_max / lambda_min of a Gram matrix G = A^H A (lambda = s^2 of A)
 # whose A counts as full column rank: rounding moves G by about m eps lambda_max, so below
 # it lambda and G^-1 c keep about cond m eps relative accuracy
@@ -114,31 +102,27 @@ def gram_solve(g, c=None):
         return np.sum(1.0 / lam, axis=-1), full, x
 
 
-def numeric_rank(a):
-    """Number of singular values above the standard SVD-based cutoff of :func:`svd_rank`."""
-    a = as_matrix(a)
-    return svd_rank(np.linalg.svd(a, compute_uv=False), a.shape)
+def solve_one(a, y=None):
+    """:func:`gram_solve` of one matrix ``a``: tr((a^H a)^-1) and, given ``y``, the fit
+    (a^H a)^-1 a^H y; raises :class:`RankDeficientError` where :func:`full_rank` rejects
+    a^H a."""
+    herm = a.conj().T
+    c = None if y is None else (herm @ y)[None]
+    (trace,), (full,), x = gram_solve((herm @ a)[None], c)
+    if not full:
+        raise RankDeficientError(f"matrix of shape {a.shape} is not of full column rank")
+    return trace, None if x is None else x[0]
 
 
 def least_squares(a, y):
-    """Minimizer of ||y - a v||^2 for a full-column-rank a.
-
-    Solved through an orthogonal (SVD) decomposition rather than normal
-    equations; raises :class:`RankDeficientError` when the numeric rank of
-    ``a`` falls below its column count.
-    """
+    """Minimizer of ||y - a v||^2 for a full-column-rank a, by :func:`solve_one`."""
     a = as_matrix(a, "a")
     y = as_vector(y, "y")
     if y.shape[0] != a.shape[0]:
         raise DimensionMismatchError(
             f"y has length {y.shape[0]}, expected {a.shape[0]}"
         )
-    sol, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    if rank < a.shape[1]:
-        raise RankDeficientError(
-            f"matrix has numeric rank {rank} < {a.shape[1]} columns"
-        )
-    return sol
+    return solve_one(a, y)[1]
 
 
 def projector_complement(a):
@@ -146,11 +130,9 @@ def projector_complement(a):
 
     Returns I - a (a^H a)^-1 a^H, computed as I - Q Q^H from a reduced QR so
     no Gram inverse is formed.  Idempotent and Hermitian; annihilates ``a``.
+    Raises :class:`RankDeficientError` where :func:`full_rank` rejects a^H a.
     """
     a = as_matrix(a, "a")
-    if numeric_rank(a) < a.shape[1]:
-        raise RankDeficientError(
-            f"matrix of shape {a.shape} is numerically rank deficient"
-        )
+    solve_one(a)  # raises where a^H a is not full rank
     q, _ = np.linalg.qr(a, mode="reduced")
     return np.eye(a.shape[0], dtype=np.complex128) - q @ q.conj().T

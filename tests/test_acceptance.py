@@ -10,6 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from frozen_svd import numeric_rank, svd_rank
 
 from ris_crlb import channel as ch
 from ris_crlb import cli
@@ -19,9 +20,7 @@ from ris_crlb import sensing as sn
 from ris_crlb.numerics import (
     dft_matrix,
     kron,
-    numeric_rank,
     projector_complement,
-    svd_rank,
     vec,
 )
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import frozen_channel as fc
+from frozen_svd import numeric_rank
 from ris_crlb import channel as ch
 from ris_crlb import harness as hn
-from ris_crlb.numerics import dft_matrix, numeric_rank, vec
+from ris_crlb.numerics import dft_matrix, vec
 
 
 GEOM = ch.Geometry(n_s=5, n_d=5, n_r_h=2, n_r_w=5)

@@ -8,9 +8,11 @@ from types import SimpleNamespace
 import frozen_gram
 import frozen_kron
 import frozen_omp
+import frozen_svd
 import numpy as np
 import pytest
 
+from ris_crlb import cli
 from ris_crlb import estimator as est
 from ris_crlb import harness as hn
 from ris_crlb import numerics as nm
@@ -46,7 +48,7 @@ def svd_candidates(y, mat, noise_var, l):
     for cand in combinations(range(mat.shape[1]), l):
         sub = mat[:, cand]
         try:
-            stat = est.typicality_statistic(y, sub, noise_var, l)
+            stat = frozen_svd.typicality_statistic(y, sub, noise_var, l)
         except RankDeficientError:
             stat = math.nan
         lam = np.linalg.eigvalsh(sub.conj().T @ sub)
@@ -116,7 +118,7 @@ def literal_search(y, mat, cfg, noise_var):
     for cand in combinations(range(mat.shape[1]), l):
         examined += 1
         try:
-            stat = est.typicality_statistic(y, mat[:, cand], noise_var, l)
+            stat = frozen_svd.typicality_statistic(y, mat[:, cand], noise_var, l)
         except RankDeficientError:
             continue
         if stat >= delta:
@@ -336,7 +338,7 @@ class TestSearchEquivalence:
             if trial % 3 == 0:
                 cand = tuple(sorted(int(i) for i in rng.choice(dim, size=l, replace=False)))
                 try:
-                    delta = est.typicality_statistic(y, mat[:, cand], noise_var, l) or delta
+                    delta = frozen_svd.typicality_statistic(y, mat[:, cand], noise_var, l) or delta
                 except RankDeficientError:
                     pass
             elif trial % 3 == 1 and noise_var:
@@ -592,7 +594,7 @@ class TestGramScreen:
             )
             for t, b in zip(*np.nonzero(proven)):
                 cols = frozen_kron.kron_columns(pilots[t], n_s, subsets[b])
-                ref = est.typicality_statistic(y[t], cols, noise_var[t], l)
+                ref = frozen_svd.typicality_statistic(y[t], cols, noise_var[t], l)
                 tol = gram_tolerance(y[t], cols, noise_var[t])
                 assert abs(stat[t, b] - ref) <= tol, (batch, t, b)
                 checked += 1
@@ -657,6 +659,89 @@ class TestCrlb:
         mat = np.ones((10, 3), dtype=complex)
         with pytest.raises(RankDeficientError):
             est.crlb(mat, (0, 1), 1.0)
+
+
+class TestOneProblemIsTheGramCore:
+    """The one-problem functions are the single-problem case of the sweep's Gram core:
+    one rank rule (``numerics.full_rank``), one solver (``numerics.gram_solve``)."""
+
+    @staticmethod
+    def _ill_conditioned():
+        # columns a and a + 1e-4 n: cond(A) ~ 2.0e4, so lambda_max / lambda_min of A^H A
+        # ~ 4e8 >= GRAM_COND, though the SVD's own cutoff counts A as of full rank
+        rng = np.random.default_rng(0)
+        a, n = crandn(rng, 40), crandn(rng, 40)
+        return np.stack([a, a + 1e-4 * n], axis=1), crandn(rng, 40)
+
+    def test_ill_conditioned_support_fails_where_a_sweep_trial_fails(self):
+        mat, y = self._ill_conditioned()
+        assert 1.9e4 < np.linalg.cond(mat) < 2.1e4
+        _, (full,), _ = nm.gram_solve((mat.conj().T @ mat)[None])
+        assert not full
+        calls = [
+            lambda: est.crlb(mat, (0, 1), 0.1),
+            lambda: est.genie_ls(y, mat, (0, 1)),
+            lambda: nm.least_squares(mat, y),
+            lambda: est.typicality_statistic(y, mat, 0.1, 2),
+            lambda: nm.projector_complement(mat),
+        ]
+        for call in calls:
+            with pytest.raises(RankDeficientError):
+                call()
+
+    def test_crlb_is_the_gram_trace(self):
+        rng = np.random.default_rng(31)
+        for draw in range(200):
+            model = default_scale_model(seed=31_000 + draw)
+            support = sorted(rng.choice(25, size=1 + draw % 3, replace=False).tolist())
+            sub = model.upsilon_mat[:, support]
+            noise_var = 10.0 ** rng.uniform(-3, 0)
+            (trace,), (full,), _ = nm.gram_solve((sub.conj().T @ sub)[None])
+            assert full and est.crlb(model.upsilon_mat, support, noise_var) == noise_var * trace
+
+    @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
+    def test_statistic_is_the_search_statistic(self, order):
+        # the statistic of the support jt_estimate takes, from that support's columns
+        # alone, within rounding of the whole matrix's Gram products
+        rng = np.random.default_rng(32 + (order == est.BEST_STATISTIC))
+        eps, found = np.finfo(np.float64).eps, 0
+        for draw in range(500):
+            pilots = sn.gen_pilots(n_d=3, k=8, seed=32_000 + draw)
+            mat = sn.measurement_matrix(pilots, 4)
+            truth = np.zeros(12, dtype=complex)
+            truth[rng.choice(12, size=2, replace=False)] = crandn(rng, 2)
+            noise_var = 10.0 ** rng.uniform(-4, -1)
+            y = mat @ truth + math.sqrt(noise_var / 2) * crandn(rng, 32)
+            res = est.jt_estimate(y, mat, est.TypicalityConfig(None, 2, order), noise_var)
+            if res.failed:
+                continue
+            stat = est.typicality_statistic(y, mat[:, res.support], noise_var, 2)
+            unit = 64 * eps * (np.vdot(y, y).real / len(y) + noise_var)
+            assert abs(stat - res.statistic) <= unit, draw
+            found += 1
+        assert found >= 400
+
+    def test_no_one_problem_function_runs_an_svd(self, monkeypatch, capsys):
+        def banned(*args, **kwargs):
+            raise AssertionError("an SVD or an lstsq fit")
+
+        monkeypatch.setattr(np.linalg, "svd", banned)
+        monkeypatch.setattr(np.linalg, "lstsq", banned)
+        model = default_scale_model(seed=33, noise_var=0.01)
+        truth = np.zeros(25, dtype=complex)
+        truth[[4, 11]] = [1.0, -0.5j]
+        y = sn.observe(model, truth, np.random.default_rng(34))
+        mat, sub = model.upsilon_mat, model.upsilon_mat[:, [4, 11]]
+        res = est.jt_estimate(y, mat, est.TypicalityConfig(None, 2), 0.01)
+        assert res.support == (4, 11)
+        est.typicality_statistic(y, sub, 0.01, 2)
+        est.genie_ls(y, mat, (4, 11))
+        est.crlb(mat, (4, 11), 0.01)
+        nm.least_squares(sub, y)
+        nm.projector_complement(sub)
+        assert cli.main(["selftest"]) == 0
+        assert cli.main(["crlb"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestMissedDetectionTerm:

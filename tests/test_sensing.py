@@ -3,10 +3,11 @@
 import frozen_kron
 import numpy as np
 import pytest
+from frozen_svd import numeric_rank
 
 from ris_crlb import sensing as sn
 from ris_crlb.errors import DimensionMismatchError
-from ris_crlb.numerics import kron, numeric_rank
+from ris_crlb.numerics import kron
 
 
 def crandn(rng, *shape):
