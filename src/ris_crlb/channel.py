@@ -271,18 +271,17 @@ def raw_draws(state, steps):
             out = np.where(at < n_words, out, pcg64_words(state[:, rows], at))
         return out
 
-    def bounded(j, rows=lanes):  # numpy's unmasked random_bounded_uint64(0, j), j < 2^32
-        if not j:
-            return np.zeros(t, np.uint64)
-        h = held[rows]
-        fresh, draw = rows[~h], half[rows]
-        words = take(fresh, 1)[:, 0]
-        draw[~h], half[fresh], held[rows] = words & _M32, words >> 32, ~h
-        m = draw * np.uint64(j + 1)
-        bad = np.flatnonzero(m & _M32 < (1 << 32) % (j + 1))  # Lemire's rejection
-        if bad.size:
-            m[bad] = bounded(j, rows[bad])
-        return m >> 32 if rows is lanes else m
+    def bounded(j):  # numpy's unmasked random_bounded_uint64(0, j), j < 2^32, of each lane
+        out, rows = np.zeros(t, np.uint64), lanes
+        while j and rows.size:  # the lanes Lemire's rejection sends back draw again
+            h = held[rows]
+            fresh, draw = rows[~h], half[rows]
+            words = take(fresh, 1)[:, 0]
+            draw[~h], half[fresh], held[rows] = words & _M32, words >> 32, ~h
+            m = draw * np.uint64(j + 1)
+            ok = m & _M32 >= (1 << 32) % (j + 1)
+            out[rows[ok]], rows = m[ok] >> 32, rows[~ok]
+        return out
 
     picks, doubles = [], []
     for dim, l, n in steps:

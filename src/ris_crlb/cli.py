@@ -80,13 +80,12 @@ def _check_out(path, command):
 
 def _cmd_sweep(args):
     cfg = _load_config(args)
-    threads = _thread_count(args)
-    result = hn.run_sweep(cfg, threads=threads, keep_trials=args.per_trial)
+    result = hn.run_sweep(cfg, threads=_thread_count(args))
     json_path, trials_path = _sweep_files(args.out)
     hn.write_sweep_csv(result, args.out)
     hn.write_sweep_json(result, cfg, json_path)
     if args.per_trial:
-        hn.write_trials_csv(result.trial_records, trials_path)
+        hn.write_trials_csv(result.trials, trials_path)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 

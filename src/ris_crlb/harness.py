@@ -10,9 +10,11 @@ A worker runs its share in two stages, each under the peak ``_BLOCK_BYTES``
 (640 KiB) over a stated per-trial peak: the estimation stage (``_run_block``:
 pilots, observation, CRLB, search and fit) per sub-block of one K, and the
 truth stage (``_stage_truths``: seeds, seed words, truths, supports and
-energies) per chunk of whole sub-blocks, in order across K.  A truth seats
-no ``Generator``: its PCG64 is seated and read in uint64 limbs for a whole
-chunk at once (``channel.pcg64_seat``, ``channel.raw_draws``; numpy does not
+energies) per chunk of whole sub-blocks, in order across K.  Each trial leaves
+73 B in the columns of :class:`Trials`: they and the share's per-trial layout
+are the one state that grows with the trial count.  A truth seats no
+``Generator``: its PCG64 is seated and read in uint64 limbs for a whole chunk
+at once (``channel.pcg64_seat``, ``channel.raw_draws``; numpy does not
 promise ``Generator`` streams across versions: the tests compare both).
 """
 
@@ -26,7 +28,7 @@ import pickle
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from typing import NamedTuple
 
@@ -41,9 +43,9 @@ from .errors import ConfigError
 MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
 
-# the peak bytes an estimation sub-block or a truth chunk may hold, over its
-# stated per-trial peak (_sub_block_bytes, _truth_bytes): it sets the trials of
-# each, so neither working set grows with the trial count
+# the peak bytes an estimation sub-block or a truth chunk may hold, over its stated
+# per-trial peak (_sub_block_bytes, _truth_bytes): it sets the trials of each, so
+# neither working set grows with the trial count; only the Trials columns do
 _BLOCK_BYTES = 640 * 1024
 
 CSV_HEADER = "k,snr_db,mse,crlb,upper_bound,fail_rate,trials"
@@ -198,20 +200,20 @@ class ExperimentConfig:
                 )
 
 
-@dataclass
-class TrialRecord:
-    """One Monte Carlo trial, fully determined by (config, k, snr_db, trial_index)."""
+class Trials(NamedTuple):
+    """Trials as columns, one entry per trial; each trial is fully determined by
+    (config, k, snr_db, trial_index).  73 B a trial."""
 
-    k: int
-    snr_db: float
-    trial_index: int
-    seed: int
-    squared_error: float
-    crlb_value: float
-    failed: bool
-    subsets_examined: int
-    truth_energy: float
-    sparsity: int
+    k: np.ndarray                 # int64
+    snr_db: np.ndarray            # float64
+    trial_index: np.ndarray       # int64
+    seed: np.ndarray              # uint64
+    squared_error: np.ndarray     # float64
+    crlb_value: np.ndarray        # float64, nan where the true support is not estimated
+    failed: np.ndarray            # bool
+    subsets_examined: np.ndarray  # int64
+    truth_energy: np.ndarray      # float64 ||upsilon||^2
+    sparsity: np.ndarray          # int64 entries of the support mask
 
 
 @dataclass
@@ -231,7 +233,7 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    trial_records: list = field(default_factory=list)
+    trials: Trials  # every trial, in grid and trial-index order
 
 
 def default_config(**overrides):
@@ -436,19 +438,19 @@ def _sub_block_bytes(cfg, k):
 
 
 def run_trial(cfg, k, snr_db, trial_index):
-    """The sweep's record of one trial: the one-trial block of :func:`_run_block`."""
-    return _run_block(cfg, k, snr_db, [trial_index])[0]
+    """The sweep's columns of one trial: the one-trial block of :func:`_run_block`."""
+    return _run_block(cfg, k, snr_db, [trial_index])
 
 
 def _run_block(cfg, k, snr_db, indices, staged=None):
-    """Records of trials ``indices`` at K = k, as stacks: the estimation stage.
+    """:class:`Trials` of trials ``indices`` at K = k, as stacks: the estimation stage.
 
     ``snr_db`` is the SNR of every trial, or one SNR per index, so a block
     may hold trials of several grid cells of one K.  ``staged`` is their
     truth stage (:func:`_stage_truths`), which is run here when it is None.
     Per trial run only its pilot and noise draws; the rest runs on stacks
-    with a single trial's per-matrix LAPACK and BLAS calls, so a record does
-    not depend on its block.  The CRLB sigma^2 tr(G_I^-1), the JT search, OMP's
+    with a single trial's per-matrix LAPACK and BLAS calls, so a trial's row
+    does not depend on its block.  The CRLB sigma^2 tr(G_I^-1), the JT search, OMP's
     greedy steps and every fit G_S^-1 c_S come from G = kron(conj(X) X^T, I)
     and c = Upsilon^H y (``numerics.gram_solve``), and every rank from G's
     eigenvalues (``numerics.full_rank``): no column of Upsilon is built and no
@@ -457,7 +459,7 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     true support I, which the genie takes, and JT too where it found I; JT
     fits only the other supports it found.  An OMP trial is failed where it
     took fewer than l columns, which it counts as its subsets examined.  Every
-    trial starts as the failed record (squared error ||upsilon||^2, CRLB nan,
+    trial starts as the failed row (squared error ||upsilon||^2, CRLB nan,
     no subsets examined); a zero truth, an empty support and a true support
     that is not full rank keep it.  The search budget is checked before any
     trial (:func:`run_sweep`).
@@ -512,15 +514,12 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
         hit = ~failed[at]
         estimates[at[hit, None], support[hit]] = coef[hit]
 
-    errors = est.squared_errors(estimates, truths).tolist()
-    snrs = np.broadcast_to(snr, (n,)).tolist()
-    return [
-        TrialRecord(int(k), *fields)
-        for fields in zip(
-            snrs, indices, seeds.tolist(), errors, crlbs.tolist(), failed.tolist(),
-            examined.tolist(), energies.tolist(), sizes.tolist(),
-        )
-    ]
+    # seeds is a row of its chunk's (4, T) seed stack: a copy keeps no block's stack alive
+    return Trials(
+        np.full(n, k, dtype=np.int64), np.broadcast_to(snr, (n,)).copy(),
+        np.asarray(indices, dtype=np.int64), seeds.copy(), est.squared_errors(estimates, truths),
+        crlbs, failed, examined, energies, sizes,
+    )
 
 
 def bound_terms(cfg, k, snr_db, energy, l):
@@ -542,24 +541,27 @@ def bound_terms(cfg, k, snr_db, energy, l):
     return noise_var, delta, missed, wrong
 
 
-def _run_share(cfg, cells, keep_trials):
-    """(SweepRow, records when ``keep_trials``) of each (k, snr_db) cell of ``cells``.
+def _run_share(cfg, cells):
+    """(SweepRow, :class:`Trials`) of each (k, snr_db) cell of ``cells``.
 
     ``cells`` is one worker's share, in grid order.  The trials of its cells
     of one K run cell after cell in estimation sub-blocks, and the share's
     sub-blocks, in order across K, are staged in truth chunks of whole
     sub-blocks (see the module docstring), so a chunk may span K and SNR
-    cells and a sub-block SNR cells; records depend on neither.  A row's
-    wall_time is its trials' share of the time of the chunks and sub-blocks
-    they ran in, plus its aggregation.
+    cells and a sub-block SNR cells; trials depend on neither.  Each cell's
+    Trials are a slice of the share's one table.  A row's wall_time is its
+    trials' share of the time of the chunks and sub-blocks they ran in, plus
+    its aggregation.
     """
-    ks = [k for k, _snr_db in cells for _t in range(cfg.trials)]
-    snr_of = [snr_db for _k, snr_db in cells for _t in range(cfg.trials)]
-    index_of, blocks = list(range(cfg.trials)) * len(cells), []  # (start, stop) per sub-block
-    for k, run in groupby(range(len(ks)), key=ks.__getitem__):  # the trials of one K
-        run, size = list(run), max(_BLOCK_BYTES // _sub_block_bytes(cfg, k), 1)
-        blocks += [(a, min(a + size, run[-1] + 1)) for a in run[::size]]
-    cap, records, shares, b = max(_BLOCK_BYTES // _truth_bytes(cfg), 1), [], [], 0
+    n = cfg.trials
+    ks, snr_of = (np.repeat(values, n) for values in zip(*cells))
+    index_of, shares = np.tile(np.arange(n), len(cells)), np.empty(ks.size)
+    blocks, stop = [], 0  # (start, stop) per sub-block
+    for k, run in groupby(cells, key=operator.itemgetter(0)):  # the cells of one K
+        start, stop = stop, stop + n * len(list(run))
+        size = max(_BLOCK_BYTES // _sub_block_bytes(cfg, k), 1)
+        blocks += [(a, min(a + size, stop)) for a in range(start, stop, size)]
+    cap, parts, b = max(_BLOCK_BYTES // _truth_bytes(cfg), 1), [], 0
     while b < len(blocks):
         first, e = blocks[b][0], b + 1
         while e < len(blocks) and blocks[e][1] - first <= cap:
@@ -570,14 +572,14 @@ def _run_share(cfg, cells, keep_trials):
         for start, stop in blocks[b:e]:
             t0 = time.perf_counter()
             part = _Truths(*(column[start - first:stop - first] for column in staged))
-            records += _run_block(cfg, ks[start], snr_of[start:stop], index_of[start:stop], part)
-            shares += [staging + (time.perf_counter() - t0) / (stop - start)] * (stop - start)
+            parts.append(_run_block(cfg, ks[start], snr_of[start:stop], index_of[start:stop], part))
+            shares[start:stop] = staging + (time.perf_counter() - t0) / (stop - start)
         b = e
-    out = []
+    trials, out = Trials(*map(np.concatenate, zip(*parts))), []
     for c, (k, snr_db) in enumerate(cells):
-        cell = slice(c * cfg.trials, (c + 1) * cfg.trials)
-        row = _aggregate(cfg, k, snr_db, records[cell], sum(shares[cell]))
-        out.append((row, records[cell] if keep_trials else []))
+        cell = slice(c * n, (c + 1) * n)
+        table = Trials(*(column[cell] for column in trials))
+        out.append((_aggregate(cfg, k, snr_db, table, float(shares[cell].sum())), table))
     return out
 
 
@@ -587,20 +589,20 @@ def _mean(values):
     return functools.reduce(operator.add, values, 0.0) / len(values) if values else math.nan
 
 
-def _aggregate(cfg, k, snr_db, records, wall_time):
-    """SweepRow of one grid cell's records; ``wall_time`` is their blocks' share."""
+def _aggregate(cfg, k, snr_db, trials, wall_time):
+    """SweepRow of one grid cell's :class:`Trials`; ``wall_time`` is their blocks' share."""
     t0 = time.perf_counter()
-    n = len(records)
-    mse = _mean([r.squared_error for r in records])
-    mean_crlb = _mean([r.crlb_value for r in records if not math.isnan(r.crlb_value)])
-    fail_rate = sum(1 for r in records if r.failed) / n
+    n, crlbs = len(trials.failed), trials.crlb_value
+    mse = _mean(trials.squared_error.tolist())
+    mean_crlb = _mean(crlbs[~np.isnan(crlbs)].tolist())
+    fail_rate = int(np.count_nonzero(trials.failed)) / n
     # the analytic bound's truth: exact in synthetic mode; a physical cell spreads
     # its mean realized energy in equal shares over its rounded mean sparsity
     if cfg.mode == "synthetic":
         l, energy = cfg.typicality.sparsity, cfg.synthetic_energy
     else:
-        l = max(int(round(sum(r.sparsity for r in records) / n)), 1)
-        energy = _mean([r.truth_energy for r in records])
+        l = max(int(round(int(trials.sparsity.sum()) / n)), 1)
+        energy = _mean(trials.truth_energy.tolist())
     _, _, missed, wrong = bound_terms(cfg, k, snr_db, energy, l)
     upper = mean_crlb + missed + wrong
     return SweepRow(
@@ -610,14 +612,15 @@ def _aggregate(cfg, k, snr_db, records, wall_time):
     )
 
 
-def run_sweep(cfg, threads=1, keep_trials=False):
+def run_sweep(cfg, threads=1):
     """Cartesian product of k_values x snr_db_values x trials.
 
     With ``threads`` > 1, up to that many processes share the grid cells,
     dealt largest K first: this one runs one share, forked children the
     others.  Each share runs its trials in blocks of the block core
-    (:func:`_run_share`).  Results come back in grid and trial-index order,
-    the same for any worker count.
+    (:func:`_run_share`), and forked children pipe back their rows and the
+    columns of their trials.  Results come back in grid and trial-index
+    order, the same for any worker count.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -633,7 +636,7 @@ def run_sweep(cfg, threads=1, keep_trials=False):
     shares = [sorted(by_k[w::workers]) for w in range(workers)]
 
     def run(share):
-        return list(zip(share, _run_share(cfg, [cells[c] for c in share], keep_trials)))
+        return list(zip(share, _run_share(cfg, [cells[c] for c in share])))
 
     children = []  # (read end of its pipe, pid) per forked worker
     try:
@@ -666,8 +669,8 @@ def run_sweep(cfg, threads=1, keep_trials=False):
         if isinstance(payload, Exception):
             raise payload
         done.update(payload)
-    rows, records = zip(*(done[c] for c in range(len(cells))))
-    return SweepResult(rows=list(rows), trial_records=[r for cell in records for r in cell])
+    rows, tables = zip(*(done[c] for c in range(len(cells))))
+    return SweepResult(rows=list(rows), trials=Trials(*map(np.concatenate, zip(*tables))))
 
 
 def export_angular_map(cfg, seed):
@@ -696,14 +699,12 @@ def write_sweep_csv(result, path):
         fh.write("\n".join(sweep_csv_lines(result)) + "\n")
 
 
-def write_trials_csv(records, path):
-    lines = [TRIALS_CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.k},{r.snr_db:.17g},{r.trial_index},{r.seed},"
-            f"{r.squared_error:.17g},{r.crlb_value:.17g},"
-            f"{int(r.failed)},{r.subsets_examined}"
-        )
+def write_trials_csv(trials, path):
+    lines = [TRIALS_CSV_HEADER] + [
+        f"{k},{snr_db:.17g},{index},{seed},{error:.17g},{crlb:.17g},{int(failed)},{examined}"
+        for k, snr_db, index, seed, error, crlb, failed, examined
+        in zip(*(column.tolist() for column in trials[:8]))
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

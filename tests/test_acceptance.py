@@ -285,7 +285,7 @@ def test_criterion_11_fixed_delta_attains_crlb(num, ks, trials, overrides):
         "k_values": ks, "snr_db_values": (20.0, 30.0), "trials": trials,
         "typicality": est.TypicalityConfig(delta=0.05, sparsity=1), **overrides,
     })
-    res = hn.run_sweep(cfg, threads=2, keep_trials=True)  # the same records as one worker's
+    res = hn.run_sweep(cfg, threads=2)  # the same trials as one worker's
     for snr_db in cfg.snr_db_values:
         rows = [r for r in res.rows if r.snr_db == snr_db]
         assert [r.k for r in rows] == list(ks)
@@ -295,8 +295,8 @@ def test_criterion_11_fixed_delta_attains_crlb(num, ks, trials, overrides):
             assert bound_ratio[-1] - 1.0 < 1e-6
         for row in rows:
             assert row.fail_rate == 0.0
-            recs = [t for t in res.trial_records if (t.k, t.snr_db) == (row.k, snr_db)]
-            gap = np.array([t.squared_error - t.crlb_value for t in recs])
+            at = (res.trials.k == row.k) & (res.trials.snr_db == snr_db)
+            gap = res.trials.squared_error[at] - res.trials.crlb_value[at]
             # E[squared error - CRLB] = 0 per trial on the true support: allow
             # four Monte Carlo standard errors of the mean gap
             tol = 4.0 * gap.std(ddof=1) / math.sqrt(len(gap)) / row.crlb

@@ -10,6 +10,7 @@ import frozen_kron
 import frozen_omp
 import frozen_svd
 import numpy as np
+from frozen_svd import assert_oracle_contract, gram_tolerance, literal_search, search_triples
 import pytest
 
 from ris_crlb import cli
@@ -29,65 +30,6 @@ def default_scale_model(k=20, seed=0, noise_var=None):
     return sn.measurement_model(pilots, 5, noise_var=noise_var)
 
 
-def gram_tolerance(y, sub, noise_var):
-    """How far the search's Gram-domain statistic of the columns ``sub`` may lie from the
-    SVD statistic: 1024 eps cond (||y||^2 + sigma^2), cond = tr(G)^l / det(G) >= lambda_max /
-    lambda_min of G = sub^H sub (inf unless G is positive definite).  LDL^H is backward
-    stable on a positive definite G (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 10.1), so its energy, like the SVD projection's, misses the exact one
-    by a few l eps cond ||y||^2."""
-    lam = np.linalg.eigvalsh(sub.conj().T @ sub)
-    cond = np.sum(lam) ** len(lam) / np.prod(lam) if lam[0] > 0 else math.inf
-    return 1024.0 * np.finfo(np.float64).eps * cond * (np.vdot(y, y).real + abs(noise_var))
-
-
-def svd_candidates(y, mat, noise_var, l):
-    """Each l-subset of ``mat``'s columns in lexicographic order as (subset, SVD statistic,
-    nan where its svd_rank < l, :func:`gram_tolerance`, cond(G_J) >= GRAM_COND)."""
-    out = []
-    for cand in combinations(range(mat.shape[1]), l):
-        sub = mat[:, cand]
-        try:
-            stat = frozen_svd.typicality_statistic(y, sub, noise_var, l)
-        except RankDeficientError:
-            stat = math.nan
-        lam = np.linalg.eigvalsh(sub.conj().T @ sub)
-        out.append((cand, stat, gram_tolerance(y, sub, noise_var), lam[-1] >= nm.GRAM_COND * lam[0]))
-    return out
-
-
-def assert_oracle_contract(got, y, mat, cfg, noise_var):
-    """A (support, statistic, subsets_examined) triple of the Gram-domain search against
-    the SVD statistic of every subset.  A subset is surely typical where its cond(G_J) <
-    GRAM_COND and its SVD statistic is below delta by more than its tolerance, surely not
-    where it is above delta by more; the rest may go either way.  The support must not be
-    surely atypical, and its statistic lie within its tolerance of the SVD one; under
-    ``lexicographic_first`` no surely typical subset may come before it, under
-    ``best_statistic`` none have an SVD statistic below its own by more than the two
-    tolerances (a tie).  Returns whether the triple's support and count equal
-    :func:`literal_search`'s."""
-    l = cfg.sparsity
-    delta = cfg.delta if cfg.delta is not None else est.default_delta(noise_var, len(y), l)
-    cands = svd_candidates(y, mat, noise_var, l)
-    sure = [not ill and stat + tol < delta for _, stat, tol, ill in cands]
-    support, stat, examined = got
-    at = [c for c, *_ in cands].index(support) if support else len(cands)
-    if support:
-        _, svd_stat, tol, ill = cands[at]
-        assert ill or svd_stat - tol < delta, support
-        assert abs(stat - svd_stat) <= tol, support
-    else:
-        assert math.isinf(stat)
-    if cfg.search_order == est.LEXICOGRAPHIC_FIRST:
-        assert not any(sure[:at]) and examined == min(at + 1, len(cands))
-    else:
-        assert examined == len(cands)
-        for (_, other, other_tol, _), surely in zip(cands, sure):
-            assert not surely or support and svd_stat <= other + tol + other_tol
-    want = literal_search(y, mat, cfg, noise_var)
-    return (support, examined) == (want[0], want[2])
-
-
 def table_screen(outer, reps, corr, yy, noise_var, subsets, m):
     """The search's (R, b) statistics of every (problem, subset) pair of ``outer`` (R, p, p)
     and ``subsets`` (b, l), composed as :func:`estimator.jt_search` composes them from the
@@ -96,38 +38,6 @@ def table_screen(outer, reps, corr, yy, noise_var, subsets, m):
     term = est._tables(outer, reps, corr, sets or [subsets], subsets.shape[1])
     tidx = est._gather(comb, starts, subsets, reps)
     return est._statistics(term, np.arange(len(outer)), tidx, yy, noise_var, m)
-
-
-def search_triples(support, stat, examined):
-    """jt_search's arrays as one (support, statistic, subsets_examined) triple per problem,
-    as :func:`literal_search` gives them: support () where its row is -1."""
-    return [
-        (tuple(s) if s[0] >= 0 else (), v, e)
-        for s, v, e in zip(support.tolist(), stat.tolist(), examined.tolist())
-    ]
-
-
-def literal_search(y, mat, cfg, noise_var):
-    """Reference search: the SVD statistic of every subset, in lexicographic order.
-
-    Returns (support, statistic, subsets_examined) as jt_estimate reports them.
-    """
-    l = cfg.sparsity
-    delta = cfg.delta if cfg.delta is not None else est.default_delta(noise_var, len(y), l)
-    best, examined = None, 0
-    for cand in combinations(range(mat.shape[1]), l):
-        examined += 1
-        try:
-            stat = frozen_svd.typicality_statistic(y, mat[:, cand], noise_var, l)
-        except RankDeficientError:
-            continue
-        if stat >= delta:
-            continue
-        if cfg.search_order == est.LEXICOGRAPHIC_FIRST:
-            return cand, stat, examined
-        if best is None or stat < best[0]:
-            best = (stat, cand)
-    return (best[1], best[0], examined) if best else ((), math.inf, examined)
 
 
 class TestTypicalityStatistic:
@@ -301,6 +211,23 @@ class TestJtEstimate:
 class TestSearchEquivalence:
     """The batched Gram-domain search decides as the SVD statistic loop, but for subsets
     within the rounding tolerance of delta, of cond(G_J) >= GRAM_COND or in a tie."""
+
+    @pytest.mark.parametrize("m, l", [(5, 1), (8, 3), (40, 4), (100, 2)])
+    def test_oracle_statistics_are_the_single_svd_statistics(self, m, l):
+        # the oracle's stacked SVD statistic of each subset has the bits of the one-subset
+        # typicality_statistic, and is nan where that raises
+        rng = np.random.default_rng(m + l)
+        mat = crandn(rng, m, 6)
+        mat[:, 5] = mat[:, 0]  # subsets with columns 0 and 5 are rank deficient
+        y = crandn(rng, m)
+        subsets = np.array(list(combinations(range(6), l)))
+        stacked = frozen_svd.subset_statistics(y, mat, 0.3, subsets)
+        for cand, stat in zip(subsets, stacked.tolist()):
+            try:
+                want = frozen_svd.typicality_statistic(y, mat[:, cand], 0.3, l)
+            except RankDeficientError:
+                want = math.nan
+            assert stat == want or math.isnan(stat) and math.isnan(want), cand
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
     @pytest.mark.parametrize("l", [1, 2, 3])

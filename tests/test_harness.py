@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import asdict, astuple, replace
+from dataclasses import astuple, replace
 
 import frozen_channel as fc
 import frozen_draws
@@ -91,9 +91,12 @@ def reference_trial(cfg, k, snr_db, trial_index):
 
     It is the per-trial loop the sweep ran before trials were computed in
     blocks, with the CRLB from the SVD of Upsilon_I and every fit from lstsq
-    (``frozen_svd``), and OMP from its frozen per-trial copy (``frozen_omp``).
-    The block core must reproduce this record to :data:`RTOL`
-    (:func:`assert_records_match`).
+    (``frozen_svd``), JT's search the SVD loop ``frozen_svd.literal_search``,
+    and OMP from its frozen per-trial copy (``frozen_omp``).  Returns the
+    trial's fields, a dict keyed by the ``harness.Trials`` names, and its JT
+    search: the problem (y, Upsilon, its TypicalityConfig, sigma^2) and the
+    literal loop's result, None where no search runs.  The block core must
+    reproduce the record to :data:`RTOL` (:func:`assert_records_match`).
     """
     seed = int(hn.trial_seeds(cfg.master_seed, k, snr_db, [trial_index])[0, 0])
     g = cfg.geometry
@@ -110,48 +113,57 @@ def reference_trial(cfg, k, snr_db, trial_index):
         )
         truth, support = real.upsilon, real.support
     energy = float(np.sum(np.abs(truth) ** 2))
-    fields = dict(
-        k=k, snr_db=snr_db, trial_index=trial_index, seed=seed,
-        truth_energy=energy, sparsity=len(support),
+    record = dict(
+        k=k, snr_db=snr_db, trial_index=trial_index, seed=seed, squared_error=energy,
+        crlb_value=math.nan, failed=True, subsets_examined=0, truth_energy=energy,
+        sparsity=len(support),
     )
     if not support or energy == 0.0:
-        return hn.TrialRecord(
-            squared_error=0.0, crlb_value=math.nan, failed=True, subsets_examined=0, **fields
-        )
+        return {**record, "squared_error": 0.0}, None
     pilots = sn.gen_pilots(g.n_d, k, hn._mix64(seed ^ 2))
     model = sn.measurement_model(pilots, g.n_s)
     model.noise_var = sn.snr_to_noise_var(snr_db, energy, g.n_s)
     y = sn.observe(model, truth, np.random.default_rng(hn._mix64(seed ^ 3)))
+    mat, search = model.upsilon_mat, None
     try:
-        crlb = frozen_svd.crlb(model.upsilon_mat, support, model.noise_var)
+        crlb = frozen_svd.crlb(mat, support, model.noise_var)
         if cfg.estimator == "jt":
-            tcfg = replace(cfg.typicality, sparsity=len(support))
-            res = est.jt_estimate(y, model.upsilon_mat, tcfg, model.noise_var)
-            estimate, failed, examined = res.upsilon_hat, res.failed, res.subsets_examined
-            if res.support:
-                estimate = frozen_svd.genie_ls(y, model.upsilon_mat, res.support)
+            problem = (y, mat, replace(cfg.typicality, sparsity=len(support)), model.noise_var)
+            search = problem, frozen_svd.literal_search(*problem)
+            found, _stat, examined = search[1]
+            estimate, failed = np.zeros(mat.shape[1], dtype=np.complex128), not found
+            if found:
+                estimate = frozen_svd.genie_ls(y, mat, found)
         elif cfg.estimator == "genie":
-            estimate = frozen_svd.genie_ls(y, model.upsilon_mat, support)
+            estimate = frozen_svd.genie_ls(y, mat, support)
             failed, examined = False, 0
         else:
-            res = frozen_omp.omp_estimate(y, model.upsilon_mat, len(support))
+            res = frozen_omp.omp_estimate(y, mat, len(support))
             estimate, failed, examined = res.upsilon_hat, res.degenerate, res.subsets_examined
         sq_err = float(est.squared_errors(estimate, truth))
     except RisCrlbError:
-        return hn.TrialRecord(
-            squared_error=energy, crlb_value=math.nan, failed=True, subsets_examined=0, **fields
-        )
-    return hn.TrialRecord(
-        squared_error=sq_err, crlb_value=crlb, failed=failed, subsets_examined=examined,
-        **fields,
-    )
+        return record, None
+    return {
+        **record, "squared_error": sq_err, "crlb_value": crlb, "failed": failed,
+        "subsets_examined": examined,
+    }, search
 
 
-def record_bits(records):
-    """Records as tuples with every float as its hex form: nan and -0.0 compare exactly."""
+def row_bits(rows):
+    """Sweep rows as tuples with every float as its hex form: nan and -0.0 compare exactly."""
     return [
-        tuple(v.hex() if isinstance(v, float) else v for v in astuple(r)) for r in records
+        tuple(v.hex() if isinstance(v, float) else v for v in astuple(r)) for r in rows
     ]
+
+
+def join(tables):
+    """One ``harness.Trials`` table of the rows of ``tables`` in turn."""
+    return hn.Trials(*map(np.concatenate, zip(*tables)))
+
+
+def trial_bits(trials):
+    """The dtype and bytes of each column of a ``harness.Trials`` table."""
+    return [(column.dtype.str, column.tobytes()) for column in trials]
 
 
 # the block core takes the CRLB and the fit from the Gram matrix G_I (nm.gram_solve),
@@ -161,13 +173,14 @@ RTOL = {"squared_error": 1e-10, "crlb_value": 1e-13}
 
 
 def assert_records_match(got, want):
-    """Every field of each record equal, the floats of RTOL to their tolerance and nan
-    where the other is."""
-    exact = [{f: v for f, v in asdict(r).items() if f not in RTOL} for r in got + want]
-    assert exact[:len(got)] == exact[len(got):]
-    for name, rtol in RTOL.items():
-        values = [[getattr(r, name) for r in records] for records in (got, want)]
-        np.testing.assert_allclose(*values, rtol=rtol, err_msg=name)
+    """Each column of the table ``got`` equal to its field in the records ``want``, the
+    floats of RTOL to their tolerance and nan where the other is."""
+    for name, column in got._asdict().items():
+        values = [record[name] for record in want]
+        if name in RTOL:
+            np.testing.assert_allclose(column, values, rtol=RTOL[name], err_msg=name)
+        else:
+            assert column.tolist() == values, name
 
 
 # (name, config overrides); each case runs 2 K x 2 SNR x 7 trials
@@ -220,33 +233,41 @@ def block_case(name):
         return hn.default_config(**base)
 
 
+@functools.cache
+def block_reference(name):
+    """The config of BLOCK_CASES ``name``, and its trials' :func:`reference_trial` records
+    and JT searches in grid and trial-index order, computed once per case."""
+    cfg = block_case(name)
+    refs = [
+        reference_trial(cfg, k, s, t)
+        for k in cfg.k_values for s in cfg.snr_db_values for t in range(cfg.trials)
+    ]
+    return cfg, [record for record, _ in refs], [search for _, search in refs]
+
+
 class TestBlockCore:
     """The block core reproduces the per-trial reference record for record."""
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_matches_per_trial_reference(self, name, monkeypatch):
-        cfg = block_case(name)
+        cfg, want, _ = block_reference(name)
         cells = [(k, s) for k in cfg.k_values for s in cfg.snr_db_values]
-        want = [
-            reference_trial(cfg, k, s, t) for k, s in cells for t in range(cfg.trials)
-        ]
         # blocks of 1 and 2 trials, and a whole cell per block: the same bits
         bits = []
         for size in (1, 2, cfg.trials):
-            got = [
-                rec
+            got = join(
+                hn._run_block(cfg, k, s, range(start, min(start + size, cfg.trials)))
                 for k, s in cells
                 for start in range(0, cfg.trials, size)
-                for rec in hn._run_block(cfg, k, s, range(start, min(start + size, cfg.trials)))
-            ]
+            )
             assert_records_match(got, want)
-            bits.append(record_bits(got))
+            bits.append(trial_bits(got))
             assert bits[-1] == bits[0], size
         # every cell of one K in one block, with one SNR per trial
         snrs = np.repeat(cfg.snr_db_values, cfg.trials)
         indices = list(range(cfg.trials)) * len(cfg.snr_db_values)
-        got = [rec for k in cfg.k_values for rec in hn._run_block(cfg, k, snrs, indices)]
-        assert record_bits(got) == bits[0]
+        got = join(hn._run_block(cfg, k, snrs, indices) for k in cfg.k_values)
+        assert trial_bits(got) == bits[0]
         # the sweep with a byte budget of 3 trials per block at the largest k:
         # 7 trials per cell, so some of its blocks span two SNR cells
         k_max = max(cfg.k_values)
@@ -258,16 +279,47 @@ class TestBlockCore:
             return inner(cfg, k, snr_db, indices, staged)
 
         monkeypatch.setattr(hn, "_run_block", spy)
-        res = hn.run_sweep(cfg, keep_trials=True)
-        assert record_bits(res.trial_records) == bits[0]
+        res = hn.run_sweep(cfg)
+        assert trial_bits(res.trials) == bits[0]
         assert (k_max, set(cfg.snr_db_values)) in blocks
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in BLOCK_CASES if block_case(n).estimator == "jt")
+    )
+    def test_searches_meet_the_oracle_contract(self, name, monkeypatch):
+        # each trial's search in the block core, one trial per block, against the SVD
+        # statistic of every subset of its reference problem (frozen_svd's contract)
+        cfg, _, searches = block_reference(name)
+        triples, search = [], est.jt_search
+
+        def search_spy(*args):
+            found = search(*args)
+            triples.extend(frozen_svd.search_triples(*found))
+            return found
+
+        monkeypatch.setattr(est, "jt_search", search_spy)
+        for k in cfg.k_values:
+            for s in cfg.snr_db_values:
+                for t in range(cfg.trials):
+                    count = len(triples)
+                    hn._run_block(cfg, k, s, [t])
+                    if len(triples) == count:
+                        triples.append(None)  # no search: a zero truth or a failed CRLB
+        assert [t is None for t in triples] == [s is None for s in searches]
+        searched = [(t, s) for t, s in zip(triples, searches) if s is not None]
+        assert searched
+        literal = [
+            frozen_svd.assert_oracle_contract(t, *problem, want=want)
+            for t, (problem, want) in searched
+        ]
+        # every search takes the literal loop's support and count: no subset of these
+        # cases lies within rounding of delta or of GRAM_COND
+        assert all(literal)
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
     def test_chunks_and_sub_blocks_split_cells(self, name, monkeypatch):
-        cfg = block_case(name)
-        cells = [(k, s) for k in cfg.k_values for s in cfg.snr_db_values]
-        want = [reference_trial(cfg, k, s, t) for k, s in cells for t in range(cfg.trials)]
-        bits = record_bits(hn.run_sweep(cfg, keep_trials=True).trial_records)
+        cfg, want, _ = block_reference(name)
+        bits = trial_bits(hn.run_sweep(cfg).trials)
         # sub-blocks of 3 trials at the largest k and truth chunks of at most 6 trials:
         # with 7 trials per cell, both fall across cell boundaries, and at k = 1, 2 a
         # chunk spans both Ks
@@ -288,9 +340,9 @@ class TestBlockCore:
 
         monkeypatch.setattr(hn, "_stage_truths", stage_spy)
         monkeypatch.setattr(hn, "_run_block", estimate_spy)
-        res = hn.run_sweep(cfg, keep_trials=True)
-        assert_records_match(res.trial_records, want)
-        assert record_bits(res.trial_records) == bits
+        res = hn.run_sweep(cfg)
+        assert_records_match(res.trials, want)
+        assert trial_bits(res.trials) == bits
         # (Ks, trials, SNRs) of each chunk: whole sub-blocks of 3 trials at k_max and of
         # 7 at k = 8 < 20, 4 at k = 6 < 8 and 6 at k = 1 < 2
         tail = [((k_max,), 6, 1), ((k_max,), 6, 2), ((k_max,), 2, 1)]
@@ -326,7 +378,7 @@ class TestBlockCore:
         monkeypatch.setattr(nm, "gram_solve", spy)
         monkeypatch.setattr(hn, "_run_block", block_spy)
         monkeypatch.setattr(est, "jt_search", search_spy)
-        recs = hn.run_sweep(cfg, keep_trials=True).trial_records
+        trials = hn.run_sweep(cfg).trials
         if name == "jt-l2-loose":
             # the search accepts wrong supports in some sub-blocks (TestBlockCore pins
             # their records): only those take a second gram_solve, on just those trials
@@ -340,11 +392,13 @@ class TestBlockCore:
                 [len(true)] + [w] * (w > 0) for (true, _, _), w in zip(blocks, wrong)
             ]
             return
-        errored = [r for r in recs if r.failed and math.isnan(r.crlb_value)]
-        assert errored and all(r.squared_error == r.truth_energy for r in errored)
+        errored = trials.failed & np.isnan(trials.crlb_value)
+        assert errored.any()
+        assert np.array_equal(trials.squared_error[errored], trials.truth_energy[errored])
         # the rank-deficient true supports are not full rank by the Gram cutoff
         # (TestBlockCore pins the failed records to the reference's)
-        assert len(errored) < len(recs) and sum(short) == len(errored)
+        assert np.count_nonzero(errored) < errored.size
+        assert sum(short) == np.count_nonzero(errored)
 
     def test_block_size_follows_byte_budget(self, monkeypatch):
         # a worker cuts the trials of its cells of each K into blocks by the
@@ -492,6 +546,25 @@ class TestTruthStage:
                 alone = hn._stage_truths(cfg, k, snrs[at], indices[at])
                 assert all(a.tobytes() == b[at].tobytes() for a, b in zip(alone, staged)), k
 
+    def test_sweep_peak_grows_only_by_the_trial_columns(self):
+        # the one state that grows with the trial count: the trial columns (73 B a
+        # trial), the share's layout and time shares (32 B) and the copies that join
+        # them, 155 B a trial measured; the per-trial records these replaced read 410 B
+        def peak(trials):
+            cfg = hn.default_config(
+                k_values=(8,), snr_db_values=(20.0,), trials=trials, estimator="genie"
+            )
+            tracemalloc.start()
+            try:
+                hn.run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # first-use imports and caches
+        growth = (peak(10_000) - peak(1_000)) / 9_000
+        assert growth <= 200, growth
+
     def test_default_sub_blocks_keep_their_sizes(self):
         # the trials per L = 1 sub-block at each default K under the 64 KiB budget
         # of one complex observation per trial, which the stated peak replaced
@@ -535,8 +608,8 @@ class TestBlockFailurePath:
 
         monkeypatch.setattr(np.linalg, "svd", banned)
         monkeypatch.setattr(np.linalg, "lstsq", banned)
-        res = hn.run_sweep(cfg, keep_trials=True)
-        assert len(res.trial_records) == cfg.trials * len(cfg.k_values) * len(cfg.snr_db_values)
+        res = hn.run_sweep(cfg)
+        assert len(res.trials.k) == cfg.trials * len(cfg.k_values) * len(cfg.snr_db_values)
 
     def test_default_sweep_solves_each_true_support_once(self, monkeypatch):
         # the CRLB and the fit of the true support come from one gram_solve per sparsity
@@ -556,9 +629,9 @@ class TestBlockFailurePath:
         # ||y||^2 overflows to inf, so every statistic is nan: no subset is typical
         cfg = hn.default_config(k_values=(8,), trials=3, magnitude=1e154)
         with np.errstate(all="ignore"):
-            res = hn.run_sweep(cfg, keep_trials=True)
-        assert len(res.trial_records) == 9
-        assert all(r.failed and r.subsets_examined == 25 for r in res.trial_records)
+            res = hn.run_sweep(cfg)
+        assert res.trials.failed.tolist() == [True] * 9
+        assert res.trials.subsets_examined.tolist() == [25] * 9
         assert [row.fail_rate for row in res.rows] == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
@@ -577,13 +650,14 @@ class TestBlockFailurePath:
         )
         with np.errstate(all="ignore"):
             staged = hn._stage_truths(cfg, 8, 20.0, range(3))
-            recs = hn.run_sweep(cfg, keep_trials=True).trial_records
+            trials = hn.run_sweep(cfg).trials
         assert np.count_nonzero(staged.supports, axis=1).tolist() == [size] * 3
         np.testing.assert_array_equal(staged.energies, [energy] * 3)
         # not estimated: the failed record, whose squared error is ||upsilon||^2
-        assert all(r.failed and math.isnan(r.crlb_value) for r in recs)
-        assert [(r.sparsity, r.subsets_examined) for r in recs] == [(size, 0)] * 3
-        np.testing.assert_array_equal([r.squared_error for r in recs], [energy] * 3)
+        assert trials.failed.all() and np.isnan(trials.crlb_value).all()
+        assert trials.sparsity.tolist() == [size] * 3
+        assert trials.subsets_examined.tolist() == [0] * 3
+        np.testing.assert_array_equal(trials.squared_error, [energy] * 3)
 
     @pytest.mark.parametrize(
         "mode, losses",
@@ -917,19 +991,27 @@ class TestPhysicalDraws:
 
 
 class TestRunTrial:
+    def test_one_trial_table(self):
+        # ten columns of one entry each, 73 B a trial
+        rec = hn.run_trial(small_config(), 20, 30.0, 5)
+        assert [c.shape for c in rec] == [(1,)] * 10
+        assert [c.dtype.str for c in rec] == ["<i8", "<f8", "<i8", "<u8", "<f8", "<f8", "|b1",
+                                              "<i8", "<f8", "<i8"]
+        assert sum(c.nbytes for c in rec) == 73
+
     def test_repeatable(self):
         cfg = small_config()
         a = hn.run_trial(cfg, 20, 30.0, 5)
         b = hn.run_trial(cfg, 20, 30.0, 5)
-        assert a == b
+        assert trial_bits(a) == trial_bits(b)
 
     def test_genie_never_fails(self):
         cfg = small_config(estimator="genie")
         for t in range(50):
             rec = hn.run_trial(cfg, 8, 20.0, t)
-            assert not rec.failed
-            assert rec.squared_error >= 0
-            assert rec.crlb_value > 0
+            assert not rec.failed[0]
+            assert rec.squared_error[0] >= 0
+            assert rec.crlb_value[0] > 0
 
     def test_jt_near_noiseless_recovery(self):
         # at 60 dB the search should find the true support essentially always
@@ -938,20 +1020,20 @@ class TestRunTrial:
         trials = 1000
         for t in range(trials):
             rec = hn.run_trial(cfg, 20, 60.0, t)
-            if not rec.failed and rec.squared_error < 1e-4:
+            if not rec.failed[0] and rec.squared_error[0] < 1e-4:
                 good += 1
         assert good >= 0.99 * trials
 
     def test_physical_on_grid_mode(self):
         cfg = small_config(mode="physical_on_grid", trials=5)
         rec = hn.run_trial(cfg, 20, 30.0, 0)
-        assert rec.squared_error >= 0
-        assert rec.crlb_value > 0
+        assert rec.squared_error[0] >= 0
+        assert rec.crlb_value[0] > 0
 
     def test_physical_off_grid_mode(self):
         cfg = small_config(mode="physical_off_grid", trials=5)
         rec = hn.run_trial(cfg, 20, 30.0, 0)
-        assert rec.squared_error >= 0
+        assert rec.squared_error[0] >= 0
 
 
 class TestRunSweep:
@@ -999,23 +1081,24 @@ class TestRunSweep:
 
     def test_aggregates_recomputable_from_trial_records(self):
         cfg = small_config()
-        res = hn.run_sweep(cfg, keep_trials=True)
+        res = hn.run_sweep(cfg)
+        trials = res.trials
         for row in res.rows:
-            recs = [
-                r for r in res.trial_records
-                if r.k == row.k and r.snr_db == row.snr_db
-            ]
-            assert len(recs) == row.trials
-            assert left_mean([r.squared_error for r in recs]) == row.mse
-            assert left_mean([r.crlb_value for r in recs]) == row.crlb
-            assert sum(1 for r in recs if r.failed) / len(recs) == row.fail_rate
+            at = (trials.k == row.k) & (trials.snr_db == row.snr_db)
+            assert np.count_nonzero(at) == row.trials
+            assert left_mean(trials.squared_error[at].tolist()) == row.mse
+            assert left_mean(trials.crlb_value[at].tolist()) == row.crlb
+            assert np.count_nonzero(trials.failed[at]) / row.trials == row.fail_rate
 
     def test_cell_means_fold_left_to_right(self, monkeypatch):
         # the left fold of [1e16, 1, 1, 1] is 1e16, its mean 2.5e15; Python 3.12's sum
         # compensates, as math.fsum does here, to 1e16 + 4 and a mean of 2500000000000001
         monkeypatch.setattr(hn, "sum", math.fsum, raising=False)
-        errors = [1e16, 1.0, 1.0, 1.0]
-        recs = [hn.TrialRecord(8, 20.0, i, 0, e, e, False, 1, e, 1) for i, e in enumerate(errors)]
+        errors, n = np.array([1e16, 1.0, 1.0, 1.0]), 4
+        recs = hn.Trials(
+            np.full(n, 8), np.full(n, 20.0), np.arange(n), np.zeros(n, np.uint64), errors, errors,
+            np.zeros(n, bool), np.ones(n, np.int64), errors, np.ones(n, np.int64),
+        )
         row = hn._aggregate(small_config(), 8, 20.0, recs, 0.0)
         assert row.mse == row.crlb == 2.5e15
         # a physical cell's bound takes the mean truth energy
@@ -1054,9 +1137,9 @@ class TestWorkerProcesses:
     def two_cells(monkeypatch, fail=None):
         """A 2-cell config; ``fail(in_parent)`` runs before each share.
 
-        The child's cell is K = 8; its 1000 kept records pickle to more than
-        a pipe buffer (64 KiB), so it blocks writing until the parent reads
-        or closes the pipe.
+        The child's cell is K = 8; the columns of its 1000 trials, 73 B each,
+        pickle to more than a pipe buffer (64 KiB), so it blocks writing until
+        the parent reads or closes the pipe.
         """
         cfg = small_config(k_values=(8, 20), snr_db_values=(20.0,), trials=1000)
         if fail is not None:
@@ -1077,12 +1160,12 @@ class TestWorkerProcesses:
         cfg = block_case(name)
 
         def bits(result):  # wall_time, the last row field, is a timing
-            return [r[:-1] for r in record_bits(result.rows)], record_bits(result.trial_records)
+            return [r[:-1] for r in row_bits(result.rows)], trial_bits(result.trials)
 
         with deadline(120):
-            want = bits(hn.run_sweep(cfg, threads=1, keep_trials=True))
+            want = bits(hn.run_sweep(cfg, threads=1))
             for threads in (2, 3, 8):
-                assert bits(hn.run_sweep(cfg, threads=threads, keep_trials=True)) == want
+                assert bits(hn.run_sweep(cfg, threads=threads)) == want
         assert_no_child_left()
 
     def test_forks_once_per_extra_worker(self, monkeypatch):
@@ -1095,9 +1178,9 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         with deadline(60):
-            hn.run_sweep(cfg, threads=1, keep_trials=True)
+            hn.run_sweep(cfg, threads=1)
             assert forks == []
-            hn.run_sweep(cfg, threads=8, keep_trials=True)
+            hn.run_sweep(cfg, threads=8)
         assert len(forks) == 1
 
     @pytest.mark.parametrize("where", ["child", "parent"])
@@ -1108,7 +1191,7 @@ class TestWorkerProcesses:
 
         cfg = self.two_cells(monkeypatch, fail)
         with deadline(60), pytest.raises(ValueError, match=f"in the {where}"):
-            hn.run_sweep(cfg, threads=2, keep_trials=True)
+            hn.run_sweep(cfg, threads=2)
         assert_no_child_left()
 
     def test_child_exit_without_results_names_its_status(self, monkeypatch):
@@ -1118,7 +1201,7 @@ class TestWorkerProcesses:
 
         cfg = self.two_cells(monkeypatch, fail)
         with deadline(60), pytest.raises(RuntimeError, match="status 3"):
-            hn.run_sweep(cfg, threads=2, keep_trials=True)
+            hn.run_sweep(cfg, threads=2)
         assert_no_child_left()
 
 
@@ -1132,14 +1215,12 @@ class TestConvergenceCurveShape:
         asserted to stay negligible.
         """
         cfg, res = default_sweep
-        cond = {}
+        cond, trials = {}, res.trials
         for row in res.rows:
-            recs = [
-                r for r in res.trial_records
-                if r.k == row.k and r.snr_db == row.snr_db and not r.failed
-            ]
+            at = (trials.k == row.k) & (trials.snr_db == row.snr_db) & ~trials.failed
             assert row.fail_rate <= 0.005
-            cond[(row.k, row.snr_db)] = sum(r.squared_error for r in recs) / len(recs)
+            errors = trials.squared_error[at].tolist()
+            cond[(row.k, row.snr_db)] = sum(errors) / len(errors)
         ks = cfg.k_values
         for snr in cfg.snr_db_values:
             assert cond[(max(ks), snr)] < cond[(min(ks), snr)]
@@ -1370,6 +1451,13 @@ class TestCli:
         trials = (tmp_path / "res_trials.csv").read_text().splitlines()
         assert trials[0] == hn.TRIALS_CSV_HEADER
         assert len(trials) == 1 + 5
+        # --per-trial only adds that file: the aggregate CSV and JSON rows are the same
+        bare = tmp_path / "bare.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(bare)]) == 0
+        assert bare.read_bytes() == out.read_bytes()
+        rows = [json.loads(path.with_suffix(".json").read_text())["rows"] for path in (out, bare)]
+        assert rows[0] == rows[1]
+        assert not (tmp_path / "bare_trials.csv").exists()
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = cli.main(
