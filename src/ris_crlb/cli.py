@@ -102,8 +102,7 @@ def _cmd_angular_map(args):
     ]
     for n, row in enumerate(magnitudes):
         lines.append(f"{n}," + ",".join(format(v, ".17g") for v in row))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    hn.write_lines(lines, args.out)
     print(f"wrote {n_d}x{n_s} grid to {args.out}")
     return 0
 
@@ -126,13 +125,11 @@ def _cmd_crlb(args):
             crlb = float(noise_var * trace) if full else np.nan  # as a sweep does
             row = (snr_db, noise_var, delta, crlb, missed, wrong, crlb + missed + wrong)
             lines.append(f"{k}," + ",".join(format(v, ".17g") for v in row))
-    text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        hn.write_lines(lines, args.out)
         print(f"wrote {len(lines) - 1} rows to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

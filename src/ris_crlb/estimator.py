@@ -15,14 +15,15 @@ to those of other i, so G_J is block-diagonal over J's blocks, its columns of
 one i.  Each problem's tables therefore eliminate, as LDL^H, the outer_S of
 every set S of pilot rows that a block can hold, once, with the right-hand
 sides c_{S,i}; a subset's energy is the sum of its columns' pivot terms
-|c'|^2 / d in column order.  That is the arithmetic of an LDL^H of the whole
-G_J, bit for bit: its eliminations across blocks subtract exact zeros, except
-after a pivot that is 0 or nan, whose nan in the later columns of other blocks
-the tables reproduce.  A subset is typical where that statistic is below
-delta and G_J is full rank by ``numerics.full_rank`` of its eigenvalues
+|c'|^2 / d in column order.  Where every pivot is nonzero that is the
+arithmetic of an LDL^H of the whole G_J, bit for bit: its eliminations across
+blocks subtract exact zeros.  A subset is typical where that statistic is
+below delta and G_J is full rank by ``numerics.full_rank`` of its eigenvalues
 (lambda_max < GRAM_COND lambda_min), the one rank rule of the package and of
-every fit (``numerics.gram_solve``); only a subset below delta takes them.  No
-SVD and no column of Upsilon is needed.  The one-problem functions,
+every fit (``numerics.gram_solve``); only a subset below delta takes them.  A
+computed zero pivot makes G_J singular to rounding, which that rule rejects,
+so no decision reads such a subset's statistic.  No SVD and no column of
+Upsilon is needed.  The one-problem functions,
 :func:`typicality_statistic`, :func:`genie_ls` and :func:`crlb`, are the
 single-problem case of the same tables and solver, so each raises
 ``RankDeficientError`` exactly where a sweep's trial fails.
@@ -129,7 +130,7 @@ def typicality_statistic(y, sub, noise_var, l):
         raise DimensionMismatchError(f"sub has shape {sub.shape}, expected {(m, l)}")
     solve_one(sub)  # raises where sub^H sub is not full rank
     herm, cols = sub.conj().T, np.arange(l)[None]
-    term = _tables((herm @ sub)[None], 1, (herm @ y)[None], [cols], l)
+    term = _tables((herm @ sub)[None], 1, (herm @ y)[None], [cols])
     yy, noise_var = np.array([np.vdot(y, y).real]), np.array([noise_var], dtype=np.float64)
     return float(_statistics(term, np.arange(1), cols, yy, noise_var, m)[0, 0])
 
@@ -138,8 +139,8 @@ def typicality_statistic(y, sub, noise_var, l):
 def _layout(n_d, reps, l):
     """The search's shape data: C(n, l), n = n_d reps; C(a, k) (l + 1, n), capped at C(n, l);
     at reps > 1 the colex s-subsets of range(n_d) of each block size s and each size's start
-    in the flat tables (by s; last, their length); where l C(n, l) <= 16 _SCAN_BLOCK (1.5
-    MiB at most), all subsets and at reps > 1 their :func:`_gather` term index."""
+    in the flat tables (by s); where l C(n, l) <= 16 _SCAN_BLOCK (1.5 MiB at most), all
+    subsets and at reps > 1 their :func:`_gather` term index."""
     n, total = n_d * reps, math.comb(n_d * reps, l)
     comb = np.array([[min(math.comb(a, k), total) for a in range(n)] for k in range(l + 1)])
     sizes = range(max(l - n_d * (reps - 1), 1), min(l, n_d) + 1) if reps > 1 else range(0)
@@ -171,41 +172,36 @@ def _lex(comb, total, start, stop):
 def _gather(comb, starts, subsets, reps):
     """The flat term index of each column of the (b, l) ``subsets``: column (j, i) =
     divmod(col, reps) is the k-th of the s in its block, whose pilot rows S have colex
-    rank sum_k C(S_k, k + 1), and reads the terms' nan half (:func:`_tables`) where a
-    column of another block follows.  At reps = 1 the tables are the subsets' own."""
+    rank sum_k C(S_k, k + 1).  At reps = 1 the tables are the subsets' own."""
     if reps == 1:
         return np.arange(subsets.size).reshape(subsets.shape)
     j, i = np.divmod(subsets, reps)
-    same, before = i[:, :, None] == i[:, None, :], np.tri(subsets.shape[1], k=-1, dtype=bool)
-    k, s = (same & before).sum(axis=2), same.sum(axis=2)
-    entry = starts[s] + (same * comb[k + 1, j][:, None, :]).sum(axis=2) * s + k
-    return (entry + starts[-1] * (~same & before.T).any(axis=2)) * reps + i
+    same = i[:, :, None] == i[:, None, :]
+    k, s = (same & np.tri(subsets.shape[1], k=-1, dtype=bool)).sum(axis=2), same.sum(axis=2)
+    return (starts[s] + (same * comb[k + 1, j][:, None, :]).sum(axis=2) * s + k) * reps + i
 
 
-def _tables(outer, reps, corr, sets, l):
+def _tables(outer, reps, corr, sets):
     """The block tables of R problems for the (E, s) pilot-row sets of ``sets``: each
     outer_S eliminated as LDL^H with the reps right-hand sides c_{S,i} = corr[j reps + i
     for j in S].  Returns each entry's terms |c'_i|^2 / d of its pivot d, (R, sum E s
-    reps), flat; at reps, l > 1 twice, the second time nan where d is 0 or nan."""
+    reps), flat.  After a zero pivot a subset's terms are inf or nan, and its G_J is
+    singular, which ``numerics.full_rank`` rejects."""
     r, out = len(outer), []
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in sets:
             g = outer[:, rows[:, :, None], rows[:, None, :]]
             c = corr.reshape(r, -1, reps)[:, rows]
-            piv, term = np.empty(g.shape[:-1]), np.empty(c.shape)
+            term = np.empty(c.shape)
             for p in range(rows.shape[1]):
                 if p:  # eliminate pivot p - 1 from the rows below it
                     f = g[..., p:, p - 1] / d[..., None]
                     g[..., p:, p:] -= f[..., :, None] * g[..., None, p - 1, p:]
                     c[..., p:, :] -= f[..., None] * c[..., p - 1, None, :]
-                d = piv[..., p] = g[..., p, p].real
+                d = g[..., p, p].real
                 term[..., p, :] = np.abs(c[..., p, :]) ** 2 / d[..., None]
-            out.append([v.reshape(r, -1) for v in (piv, term)])
-    piv, term = out[0] if len(out) == 1 else [np.concatenate(v, axis=1) for v in zip(*out)]
-    if reps > 1 and l > 1:
-        bad = np.repeat(~((piv > 0) | (piv < 0)), reps, axis=1)
-        term = np.concatenate([term, np.where(bad, np.nan, term)], axis=1)
-    return term
+            out.append(term.reshape(r, -1))
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
 
 def _statistics(term, at, tidx, yy, noise_var, m):
@@ -255,9 +251,9 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l):
         stop = min(start + size, total)
         subsets = _lex(comb, total, start, stop) if cached is None else cached[start:stop]
         if start == 0:  # all problems' tables, or at reps = 1 the pass's own subsets'
-            term = _tables(outer, reps, corr, sets or [subsets], l)
+            term = _tables(outer, reps, corr, sets or [subsets])
         elif reps == 1:
-            term = _tables(outer[rows], 1, corr[rows], [subsets], l)
+            term = _tables(outer[rows], 1, corr[rows], [subsets])
         at = rows if reps > 1 else np.arange(rows.size)
         tidx = idx[start:stop] if idx is not None else _gather(comb, starts, subsets, reps)
         s = _statistics(term, at, tidx, yy[rows], noise_var[rows], m)

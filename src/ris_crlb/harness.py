@@ -125,7 +125,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not repeat a value, got {values}")
         if not (math.isfinite(self.magnitude) and self.magnitude > 0):
             raise ConfigError(f"magnitude must be positive and finite, got {self.magnitude!r}")
-        l, n_s = self.typicality.sparsity, self.geometry.n_s
+        g, l, n_s = self.geometry, self.typicality.sparsity, self.geometry.n_s
         # a physical truth's energy is drawn, so there only the SNR factor is checked
         energy = self.synthetic_energy if self.mode == "synthetic" else n_s
         if not 0 < energy < math.inf:
@@ -141,10 +141,10 @@ class ExperimentConfig:
         if self.mode != "synthetic":
             # a truth's energy is at most n_d n_s (n_r s1 P1 s2 P2)^2, s^2 = N N / path_loss
             # a hop's leading scale squared (channel.hop_matrix; 1 at the default loss)
-            g = self.geometry
             bound = g.n_d * g.n_s * g.n_r**2
-            for hop, n in ((self.hop_bs_ris, g.n_s), (self.hop_ris_ms, g.n_d)):
-                bound *= n * g.n_r / (hop.path_loss or n * g.n_r) * hop.n_paths**2
+            for hop, side in ((self.hop_bs_ris, ch.BS_TO_RIS), (self.hop_ris_ms, ch.RIS_TO_MS)):
+                loss = ch._default_loss(g, side)
+                bound *= loss / (hop.path_loss or loss) * hop.n_paths**2
             if not math.isfinite(bound):
                 raise ConfigError(
                     f"path_loss_bs_ris = {self.hop_bs_ris.path_loss!r}, path_loss_ris_ms = "
@@ -164,10 +164,12 @@ class ExperimentConfig:
         if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()):  # a trial must fit in memory
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
             k = max(self.k_values)
-            if _sub_block_bytes(self, k) > memory:
-                raise ConfigError(
-                    f"k_values {k}: one trial needs more than the {memory} B of physical memory"
-                )
+            for name, need in ((f"k_values {k}", _sub_block_bytes(self, k)),
+                               (f"n_d * n_s = {g.n_d * n_s}", _truth_bytes(self))):
+                if need > memory:
+                    raise ConfigError(
+                        f"{name}: one trial needs more than the {memory} B of physical memory"
+                    )
         if self.estimator == "jt" and self.typicality.delta is None:
             largest = max(self.support_sizes)
             short = [k for k in self.k_values if k * n_s <= largest]
@@ -429,9 +431,9 @@ def _sub_block_bytes(cfg, k):
     pilot entry and per observation entry.
 
     It holds for JT at L = 1, the genie and OMP (tracemalloc reads 0.64-1.01 of it).
-    The L >= 2 search holds more: each problem's tables of pivots and terms, about
-    48 (n_s + 1) E B as built, E = sum_s s C(n_d, s) over the block sizes s that occur
-    (none at n_s = 1); a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset)
+    The L >= 2 search holds more: each problem's table of terms, about 36 (n_s + 1) E B
+    as built (tracemalloc reads 25-50), E = sum_s s C(n_d, s) over the block sizes s that
+    occur (none at n_s = 1); a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset)
     pairs, 16 B each or 32 L (L + 2) B at n_s = 1, and 16 L^2 B per G_J below delta.
     """
     return 80 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
@@ -694,9 +696,14 @@ def sweep_csv_lines(result):
     return lines
 
 
-def write_sweep_csv(result, path):
+def write_lines(lines, path):
+    """``lines`` to ``path`` as UTF-8, each ended by a newline (LF on every platform)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(sweep_csv_lines(result)) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_sweep_csv(result, path):
+    write_lines(sweep_csv_lines(result), path)
 
 
 def write_trials_csv(trials, path):
@@ -705,8 +712,7 @@ def write_trials_csv(trials, path):
         for k, snr_db, index, seed, error, crlb, failed, examined
         in zip(*(column.tolist() for column in trials[:8]))
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def _json_float(x):

@@ -139,36 +139,44 @@ def gram_tolerance(y, sub, noise_var):
     return 1024.0 * np.finfo(np.float64).eps * cond * (np.vdot(y, y).real + abs(noise_var))
 
 
-def svd_candidates(y, mat, noise_var, l, count=None):
+def svd_candidates(y, mat, noise_var, l, count=None, stats=()):
     """The first ``count`` (all by default) l-subsets of ``mat``'s columns in lexicographic
     order as (subset, SVD statistic, nan where its svd_rank < l, :func:`gram_tolerance`,
-    cond(G_J) >= GRAM_COND), taken :data:`CHUNK` subsets at a time."""
+    cond(G_J) >= GRAM_COND), taken :data:`CHUNK` subsets at a time.  The SVD statistics
+    are read from ``stats`` where it holds them, as :func:`literal_search` records them."""
     subsets = np.array(list(combinations(range(mat.shape[1]), l))[:count]).reshape(-1, l)
     out = []
-    for part in (subsets[at:at + CHUNK] for at in range(0, len(subsets), CHUNK)):
+    for at in range(0, len(subsets), CHUNK):
+        part = subsets[at:at + CHUNK]
         sub = mat.T[part].swapaxes(-1, -2)
         lam = np.linalg.eigvalsh(sub.conj().swapaxes(-1, -2) @ sub)
         ill = lam[:, -1] >= GRAM_COND * lam[:, 0]
+        known = at + len(part) <= len(stats)
+        svd = stats[at:at + len(part)] if known else subset_statistics(y, mat, noise_var, part)
         out += zip(
-            map(tuple, part.tolist()), subset_statistics(y, mat, noise_var, part).tolist(),
+            map(tuple, part.tolist()), np.asarray(svd).tolist(),
             gram_tolerance(y, sub, noise_var).tolist(), ill.tolist(),
         )
     return out
 
 
-def literal_search(y, mat, cfg, noise_var):
+def literal_search(y, mat, cfg, noise_var, stats=None):
     """Reference search: the SVD statistic of every subset, in lexicographic order.
 
     Returns (support, statistic, subsets_examined) as jt_estimate reports them.  The
     statistics are taken :data:`CHUNK` subsets at a time (:func:`subset_statistics`), so
-    a ``lexicographic_first`` search stops in the chunk of its first typical subset.
+    a ``lexicographic_first`` search stops in the chunk of its first typical subset;
+    ``stats``, a list where given, takes those of every chunk read, in order.
     """
     l = cfg.sparsity
     delta = cfg.delta if cfg.delta is not None else est.default_delta(noise_var, len(y), l)
     best, examined, subsets = None, 0, combinations(range(mat.shape[1]), l)
     while block := list(zip(range(CHUNK), subsets)):
         cands = [cand for _, cand in block]
-        for cand, stat in zip(cands, subset_statistics(y, mat, noise_var, np.array(cands))):
+        chunk = subset_statistics(y, mat, noise_var, np.array(cands))
+        if stats is not None:
+            stats.extend(chunk.tolist())
+        for cand, stat in zip(cands, chunk):
             examined += 1
             if math.isnan(stat) or stat >= delta:  # nan: not full rank
                 continue
@@ -188,7 +196,7 @@ def search_triples(support, stat, examined):
     ]
 
 
-def assert_oracle_contract(got, y, mat, cfg, noise_var, want=None):
+def assert_oracle_contract(got, y, mat, cfg, noise_var, want=None, stats=()):
     """A (support, statistic, subsets_examined) triple of the Gram-domain search against
     the SVD statistic of every subset.  A subset is surely typical where its cond(G_J) <
     GRAM_COND and its SVD statistic is below delta by more than its tolerance, surely not
@@ -197,14 +205,15 @@ def assert_oracle_contract(got, y, mat, cfg, noise_var, want=None):
     ``lexicographic_first`` no surely typical subset may come before it, under
     ``best_statistic`` none have an SVD statistic below its own by more than the two
     tolerances (a tie).  Returns whether the triple's support and count equal
-    :func:`literal_search`'s, or those of ``want``, its result where already taken."""
+    :func:`literal_search`'s, or those of ``want``, its result where already taken, with
+    its statistics ``stats``."""
     l = cfg.sparsity
     delta = cfg.delta if cfg.delta is not None else est.default_delta(noise_var, len(y), l)
     support, stat, examined = got
     total, first = math.comb(mat.shape[1], l), cfg.search_order == est.LEXICOGRAPHIC_FIRST
     # lexicographic_first reads the subsets up to its support's
     count = min(examined, total) if first and support else total
-    cands = svd_candidates(y, mat, noise_var, l, count)
+    cands = svd_candidates(y, mat, noise_var, l, count, stats)
     sure = [not ill and svd_stat + tol < delta for _, svd_stat, tol, ill in cands]
     at = [c for c, *_ in cands].index(support) if support else len(cands)
     if support:

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import frozen_gram
@@ -35,7 +35,7 @@ def table_screen(outer, reps, corr, yy, noise_var, subsets, m):
     and ``subsets`` (b, l), composed as :func:`estimator.jt_search` composes them from the
     block tables, at reps = 1 those of the subsets themselves."""
     total, comb, sets, starts, _, _ = est._layout(outer.shape[1], reps, subsets.shape[1])
-    term = est._tables(outer, reps, corr, sets or [subsets], subsets.shape[1])
+    term = est._tables(outer, reps, corr, sets or [subsets])
     tidx = est._gather(comb, starts, subsets, reps)
     return est._statistics(term, np.arange(len(outer)), tidx, yy, noise_var, m)
 
@@ -425,10 +425,11 @@ class TestGramScreen:
 
     @staticmethod
     def _frozen_cases(n_d, n_s, l):
-        """(subsets, k, outer, corr, yy, noise_var, frozen LDL^H statistics and proofs) at
+        """(subsets, k, outer, corr, y, noise_var, frozen LDL^H statistics and proofs) at
         K = 1, 2, n_d and 3 n_d, near-collinear pilot rows 0 and 1 making ill-conditioned
-        G_J.  At K = 1 and 2 a block's later pivots are often exactly 0, after which that
-        LDL^H puts nan in every later column of another block."""
+        G_J, the statistics from ||y||^2 = sum |y|^2.  At K = 1 and 2 a block's later pivots
+        are often exactly 0, after which that LDL^H puts nan in every later column of
+        another block."""
         rng = np.random.default_rng(1400 + 10 * n_d + n_s + 100 * l)
         n, t_count = n_d * n_s, 6
         subsets = np.array(list(combinations(range(n), l)))
@@ -442,21 +443,57 @@ class TestGramScreen:
             outer, corr = sn.kron_normal(pilots, n_s, y)
             yy, noise_var = np.sum(np.abs(y) ** 2, axis=-1), rng.uniform(0.01, 1.0, t_count)
             frozen = frozen_gram._gram_statistics(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
-            yield subsets, k, outer, corr, yy, noise_var, *frozen
+            yield subsets, k, outer, corr, y, noise_var, *frozen
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_d, n_s", GEOMETRIES)
     def test_same_bits_as_frozen_ldl(self, n_d, n_s, l):
-        # the tables' statistics against the LDL^H of each whole G_J, bit for bit
+        # the tables' statistics against the LDL^H of each whole G_J, bit for bit, wherever
+        # that is finite; where it is nan, after an exactly zero pivot, G_J is singular and
+        # the search's rank rule rejects it, whatever the tables' statistic
         nans = 0
-        for subsets, k, outer, corr, yy, noise_var, want, _ in self._frozen_cases(n_d, n_s, l):
+        for subsets, k, outer, corr, y, noise_var, want, _ in self._frozen_cases(n_d, n_s, l):
+            yy = np.sum(np.abs(y) ** 2, axis=-1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = table_screen(outer, n_s, corr, yy, noise_var, subsets, k * n_s)
-            assert got.tobytes() == want.tobytes(), k
-            nans += np.count_nonzero(np.isnan(want))
+            nan = np.isnan(want)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), k
+            ri, ci = np.nonzero(nan)
+            lam = np.linalg.eigvalsh(nm.kron_gram(outer[ri], n_s, subsets[ci]))
+            assert not nm.full_rank(lam).any(), k
+            nans += ri.size
         # exact zero pivots, and so nan statistics, occur from L = 2 on
         assert (nans > 0) == (l > 1), nans
+
+    @pytest.mark.parametrize(
+        "n_d, n_s, l",
+        [(*g, l) for g in GEOMETRIES for l in (1, 2, 3, 4) if math.comb(g[0] * g[1], l) <= 3000],
+    )
+    def test_search_is_the_frozen_statistic_and_the_rank_rule(self, n_d, n_s, l):
+        # jt_search over every subset of each case, against the frozen LDL^H statistic of
+        # each G_J below delta and full rank by eigvalsh: a pair with a nan frozen
+        # statistic is never taken, whatever the tables make of it
+        for subsets, k, outer, corr, y, noise_var, *_ in self._frozen_cases(n_d, n_s, l):
+            m, yy = k * n_s, np.array([np.vdot(v, v).real for v in y])  # as jt_search takes it
+            frozen, _ = frozen_gram._gram_statistics(outer, n_s, corr, yy, noise_var, subsets, m)
+            full = nm.full_rank(np.linalg.eigvalsh(nm.kron_gram(outer, n_s, subsets[None])))
+            for q, order in product((0.05, 0.5), (est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC)):
+                # delta just above the q-quantile of the statistics, which are 0 at m = l
+                delta = float(np.nextafter(np.nanquantile(frozen, q), math.inf))
+                cfg = est.TypicalityConfig(delta, l, order)
+                typical = (frozen < cfg.delta) & full
+                stat = np.where(typical, frozen, math.inf)
+                first = order == est.LEXICOGRAPHIC_FIRST
+                pos = np.argmax(typical, axis=1) if first else np.argmin(stat, axis=1)
+                hit = typical.any(axis=1)
+                want = (
+                    np.where(hit[:, None], subsets[pos], -1),
+                    np.where(hit, stat[np.arange(len(pos)), pos], math.inf),
+                    np.where(hit & first, pos + 1, len(subsets)),
+                )
+                got = est.jt_search(y, outer, n_s, corr, noise_var, cfg, l)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (k, q, order)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_d, n_s", GEOMETRIES)

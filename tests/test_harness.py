@@ -94,9 +94,10 @@ def reference_trial(cfg, k, snr_db, trial_index):
     (``frozen_svd``), JT's search the SVD loop ``frozen_svd.literal_search``,
     and OMP from its frozen per-trial copy (``frozen_omp``).  Returns the
     trial's fields, a dict keyed by the ``harness.Trials`` names, and its JT
-    search: the problem (y, Upsilon, its TypicalityConfig, sigma^2) and the
-    literal loop's result, None where no search runs.  The block core must
-    reproduce the record to :data:`RTOL` (:func:`assert_records_match`).
+    search: the problem (y, Upsilon, its TypicalityConfig, sigma^2), the
+    literal loop's result and the SVD statistics it read, None where no search
+    runs.  The block core must reproduce the record to :data:`RTOL`
+    (:func:`assert_records_match`).
     """
     seed = int(hn.trial_seeds(cfg.master_seed, k, snr_db, [trial_index])[0, 0])
     g = cfg.geometry
@@ -129,7 +130,8 @@ def reference_trial(cfg, k, snr_db, trial_index):
         crlb = frozen_svd.crlb(mat, support, model.noise_var)
         if cfg.estimator == "jt":
             problem = (y, mat, replace(cfg.typicality, sparsity=len(support)), model.noise_var)
-            search = problem, frozen_svd.literal_search(*problem)
+            stats = []
+            search = problem, frozen_svd.literal_search(*problem, stats), stats
             found, _stat, examined = search[1]
             estimate, failed = np.zeros(mat.shape[1], dtype=np.complex128), not found
             if found:
@@ -309,8 +311,8 @@ class TestBlockCore:
         searched = [(t, s) for t, s in zip(triples, searches) if s is not None]
         assert searched
         literal = [
-            frozen_svd.assert_oracle_contract(t, *problem, want=want)
-            for t, (problem, want) in searched
+            frozen_svd.assert_oracle_contract(t, *problem, want=want, stats=stats)
+            for t, (problem, want, stats) in searched
         ]
         # every search takes the literal loop's support and count: no subset of these
         # cases lies within rounding of delta or of GRAM_COND
@@ -501,7 +503,7 @@ class TestTruthStage:
         finally:
             tracemalloc.stop()
         sizes = range(max(l - n_d * (n_s - 1), 1), min(l, n_d) + 1) if n_s > 1 else ()
-        tables = 48 * (n_s + 1) * sum(s * math.comb(n_d, s) for s in sizes)
+        tables = 36 * (n_s + 1) * sum(s * math.comb(n_d, s) for s in sizes)
         pair = 32 * l * (l + 2) if n_s == 1 else 16
         stated = hn._sub_block_bytes(cfg, k) + tables + est._SCAN_BLOCK * pair / trials
         assert 0.5 <= peak / stated <= 2.0, (peak, stated)
@@ -1503,6 +1505,27 @@ class TestCli:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: k_values") and "physical memory" in err
+        assert not out.exists() and not (tmp_path / "res.json").exists()
+
+    @pytest.mark.skipif(
+        "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", ()), reason="no physical memory size"
+    )
+    @pytest.mark.parametrize("command", ["sweep", "angular-map"])
+    def test_truth_over_physical_memory_rejected_before_any_trial(self, tmp_path, capsys, command):
+        # an n x n off-grid truth stage holds 80 B an entry (_truth_bytes): one entry past
+        # physical memory is rejected, a quarter of it accepted; each config is only built
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n = math.isqrt(memory // 80) + 1
+        cfg = dict(mode="physical_off_grid", estimator="genie")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k <= n_d
+            hn.default_config(geometry=ch.Geometry(n // 2, n // 2, 2, 5), **cfg)
+            with pytest.raises(ConfigError, match=f"n_d \\* n_s = {n * n}: .* physical memory"):
+                hn.default_config(geometry=ch.Geometry(n, n, 2, 5), **cfg)
+        out = tmp_path / "res.csv"
+        path = self._write_cfg(tmp_path, n_d=n, n_s=n, **cfg)
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: n_d * n_s = {n * n}:")
         assert not out.exists() and not (tmp_path / "res.json").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "angular-map"])
