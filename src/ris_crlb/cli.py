@@ -243,8 +243,7 @@ def build_parser():
     p_map.set_defaults(func=_cmd_angular_map)
 
     p_crlb = sub.add_parser("crlb", help="print the CRLB / bound table")
-    p_crlb.add_argument("--config", help="flat key=value experiment config file")
-    p_crlb.add_argument("--seed", type=int, help="master seed override")
+    add_common(p_crlb, with_out=False)
     p_crlb.add_argument("--out", help="optional output CSV path (default stdout)")
     p_crlb.add_argument("--delta", type=float, help="typicality threshold override")
     p_crlb.set_defaults(func=_cmd_crlb)
@@ -261,12 +260,9 @@ def main(argv=None):
         if getattr(args, "out", None) is not None:
             _check_out(args.out, args.command)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RisCrlbError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
 from .numerics import (
-    as_matrix, as_vector, full_rank, gram_solve, kron_gram, least_squares, solve_one,
+    as_matrix, as_vector, full_rank, gram_solve, kron_gram, least_squares, rows_of, solve_one,
 )
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
@@ -426,8 +426,10 @@ def omp_estimate(outer, reps, corr, l, fit):
     estimate = np.zeros((t_count, n_cols), dtype=np.complex128)
     rows = np.arange(t_count)
     for step in range(l):
-        gv = np.matmul(outer[rows], estimate[rows].reshape(rows.size, -1, reps))
-        score = np.abs(corr[rows] - gv.reshape(rows.size, n_cols)) / norms[rows]
+        active = functools.partial(rows_of, rows=rows)  # no copies while all rows run
+        score = np.matmul(active(outer), active(estimate).reshape(rows.size, -1, reps))
+        score -= active(corr).reshape(score.shape)  # G v - c in place: |c - G v| to the bit
+        score = np.abs(score.reshape(rows.size, n_cols)) / active(norms)
         np.put_along_axis(score, taken[rows, :step], -1.0, axis=1)
         cols = np.concatenate([taken[rows, :step], np.argmax(score, axis=1)[:, None]], axis=1)
         _, grew, coef = fit(rows, cols)

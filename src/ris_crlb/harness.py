@@ -6,16 +6,14 @@ mixer, and truth/pilot/noise each get an independent substream of that seed.
 Trials therefore never share generator state and a sweep gives byte-identical
 results whatever the worker count.
 
-A worker runs its share in two stages, each under the peak ``_BLOCK_BYTES``
-(640 KiB) over a stated per-trial peak: the estimation stage (``_run_block``:
-pilots, observation, CRLB, search and fit) per sub-block of one K, and the
-truth stage (``_stage_truths``: seeds, seed words, truths, supports and
-energies) per chunk of whole sub-blocks, in order across K.  Each trial leaves
-73 B in the columns of :class:`Trials`: they and the share's per-trial layout
-are the one state that grows with the trial count.  A truth seats no
-``Generator``: its PCG64 is seated and read in uint64 limbs for a whole chunk
-at once (``channel.pcg64_seat``, ``channel.raw_draws``; numpy does not
-promise ``Generator`` streams across versions: the tests compare both).
+A worker runs its share in two stages, each sized by ``_BLOCK_BYTES`` (640 KiB) over a
+stated per-trial peak: the estimation stage (``_run_block``: pilots, observation, CRLB,
+search and fit) per sub-block of one K, and the truth stage (``_stage_truths``: seeds, seed
+words, truths, supports and energies) per chunk of whole sub-blocks, in order across K.
+Each trial leaves 73 B in the columns of :class:`Trials`: they and the share's per-trial
+layout are the one state that grows with the trial count.  A truth seats no ``Generator``:
+its PCG64 is seated and read in uint64 limbs for a chunk at once (``channel.pcg64_seat``,
+``channel.raw_draws``; numpy does not promise its streams across versions: tests compare).
 """
 
 import contextlib
@@ -44,8 +42,8 @@ MODES = ("synthetic", "physical_on_grid", "physical_off_grid")
 ESTIMATORS = ("jt", "genie", "omp")
 
 # the peak bytes an estimation sub-block or a truth chunk may hold, over its stated
-# per-trial peak (_sub_block_bytes, _truth_bytes): it sets the trials of each, so
-# neither working set grows with the trial count; only the Trials columns do
+# per-trial peak (_sub_block_bytes, _truth_bytes): it sets the trials of each, so neither
+# working set grows with the trial count; a default L = 1 sub-block traces 0.79-0.93 of it
 _BLOCK_BYTES = 640 * 1024
 
 CSV_HEADER = "k,snr_db,mse,crlb,upper_bound,fail_rate,trials"
@@ -427,16 +425,14 @@ def _truth_bytes(cfg):
 
 def _sub_block_bytes(cfg, k):
     """Stated per-trial peak of an estimation sub-block (:func:`_run_block`) at K = k in
-    bytes, which sizes the sub-blocks: ``80 k (n_d + n_s)``, five complex values per
-    pilot entry and per observation entry.
-
-    It holds for JT at L = 1, the genie and OMP (tracemalloc reads 0.64-1.01 of it).
-    The L >= 2 search holds more: each problem's table of terms, about 36 (n_s + 1) E B
-    as built (tracemalloc reads 25-50), E = sum_s s C(n_d, s) over the block sizes s that
-    occur (none at n_s = 1); a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset)
-    pairs, 16 B each or 32 L (L + 2) B at n_s = 1, and 16 L^2 B per G_J below delta.
-    """
-    return 80 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
+    bytes, which sizes the sub-blocks: ``40 k (n_d + n_s)``, the observation's, 16 k (3 n_d
+    + n_s) B as the pilot entries are built and 16 k (n_d + 3 n_s) B as the noise is (with
+    a ufunc cast buffer of at most 128 KiB); JT at L = 1, the genie and OMP read 0.69-1.20
+    of it.  The L >= 2 search's phase may be larger: per problem a table of about 36 (n_s
+    + 1) E B as built (25-50 read), E = sum_s s C(n_d, s) over the block sizes s that occur
+    (none at n_s = 1), and a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset)
+    pairs, 16 B each or 32 L (L + 2) B at n_s = 1, and 16 L^2 B per G_J below delta."""
+    return 40 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
 
 
 def run_trial(cfg, k, snr_db, trial_index):
@@ -447,30 +443,25 @@ def run_trial(cfg, k, snr_db, trial_index):
 def _run_block(cfg, k, snr_db, indices, staged=None):
     """:class:`Trials` of trials ``indices`` at K = k, as stacks: the estimation stage.
 
-    ``snr_db`` is the SNR of every trial, or one SNR per index, so a block
-    may hold trials of several grid cells of one K.  ``staged`` is their
-    truth stage (:func:`_stage_truths`), which is run here when it is None.
-    Per trial run only its pilot and noise draws; the rest runs on stacks
-    with a single trial's per-matrix LAPACK and BLAS calls, so a trial's row
-    does not depend on its block.  The CRLB sigma^2 tr(G_I^-1), the JT search, OMP's
-    greedy steps and every fit G_S^-1 c_S come from G = kron(conj(X) X^T, I)
-    and c = Upsilon^H y (``numerics.gram_solve``), and every rank from G's
-    eigenvalues (``numerics.full_rank``): no column of Upsilon is built and no
-    SVD is taken.  A sparsity group holds the trials whose support masks count
-    l entries; one ``gram_solve`` per group gives the CRLB and the fit of the
-    true support I, which the genie takes, and JT too where it found I; JT
-    fits only the other supports it found.  An OMP trial is failed where it
-    took fewer than l columns, which it counts as its subsets examined.  Every
-    trial starts as the failed row (squared error ||upsilon||^2, CRLB nan,
-    no subsets examined); a zero truth, an empty support and a true support
-    that is not full rank keep it.  The search budget is checked before any
-    trial (:func:`run_sweep`).
-    """
+    ``snr_db`` is one SNR, or one per index, so a block may span the cells of one K;
+    ``staged`` is the trials' truth stage (:func:`_stage_truths`), run here when None.  Only
+    the pilot and noise draws run per trial; the rest runs on stacks with a single trial's
+    per-matrix LAPACK and BLAS calls, so a row does not depend on its block.  G = kron(conj(X)
+    X^T, I) and c = Upsilon^H y are formed once a block, which then drops its pilots: every
+    CRLB sigma^2 tr(G_I^-1), JT search, OMP step and fit G_S^-1 c_S reads them
+    (``numerics.gram_solve``), every rank is ``numerics.full_rank`` of G's eigenvalues, and
+    no column of Upsilon or SVD is formed.  Per sparsity group (l support entries; the
+    stacks themselves where it holds every live trial) one ``gram_solve`` gives the CRLB
+    and the true support's fit, which the genie takes, and JT where it found that support;
+    JT fits only the other supports it found; OMP fails a trial that took fewer than l
+    columns (its subsets examined).  A trial starts as the failed row (squared error
+    ||upsilon||^2, CRLB nan, no subsets examined), which a zero truth, an empty support and
+    a rank-deficient true support keep.  The estimates are scattered into one array at the
+    end.  :func:`run_sweep` checks the search budget before any trial."""
     n_s = cfg.geometry.n_s
     if staged is None:
         staged = _stage_truths(cfg, k, snr_db, indices)
     seeds, pilot_words, noise_words, truths, supports, energies = staged
-    estimates = np.zeros(truths.shape, dtype=np.complex128)
     n, sizes = len(supports), np.count_nonzero(supports, axis=1)
     crlbs, failed, examined = np.full(n, math.nan), np.ones(n, dtype=bool), np.zeros(n, np.int64)
 
@@ -479,32 +470,35 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     snr = np.asarray(snr_db, dtype=np.float64)
     noise_var = sn.snr_to_noise_var(snr if snr.ndim == 0 else snr[live], energies[live], n_s)
     pilots, y = sn.observe_block(
-        generators(pilot_words[live]), k, n_s, truths[live], noise_var,
+        generators(pilot_words[live]), k, n_s, nm.rows_of(truths, live), noise_var,
         generators(noise_words[live]),
     )
+    outer, corr = sn.kron_normal(pilots, n_s, y)
+    del pilots  # the estimators read only the normal equations (and JT ||y||^2)
+    parts = []  # (trials, columns, values) of each group's estimates, scattered at the end
     for l in sorted(set(sizes[live].tolist())):  # np.unique's first call costs ~15 ms
         rows = np.flatnonzero(sizes[live] == l)  # of the live stacks
         support = np.nonzero(supports[live[rows]])[1].reshape(-1, l)  # ascending in each row
-        outer, corr = sn.kron_normal(pilots[rows], n_s, y[rows])
 
         def fit(r, cols):  # nm.gram_solve on columns cols of the group's trials r
+            r = rows[r]  # of the live stacks, whose normal equations are the block's
             return nm.gram_solve(nm.kron_gram(outer[r], n_s, cols), corr[r[:, None], cols])
 
-        # the CRLB and the fit of the true support; the group, as fit reads it, keeps the
-        # full-rank rows
+        # the CRLB and the true support's fit; the group, as fit reads it, keeps the full-rank rows
         trace, keep, coef = fit(np.arange(rows.size), support)
-        rows, support, outer, corr, coef = (v[keep] for v in (rows, support, outer, corr, coef))
+        rows, support, coef = (v[keep] for v in (rows, support, coef))
         if not rows.size:
             continue
-        at = live[rows]
+        at, group = live[rows], functools.partial(nm.rows_of, rows=rows)  # the group's stacks
         crlbs[at], failed[at] = noise_var[rows] * trace[keep], False
         if cfg.estimator == "omp":
-            _, estimates[at], examined[at] = est.omp_estimate(outer, n_s, corr, l, fit)
+            _, values, examined[at] = est.omp_estimate(group(outer), n_s, group(corr), l, fit)
             failed[at] = examined[at] < l
+            parts.append((at, slice(None), values))
             continue
         if cfg.estimator == "jt":
             found, _stats, examined[at] = est.jt_search(
-                y[rows], outer, n_s, corr, noise_var[rows], cfg.typicality, l
+                group(y), group(outer), n_s, group(corr), noise_var[rows], cfg.typicality, l
             )
             failed[at] = found[:, 0] < 0
             # a found support is full rank (the search takes no other); only one that is
@@ -514,7 +508,10 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
                 coef[wrong] = fit(wrong, found[wrong])[2]
             support = found
         hit = ~failed[at]
-        estimates[at[hit, None], support[hit]] = coef[hit]
+        parts.append((at[hit, None], support[hit], coef[hit]))
+    estimates = np.zeros(truths.shape, dtype=np.complex128)
+    for at, cols, values in parts:
+        estimates[at, cols] = values
 
     # seeds is a row of its chunk's (4, T) seed stack: a copy keeps no block's stack alive
     return Trials(

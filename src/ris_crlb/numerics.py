@@ -60,9 +60,7 @@ def unvec(v, rows, cols):
     """Inverse of :func:`vec` for a rows x cols matrix."""
     v = np.asarray(v)
     if v.size != rows * cols:
-        raise DimensionMismatchError(
-            f"cannot unvec length {v.size} into {rows}x{cols}"
-        )
+        raise DimensionMismatchError(f"cannot unvec length {v.size} into {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
 
 
@@ -76,6 +74,11 @@ def full_rank(lam):
     """The sweep's one rank rule: whether each Gram matrix of a stack, of ascending eigenvalues
     ``lam`` (..., l), has lambda_max < GRAM_COND lambda_min (not where singular or indefinite)."""
     return lam[..., 0] * GRAM_COND > lam[..., -1]
+
+
+def rows_of(stack, rows):
+    """``stack[rows]`` for ascending ``rows``: the stack itself, no copy, where they are all."""
+    return stack if len(rows) == len(stack) else stack[rows]
 
 
 def kron_gram(outer, reps, cols):
@@ -119,9 +122,7 @@ def least_squares(a, y):
     a = as_matrix(a, "a")
     y = as_vector(y, "y")
     if y.shape[0] != a.shape[0]:
-        raise DimensionMismatchError(
-            f"y has length {y.shape[0]}, expected {a.shape[0]}"
-        )
+        raise DimensionMismatchError(f"y has length {y.shape[0]}, expected {a.shape[0]}")
     return solve_one(a, y)[1]
 
 

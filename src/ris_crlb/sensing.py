@@ -47,13 +47,15 @@ def gen_pilots(n_d, k, seed):
 
 
 def _pilot_entries(normals):
-    """(re + 1j im)/sqrt(2) of the real and imaginary parts stacked on axis -3."""
-    return (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
+    """(re + 1j im)/sqrt(2) of the parts on axis -3, by that expression's ufuncs, in place."""
+    p = np.multiply(normals[..., 1, :, :], 1j)
+    return np.divide(np.add(normals[..., 0, :, :], p, out=p), np.sqrt(2.0), out=p)
 
 
 def _noise(normals, noise_var):
-    """sqrt(sigma^2/2) (re + 1j im) of the parts on axis -2, one sigma^2 per vector."""
-    return np.sqrt(noise_var / 2.0)[..., None] * (normals[..., 0, :] + 1j * normals[..., 1, :])
+    """sqrt(sigma^2/2) (re + 1j im) of the parts on axis -2, one sigma^2 a vector, in place."""
+    scale, z = np.sqrt(noise_var / 2.0)[..., None], np.multiply(normals[..., 1, :], 1j)
+    return np.multiply(scale, np.add(normals[..., 0, :], z, out=z), out=z)
 
 
 def measurement_matrix(pilots, n_s):
@@ -98,19 +100,21 @@ def observe_block(pilot_rngs, k, n_s, truths, noise_var, noise_rngs):
     :func:`gen_pilots` does from ``default_rng(seed)``, and its noise from
     ``noise_rngs[t]`` as :func:`observe` does; the pilot entries, the
     signals (one stacked :func:`kron_forward`) and the noise are formed once
-    per block.  Returns the (T, n_d, k) pilot stack and the (T, k*n_s)
-    observation stack.
+    per block, each stack of normals dropped once its entries are built.
+    Returns the (T, n_d, k) pilot stack and the (T, k*n_s) observation stack.
     """
-    t_count, n_cols = truths.shape
-    n_d = n_cols // n_s
+    t_count, n_d = len(truths), truths.shape[1] // n_s
     pilot_normals = np.empty((t_count, 2, n_d, k))
     noise_normals = np.empty((t_count, 2, k * n_s))
     for t, (pilot_rng, noise_rng) in enumerate(zip(pilot_rngs, noise_rngs)):
         pilot_rng.standard_normal(out=pilot_normals[t])
         noise_rng.standard_normal(out=noise_normals[t])
     pilots = _pilot_entries(pilot_normals)
+    del pilot_normals
+    noise = _noise(noise_normals, noise_var)
+    del noise_normals
     y = kron_forward(pilots, n_s, truths)
-    y += _noise(noise_normals, noise_var)
+    y += noise
     return pilots, y
 
 

@@ -482,13 +482,34 @@ class TestTruthStage:
             tracemalloc.stop()
         assert 0.5 <= peak / hn._sub_block_bytes(cfg, k) <= 2.0, peak
 
+    @pytest.mark.parametrize("k", hn.default_config().k_values)
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"mode": "physical_off_grid", "estimator": "genie"}, {"estimator": "omp"}],
+        ids=["jt", "genie-off-grid", "omp"],
+    )
+    def test_sub_block_peak_is_within_the_budget(self, overrides, k):
+        # the budget is a ceiling, not only a scale: one sub-block of the sweep's size at
+        # each default K, its truths staged beforehand, traces at most _BLOCK_BYTES
+        cfg = hn.default_config(k_values=(k,), **overrides)
+        trials = hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k)
+        staged = hn._stage_truths(cfg, k, 20.0, range(trials))
+        hn._run_block(cfg, k, 20.0, range(trials), staged)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            hn._run_block(cfg, k, 20.0, range(trials), staged)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hn._BLOCK_BYTES, peak / hn._BLOCK_BYTES
+
     @pytest.mark.parametrize(
         # the L >= 2 search: block tables (5 x 5, 8 x 5) or, at n_s = 1, per-pass tables
         "n_d, n_s, l, k", [(5, 5, 2, 20), (8, 5, 3, 20), (40, 1, 3, 60)],
         ids=["5x5-L2", "8x5-L3", "40x1-L3"],
     )
     def test_search_sub_block_peak_per_trial_is_the_stated_footprint(self, n_d, n_s, l, k):
-        # the footprint that _sub_block_bytes states for the L >= 2 search on top of its own
+        # the footprint that _sub_block_bytes states for the L >= 2 search: the larger of
+        # its two phases, the observation and the search's tables and pass scratch
         cfg = hn.default_config(
             k_values=(k,), geometry=ch.Geometry(n_s, n_d, 2, 5),
             typicality=est.TypicalityConfig(None, l),
@@ -505,7 +526,7 @@ class TestTruthStage:
         sizes = range(max(l - n_d * (n_s - 1), 1), min(l, n_d) + 1) if n_s > 1 else ()
         tables = 36 * (n_s + 1) * sum(s * math.comb(n_d, s) for s in sizes)
         pair = 32 * l * (l + 2) if n_s == 1 else 16
-        stated = hn._sub_block_bytes(cfg, k) + tables + est._SCAN_BLOCK * pair / trials
+        stated = max(hn._sub_block_bytes(cfg, k), tables + est._SCAN_BLOCK * pair / trials)
         assert 0.5 <= peak / stated <= 2.0, (peak, stated)
 
     @pytest.mark.parametrize(
@@ -514,7 +535,8 @@ class TestTruthStage:
     )
     def test_default_sweeps_stage_few_chunks(self, monkeypatch, overrides):
         # jt-default stages its 600 trials in one chunk; genie-offgrid, of 143 trials at
-        # most, in chunks of whole sub-blocks across K (sub-block sizes as below)
+        # most, in chunks of whole sub-blocks across K (sub-block sizes as below: the 75
+        # trials of each K up to 20 are one sub-block, so one chunk each up to K = 16)
         cfg = hn.default_config(trials=25, **overrides)
         chunks, stage = [], hn._stage_truths
 
@@ -529,8 +551,8 @@ class TestTruthStage:
             return
         assert hn._BLOCK_BYTES // hn._truth_bytes(cfg) == 143
         assert chunks == [
-            ((8, 12), 143), ((12, 16, 20), 122), ((20, 28, 40), 130), ((40, 60, 80), 140),
-            ((80,), 65),
+            ((8,), 75), ((12,), 75), ((16,), 75), ((20, 28), 133), ((28, 40, 60), 119),
+            ((60, 80), 123),
         ]
 
     def test_chunk_across_k_equals_per_k_stages(self):
@@ -568,11 +590,13 @@ class TestTruthStage:
         assert growth <= 200, growth
 
     def test_default_sub_blocks_keep_their_sizes(self):
-        # the trials per L = 1 sub-block at each default K under the 64 KiB budget
-        # of one complex observation per trial, which the stated peak replaced
+        # the trials per sub-block at each default K under the stated 40 K (n_d + n_s) B a
+        # trial; the benchmark's sweeps, 3 SNR cells of 25 (jt-default, genie-offgrid) or
+        # 4 (jt-sparse2) trials per K, run 15 and 8 sub-blocks
         cfg = hn.default_config()
         sizes = [hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k) for k in cfg.k_values]
-        assert sizes == [102, 68, 51, 40, 29, 20, 13, 10]
+        assert sizes == [204, 136, 102, 81, 58, 40, 27, 20]
+        assert [sum(math.ceil(3 * n / size) for size in sizes) for n in (25, 4)] == [15, 8]
 
 
 class TestBlockFailurePath:
