@@ -108,7 +108,7 @@ def _cmd_angular_map(args):
 
 
 def _cmd_crlb(args):
-    """One deterministic pilot draw per K, its CRLB from the sweep's Gram-domain gram_solve."""
+    """One deterministic pilot draw per K, its CRLB by the sweep's Gram-domain fit_columns."""
     cfg = _load_config(args)
     if cfg.mode != "synthetic":
         raise ConfigError("the crlb table is defined for synthetic mode")
@@ -119,7 +119,7 @@ def _cmd_crlb(args):
         seed = int(hn.trial_seeds(cfg.master_seed, k, 0.0, [0])[0, 0])
         pilots = sn.gen_pilots(cfg.geometry.n_d, k, seed)[None]
         outer, _ = sn.kron_normal(pilots, n_s, np.zeros((1, k * n_s)))
-        (trace,), (full,), _ = nm.gram_solve(nm.kron_gram(outer, n_s, cols))
+        (trace,), (full,), _ = nm.fit_columns(outer, n_s, cols)
         for snr_db in cfg.snr_db_values:
             noise_var, delta, missed, wrong = hn.bound_terms(cfg, k, snr_db, energy, l)
             crlb = float(noise_var * trace) if full else np.nan  # as a sweep does

@@ -33,8 +33,8 @@ sigma^2 * Tr[(Upsilon_I^H Upsilon_I)^-1] in expectation, and the analytic
 mean-squared-error upper bound adds two exponentially small penalty terms
 for missing the true support and for accepting a wrong one.  The orthogonal
 matching pursuit baseline works from the same G and c: its residual
-correlations are c - G v, and its refits and full-rank flags are the
-caller's ``numerics.gram_solve``.
+correlations are c - G v.  So every estimator of a sweep reads only G, c and,
+for JT, ||y||^2, and every fit G_S^-1 c_S is ``numerics.fit_columns``.
 """
 
 import functools
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, RankDeficientError
 from .numerics import (
-    as_matrix, as_vector, full_rank, gram_solve, kron_gram, least_squares, rows_of, solve_one,
+    as_matrix, as_vector, fit_columns, full_rank, kron_gram, least_squares, rows_of, solve_one,
 )
 
 LEXICOGRAPHIC_FIRST = "lexicographic_first"
@@ -212,18 +212,18 @@ def _statistics(term, at, tidx, yy, noise_var, m):
         return np.abs(np.maximum(yy[:, None] - energy, 0.0) / m - (m - l) / m * noise_var[:, None])
 
 
-def jt_search(y, outer, reps, corr, noise_var, cfg, l):
+def jt_search(yy, m, outer, reps, corr, noise_var, cfg, l):
     """The subset search of :func:`jt_estimate` for a stack of T problems.
 
     The candidates are the ``l``-subsets; ``cfg`` gives the threshold
     (:meth:`TypicalityConfig.threshold`) and the order; it enumerates all
-    C(n, l), and its callers keep that within ``max_subsets``.  Problem
-    t observes ``y[t]`` (length m) through Upsilon_t, of n columns and Gram
-    matrix kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; n_s
-    for the pilot model), with ``corr[t]`` = Upsilon_t^H y[t] and
-    ``noise_var[t]``.  Returns the (T, l) supports, a row of -1 where no
-    subset is typical, the (T,) Gram statistics, inf there, and the (T,)
-    numbers of subsets examined.
+    C(n, l), and its callers keep that within ``max_subsets``.  Problem t
+    observes y_t of length ``m`` through Upsilon_t, of n columns and Gram
+    matrix kron(outer[t], I_reps) (``reps`` = 1 for a general matrix; n_s for
+    the pilot model), and is read only through ``yy[t]`` = ||y_t||^2,
+    ``corr[t]`` = Upsilon_t^H y_t and ``noise_var[t]``.  Returns the (T, l)
+    supports, a row of -1 where no subset is typical, the (T,) Gram
+    statistics, inf there, and the (T,) numbers of subsets examined.
 
     Subsets are scored from each problem's block tables (see the module
     docstring), built once, or in step with the passes at reps = 1, where a
@@ -235,11 +235,9 @@ def jt_search(y, outer, reps, corr, noise_var, cfg, l):
     ties (``best_statistic``).
     """
     t_count, n_cols = corr.shape
-    m = y.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
     delta = np.full(t_count, cfg.threshold(noise_var, m, l))
     first = cfg.search_order == LEXICOGRAPHIC_FIRST
-    yy = np.array([np.vdot(v, v).real for v in y])
     total, comb, sets, starts, cached, idx = _layout(n_cols // reps, reps, l)
 
     stat = np.full(t_count, math.inf)
@@ -301,13 +299,12 @@ def jt_estimate(y, upsilon_mat, cfg, noise_var):
     herm = upsilon_mat.conj().T
     outer, corr = (herm @ upsilon_mat)[None], (herm @ y)[None]
     (support,), (stat,), (examined,) = jt_search(
-        y[None], outer, 1, corr, [noise_var], cfg, cfg.sparsity
+        np.array([np.vdot(y, y).real]), y.shape[0], outer, 1, corr, [noise_var], cfg, cfg.sparsity
     )
     subset = tuple(support.tolist()) if support[0] >= 0 else ()
     estimate = np.zeros(upsilon_mat.shape[1], dtype=np.complex128)
     if subset:  # fitted on the search's own G_J, which its rule found full rank
-        _, _, fit = gram_solve(kron_gram(outer, 1, support[None]), corr[:, support])
-        estimate[support] = fit[0]
+        estimate[support] = fit_columns(outer, 1, support[None], corr)[2][0]
     return EstimateResult(
         support=subset,
         upsilon_hat=estimate,
@@ -369,23 +366,21 @@ def wrong_support_term(energy, n, noise_var, delta, kns, l):
     (L sigma^2 + ||upsilon||^2) * sum over all L-subsets J != I of
     exp(((L - m)/4) * ((E_miss - delta')/(E_miss + sigma^2))^2), where E_miss
     is the truth energy on I \\ J and delta' = delta m/(m - L).  The truth is
-    ``l`` equal shares of ``energy`` among ``n`` entries, so a term depends on
-    J only through t = |I cap J| < L, and the sum is taken in closed form over
-    t with C(L, t) C(n - L, L - t) supports of each size; sizes no J has are
-    skipped.
+    ``l`` equal shares s = sqrt(energy/l)^2 among ``n`` entries, so a term
+    depends on J only through t = |I cap J| < L, with E_miss = (L - t) s, and
+    the sum is taken in closed form over t with C(L, t) C(n - L, L - t)
+    supports of each size; sizes no J has are skipped.
     """
     if kns <= l:
         raise ValueError("kns must exceed l")
-    shares = np.zeros(n)
-    shares[:l] = np.square(math.sqrt(energy / l))
+    share = math.sqrt(energy / l) * math.sqrt(energy / l)
     delta_p = delta * kns / (kns - l)
-    prefactor = l * noise_var + float(np.sum(shares))
-    on_support = float(np.sum(shares[:l]))
+    prefactor = l * noise_var + l * share
 
     total = 0.0
     for t in range(l):
         count = math.comb(l, t) * math.comb(n - l, l - t)
-        miss_energy = on_support - float(np.sum(shares[:t]))
+        miss_energy = (l - t) * share
         denom = miss_energy + noise_var
         if not count or denom == 0.0:
             continue  # no such J, or indistinguishable noiseless sets: vacuous term
@@ -402,7 +397,7 @@ def wrong_support_term(energy, n, noise_var, delta, kns, l):
     return prefactor * total
 
 
-def omp_estimate(outer, reps, corr, l, fit):
+def omp_estimate(outer, reps, corr, l):
     """Orthogonal matching pursuit baseline for a stack of T problems, in the Gram domain.
 
     Problem t has the Gram matrix kron(outer[t], I_reps) of its n columns and
@@ -410,12 +405,10 @@ def omp_estimate(outer, reps, corr, l, fit):
     picks the unselected column with the largest normalized residual correlation
     |c - G v| / sqrt(diag G) of the estimate v, where G v = outer V with V =
     v.reshape(p, reps) and the column norms are sqrt(outer[j, j]), each ``reps``
-    times; then it refits on the selected set: ``fit(rows, cols)`` returns
-    ``numerics.gram_solve``'s (trace, full rank, G_S^-1 c_S) for problems ``rows``
-    and their (len(rows), s) column sets ``cols``.  A problem stops, degenerate, at
-    the first step whose column set is not full rank.  Ties break to the lowest index,
-    but only exact float ties: at K = 1 the n_d columns of one identity
-    position score alike in exact arithmetic, so rounding picks among them.
+    times; then it refits G_S^-1 c_S on the selected set S (``numerics.fit_columns``).
+    A problem stops, degenerate, at the first step whose S is not full rank.  Ties
+    break to the lowest index, but only exact float ties: at K = 1 the n_d columns of
+    one identity position score alike in exact arithmetic, so rounding picks among them.
     Returns the (T, l) columns in the order taken (-1 past a stop), the (T, n)
     estimates and the (T,) numbers of columns taken.
     """
@@ -432,7 +425,7 @@ def omp_estimate(outer, reps, corr, l, fit):
         score = np.abs(score.reshape(rows.size, n_cols)) / active(norms)
         np.put_along_axis(score, taken[rows, :step], -1.0, axis=1)
         cols = np.concatenate([taken[rows, :step], np.argmax(score, axis=1)[:, None]], axis=1)
-        _, grew, coef = fit(rows, cols)
+        _, grew, coef = fit_columns(active(outer), reps, cols, active(corr))
         rows, cols = rows[grew], cols[grew]
         if not rows.size:
             break

@@ -428,10 +428,11 @@ def _sub_block_bytes(cfg, k):
     bytes, which sizes the sub-blocks: ``40 k (n_d + n_s)``, the observation's, 16 k (3 n_d
     + n_s) B as the pilot entries are built and 16 k (n_d + 3 n_s) B as the noise is (with
     a ufunc cast buffer of at most 128 KiB); JT at L = 1, the genie and OMP read 0.69-1.20
-    of it.  The L >= 2 search's phase may be larger: per problem a table of about 36 (n_s
-    + 1) E B as built (25-50 read), E = sum_s s C(n_d, s) over the block sizes s that occur
-    (none at n_s = 1), and a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset)
-    pairs, 16 B each or 32 L (L + 2) B at n_s = 1, and 16 L^2 B per G_J below delta."""
+    of it.  The L >= 2 search's phase, left out, may be larger: per problem a table of about
+    36 (n_s + 1) E B as built (25-50 read), E = sum_s s C(n_d, s) over the block sizes s that
+    occur (none at n_s = 1), and a pass of at most ``estimator._SCAN_BLOCK`` (problem,
+    subset) pairs, 16 B each or 32 L (L + 2) B at n_s = 1, and 16 L^2 B per G_J below delta:
+    at L = 2, 5 x 5, K = 8, 12, 16, 20 a sub-block traces 2.02, 1.42, 1.06, 0.85 of the budget."""
     return 40 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
 
 
@@ -447,11 +448,11 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
     ``staged`` is the trials' truth stage (:func:`_stage_truths`), run here when None.  Only
     the pilot and noise draws run per trial; the rest runs on stacks with a single trial's
     per-matrix LAPACK and BLAS calls, so a row does not depend on its block.  G = kron(conj(X)
-    X^T, I) and c = Upsilon^H y are formed once a block, which then drops its pilots: every
-    CRLB sigma^2 tr(G_I^-1), JT search, OMP step and fit G_S^-1 c_S reads them
-    (``numerics.gram_solve``), every rank is ``numerics.full_rank`` of G's eigenvalues, and
-    no column of Upsilon or SVD is formed.  Per sparsity group (l support entries; the
-    stacks themselves where it holds every live trial) one ``gram_solve`` gives the CRLB
+    X^T, I), c = Upsilon^H y and, for JT only, ||y||^2 are formed once, then the pilots and y
+    dropped: every CRLB sigma^2 tr(G_I^-1), JT search, OMP step and fit G_S^-1 c_S reads only
+    them (every fit ``numerics.fit_columns``), every rank is ``numerics.full_rank`` of G's
+    eigenvalues, and no column of Upsilon or SVD is formed.  Per sparsity group (l support
+    entries; the stacks themselves where it holds every live trial) one fit gives the CRLB
     and the true support's fit, which the genie takes, and JT where it found that support;
     JT fits only the other supports it found; OMP fails a trial that took fewer than l
     columns (its subsets examined).  A trial starts as the failed row (squared error
@@ -474,38 +475,37 @@ def _run_block(cfg, k, snr_db, indices, staged=None):
         generators(noise_words[live]),
     )
     outer, corr = sn.kron_normal(pilots, n_s, y)
-    del pilots  # the estimators read only the normal equations (and JT ||y||^2)
+    yy = np.array([np.vdot(v, v).real for v in y]) if cfg.estimator == "jt" else None
+    del pilots, y  # the estimators read only the normal equations, and JT ||y||^2
     parts = []  # (trials, columns, values) of each group's estimates, scattered at the end
     for l in sorted(set(sizes[live].tolist())):  # np.unique's first call costs ~15 ms
         rows = np.flatnonzero(sizes[live] == l)  # of the live stacks
         support = np.nonzero(supports[live[rows]])[1].reshape(-1, l)  # ascending in each row
-
-        def fit(r, cols):  # nm.gram_solve on columns cols of the group's trials r
-            r = rows[r]  # of the live stacks, whose normal equations are the block's
-            return nm.gram_solve(nm.kron_gram(outer[r], n_s, cols), corr[r[:, None], cols])
-
-        # the CRLB and the true support's fit; the group, as fit reads it, keeps the full-rank rows
-        trace, keep, coef = fit(np.arange(rows.size), support)
+        group = functools.partial(nm.rows_of, rows=rows)  # the group's stacks
+        # the CRLB and the true support's fit; the group keeps its full-rank rows
+        trace, keep, coef = nm.fit_columns(group(outer), n_s, support, group(corr))
         rows, support, coef = (v[keep] for v in (rows, support, coef))
         if not rows.size:
             continue
-        at, group = live[rows], functools.partial(nm.rows_of, rows=rows)  # the group's stacks
+        at, group = live[rows], functools.partial(nm.rows_of, rows=rows)
         crlbs[at], failed[at] = noise_var[rows] * trace[keep], False
         if cfg.estimator == "omp":
-            _, values, examined[at] = est.omp_estimate(group(outer), n_s, group(corr), l, fit)
+            _, values, examined[at] = est.omp_estimate(group(outer), n_s, group(corr), l)
             failed[at] = examined[at] < l
             parts.append((at, slice(None), values))
             continue
         if cfg.estimator == "jt":
             found, _stats, examined[at] = est.jt_search(
-                group(y), group(outer), n_s, group(corr), noise_var[rows], cfg.typicality, l
+                group(yy), k * n_s, group(outer), n_s, group(corr), noise_var[rows],
+                cfg.typicality, l,
             )
             failed[at] = found[:, 0] < 0
             # a found support is full rank (the search takes no other); only one that is
             # not the true support needs its own fit
             wrong = np.flatnonzero(~failed[at] & np.any(found != support, axis=1))
             if wrong.size:
-                coef[wrong] = fit(wrong, found[wrong])[2]
+                r = rows[wrong]
+                coef[wrong] = nm.fit_columns(outer[r], n_s, found[wrong], corr[r])[2]
             support = found
         hit = ~failed[at]
         parts.append((at[hit, None], support[hit], coef[hit]))

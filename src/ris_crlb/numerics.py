@@ -105,6 +105,13 @@ def gram_solve(g, c=None):
         return np.sum(1.0 / lam, axis=-1), full, x
 
 
+def fit_columns(outer, reps, cols, corr=None):
+    """:func:`gram_solve` of each problem's G_S, the columns ``cols`` (R, s) of kron(outer[r],
+    I_reps), and given ``corr`` (R, n) = Upsilon^H y, of its c_S: every fit of the block core."""
+    c = None if corr is None else np.take_along_axis(corr, cols, axis=1)
+    return gram_solve(kron_gram(outer, reps, cols), c)
+
+
 def solve_one(a, y=None):
     """:func:`gram_solve` of one matrix ``a``: tr((a^H a)^-1) and, given ``y``, the fit
     (a^H a)^-1 a^H y; raises :class:`RankDeficientError` where :func:`full_rank` rejects

@@ -1,6 +1,7 @@
 """Typicality test, subset search, genie LS, CRLB, bound terms, OMP."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -28,6 +29,11 @@ def crandn(rng, *shape):
 def default_scale_model(k=20, seed=0, noise_var=None):
     pilots = sn.gen_pilots(n_d=5, k=k, seed=seed)
     return sn.measurement_model(pilots, 5, noise_var=noise_var)
+
+
+def energies(y):
+    """||y_t||^2 of each row of a stack, as the block core hands them to est.jt_search."""
+    return np.array([np.vdot(v, v).real for v in y])
 
 
 def table_screen(outer, reps, corr, yy, noise_var, subsets, m):
@@ -325,11 +331,13 @@ class TestJtSearchStack:
         cfg = est.TypicalityConfig(delta=delta, sparsity=l, search_order=order)
 
         outer, corr = sn.kron_normal(pilots, n_s, y)
-        stacked = est.jt_search(y, outer, n_s, corr, noise_var, cfg, l)
+        stacked = est.jt_search(energies(y), k * n_s, outer, n_s, corr, noise_var, cfg, l)
         got = search_triples(*stacked)
         for t in range(t_count):
             one = slice(t, t + 1)
-            alone = est.jt_search(y[one], outer[one], n_s, corr[one], noise_var[one], cfg, l)
+            alone = est.jt_search(
+                energies(y[one]), k * n_s, outer[one], n_s, corr[one], noise_var[one], cfg, l
+            )
             assert all(v[t:t + 1].tobytes() == w.tobytes() for v, w in zip(stacked, alone))
             mat = sn.measurement_matrix(pilots[t], n_s)
             assert assert_oracle_contract(got[t], y[t], mat, cfg, noise_var[t]), t
@@ -354,7 +362,9 @@ class TestJtSearchStack:
         assert stat[0, 0] < 0.01 < stat[0, 1:].min()
         assert not nm.full_rank(np.linalg.eigvalsh(outer[0][:2, :2]))
         cfg = est.TypicalityConfig(0.01, 2, order)
-        (support,), (best,), (examined,) = est.jt_search(y[None], outer, 1, corr, noise_var, cfg, 2)
+        (support,), (best,), (examined,) = est.jt_search(
+            energies(y[None]), 6, outer, 1, corr, noise_var, cfg, 2
+        )
         assert support.tolist() == [-1, -1] and best == math.inf and examined == 3
 
     @pytest.mark.parametrize("order", [est.LEXICOGRAPHIC_FIRST, est.BEST_STATISTIC])
@@ -394,7 +404,9 @@ class TestJtSearchStack:
         cfg = est.TypicalityConfig(1e-9, 2, order)
         with monkeypatch.context() as patch:
             patch.setattr(est, "_SCAN_BLOCK", 4)
-            (support,), (stat,), _ = est.jt_search(y[None], outer, 1, corr, [0.0], cfg, 2)
+            (support,), (stat,), _ = est.jt_search(
+                energies(y[None]), 12, outer, 1, corr, [0.0], cfg, 2
+            )
         # lexicographic_first stops after the first pass, which holds a full-rank pair
         want = want[:1] if order == est.LEXICOGRAPHIC_FIRST else want
         assert len(eig) == len(want) and all(np.array_equal(a, w) for a, w in zip(eig, want))
@@ -410,7 +422,8 @@ class TestJtSearchStack:
         y = sn.kron_forward(pilots, n_s, truth) + 0.1 / math.sqrt(2) * crandn(rng, t_count, k * n_s)
         outer, corr = sn.kron_normal(pilots, n_s, y)
         noise_var, cfg = np.full(t_count, 0.01), est.TypicalityConfig(None, 1, order)
-        got = search_triples(*est.jt_search(y, outer, n_s, corr, noise_var, cfg, 1))
+        found = est.jt_search(energies(y), k * n_s, outer, n_s, corr, noise_var, cfg, 1)
+        got = search_triples(*found)
         assert [g[0] for g in got] == [(int(np.flatnonzero(v)[0]),) for v in truth]
         delta = cfg.threshold(noise_var, k * n_s, 1)[:, None]
         want = typical_grams(outer, n_s, corr, y, noise_var, delta, np.arange(25)[:, None])
@@ -492,7 +505,7 @@ class TestGramScreen:
                     np.where(hit, stat[np.arange(len(pos)), pos], math.inf),
                     np.where(hit & first, pos + 1, len(subsets)),
                 )
-                got = est.jt_search(y, outer, n_s, corr, noise_var, cfg, l)
+                got = est.jt_search(yy, m, outer, n_s, corr, noise_var, cfg, l)
                 assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (k, q, order)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -780,6 +793,17 @@ class TestWrongSupportTerm:
         vals = [est.wrong_support_term(1.3, 25, 0.1, 0.01, kns, 2) for kns in (100, 200, 400, 800)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_no_array_of_the_entry_count(self):
+        # only the l shares enter the term: at n = 10^6 entries it traces at most 4 KiB
+        est.wrong_support_term(3.0, 10**6, 0.1, 0.01, 100, 3)  # first-use caches
+        tracemalloc.start()
+        try:
+            est.wrong_support_term(3.0, 10**6, 0.1, 0.01, 100, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096, peak
+
 
 class TestBoundTermsAtExtremeScales:
     """Where the plain exponent overflows or divides by zero, the terms keep
@@ -879,25 +903,16 @@ class TestMseUpperBound:
         assert vals[-1] < 1e-12
 
 
-def omp_run(outer, reps, corr, l):
-    """``est.omp_estimate`` with the block core's fit: ``nm.gram_solve`` of G_S and c_S."""
-
-    def fit(r, cols):
-        return nm.gram_solve(nm.kron_gram(outer[r], reps, cols), corr[r[:, None], cols])
-
-    return est.omp_estimate(outer, reps, corr, l, fit)
-
-
 def omp_matrices(mats, y, l):
     """OMP on a (T, m, n) stack of matrices U: reps = 1, outer = U^H U, corr = U^H y."""
     herm = mats.conj().swapaxes(-1, -2)
-    return omp_run(herm @ mats, 1, (herm @ y[..., None])[..., 0], l)
+    return est.omp_estimate(herm @ mats, 1, (herm @ y[..., None])[..., 0], l)
 
 
 def omp_pilots(pilots, n_s, y, l):
     """OMP on the pilot model of a (T, n_d, k) pilot stack: reps = n_s."""
     outer, corr = sn.kron_normal(pilots, n_s, y)
-    return omp_run(outer, n_s, corr, l)
+    return est.omp_estimate(outer, n_s, corr, l)
 
 
 def omp_support(taken, count):

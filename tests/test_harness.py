@@ -482,14 +482,25 @@ class TestTruthStage:
             tracemalloc.stop()
         assert 0.5 <= peak / hn._sub_block_bytes(cfg, k) <= 2.0, peak
 
-    @pytest.mark.parametrize("k", hn.default_config().k_values)
     @pytest.mark.parametrize(
-        "overrides", [{}, {"mode": "physical_off_grid", "estimator": "genie"}, {"estimator": "omp"}],
-        ids=["jt", "genie-off-grid", "omp"],
+        "overrides, k",
+        [
+            pytest.param(overrides, k, id=f"{name}-{k}", marks=[pytest.mark.xfail(
+                strict=True, reason="the sizing leaves out the L >= 2 search's per-problem "
+                "tables and pass scratch (ROADMAP item 2)",
+            )] if name == "jt-l2" and k < 20 else [])
+            for name, overrides in [
+                ("jt", {}), ("genie-off-grid", {"mode": "physical_off_grid", "estimator": "genie"}),
+                ("omp", {"estimator": "omp"}),
+                ("jt-l2", {"typicality": est.TypicalityConfig(None, 2)}),
+            ]
+            for k in hn.default_config().k_values
+        ],
     )
     def test_sub_block_peak_is_within_the_budget(self, overrides, k):
         # the budget is a ceiling, not only a scale: one sub-block of the sweep's size at
-        # each default K, its truths staged beforehand, traces at most _BLOCK_BYTES
+        # each default K, its truths staged beforehand, traces at most _BLOCK_BYTES; the
+        # L = 2 search's tables and pass scratch do not shrink with K, and only K >= 20 fit
         cfg = hn.default_config(k_values=(k,), **overrides)
         trials = hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k)
         staged = hn._stage_truths(cfg, k, 20.0, range(trials))

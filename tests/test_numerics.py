@@ -8,6 +8,7 @@ from ris_crlb.errors import DimensionMismatchError, RankDeficientError
 from ris_crlb.numerics import (
     GRAM_COND,
     dft_matrix,
+    fit_columns,
     full_rank,
     gram_solve,
     kron,
@@ -245,6 +246,28 @@ class TestGramSolve:
             for t in range(len(a)):
                 alone = gram_solve(g[t:t + 1], c[t:t + 1])
                 assert all(v[t:t + 1].tobytes() == w.tobytes() for v, w in zip(stack, alone))
+
+    @pytest.mark.parametrize("reps", [1, 5])
+    def test_fit_columns_is_gram_solve_of_the_gathered_columns(self, reps):
+        # the block core's one fit, on problems r of a stack: G_S of kron(outer, I_reps) and
+        # c_S solved by gram_solve; a repeated column (problem 1) and two dependent pilot
+        # rows (problem 3) are not full rank
+        rng = np.random.default_rng(30 + reps)
+        p, t_count = 4, 6
+        a = crandn(rng, t_count, 7, p)
+        a[3, :, 1] = 2.0 * a[3, :, 0]
+        outer = a.conj().swapaxes(-1, -2) @ a
+        corr = crandn(rng, t_count, p * reps)
+        r = np.array([0, 1, 3, 5])
+        cols = np.stack([rng.choice(p * reps, 3, replace=False) for _ in r])
+        cols[1, 1], cols[2] = cols[1, 0], [0, reps, 2 * reps]
+        with np.errstate(all="ignore"):
+            want = gram_solve(kron_gram(outer[r], reps, cols), corr[r[:, None], cols])
+            got = fit_columns(outer[r], reps, cols, corr[r])
+            bare = fit_columns(outer[r], reps, cols)
+        assert want[1].tolist() == [True, False, False, True]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert bare[2] is None and all(g.tobytes() == w.tobytes() for g, w in zip(bare, want[:2]))
 
     def test_fewer_rows_than_columns_is_not_full_rank(self):
         a = crandn(np.random.default_rng(14), 2, 3)
