@@ -14,6 +14,8 @@ Each trial leaves 73 B in the columns of :class:`Trials`: they and the share's p
 layout are the one state that grows with the trial count.  A truth seats no ``Generator``:
 its PCG64 is seated and read in uint64 limbs for a chunk at once (``channel.pcg64_seat``,
 ``channel.raw_draws``; numpy does not promise its streams across versions: tests compare).
+The pilots and noise do (:func:`generators`): :func:`run_sweep` imports ``numpy.random``
+once, before it forks any worker, and importing this module does not.
 """
 
 import contextlib
@@ -43,7 +45,8 @@ ESTIMATORS = ("jt", "genie", "omp")
 
 # the peak bytes an estimation sub-block or a truth chunk may hold, over its stated
 # per-trial peak (_sub_block_bytes, _truth_bytes): it sets the trials of each, so neither
-# working set grows with the trial count; a default L = 1 sub-block traces 0.79-0.93 of it
+# working set grows with the trial count; a default L = 1 sub-block traces 0.79-0.93 of it,
+# an L = 2 one 0.81-0.88
 _BLOCK_BYTES = 640 * 1024
 
 CSV_HEADER = "k,snr_db,mse,crlb,upper_bound,fail_rate,trials"
@@ -319,8 +322,9 @@ def seed_words(seeds):
 
 @functools.cache
 def _words_type():
-    """An ``ISeedSequence`` holding one row of :func:`seed_words`; made on first
-    use, so importing this module does not import ``numpy.random`` (~17 ms)."""
+    """An ``ISeedSequence`` holding one row of :func:`seed_words`.  :func:`run_sweep` makes
+    it before any fork, so importing this module does not import ``numpy.random`` (~11 ms)
+    and forked workers inherit it rather than each importing it again."""
     from numpy.random.bit_generator import ISeedSequence
 
     class Words(ISeedSequence):
@@ -425,15 +429,27 @@ def _truth_bytes(cfg):
 
 def _sub_block_bytes(cfg, k):
     """Stated per-trial peak of an estimation sub-block (:func:`_run_block`) at K = k in
-    bytes, which sizes the sub-blocks: ``40 k (n_d + n_s)``, the observation's, 16 k (3 n_d
-    + n_s) B as the pilot entries are built and 16 k (n_d + 3 n_s) B as the noise is (with
-    a ufunc cast buffer of at most 128 KiB); JT at L = 1, the genie and OMP read 0.69-1.20
-    of it.  The L >= 2 search's phase, left out, may be larger: per problem a table of about
-    36 (n_s + 1) E B as built (25-50 read), E = sum_s s C(n_d, s) over the block sizes s that
-    occur (none at n_s = 1), and a pass of at most ``estimator._SCAN_BLOCK`` (problem,
-    subset) pairs, 16 B each or 32 L (L + 2) B at n_s = 1, and 16 L^2 B per G_J below delta:
-    at L = 2, 5 x 5, K = 8, 12, 16, 20 a sub-block traces 2.02, 1.42, 1.06, 0.85 of the budget."""
-    return 40 * k * (cfg.geometry.n_d + cfg.geometry.n_s)
+    bytes, which sizes the sub-blocks: the larger of its two phases.
+
+    The observation's is ``40 k (n_d + n_s)``: 16 k (3 n_d + n_s) B as the pilot entries
+    are built and 16 k (n_d + 3 n_s) B as the noise is (with a ufunc cast buffer of at most
+    128 KiB); JT at L = 1, the genie and OMP read 0.69-1.20 of it.  The search's, for JT
+    whose largest support L is 2 or more at n_s > 1, is ``36 (n_s + 1) E + 48 n_d (n_d +
+    n_s)``: per problem a block table of about 36 (n_s + 1) E B as built (25-50 read), E =
+    sum_s s C(n_d, s) over the block sizes 1 <= s <= min(L, n_d) (the sizes that occur, or
+    more where L > n_d (n_s - 1) + 1), and what the block holds through the search: its
+    normal equations, 16 n_d (n_d + n_s) B a trial, their gathers into the tables, and its
+    share of a pass of at most ``estimator._SCAN_BLOCK`` (problem, subset) pairs, 16 B each
+    and 16 L^2 B per G_J below delta.  At 5 x 5, L = 2, K = 8, 12, 16 a sub-block traces
+    0.88 of the budget (2.02, 1.42, 1.06 sized by the observation alone).  At n_s = 1 a
+    support is one block and each pass builds its own tables, 32 L (L + 2) B a pair: a
+    cost per block, not per trial, which no per-trial figure states."""
+    g = cfg.geometry
+    observe = 40 * k * (g.n_d + g.n_s)
+    if cfg.estimator != "jt" or g.n_s == 1 or (largest := max(cfg.support_sizes)) < 2:
+        return observe
+    entries = sum(s * math.comb(g.n_d, s) for s in range(1, min(largest, g.n_d) + 1))
+    return max(observe, 36 * (g.n_s + 1) * entries + 48 * g.n_d * (g.n_d + g.n_s))
 
 
 def run_trial(cfg, k, snr_db, trial_index):
@@ -629,6 +645,7 @@ def run_sweep(cfg, threads=1):
         total, l = max((math.comb(n, l), l) for l in cfg.support_sizes)
         if total > cap:
             raise ConfigError(f"C({n}, {l}) = {total} subsets exceed max_subsets = {cap}")
+    _words_type()  # numpy.random, imported once here rather than by each forked worker
     cells = [(k, snr_db) for k in cfg.k_values for snr_db in cfg.snr_db_values]
     workers = min(threads, len(cells)) if hasattr(os, "fork") else 1
     by_k = sorted(range(len(cells)), key=lambda c: -cells[c][0])

@@ -324,8 +324,10 @@ class TestBlockCore:
         bits = trial_bits(hn.run_sweep(cfg).trials)
         # sub-blocks of 3 trials at the largest k and truth chunks of at most 6 trials:
         # with 7 trials per cell, both fall across cell boundaries, and at k = 1, 2 a
-        # chunk spans both Ks
-        k_max = max(cfg.k_values)
+        # chunk spans both Ks; sized by the observation alone, in proportion to k (an
+        # L >= 2 search's figure does not shrink with k)
+        k_max, g = max(cfg.k_values), cfg.geometry
+        monkeypatch.setattr(hn, "_sub_block_bytes", lambda cfg, k: 40 * k * (g.n_d + g.n_s))
         monkeypatch.setattr(hn, "_BLOCK_BYTES", 3 * hn._sub_block_bytes(cfg, k_max))
         monkeypatch.setattr(hn, "_truth_bytes", lambda cfg: hn._BLOCK_BYTES // 6)
         chunks, blocks = [], []
@@ -485,10 +487,7 @@ class TestTruthStage:
     @pytest.mark.parametrize(
         "overrides, k",
         [
-            pytest.param(overrides, k, id=f"{name}-{k}", marks=[pytest.mark.xfail(
-                strict=True, reason="the sizing leaves out the L >= 2 search's per-problem "
-                "tables and pass scratch (ROADMAP item 2)",
-            )] if name == "jt-l2" and k < 20 else [])
+            pytest.param(overrides, k, id=f"{name}-{k}")
             for name, overrides in [
                 ("jt", {}), ("genie-off-grid", {"mode": "physical_off_grid", "estimator": "genie"}),
                 ("omp", {"estimator": "omp"}),
@@ -500,7 +499,7 @@ class TestTruthStage:
     def test_sub_block_peak_is_within_the_budget(self, overrides, k):
         # the budget is a ceiling, not only a scale: one sub-block of the sweep's size at
         # each default K, its truths staged beforehand, traces at most _BLOCK_BYTES; the
-        # L = 2 search's tables and pass scratch do not shrink with K, and only K >= 20 fit
+        # L = 2 search's tables do not shrink with K, and size its sub-blocks below K = 20
         cfg = hn.default_config(k_values=(k,), **overrides)
         trials = hn._BLOCK_BYTES // hn._sub_block_bytes(cfg, k)
         staged = hn._stage_truths(cfg, k, 20.0, range(trials))
@@ -520,7 +519,8 @@ class TestTruthStage:
     )
     def test_search_sub_block_peak_per_trial_is_the_stated_footprint(self, n_d, n_s, l, k):
         # the footprint that _sub_block_bytes states for the L >= 2 search: the larger of
-        # its two phases, the observation and the search's tables and pass scratch
+        # its two phases, the observation and the search; at n_s = 1 each pass builds its
+        # own tables, a cost per block that the per-trial figure leaves out
         cfg = hn.default_config(
             k_values=(k,), geometry=ch.Geometry(n_s, n_d, 2, 5),
             typicality=est.TypicalityConfig(None, l),
@@ -534,10 +534,9 @@ class TestTruthStage:
             peak = tracemalloc.get_traced_memory()[1] / trials
         finally:
             tracemalloc.stop()
-        sizes = range(max(l - n_d * (n_s - 1), 1), min(l, n_d) + 1) if n_s > 1 else ()
-        tables = 36 * (n_s + 1) * sum(s * math.comb(n_d, s) for s in sizes)
-        pair = 32 * l * (l + 2) if n_s == 1 else 16
-        stated = max(hn._sub_block_bytes(cfg, k), tables + est._SCAN_BLOCK * pair / trials)
+        stated = hn._sub_block_bytes(cfg, k)
+        if n_s == 1:
+            stated = max(stated, est._SCAN_BLOCK * 32 * l * (l + 2) / trials)
         assert 0.5 <= peak / stated <= 2.0, (peak, stated)
 
     @pytest.mark.parametrize(
@@ -1220,6 +1219,22 @@ class TestWorkerProcesses:
             hn.run_sweep(cfg, threads=8)
         assert len(forks) == 1
 
+    def test_workers_inherit_the_words_type(self, monkeypatch):
+        # the parent imports numpy.random and makes the Words type before its first fork,
+        # so no forked worker imports it again (~11 ms alone, 30-45 ms as two workers do)
+        cfg, fork, cached = self.two_cells(monkeypatch), os.fork, []
+
+        def checking_fork():
+            cached.append(hn._words_type.cache_info().currsize)
+            return fork()
+
+        hn._words_type.cache_clear()
+        monkeypatch.setattr(os, "fork", checking_fork)
+        with deadline(60):
+            hn.run_sweep(cfg, threads=2)
+        assert cached == [1]
+        assert issubclass(hn._words_type(), np.random.bit_generator.ISeedSequence)
+
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_error_in_a_share_reraises_in_the_parent(self, monkeypatch, where):
         def fail(in_parent):
@@ -1541,6 +1556,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: k_values") and "physical memory" in err
         assert not out.exists() and not (tmp_path / "res.json").exists()
+
+    @pytest.mark.skipif(
+        "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", ()), reason="no physical memory size"
+    )
+    def test_search_over_physical_memory_rejected(self):
+        # at n_s = 2 a trial's L = 2 search holds about 156 n_d^2 B (_sub_block_bytes), its
+        # observation at K = n_d + 1 about 40 n_d^2 B: past memory, and well within it
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n = math.isqrt(memory // 100)
+        cfg = dict(geometry=ch.Geometry(2, n, 2, 5), k_values=(n + 1,))
+        hn.default_config(**cfg)
+        with pytest.raises(ConfigError, match=f"k_values {n + 1}: .* physical memory"):
+            hn.default_config(typicality=est.TypicalityConfig(None, 2), **cfg)
 
     @pytest.mark.skipif(
         "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", ()), reason="no physical memory size"
